@@ -19,14 +19,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from . import freemodel as fm
 from . import nogo
 from .combos import COMBO_NAMES, combo_report
 from .delay import render_delay
 from .laws import TestUniverse, UniverseBudgetError, render_report, run_suite
-from .lifting import custom_candidate
+from .lifting import OpLifter, custom_candidate
 from .theory import (TheoryError, classify_equation, parse_theory,
                      predict_composability, term_str)
 
@@ -36,7 +36,16 @@ EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, matching the default disposition
 
-CUSTOM_LIFTS = {"step-absorbing": nogo.step_absorbing_lift}
+
+class CustomLift(NamedTuple):
+    """A hand-written lifting and the operations (name -> arity) it knows
+    how to lift; a theory must declare exactly these."""
+
+    lift: OpLifter
+    ops: Dict[str, int]
+
+
+CUSTOM_LIFTS = {"step-absorbing": CustomLift(nogo.step_absorbing_lift, {"mul": 2, "bang": 1})}
 
 # demo theories addressable by name alongside the free-model builtins
 NAMED_THEORIES = {"idempotent-unary": nogo.idempotent_unary_theory}
@@ -146,6 +155,24 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_custom_ops(th, name: str, needed: Dict[str, int]) -> None:
+    """Reject a theory whose operations a custom lifting cannot lift,
+    before any universe is built."""
+    have = {op.name: op.arity for op in th.signature.ops}
+    if have == needed:
+        return
+    ops = lambda pairs: ", ".join(f"{op}:{n}" for op, n in pairs)
+    problems = []
+    missing = [(op, n) for op, n in needed.items() if have.get(op) != n]
+    extra = [(op, n) for op, n in have.items() if needed.get(op) != n]
+    if missing:
+        problems.append(f"lacks {ops(missing)}")
+    if extra:
+        problems.append(f"declares {ops(extra)}, which it cannot lift")
+    raise InputError(f"custom lifting '{name}' needs operations {ops(needed.items())}; "
+                     f"theory '{th.name}' {' and '.join(problems)}")
+
+
 def _cmd_check(ns: argparse.Namespace) -> int:
     th = resolve_theory(ns.theory)
     u = _universe(ns, relation=ns.upto)
@@ -156,7 +183,9 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         if name not in CUSTOM_LIFTS:
             raise InputError(f"unknown custom lifting '{name}' "
                              f"(known: {', '.join(sorted(CUSTOM_LIFTS))})")
-        mode = custom_candidate(th, ns.lift, CUSTOM_LIFTS[name])
+        custom = CUSTOM_LIFTS[name]
+        _check_custom_ops(th, name, custom.ops)
+        mode = custom_candidate(th, ns.lift, custom.lift)
     else:
         raise InputError(f"--lift must be seq, par or custom:<name>, got '{ns.lift}'")
     report = run_suite(th, mode, u)

@@ -906,8 +906,8 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
     preds = predicate_family(xs, rs, (0, 1, 2))
     simple = [sel_from_table(t, xs)
               for t in [FinFun(tuple(p_tables), (d,) * len(p_tables))
-                        for d in [Now(xs[0]), Now(xs[1]), delay_n(1, xs[0]),
-                                  delay_n(2, xs[0]), DIVERGE]]]
+                        for d in [Now(x) for x in xs[:2]] + [delay_n(1, xs[0]),
+                                                              delay_n(2, xs[0]), DIVERGE]]]
     ffs = []
     for f0 in simple:
         ffs.append(Sel(lambda q, f0=f0: Now(f0), desc=f"now({f0.desc})"))

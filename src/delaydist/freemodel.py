@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .delay import DIVERGE, Delay, Deferred, Now, Step, Verdict, YES, NO, unknown, render_delay, resolve
 from .theory import (App, Equation, Operation, Signature, Term, Theory, TheorySemanticError,
@@ -638,14 +638,17 @@ def model_equal(th: Theory, a: ModelElement, b: ModelElement,
 # enumeration
 
 
-def enumerate_elements(th: Theory, generators: Sequence[Any], max_depth: int,
-                       max_elements: int = 200_000) -> List[ModelElement]:
+def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
+                  max_elements: int = 200_000) -> Iterator[ModelElement]:
     """All distinct elements built from the generators by at most
-    ``max_depth`` rounds of operation application.
+    ``max_depth`` rounds of operation application, yielded as they are
+    found: generators first, then constants, then one round at a time.
 
+    ``generators`` is consumed lazily, so it may itself be a stream.
     Deduplication is by canonical payload; quotient carriers without a
     complete rewrite system fall back to pairwise provable equality and
-    treat Unknown as distinct.
+    treat Unknown as distinct.  EnumerationBudgetError is raised when the
+    stream would pass ``max_elements``.
     """
     elems: List[ModelElement] = []
     seen: set = set()
@@ -655,24 +658,29 @@ def enumerate_elements(th: Theory, generators: Sequence[Any], max_depth: int,
     # payload-dedup set would only burn time hashing deep tuples
     free_tree = kind == "tree" and not th.equations
 
-    def add(m: ModelElement) -> None:
+    def add(m: ModelElement) -> bool:
         if slow_dedup:
             for have in elems:
                 if model_equal(th, have, m).is_yes:
-                    return
+                    return False
         elif not free_tree:
             if m.payload in seen:
-                return
+                return False
             seen.add(m.payload)
         elems.append(m)
         if len(elems) > max_elements:
             raise EnumerationBudgetError(len(elems), max_elements)
+        return True
 
     for g in generators:
-        add(unit(th, g))
+        m = unit(th, g)
+        if add(m):
+            yield m
     for op in th.signature.ops:
         if op.arity == 0:
-            add(apply_op(th, op.name, []))
+            m = apply_op(th, op.name, [])
+            if add(m):
+                yield m
 
     stale = 0  # combos drawn entirely from before the previous round were already applied
     for _ in range(max_depth):
@@ -684,8 +692,15 @@ def enumerate_elements(th: Theory, generators: Sequence[Any], max_depth: int,
             for idxs in itertools.product(range(len(snapshot)), repeat=op.arity):
                 if all(i < stale for i in idxs):
                     continue
-                add(apply_op(th, op.name, [snapshot[i] for i in idxs]))
+                m = apply_op(th, op.name, [snapshot[i] for i in idxs])
+                if add(m):
+                    yield m
         stale = len(snapshot)
         if len(elems) == before:
             break
-    return elems
+
+
+def enumerate_elements(th: Theory, generators: Sequence[Any], max_depth: int,
+                       max_elements: int = 200_000) -> List[ModelElement]:
+    """The elements of :func:`iter_elements`, as a list."""
+    return list(iter_elements(th, generators, max_depth, max_elements))

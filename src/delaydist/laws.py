@@ -22,7 +22,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, unknown, as_verdict, bind, conjoin,
@@ -356,49 +356,53 @@ def double_delay_values(values: Sequence[Any], max_steps: int,
     return out
 
 
-def enumerate_universe(th: Theory, u: TestUniverse, shape: str) -> List[Any]:
-    """Enumerated inputs for one axiom shape over theory ``th``.
+def iter_universe(th: Theory, u: TestUniverse, shape: str) -> Iterator[Any]:
+    """Enumerated inputs for one axiom shape over theory ``th``, yielded
+    in a fixed order as they are built.
 
     Shapes: ``D`` (delays over the base carrier), ``T`` (model elements),
     ``TD`` (elements over delays), ``TTD`` and ``TDD`` (the nested
-    multiplication shapes).  Raises UniverseBudgetError when the estimate
-    exceeds the universe's case budget.
+    multiplication shapes).  Raises UniverseBudgetError when the stream
+    would pass the universe's case budget, so a consumer that stops
+    early never sees an over-budget universe reported.
     """
     vals = base_values(u.carrier_size)
     budget = u.case_budget
 
     def enum(generators, depth):
         try:
-            return fm.enumerate_elements(th, generators, depth, budget)
+            yield from fm.iter_elements(th, generators, depth, budget)
         except fm.EnumerationBudgetError as err:
             raise UniverseBudgetError(f"{shape} universe", err.estimate, budget) from err
 
     if shape == "D":
-        return delay_values(vals, u.max_steps, u.include_diverge)
-    if shape == "T":
-        return enum(vals, u.max_depth)
-    if shape == "TD":
+        yield from delay_values(vals, u.max_steps, u.include_diverge)
+    elif shape == "T":
+        yield from enum(vals, u.max_depth)
+    elif shape == "TD":
+        yield from enum(delay_values(vals, u.max_steps, u.include_diverge), u.max_depth)
+    elif shape == "TDD":
+        yield from enum(double_delay_values(vals, u.max_steps, u.include_diverge), u.max_depth)
+    elif shape == "TTD":
         pool = delay_values(vals, u.max_steps, u.include_diverge)
-        return enum(pool, u.max_depth)
-    if shape == "TDD":
-        pool = double_delay_values(vals, u.max_steps, u.include_diverge)
-        return enum(pool, u.max_depth)
-    if shape == "TTD":
-        pool = delay_values(vals, u.max_steps, u.include_diverge)
-        out: List[fm.ModelElement] = []
         seen = set()
         for outer_depth in range(u.max_depth + 1):
-            inner_depth = u.max_depth - outer_depth
-            inner = enum(pool, inner_depth)
+            inner = enum(pool, u.max_depth - outer_depth)
             for m in enum(inner, outer_depth):
                 key = (m.kind, m.payload)
                 if key not in seen:
                     seen.add(key)
-                    out.append(m)
-            if len(out) > budget:
-                raise UniverseBudgetError("TTD universe", len(out), budget)
-        return out
-    raise ValueError(f"unknown universe shape {shape!r}")
+                    if len(seen) > budget:
+                        raise UniverseBudgetError("TTD universe", len(seen), budget)
+                    yield m
+    else:
+        raise ValueError(f"unknown universe shape {shape!r}")
+
+
+def enumerate_universe(th: Theory, u: TestUniverse, shape: str) -> List[Any]:
+    """The inputs of :func:`iter_universe`, as a list.  Raises
+    UniverseBudgetError when the universe is larger than the case budget."""
+    return list(iter_universe(th, u, shape))
 
 
 def _bounded_elements(th: Theory, generators, depth: int, u: TestUniverse,
@@ -430,13 +434,13 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
     ri = fm.value_str
     rr = _render_dt
     if axiom == "UnitS":
-        out = beck_unit_s(S, T, z, enumerate_universe(th, u, "D"), None, ri, rr)
+        out = beck_unit_s(S, T, z, iter_universe(th, u, "D"), None, ri, rr)
     elif axiom == "UnitT":
-        out = beck_unit_t(S, T, z, enumerate_universe(th, u, "T"), None, ri, rr)
+        out = beck_unit_t(S, T, z, iter_universe(th, u, "T"), None, ri, rr)
     elif axiom == "MultS":
-        out = beck_mult_s(S, T, z, enumerate_universe(th, u, "TTD"), None, ri, rr)
+        out = beck_mult_s(S, T, z, iter_universe(th, u, "TTD"), None, ri, rr)
     elif axiom == "MultT":
-        out = beck_mult_t(S, T, z, enumerate_universe(th, u, "TDD"), None, ri, rr)
+        out = beck_mult_t(S, T, z, iter_universe(th, u, "TDD"), None, ri, rr)
     elif axiom == "Naturality":
         out = beck_naturality(S, T, z, _naturality_inputs(th, u), None,
                               lambda p: f"f={p[0]} on {fm.value_str(p[1])}", rr)
@@ -462,24 +466,30 @@ class _Renaming:
         return "{" + ", ".join(f"{k}↦{v}" for k, v in self.table.items()) + "}"
 
 
-def _naturality_inputs(th: Theory, u: TestUniverse) -> List[Tuple[Callable, fm.ModelElement]]:
+def _naturality_inputs(th: Theory, u: TestUniverse) -> Iterator[Tuple[Callable, fm.ModelElement]]:
+    """(f, m) pairs: every function between base carriers of the chosen
+    sizes, against every element over the domain's delays.  The pair count
+    is checked against the case budget before any pair is produced."""
     sizes = sorted({1, min(2, u.carrier_size), u.carrier_size})
-    pairs: List[Tuple[Callable, fm.ModelElement]] = []
-    for nx in sizes:
-        dom = base_values(nx)
-        depth = min(u.max_depth, 2)
-        pool = _bounded_elements(th, delay_values(dom, min(u.max_steps, 2),
-                                                  u.include_diverge), depth, u,
-                                 "naturality universe")
-        for ny in sizes:
-            cod = base_values(ny)
-            for image in itertools.product(cod, repeat=len(dom)):
-                f = _Renaming(dict(zip(dom, image)))
-                for m in pool:
-                    pairs.append((f, m))
-    if len(pairs) > u.case_budget:
-        raise UniverseBudgetError("naturality universe", len(pairs), u.case_budget)
-    return pairs
+    depth = min(u.max_depth, 2)
+    pools = [_bounded_elements(th, delay_values(base_values(nx), min(u.max_steps, 2),
+                                                u.include_diverge), depth, u,
+                               "naturality universe")
+             for nx in sizes]
+    count = sum(len(pool) * sum(ny ** nx for ny in sizes) for nx, pool in zip(sizes, pools))
+    if count > u.case_budget:
+        raise UniverseBudgetError("naturality universe", count, u.case_budget)
+
+    def pairs():
+        for nx, pool in zip(sizes, pools):
+            dom = base_values(nx)
+            for ny in sizes:
+                for image in itertools.product(base_values(ny), repeat=nx):
+                    f = _Renaming(dict(zip(dom, image)))
+                    for m in pool:
+                        yield f, m
+
+    return pairs()
 
 
 def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntry:

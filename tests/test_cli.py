@@ -103,6 +103,22 @@ class TestCheck:
         assert code == 3
         assert "step-absorbing" in err  # message lists the known ones
 
+    def test_custom_lift_rejects_missing_operations_before_scanning(self, capsys,
+                                                                     tmp_path, monkeypatch):
+        f = tmp_path / "band.th"
+        f.write_text("op mul : 2\n"
+                     "eq assoc : mul(mul(x, y), z) = mul(x, mul(y, z))\n"
+                     "eq idem : mul(x, x) = x\n", encoding="utf-8")
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_scan)
+        code, _, err = run(capsys, "check", str(f), "--lift", "custom:step-absorbing",
+                           *FAST_BOUNDS)
+        assert code == 3
+        assert "bang:1" in err
+
     def test_bad_lift_mode(self, capsys):
         code, _, err = run(capsys, "check", "monoid", "--lift", "diagonal")
         assert code == 3

@@ -62,6 +62,13 @@ def test_continuation_retraction_and_failing_square(default_reports):
     assert mu.witness is not None
 
 
+def test_continuation_at_carrier_size_one():
+    r = combos.combo_report("continuation", Universe(carrier_size=1, max_steps=1, max_depth=1))
+    assert r.entry("RetractIdentity").verdict.is_yes
+    assert r.entry("MuSquare").verdict.is_no
+    assert not r.unexpected_failures
+
+
 def test_sum_free_extension(default_reports):
     r = default_reports["sum"]
     for axiom in ("MonadLaws", "FreeExtension", "Uniqueness", "GuardInvariant"):

@@ -307,6 +307,61 @@ class TestEnumeration:
             fm.enumerate_elements(th, ("a", "b", "c"), 3, max_elements=50)
 
 
+# the round-by-round enumeration written plainly: every round re-applies
+# every operation to every tuple of the elements so far, and a new element
+# is kept unless it is provably equal to one already kept
+def _eager_elements(th, generators, max_depth):
+    elems = []
+
+    def add(m):
+        if not any(fm.model_equal(th, have, m).is_yes for have in elems):
+            elems.append(m)
+
+    for g in generators:
+        add(fm.unit(th, g))
+    for op in th.signature.ops:
+        if op.arity == 0:
+            add(fm.apply_op(th, op.name, []))
+    for _ in range(max_depth):
+        snapshot = list(elems)
+        for op in th.signature.ops:
+            if op.arity:
+                for args in itertools.product(snapshot, repeat=op.arity):
+                    add(fm.apply_op(th, op.name, list(args)))
+        if len(elems) == len(snapshot):
+            break
+    return elems
+
+
+def _band():
+    return parse_theory("theory band\nop mul : 2\n"
+                        "eq assoc : mul(mul(x, y), z) = mul(x, mul(y, z))\n"
+                        "eq idem : mul(x, x) = x")
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("make,depth", [
+        (fm.magma, 2), (fm.monoid, 2), (fm.cmonoid, 2), (fm.semilattice, 2),
+        (fm.convex, 2), (fm.exceptions, 2), (_band, 2), (_rewrite_complete_theory, 2),
+    ], ids=["tree", "list", "multiset", "finset", "dist", "either", "quotient",
+            "quotient-complete"])
+    def test_stream_order_matches_plain_enumeration(self, make, depth):
+        th = make()
+        want = _eager_elements(th, ("a", "b"), depth)
+        # generators may arrive as a one-shot stream
+        streamed = list(fm.iter_elements(th, iter(("a", "b")), depth))
+        assert [m.payload for m in streamed] == [m.payload for m in want]
+        assert [m.payload for m in fm.enumerate_elements(th, ("a", "b"), depth)] == \
+            [m.payload for m in want]
+
+    def test_budget_fires_when_the_stream_crosses_it(self):
+        th = fm.magma()
+        head = list(itertools.islice(fm.iter_elements(th, ("a", "b", "c"), 3, 50), 50))
+        assert len(head) == 50
+        with pytest.raises(fm.EnumerationBudgetError):
+            list(fm.iter_elements(th, ("a", "b", "c"), 3, 50))
+
+
 class TestBuiltinLookup:
     def test_names(self):
         assert fm.builtin_theory("magma").name == "magma"

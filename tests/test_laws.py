@@ -141,6 +141,85 @@ class TestUnknowns:
                    case_budget=5000)
 
 
+def _eager_universe(th, u, shape):
+    """Each shape built as whole lists, the nested TTD layer by layer."""
+    vals = laws.base_values(u.carrier_size)
+    delays = laws.delay_values(vals, u.max_steps, u.include_diverge)
+    if shape == "D":
+        return delays
+    if shape == "T":
+        return fm.enumerate_elements(th, vals, u.max_depth)
+    if shape == "TD":
+        return fm.enumerate_elements(th, delays, u.max_depth)
+    if shape == "TDD":
+        return fm.enumerate_elements(
+            th, laws.double_delay_values(vals, u.max_steps, u.include_diverge), u.max_depth)
+    out, seen = [], set()
+    for outer in range(u.max_depth + 1):
+        inner = fm.enumerate_elements(th, delays, u.max_depth - outer)
+        for m in fm.enumerate_elements(th, inner, outer):
+            if m.payload not in seen:
+                seen.add(m.payload)
+                out.append(m)
+    return out
+
+
+class TestStreamedUniverses:
+    @pytest.mark.parametrize("shape", ["D", "T", "TD", "TDD", "TTD"])
+    @pytest.mark.parametrize("th", [fm.monoid(), fm.semilattice(), fm.magma()],
+                             ids=lambda th: th.name)
+    def test_stream_order_matches_whole_lists(self, th, shape):
+        u = Universe(carrier_size=2, max_steps=1, max_depth=2, include_diverge=True)
+        want = _eager_universe(th, u, shape)
+        assert list(laws.iter_universe(th, u, shape)) == want
+        assert laws.enumerate_universe(th, u, shape) == want
+
+    @pytest.mark.parametrize("shape,size", [("TDD", 22621), ("TTD", 6149)])
+    def test_refutation_stops_building_inputs(self, monkeypatch, shape, size):
+        th = fm.monoid()
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2)
+        calls = [0]
+        apply_op = fm.apply_op
+
+        def counting(*args):
+            calls[0] += 1
+            return apply_op(*args)
+
+        monkeypatch.setattr(fm, "apply_op", counting)
+        head = list(itertools.islice(laws.iter_universe(th, u, shape), 50))
+        lazy = calls[0]
+        calls[0] = 0
+        full = laws.enumerate_universe(th, u, shape)
+        assert head == full[:50]
+        assert len(full) == size
+        assert lazy * 100 < calls[0]
+
+    def test_early_no_inside_an_over_budget_universe_is_reported(self):
+        # the MultT universe has 22,621 inputs; the scan's first No comes
+        # at input 44, long before the stream crosses the budget
+        cand = induced_candidate(fm.monoid(), "par")
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2, case_budget=1000)
+        entry = laws.check_axiom(cand, "MultT", u)
+        assert entry.verdict.is_no
+        assert entry.cases == 44
+
+    def test_over_budget_universe_list_raises(self):
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2, case_budget=1000)
+        with pytest.raises(UniverseBudgetError, match="TDD universe"):
+            laws.enumerate_universe(fm.monoid(), u, "TDD")
+
+    def test_naturality_budget_is_the_exact_pair_count(self):
+        th = fm.monoid()
+        u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+        n = sum(1 for _ in laws._naturality_inputs(th, u))
+        assert sum(1 for _ in laws._naturality_inputs(
+            th, Universe(carrier_size=2, max_steps=1, max_depth=1, case_budget=n))) == n
+        with pytest.raises(UniverseBudgetError, match="naturality"):
+            # raised by the call itself, before any pair is produced
+            laws._naturality_inputs(
+                th, Universe(carrier_size=2, max_steps=1, max_depth=1, case_budget=n - 1))
+
+
 class TestCompositeLaws:
     def test_delay_monad_laws_hold(self):
         out = check_delay_monad_laws()
