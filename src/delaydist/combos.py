@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Now, Terminated, Verdict, YES, NO, as_verdict,
-                    bind, conjoin, delay_n, dmap, force, join, reify, render_delay,
+                    bind, conjoin, delay_n, dmap, force, join, peel, reify, render_delay,
                     step, strong_equal)
 from .laws import (LawEntry, LawReport, MonadPack, TestUniverse, Witness,
                    base_values, beck_mult_s, beck_mult_t, beck_naturality, beck_unit_s,
@@ -484,19 +484,12 @@ def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], A
         raise GsdAlgebraError(failed)
 
     def into(d: Delay):
-        d = reify(d)
-        steps = 0
-        cur = d
-        while True:
-            if isinstance(cur, Now):
-                s1, x1 = cur.value
-                out = alg.update(f[x1], s1)
-                break
-            if cur is DIVERGE:
-                out = alg.div
-                break
-            steps += 1
-            cur = cur.tail
+        steps, end = peel(reify(d))
+        if end is DIVERGE:
+            out = alg.div
+        else:
+            s1, x1 = end.value
+            out = alg.update(f[x1], s1)
         for _ in range(steps):
             out = alg.step(out)
         return out

@@ -3,13 +3,17 @@
 A ``Delay`` is one of
 
 * ``Now(v)``, a finished computation,
-* ``Step(tail)``, one visible step in front of another delayed value,
+* ``Step``, n ≥ 1 visible steps in front of a ``Now``, ``DIVERGE`` or
+  ``Deferred`` end, held as one node,
 * ``DIVERGE``, the computation that never finishes,
 
-plus ``Deferred``, a lazy node whose tail is produced on demand.  Values
-built by the checkers are always finite chains of ``Step`` ending in
-``Now`` or ``DIVERGE``; ``Deferred`` shows up inside corecursive
-definitions and is resolved away by :func:`reify`.
+plus ``Deferred``, a lazy node whose tail is produced on demand.  Every
+value the checkers build is materialised, so it is ``Now(v)``, one
+``Step`` node for stepⁿ(now v) or stepⁿ(⊥), or ``DIVERGE``: the classical
+D X ≅ ℕ × X + 1 with the step count kept in front of divergence.
+``Deferred`` shows up only in corecursive definitions (custom liftings
+and the lazy paths of the structural ones) and is resolved away by
+:func:`reify`.  :func:`peel` is the one walker over lazy input.
 
 All observations are fuel bounded.  Comparisons are three valued
 (:class:`Verdict`): strong equality counts steps exactly, weak
@@ -20,7 +24,7 @@ termination from divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 REIFY_LIMIT = 100_000
 
@@ -47,9 +51,37 @@ class Now(Delay):
     value: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Step(Delay):
-    tail: Delay
+    """``steps`` ≥ 1 visible steps in front of ``end``, which is never
+    itself a ``Step``.  ``Step(tail)`` puts one step in front of ``tail``,
+    so ``Step(Step(Now(v)))`` is the single node ``steps=2, end=Now(v)``."""
+
+    steps: int
+    end: Delay
+
+    def __init__(self, tail: Delay):
+        _fill(self, 1, tail)
+
+    @property
+    def tail(self) -> Delay:
+        """The delayed value after the first step."""
+        return prepend_steps(self.steps - 1, self.end)
+
+
+# the slot setters, which build a frozen Step without the cost of its
+# frozen __setattr__
+_set_steps, _set_end = Step.steps.__set__, Step.end.__set__
+_new = object.__new__
+
+
+def _fill(s: Step, n: int, d: Delay) -> Step:
+    if isinstance(d, Step):
+        n += d.steps
+        d = d.end
+    _set_steps(s, n)
+    _set_end(s, d)
+    return s
 
 
 class Deferred(Delay):
@@ -113,10 +145,7 @@ def delay_n(n: int, value: Any) -> Delay:
     """step^n(now value)."""
     if n < 0:
         raise ValueError("negative step count")
-    d: Delay = Now(value)
-    for _ in range(n):
-        d = Step(d)
-    return d
+    return prepend_steps(n, Now(value))
 
 
 def resolve(d: Delay) -> Delay:
@@ -127,35 +156,43 @@ def resolve(d: Delay) -> Delay:
 
 
 def prepend_steps(n: int, d: Delay) -> Delay:
-    for _ in range(n):
-        d = Step(d)
-    return d
+    """stepⁿ(d), as one node."""
+    return _fill(_new(Step), n, d) if n > 0 else d
+
+
+def peel(d: Delay, fuel: int = -1) -> Tuple[int, Delay]:
+    """Split ``d`` into its count of visible steps and what follows them.
+
+    Returns ``(n, end)`` with ``end`` a ``Now``, ``DIVERGE`` or, only when
+    ``n`` exceeds ``fuel``, an unforced ``Deferred``.  Deferred nodes met
+    within ``fuel`` steps are forced; the default -1 forces none.
+    """
+    n = 0
+    while True:
+        if isinstance(d, Step):
+            n += d.steps
+            d = d.end
+        if n > fuel or not isinstance(d, Deferred):
+            return n, d
+        d = d.forced()
 
 
 def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:
     """Substitute into the final value, keeping every step of ``d``.
 
-    Already-materialized prefixes (Step chains and forced Deferred nodes)
-    are walked without allocating thunks; a suspension is only built at
-    the first genuinely unforced node, so productivity is unaffected.
+    Steps in front of a finished value are kept, steps in front of
+    divergence are absorbed.  A suspension is only built at the first
+    unforced node, so productivity is unaffected.
     """
-    steps = 0
-    cur = d
-    while True:
-        if isinstance(cur, Now):
-            return prepend_steps(steps, k(cur.value))
-        if cur is DIVERGE:
-            return DIVERGE
-        if isinstance(cur, Step):
-            steps += 1
-            cur = cur.tail
-            continue
-        ahead = cur.peek()
-        if ahead is not None:
-            cur = ahead
-            continue
-        pending = cur
-        return prepend_steps(steps, Deferred(lambda: bind(pending.forced(), k)))
+    n = 0
+    if isinstance(d, Step):
+        n, d = d.steps, d.end
+    if isinstance(d, Now):
+        out = k(d.value)
+        return _fill(_new(Step), n, out) if n else out
+    if d is DIVERGE:
+        return DIVERGE
+    return prepend_steps(n, Deferred(lambda: bind(d.forced(), k)))
 
 
 def dmap(d: Delay, f: Callable[[Any], Any]) -> Delay:
@@ -201,50 +238,37 @@ def force(d: Delay, fuel: int):
     Returns ``Terminated(value, steps)``, ``KNOWN_DIVERGENT`` when the
     divergence marker is reached within budget, or ``EXHAUSTED``.
     """
-    steps = 0
-    d = resolve(d)
-    while True:
-        if isinstance(d, Now):
-            return Terminated(d.value, steps)
-        if d is DIVERGE:
-            return KNOWN_DIVERGENT
-        if steps >= fuel:
-            return EXHAUSTED
-        steps += 1
-        d = resolve(d.tail)
+    n, end = peel(d, fuel)
+    if n > fuel:
+        return EXHAUSTED
+    return Terminated(end.value, n) if isinstance(end, Now) else KNOWN_DIVERGENT
+
+
+def _peel_within(d: Delay, limit: int, caller: str) -> Tuple[int, Delay]:
+    n, end = peel(d, limit)
+    if n > limit:
+        raise DelayFuelError(f"{caller} exceeded {limit} steps")
+    return n, end
 
 
 def reify(d: Delay, limit: int = REIFY_LIMIT) -> Delay:
-    """Normalise to an eager finite chain; trailing DIVERGE absorbs steps.
+    """Normalise to one materialised node; trailing DIVERGE absorbs steps.
 
     Only safe on values known to be total at desk scale; raises
     DelayFuelError when the chain exceeds ``limit`` steps.
     """
-    n = 0
-    cur = resolve(d)
-    while isinstance(cur, Step):
-        n += 1
-        if n > limit:
-            raise DelayFuelError(f"reify exceeded {limit} steps")
-        cur = resolve(cur.tail)
-    if cur is DIVERGE:
+    n, end = _peel_within(d, limit, "reify")
+    if end is DIVERGE:
         return DIVERGE
-    out: Delay = cur
-    for _ in range(n):
-        out = Step(out)
-    return out
+    if isinstance(d, Step) and d.end is end:
+        return d  # already one materialised node
+    return prepend_steps(n, end)
 
 
 def step_count(d: Delay, limit: int = REIFY_LIMIT) -> Optional[int]:
     """Number of steps before Now, or None for divergence."""
-    n = 0
-    cur = resolve(d)
-    while isinstance(cur, Step):
-        n += 1
-        if n > limit:
-            raise DelayFuelError(f"step_count exceeded {limit} steps")
-        cur = resolve(cur.tail)
-    return None if cur is DIVERGE else n
+    n, end = _peel_within(d, limit, "step_count")
+    return None if end is DIVERGE else n
 
 
 # ---------------------------------------------------------------------------
@@ -308,72 +332,42 @@ ValueRel = Callable[[Any, Any], Any]  # returns bool or Verdict
 def strong_equal(x: Delay, y: Delay, fuel: int, value_eq: Optional[ValueRel] = None) -> Verdict:
     """Step-exact equality: same step count and equal final values.
 
-    Divergence equals divergence.  Unknown when fuel runs out first.
+    Divergence equals divergence.  Both sides advance one step per unit
+    of fuel, and the verdict falls at the first depth where one side has
+    finished (or both have diverged); Unknown when fuel runs out first.
+    Deferred nodes within ``fuel`` steps are forced.
     """
-    spent = 0
-    x = resolve(x)
-    y = resolve(y)
-    while True:
-        x_now = isinstance(x, Now)
-        y_now = isinstance(y, Now)
-        if x_now and y_now:
-            if value_eq is None:
-                return as_verdict(x.value == y.value)
-            return as_verdict(value_eq(x.value, y.value))
-        if x is DIVERGE and y is DIVERGE:
-            return YES
-        if x_now or y_now:
-            # one side finished, the other still needs at least one step
-            return NO
-        if spent >= fuel:
-            return unknown(spent)
-        spent += 1
-        if isinstance(x, Step):
-            x = resolve(x.tail)
-        if isinstance(y, Step):
-            y = resolve(y.tail)
+    (nx, x), (ny, y) = peel(x, fuel), peel(y, fuel)
+    x_now, y_now = isinstance(x, Now), isinstance(y, Now)
+    if x_now and y_now and nx == ny:
+        if nx > fuel:
+            return unknown(fuel)
+        if value_eq is None:
+            return as_verdict(x.value == y.value)
+        return as_verdict(value_eq(x.value, y.value))
+    if x_now or y_now:
+        # NO where the first side finishes, the other still stepping there
+        decided_at, verdict = min(n for n, done in ((nx, x_now), (ny, y_now)) if done), NO
+    elif x is DIVERGE and y is DIVERGE:
+        decided_at, verdict = max(nx, ny), YES
+    else:
+        return unknown(fuel)
+    return verdict if decided_at <= fuel else unknown(fuel)
 
 
 def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     """Bounded weak bisimilarity over a base value relation.
 
     Finite step differences are ignored; termination never matches
-    divergence.  Unknown when the budget runs out before a decision.
+    divergence.  Both sides advance together, so the verdict falls once
+    the longer one has ended; Unknown when that is beyond ``fuel``.
     """
-    spent = 0
-    x = resolve(x)
-    y = resolve(y)
-    while True:
-        x_now = isinstance(x, Now)
-        y_now = isinstance(y, Now)
-        if x_now and y_now:
-            return as_verdict(rel(x.value, y.value))
-        if x_now:
-            if y is DIVERGE:
-                return NO
-            if spent >= fuel:
-                return unknown(spent)
-            spent += 1
-            y = resolve(y.tail)
-            continue
-        if y_now:
-            if x is DIVERGE:
-                return NO
-            if spent >= fuel:
-                return unknown(spent)
-            spent += 1
-            x = resolve(x.tail)
-            continue
-        if x is DIVERGE and y is DIVERGE:
-            return YES
-        # at least one Step on each side that is not Now; advance both
-        if spent >= fuel:
-            return unknown(spent)
-        spent += 1
-        if isinstance(x, Step):
-            x = resolve(x.tail)
-        if isinstance(y, Step):
-            y = resolve(y.tail)
+    (nx, x), (ny, y) = peel(x, fuel), peel(y, fuel)
+    if max(nx, ny) > fuel:
+        return unknown(fuel)
+    if isinstance(x, Now) and isinstance(y, Now):
+        return as_verdict(rel(x.value, y.value))
+    return as_verdict(x is DIVERGE and y is DIVERGE)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +376,9 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
 
 def render_delay(d: Delay, value_render: Callable[[Any], str] = str, limit: int = 4096) -> str:
     """``step^n(now v)`` prints as ``n·step ▸ v``; divergence as ``⊥``."""
-    n = 0
-    cur = resolve(d)
-    while isinstance(cur, Step):
-        n += 1
-        if n > limit:
-            return f"{n}·step ▸ …"
-        cur = resolve(cur.tail)
-    if cur is DIVERGE:
+    n, end = peel(d, limit)
+    if n > limit:
+        return f"{limit + 1}·step ▸ …"
+    if end is DIVERGE:
         return "⊥" if n == 0 else f"{n}·step ▸ ⊥"
-    return f"{n}·step ▸ {value_render(cur.value)}"
+    return f"{n}·step ▸ {value_render(end.value)}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .delay import DIVERGE, Delay, Deferred, Now, Step, Verdict, YES, NO, unknown, render_delay, resolve
+from .delay import DIVERGE, Delay, Verdict, YES, NO, unknown, peel, render_delay
 from .theory import (App, Equation, Operation, Signature, Term, Theory, TheorySemanticError,
                      Var, make_equation, validate_theory)
 
@@ -58,16 +58,12 @@ def canon_key(v: Any):
     if isinstance(v, ModelElement):
         return ("m", v.kind, canon_key(v.payload))
     if isinstance(v, Delay):
-        n = 0
-        cur = resolve(v)
-        while isinstance(cur, Step):
-            n += 1
-            if n > 100_000:
-                raise RuntimeError("canon_key on an unreasonably deep delay")
-            cur = resolve(cur.tail)
-        if cur is DIVERGE:
+        n, end = peel(v, 100_000)
+        if n > 100_000:
+            raise RuntimeError("canon_key on an unreasonably deep delay")
+        if end is DIVERGE:
             return ("dx", n)
-        return ("d", n, canon_key(cur.value))
+        return ("d", n, canon_key(end.value))
     return ("r", repr(v))
 
 

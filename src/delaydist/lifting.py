@@ -13,7 +13,7 @@ is what the axiom checkers decide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Deferred, Now, Step, delay_n, dmap, reify, resolve)
@@ -22,26 +22,21 @@ from .theory import Term, Theory, TheorySemanticError, Var
 OpLifter = Callable[[str, List[Delay], Theory], Delay]
 
 
-def _eager_ends(args: Sequence[Delay]) -> Optional[List[tuple]]:
-    """Per argument (steps, end) with end Now or DIVERGE, walking only
-    materialized nodes; None as soon as a suspended node shows up."""
-    out = []
+def _eager_ends(args: Sequence[Delay]):
+    """The arguments' step counts and final values when all are
+    materialised: DIVERGE when one of them diverges, None when one is
+    still suspended."""
+    counts, values, diverges = [], [], False
     for a in args:
-        steps = 0
-        cur = a
-        while True:
-            if isinstance(cur, Now) or cur is DIVERGE:
-                out.append((steps, cur))
-                break
-            if isinstance(cur, Step):
-                steps += 1
-                cur = cur.tail
-                continue
-            ahead = cur.peek()
-            if ahead is None:
-                return None
-            cur = ahead
-    return out
+        n, end = (a.steps, a.end) if isinstance(a, Step) else (0, a)
+        if isinstance(end, Now):
+            counts.append(n)
+            values.append(end.value)
+        elif end is DIVERGE:
+            diverges = True
+        else:
+            return None
+    return DIVERGE if diverges else (counts, values)
 
 
 def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
@@ -59,12 +54,12 @@ def par_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
     application divergent."""
     _check_arity(op, args, th)
     ends = _eager_ends(args)
-    if ends is not None:
-        if any(end is DIVERGE for _, end in ends):
-            return DIVERGE
-        return delay_n(max((s for s, _ in ends), default=0),
-                       fm.apply_op(th, op, [end.value for _, end in ends]))
-    return _par(op, [resolve(a) for a in args], th)
+    if ends is None:
+        return _par(op, [resolve(a) for a in args], th)
+    if ends is DIVERGE:
+        return DIVERGE
+    counts, values = ends
+    return delay_n(max(counts, default=0), fm.apply_op(th, op, values))
 
 
 def _par(op: str, args: List[Delay], th: Theory) -> Delay:
@@ -81,16 +76,12 @@ def seq_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
     add up across arguments."""
     _check_arity(op, args, th)
     ends = _eager_ends(args)
-    if ends is not None:
-        total = 0
-        vals = []
-        for s, end in ends:
-            if end is DIVERGE:
-                return DIVERGE
-            total += s
-            vals.append(end.value)
-        return delay_n(total, fm.apply_op(th, op, vals))
-    return _seq(op, [resolve(a) for a in args], th)
+    if ends is None:
+        return _seq(op, [resolve(a) for a in args], th)
+    if ends is DIVERGE:
+        return DIVERGE
+    counts, values = ends
+    return delay_n(sum(counts), fm.apply_op(th, op, values))
 
 
 def _seq(op: str, args: List[Delay], th: Theory) -> Delay:

@@ -39,9 +39,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Deferred, Now, Step, defer, dmap, join,
-                    prepend_steps, render_delay, resolve, step_count,
-                    strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Deferred, Now, Step, defer, dmap, join, peel,
+                    prepend_steps, render_delay, step_count, strong_equal, weak_bisim)
 from .laws import (LawEntry, LawReport, TestUniverse, Witness, prediction_for_failure,
                    run_suite)
 from .lifting import custom_candidate, induced_candidate
@@ -772,42 +771,41 @@ def idempotent_unary_theory() -> Theory:
 
 
 def _bang(d: Delay, th: Theory) -> Delay:
-    d = resolve(d)
-    if d is DIVERGE:
-        return DIVERGE
-    if isinstance(d, Now):
-        return Now(fm.apply_op(th, "bang", [d.value]))
-    return d.tail
+    n, end = peel(d, 0)
+    if n:
+        return prepend_steps(n - 1, end)
+    return end if end is DIVERGE else Now(fm.apply_op(th, "bang", [end.value]))
+
+
+def _after(n: int, end: Delay, t: int, th: Theory) -> Delay:
+    """One factor of a product after ``t`` lockstep steps: its own ``n``
+    steps go first, then ``bang`` absorbs each further one."""
+    if t <= n:
+        return prepend_steps(n - t, end)
+    v = end.value
+    for _ in range(t - n):
+        v = fm.apply_op(th, "bang", [v])
+    return Now(v)
 
 
 def _mul(a: Delay, b: Delay, th: Theory) -> Delay:
-    # walk materialized prefixes in one frame, suspending only at the
-    # first genuinely unforced node (same discipline as delay.bind)
-    steps = 0
-    while True:
-        if isinstance(a, Deferred):
-            ahead = a.peek()
-            if ahead is None:
-                pa, pb = a, b
-                return prepend_steps(steps, defer(lambda: _mul(pa.forced(), pb, th)))
-            a = ahead
-            continue
-        if isinstance(b, Deferred):
-            ahead = b.peek()
-            if ahead is None:
-                pa, pb = a, b
-                return prepend_steps(steps, defer(lambda: _mul(pa, pb.forced(), th)))
-            b = ahead
-            continue
-        if a is DIVERGE or b is DIVERGE:
-            return prepend_steps(steps, DIVERGE)
-        if isinstance(a, Now) and isinstance(b, Now):
-            return prepend_steps(steps, Now(fm.apply_op(th, "mul", [a.value, b.value])))
-        if isinstance(a, Step):
-            a, b = a.tail, _bang(b, th)
-        else:
-            a, b = _bang(a, th), b.tail
-        steps += 1
+    # Each step strips one guard from each side, banging a finished side.
+    # The product stops at the first side to reach DIVERGE or an unforced
+    # node, or once both have finished; it suspends only at that node.
+    (na, ea), (nb, eb) = peel(a), peel(b)
+    t = max(na, nb)
+    if not isinstance(ea, Now):
+        t = min(t, na)
+    if not isinstance(eb, Now):
+        t = min(t, nb)
+    a, b = _after(na, ea, t, th), _after(nb, eb, t, th)
+    if isinstance(a, Deferred):
+        return prepend_steps(t, defer(lambda: _mul(a.forced(), b, th)))
+    if isinstance(b, Deferred):
+        return prepend_steps(t, defer(lambda: _mul(a, b.forced(), th)))
+    if a is DIVERGE or b is DIVERGE:
+        return prepend_steps(t, DIVERGE)
+    return prepend_steps(t, Now(fm.apply_op(th, "mul", [a.value, b.value])))
 
 
 def step_absorbing_lift(op: str, args, th: Theory) -> Delay:

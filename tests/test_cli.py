@@ -1,6 +1,9 @@
 """Command-line surface: output golden files, JSON payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from delaydist.delay import NO
 from delaydist.laws import LawEntry, LawReport
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_BOUNDS = ["--carrier-size", "1", "--max-steps", "1", "--max-depth", "1"]
 
@@ -231,3 +235,10 @@ class TestParserPlumbing:
         (tmp_path / "monoid").write_text("op weird : 7\n", encoding="utf-8")
         th = cli.resolve_theory("monoid")
         assert th.signature.arity("mul") == 2
+
+    def test_runs_as_module(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "delaydist", "classify", "monoid"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "classify_monoid.txt").read_text(encoding="utf-8")

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, DelayFuelError,
+from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, DelayFuelError,
                              Deferred, Now, Step, Terminated, bind, defer, delay_n,
-                             diverge, dmap, force, join, now, reify, render_delay,
-                             resolve, step, step_count, strong_equal, weak_bisim)
+                             diverge, dmap, force, join, now, prepend_steps, reify,
+                             render_delay, resolve, step, step_count, strong_equal,
+                             unknown, weak_bisim)
+from delaydist.freemodel import canon_key
 
 VALUES = ("a", "b", "c")
 
@@ -274,3 +276,113 @@ def test_dmap_preserves_counts(d):
     assert step_count(out) == step_count(d)
     if step_count(d) is not None:
         assert force(out, 32).value == force(d, 32).value.upper()
+
+
+class TestFlatNormalForm:
+    def test_step_chains_are_one_node(self):
+        d = Step(Step(Now("a")))
+        assert isinstance(d, Step)
+        assert (d.steps, d.end) == (2, Now("a"))
+        assert Step(d) == delay_n(3, "a")
+        assert d.tail == delay_n(1, "a")
+        assert hash(d) == hash(delay_n(2, "a"))
+
+    def test_steps_in_front_of_divergence_are_kept(self):
+        # stepⁿ(⊥) stays apart from ⊥: only reify and bind absorb the steps
+        d = Step(Step(DIVERGE))
+        assert (d.steps, d.end) == (2, DIVERGE)
+        assert d != DIVERGE
+        assert canon_key(d) == ("dx", 2) and canon_key(DIVERGE) == ("dx", 0)
+        assert reify(d) is DIVERGE
+        assert bind(d, now) is DIVERGE
+        assert render_delay(d) == "2·step ▸ ⊥"
+
+    def test_fuel_zero_before_stepped_divergence(self):
+        assert strong_equal(Step(DIVERGE), DIVERGE, 0) == unknown(0)
+        assert strong_equal(Step(DIVERGE), DIVERGE, 1).is_yes
+        assert weak_bisim(Step(DIVERGE), DIVERGE, lambda u, v: u == v, 0) == unknown(0)
+        assert force(Step(DIVERGE), 0) is EXHAUSTED
+
+
+# Reference loops: the observations as they were written before delays had
+# a flat form, stepping one node at a time through resolve and .tail.
+
+def _ref_force(d, fuel):
+    steps = 0
+    d = resolve(d)
+    while True:
+        if isinstance(d, Now):
+            return Terminated(d.value, steps)
+        if d is DIVERGE:
+            return KNOWN_DIVERGENT
+        if steps >= fuel:
+            return EXHAUSTED
+        steps += 1
+        d = resolve(d.tail)
+
+
+def _ref_strong_equal(x, y, fuel):
+    spent = 0
+    x, y = resolve(x), resolve(y)
+    while True:
+        x_now, y_now = isinstance(x, Now), isinstance(y, Now)
+        if x_now and y_now:
+            return YES if x.value == y.value else NO
+        if x is DIVERGE and y is DIVERGE:
+            return YES
+        if x_now or y_now:
+            return NO
+        if spent >= fuel:
+            return unknown(spent)
+        spent += 1
+        if isinstance(x, Step):
+            x = resolve(x.tail)
+        if isinstance(y, Step):
+            y = resolve(y.tail)
+
+
+def _ref_weak_bisim(x, y, fuel):
+    spent = 0
+    x, y = resolve(x), resolve(y)
+    while True:
+        x_now, y_now = isinstance(x, Now), isinstance(y, Now)
+        if x_now and y_now:
+            return YES if x.value == y.value else NO
+        if (x_now and y is DIVERGE) or (y_now and x is DIVERGE):
+            return NO
+        if x is DIVERGE and y is DIVERGE:
+            return YES
+        if spent >= fuel:
+            return unknown(spent)
+        spent += 1
+        if isinstance(x, Step):
+            x = resolve(x.tail)
+        if isinstance(y, Step):
+            y = resolve(y.tail)
+
+
+def _lazy(n, end):
+    """stepⁿ(end) with every node behind its own suspension."""
+    if n == 0:
+        return defer(lambda: end)
+    return defer(lambda: Step(_lazy(n - 1, end)))
+
+
+ends = st.one_of(st.just(DIVERGE), st.sampled_from(VALUES).map(Now))
+shapes = st.tuples(st.integers(0, 6), ends)
+
+
+@given(shapes, shapes, st.integers(0, 8))
+@settings(max_examples=400, deadline=None)
+def test_flat_and_lazy_delays_observe_alike(x, y, fuel):
+    flat_x, flat_y = prepend_steps(*x), prepend_steps(*y)
+    for d in (flat_x, _lazy(*x)):
+        assert force(d, fuel) == _ref_force(flat_x, fuel)
+        assert step_count(d) == (None if x[1] is DIVERGE else x[0])
+        assert reify(d) == reify(flat_x)
+        assert render_delay(d) == render_delay(flat_x)
+        assert canon_key(d) == canon_key(flat_x)
+        for e in (flat_y, _lazy(*y)):
+            assert strong_equal(d, e, fuel) == _ref_strong_equal(flat_x, flat_y, fuel)
+            assert (weak_bisim(d, e, lambda u, v: u == v, fuel)
+                    == _ref_weak_bisim(flat_x, flat_y, fuel))

@@ -5,13 +5,15 @@ to be caught.  The distribution family's delay exponent is pinned to an
 independent least-power computation done with plain Fractions."""
 
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
 
 from delaydist import nogo
-from delaydist.delay import step_count, strong_equal, weak_bisim
+from delaydist.delay import (DIVERGE, Now, Step, defer, peel, prepend_steps, resolve,
+                             step_count, strong_equal, weak_bisim)
 from delaydist.laws import TestUniverse as Universe
 from delaydist import freemodel as fm
 
@@ -216,3 +218,42 @@ class TestIdempotentUnary:
         weak = nogo.idempotent_unary_demo(
             Universe(carrier_size=2, max_steps=1, max_depth=1, relation="weak"))
         assert weak.all_yes
+
+
+def _ref_bang(d, th):
+    d = resolve(d)
+    if isinstance(d, Now):
+        return Now(fm.apply_op(th, "bang", [d.value]))
+    return d if d is DIVERGE else d.tail
+
+
+def _ref_mul(a, b, th):
+    """The step-absorbing product one lockstep step at a time."""
+    steps = 0
+    while True:
+        a, b = resolve(a), resolve(b)
+        if a is DIVERGE or b is DIVERGE:
+            return prepend_steps(steps, DIVERGE)
+        if isinstance(a, Now) and isinstance(b, Now):
+            return prepend_steps(steps, Now(fm.apply_op(th, "mul", [a.value, b.value])))
+        if isinstance(a, Step):
+            a, b = a.tail, _ref_bang(b, th)
+        else:
+            a, b = _ref_bang(a, th), b.tail
+        steps += 1
+
+
+def _lazy(n, end):
+    return defer(lambda: end) if n == 0 else defer(lambda: Step(_lazy(n - 1, end)))
+
+
+def test_step_absorbing_product_matches_the_lockstep_loop():
+    th = nogo.idempotent_unary_theory()
+    shapes = [(n, end) for n in range(4)
+              for end in (Now(fm.unit(th, "x")), Now(fm.unit(th, "y")), DIVERGE)]
+    for (na, ea), (nb, eb) in itertools.product(shapes, repeat=2):
+        want = peel(_ref_mul(prepend_steps(na, ea), prepend_steps(nb, eb), th), 64)
+        for a, b in ((prepend_steps(na, ea), prepend_steps(nb, eb)),
+                     (_lazy(na, ea), prepend_steps(nb, eb)),
+                     (prepend_steps(na, ea), _lazy(nb, eb))):
+            assert peel(nogo.step_absorbing_lift("mul", [a, b], th), 64) == want
