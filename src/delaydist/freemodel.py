@@ -12,7 +12,9 @@ terms share a representation:
 
 User theories fall back to a term carrier compared by bounded rewriting
 (left-to-right orientation, joinability search), with registered finite
-models available to refute equalities the rewriter cannot join.  Only
+models available to refute equalities the rewriter cannot join.
+Enumeration deduplicates such a carrier through one index of bounded
+rewrite closures rather than a joinability search per pair.  Only
 theories flagged ``rewrite_complete`` get decisive No answers from
 distinct normal forms.
 """
@@ -533,28 +535,28 @@ def _rewrite_positions(th: Theory, p) -> List[Any]:
     return results
 
 
-def _joinable(th: Theory, p1, p2, bound: int) -> bool:
-    seen1, seen2 = {p1}, {p2}
-    frontier1, frontier2 = [p1], [p2]
+def _reach(th: Theory, p, bound: int) -> set:
+    """The terms reachable from ``p`` in at most ``bound`` left-to-right
+    rewrite steps, ``p`` included."""
+    seen = {p}
+    frontier = [p]
     for _ in range(bound):
-        if seen1 & seen2:
-            return True
-        nf1 = []
-        for t in frontier1:
+        nxt = []
+        for t in frontier:
             for r in _rewrite_positions(th, t):
-                if r not in seen1:
-                    seen1.add(r)
-                    nf1.append(r)
-        nf2 = []
-        for t in frontier2:
-            for r in _rewrite_positions(th, t):
-                if r not in seen2:
-                    seen2.add(r)
-                    nf2.append(r)
-        frontier1, frontier2 = nf1, nf2
-        if not frontier1 and not frontier2:
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        if not nxt:
             break
-    return bool(seen1 & seen2)
+        frontier = nxt
+    return seen
+
+
+def _joinable(th: Theory, p1, p2, bound: int) -> bool:
+    """Whether the two terms rewrite to a common term, each in at most
+    ``bound`` steps."""
+    return not _reach(th, p1, bound).isdisjoint(_reach(th, p2, bound))
 
 
 @dataclass(frozen=True)
@@ -641,13 +643,18 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
     found: generators first, then constants, then one round at a time.
 
     ``generators`` is consumed lazily, so it may itself be a stream.
-    Deduplication is by canonical payload; quotient carriers without a
-    complete rewrite system fall back to pairwise provable equality and
-    treat Unknown as distinct.  EnumerationBudgetError is raised when the
-    stream would pass ``max_elements``.
+    Deduplication is by canonical payload.  Quotient carriers without a
+    complete rewrite system keep a closure index instead: the union of the
+    terms each kept element reaches in ``JOINABILITY_BOUND`` rewrite
+    steps.  A candidate is a duplicate iff its own closure meets that
+    union, which is exactly when :func:`model_equal` says Yes against some
+    kept element (equal or joinable payloads), so the kept elements and
+    their order are those of the pairwise comparison, Unknown counting
+    as distinct.  EnumerationBudgetError is raised when the stream would
+    pass ``max_elements``.
     """
     elems: List[ModelElement] = []
-    seen: set = set()
+    seen: set = set()  # payloads, or on slow_dedup the closure index
     kind = carrier_kind(th)
     slow_dedup = kind == "quotient" and not th.rewrite_complete
     # with no equations every application builds a fresh tree, so the
@@ -655,14 +662,16 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
     free_tree = kind == "tree" and not th.equations
 
     def add(m: ModelElement) -> bool:
-        if slow_dedup:
-            for have in elems:
-                if model_equal(th, have, m).is_yes:
-                    return False
-        elif not free_tree:
+        if not free_tree:
             if m.payload in seen:
                 return False
-            seen.add(m.payload)
+            if slow_dedup:
+                closure = _reach(th, m.payload, JOINABILITY_BOUND)
+                if not closure.isdisjoint(seen):
+                    return False
+                seen.update(closure)
+            else:
+                seen.add(m.payload)
         elems.append(m)
         if len(elems) > max_elements:
             raise EnumerationBudgetError(len(elems), max_elements)

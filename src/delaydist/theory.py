@@ -103,12 +103,17 @@ class Operation:
 class Signature:
     name: str
     ops: Tuple[Operation, ...]
+    # name -> arity of the first declaration, built once
+    _arities: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arities: Dict[str, int] = {}
+        for o in self.ops:
+            arities.setdefault(o.name, o.arity)
+        object.__setattr__(self, "_arities", arities)
 
     def arity(self, op: str) -> Optional[int]:
-        for o in self.ops:
-            if o.name == op:
-                return o.arity
-        return None
+        return self._arities.get(op)
 
     def has_op(self, op: str) -> bool:
         return self.arity(op) is not None

@@ -14,6 +14,7 @@ from delaydist.laws import LawEntry, LawReport
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 FAST_BOUNDS = ["--carrier-size", "1", "--max-steps", "1", "--max-depth", "1"]
 
@@ -141,6 +142,18 @@ class TestCheck:
         r = report_from_json_dict(json.loads(out))
         assert r.theory == "monoid"
         assert r.all_yes
+
+    def test_band_file_at_carrier_two(self, capsys):
+        # universes large enough that the cost of deduplication shows
+        code, out, _ = run(capsys, "check", str(THEORIES / "band.th"), "--lift", "par",
+                           "--upto", "weak", "--carrier-size", "2", "--max-steps", "1",
+                           "--max-depth", "2", "--json")
+        assert code == 0
+        d = json.loads(out)
+        counts = {"UnitS": 4, "UnitT": 10, "MultS": 616, "MultT": 1086, "Naturality": 1010,
+                  "EquationPreservation": 520, "MonadLaws": 10448}
+        assert {a["name"]: a["verdict"] for a in d["axioms"]} == dict.fromkeys(counts, "yes")
+        assert d["caseCounts"] == counts
 
     def test_rejects_nonpositive_bounds(self, capsys):
         code, _, err = run(capsys, "check", "monoid", "--max-steps", "0")

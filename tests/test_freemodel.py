@@ -7,6 +7,7 @@ checked against a freestanding innermost rewriter written here."""
 import itertools
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from delaydist.theory import (App, Operation, Signature, Theory, Var, make_equat
                               parse_theory, validate_theory)
 
 VALS = ("a", "b", "c")
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 
 class TestUnitAndOps:
@@ -176,7 +178,7 @@ class TestModelEqual:
 
     def test_quotient_three_valued(self):
         # commutativity alone: joinable pairs say yes, others unknown
-        th = parse_theory("theory comm_only\nop mul : 2\neq comm : mul(x, y) = mul(y, x)")
+        th = _comm_only()
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
         ab = fm.apply_op(th, "mul", [a, b])
         ba = fm.apply_op(th, "mul", [b, a])
@@ -184,14 +186,29 @@ class TestModelEqual:
         assert fm.model_equal(th, ab, fm.apply_op(th, "mul", [a, a])).is_unknown
 
     def test_registered_finite_model_refutes(self):
-        base = parse_theory("theory comm_only\nop mul : 2\neq comm : mul(x, y) = mul(y, x)")
-        xor = fm.finite_model("xor", (0, 1), {
-            "mul": {(i, j): i ^ j for i in (0, 1) for j in (0, 1)}})
-        th = Theory(base.signature, base.equations, finite_models=(xor,))
+        th = _comm_only_xor()
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
         ab = fm.apply_op(th, "mul", [a, b])
         aa = fm.apply_op(th, "mul", [a, a])
         assert fm.model_equal(th, ab, aa).is_no
+
+    def test_joinability_bound_counts_steps_per_side(self):
+        # f and g erase themselves one layer per step, so f^n(a) and g^m(a)
+        # meet at a iff both n and m are within the bound
+        th = parse_theory("theory erase\nop f : 1\nop g : 1\n"
+                          "eq ef : f(x) = x\neq eg : g(x) = x")
+
+        def tower(op, n):
+            m = fm.unit(th, "a")
+            for _ in range(n):
+                m = fm.apply_op(th, op, [m])
+            return m
+
+        bound = fm.JOINABILITY_BOUND
+        assert fm.model_equal(th, tower("f", bound), tower("g", bound)).is_yes
+        assert fm.model_equal(th, tower("f", bound + 1), tower("g", bound)).is_unknown
+        assert fm.model_equal(th, tower("f", bound + 1), tower("g", bound + 1),
+                              join_bound=bound + 1).is_yes
 
 
 # freestanding innermost rewriter used as the quotient-normalization oracle
@@ -339,12 +356,36 @@ def _band():
                         "eq idem : mul(x, x) = x")
 
 
+def _comm_only():
+    return parse_theory("theory comm_only\nop mul : 2\neq comm : mul(x, y) = mul(y, x)")
+
+
+def _comm_only_xor():
+    base = _comm_only()
+    xor = fm.finite_model("xor", (0, 1), {
+        "mul": {(i, j): i ^ j for i in (0, 1) for j in (0, 1)}})
+    return Theory(base.signature, base.equations, finite_models=(xor,))
+
+
+def _expanding():
+    # f(a) is kept in round one; g(g(a)) comes later and joins it only
+    # through f(a)'s reducts
+    return parse_theory("theory expanding\nop f : 1\nop g : 1\neq e : f(x) = g(g(x))")
+
+
+def _theory_file(name):
+    return lambda: parse_theory((THEORIES / f"{name}.th").read_text(encoding="utf-8"))
+
+
 class TestStreaming:
     @pytest.mark.parametrize("make,depth", [
         (fm.magma, 2), (fm.monoid, 2), (fm.cmonoid, 2), (fm.semilattice, 2),
         (fm.convex, 2), (fm.exceptions, 2), (_band, 2), (_rewrite_complete_theory, 2),
+        (_theory_file("leftzero"), 2), (_theory_file("idempotent_unary"), 2),
+        (_comm_only, 2), (_comm_only_xor, 2), (_expanding, 2),
     ], ids=["tree", "list", "multiset", "finset", "dist", "either", "quotient",
-            "quotient-complete"])
+            "quotient-complete", "quotient-leftzero", "quotient-idempotent-unary",
+            "quotient-comm", "quotient-comm-xor", "quotient-expanding"])
     def test_stream_order_matches_plain_enumeration(self, make, depth):
         th = make()
         want = _eager_elements(th, ("a", "b"), depth)
@@ -353,6 +394,53 @@ class TestStreaming:
         assert [m.payload for m in streamed] == [m.payload for m in want]
         assert [m.payload for m in fm.enumerate_elements(th, ("a", "b"), depth)] == \
             [m.payload for m in want]
+
+    def test_each_candidate_closure_is_expanded_once(self, monkeypatch):
+        th = _band()
+        rewrites = 0
+        real_rewrite = fm._rewrite_positions
+
+        def counted(th_, p):
+            nonlocal rewrites
+            rewrites += 1
+            return real_rewrite(th_, p)
+
+        candidates = []
+        real_unit, real_apply = fm.unit, fm.apply_op
+
+        def unit(th_, g):
+            candidates.append(real_unit(th_, g))
+            return candidates[-1]
+
+        def apply_op(th_, op, args):
+            candidates.append(real_apply(th_, op, args))
+            return candidates[-1]
+
+        monkeypatch.setattr(fm, "_rewrite_positions", counted)
+        monkeypatch.setattr(fm, "unit", unit)
+        monkeypatch.setattr(fm, "apply_op", apply_op)
+        kept = list(fm.iter_elements(th, ("a", "b"), 2))
+        spent = rewrites
+
+        def closure_cost(p):
+            # rewrite calls of one plain breadth-first closure walk
+            nonlocal rewrites
+            rewrites = 0
+            seen, frontier = {p}, [p]
+            for _ in range(fm.JOINABILITY_BOUND):
+                nxt = []
+                for t in frontier:
+                    for r in fm._rewrite_positions(th, t):
+                        if r not in seen:
+                            seen.add(r)
+                            nxt.append(r)
+                frontier = nxt
+            return rewrites
+
+        assert (len(candidates), len(kept)) == (18, 10)
+        # at most one closure per candidate, however many elements are kept
+        budget = sum(closure_cost(m.payload) for m in candidates)
+        assert 0 < spent <= budget
 
     def test_budget_fires_when_the_stream_crosses_it(self):
         th = fm.magma()

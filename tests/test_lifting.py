@@ -79,6 +79,24 @@ class TestStepArithmetic:
         with pytest.raises(TheorySemanticError):
             seq_lift_op("mul", [now(_el(th, "a"))], th)
 
+    @pytest.mark.parametrize("lift", [seq_lift_op, par_lift_op])
+    def test_arity_errors_by_argument_kind(self, lift):
+        th = fm.magma()
+        a = _el(th, "a")
+        # a wrong count is refused before any argument is looked at
+        for arg in (now(a), DIVERGE, defer(lambda: now(a))):
+            with pytest.raises(TheorySemanticError,
+                               match=r"^operation 'mul' expects 2 arguments, got 1$"):
+                lift("mul", [arg], th)
+        # an undeclared operation fails only where the model applies it
+        with pytest.raises(TheorySemanticError,
+                           match=r"^unknown operation 'frob' in theory 'magma'$"):
+            lift("frob", [now(a)], th)
+        assert lift("frob", [DIVERGE], th) is DIVERGE
+        lazy = lift("frob", [defer(lambda: delay_n(1, a))], th)
+        with pytest.raises(TheorySemanticError, match="unknown operation 'frob'"):
+            reify(lazy)
+
 
 class TestSeqOrderInsensitivity:
     def test_left_then_right_equals_interleaved_total(self):

@@ -34,6 +34,19 @@ class TestTerms:
             substitute(mul(X, Y), {"x": Z})
 
 
+class TestSignature:
+    def test_arity_reads_the_first_declaration(self):
+        sig = Signature("t", (Operation("f", 1), Operation("g", 0), Operation("f", 2)))
+        assert (sig.arity("f"), sig.arity("g"), sig.arity("h")) == (1, 0, None)
+        assert sig.has_op("g") and not sig.has_op("h")
+
+    def test_lookup_index_stays_out_of_equality(self):
+        a = Signature("t", (Operation("mul", 2),))
+        b = Signature("t", (Operation("mul", 2),))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Signature(name='t', ops=(Operation(name='mul', arity=2),))"
+
+
 class TestValidation:
     def test_duplicate_op(self):
         sig = Signature("t", (Operation("f", 1), Operation("f", 2)))
