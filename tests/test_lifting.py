@@ -2,20 +2,58 @@
 
 The sequential lifting must take the sum of its arguments' step counts,
 the parallel lifting the max; both facts are checked exhaustively for
-binary operations at up to three steps per argument."""
+binary operations at up to three steps per argument.  Induced candidates
+distribute materialised input in one walk; the per-node interpretation
+through the lifted operations is kept here as its reference."""
 
 import itertools
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaydist import freemodel as fm
-from delaydist.delay import (DIVERGE, Now, bind, defer, delay_n, dmap, now,
-                             reify, step_count, strong_equal, weak_bisim)
+from delaydist import lifting
+from delaydist.delay import (DIVERGE, Delay, Now, Step, bind, defer, delay_n, dmap, now,
+                             prepend_steps, reify, step_count, strong_equal, weak_bisim)
 from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candidate,
                                lift_term, par_lift_op, seq_lift_op)
-from delaydist.theory import App, TheorySemanticError, Var
+from delaydist.nogo import idempotent_unary_theory
+from delaydist.theory import App, TheorySemanticError, Var, parse_theory
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 STEPS = range(4)
+
+
+def _band():
+    return parse_theory((THEORIES / "band.th").read_text(encoding="utf-8"))
+
+
+def _per_node(th, mode, m):
+    """The reference distribution: interpret the representative with the
+    lifted operation at every node, then reify."""
+    lift = {"seq": seq_lift_op, "par": par_lift_op}[mode]
+
+    def go(node):
+        if node[0] == "leaf":
+            d = node[1]
+            if not isinstance(d, Delay):
+                raise TypeError(
+                    f"distribution input must hold Delay values, found {type(d).__name__}")
+            return dmap(d, lambda v: fm.unit(th, v))
+        return lift(node[0], [go(child) for child in node[1:]], th)
+
+    return reify(go(fm.representative(m)))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (TypeError, TheorySemanticError) as e:
+        return type(e).__name__, str(e)
 
 
 def _el(th, v):
@@ -96,6 +134,53 @@ class TestStepArithmetic:
         lazy = lift("frob", [defer(lambda: delay_n(1, a))], th)
         with pytest.raises(TheorySemanticError, match="unknown operation 'frob'"):
             reify(lazy)
+
+        # through a candidate, one pass or per node, the same messages come
+        # from the same node as through the lifted operation
+        mode = {seq_lift_op: "seq", par_lift_op: "par"}[lift]
+        cases = [(fm.ModelElement("tree", ("mul", ("leaf", arg)), th),
+                  r"^operation 'mul' expects 2 arguments, got 1$")
+                 for arg in (now(a), DIVERGE, defer(lambda: now(a)))]
+        # the first faulty node or leaf in post-order raises
+        cases.append((fm.ModelElement("tree", ("mul", ("mul", ("leaf", now(a))),
+                                               ("leaf", "bare")), th),
+                      r"^operation 'mul' expects 2 arguments, got 1$"))
+        cases.append((fm.ModelElement("tree", ("mul", ("leaf", "bare"),
+                                               ("mul", ("leaf", now(a)))), th),
+                      r"^distribution input must hold Delay values, found str$"))
+        cases.append((fm.ModelElement("tree", ("mul", ("leaf", defer(lambda: now(a))),
+                                               ("mul", ("leaf", now(a)))), th),
+                      r"^operation 'mul' expects 2 arguments, got 1$"))
+        # an unknown operation on a quotient payload fails where it is applied
+        q = _band()
+        frob = lambda d: ("frob", ("leaf", d))
+        cases += [
+            (fm.ModelElement("quotient", frob(now(a)), q),
+             r"^unknown operation 'frob' in theory 'band'$"),
+            (fm.ModelElement("quotient", frob(defer(lambda: delay_n(1, a))), q),
+             r"^unknown operation 'frob' in theory 'band'$"),
+            (fm.ModelElement("quotient", ("mul", frob(DIVERGE), frob(delay_n(2, a))), q),
+             r"^unknown operation 'frob' in theory 'band'$"),
+            (fm.ModelElement("quotient", ("mul", frob(now(a)), ("leaf", "bare")), q),
+             r"^unknown operation 'frob' in theory 'band'$"),
+        ]
+        # over a stepping Deferred leaf, forced or not, the operation waits
+        # for the reify, so the bare leaf after it raises first
+        forced = defer(lambda: delay_n(1, a))
+        forced.forced()
+        for d in (defer(lambda: delay_n(1, a)), forced):
+            cases.append((fm.ModelElement("quotient", ("mul", frob(d), ("leaf", "bare")), q),
+                          r"^distribution input must hold Delay values, found str$"))
+        for m, message in cases:
+            for cand in (induced_candidate(m.theory, mode),
+                         custom_candidate(m.theory, "mine", lift)):
+                with pytest.raises((TheorySemanticError, TypeError), match=message):
+                    cand.apply(m)
+            assert _outcome(lambda: induced_candidate(m.theory, mode).apply(m)) \
+                == _outcome(lambda: _per_node(m.theory, mode, m))
+        # a divergent argument makes the node divergent before it is applied
+        m = fm.ModelElement("quotient", frob(DIVERGE), q)
+        assert induced_candidate(q, mode).apply(m) is DIVERGE
 
 
 class TestSeqOrderInsensitivity:
@@ -179,9 +264,16 @@ class TestCandidates:
 
     def test_rejects_non_delay_leaves(self):
         th = fm.magma()
-        cand = induced_candidate(th, "seq")
-        with pytest.raises(TypeError):
-            cand.apply(fm.unit(th, "bare"))
+        message = r"^distribution input must hold Delay values, found str$"
+        bare = fm.unit(th, "bare")
+        # after a divergent or a suspended sibling, the bare leaf still raises
+        beside = [fm.apply_op(th, "mul", [fm.unit(th, d), bare])
+                  for d in (DIVERGE, defer(lambda: now("a")))]
+        for mode, lift in (("seq", seq_lift_op), ("par", par_lift_op)):
+            for cand in (induced_candidate(th, mode), custom_candidate(th, "mine", lift)):
+                for m in (bare, *beside):
+                    with pytest.raises(TypeError, match=message):
+                        cand.apply(m)
 
     def test_induced_mode_names(self):
         th = fm.magma()
@@ -203,3 +295,132 @@ class TestCandidates:
         m = fm.apply_op(th, "mul", [fm.unit(th, DIVERGE), fm.unit(th, now("b"))])
         for mode in ("seq", "par"):
             assert step_count(induced_candidate(th, mode).apply(m)) is None
+
+
+# ---------------------------------------------------------------------------
+# one-pass distribution against the per-node reference
+
+CARRIERS = {
+    "tree": fm.magma(),
+    "list": fm.monoid(),
+    "multiset": fm.cmonoid(),
+    "finset": fm.semilattice(),
+    "dist": fm.convex([Fraction(1, 3), Fraction(1, 2)]),
+    "either": fm.exceptions(2),
+    "quotient-complete": idempotent_unary_theory(),
+    "quotient": _band(),
+}
+
+_values = st.sampled_from(["a", "b"])
+# leaf specs: materialised delays, and Deferred ones forced or not
+_ready = st.one_of(
+    st.tuples(st.just("now"), _values),
+    st.tuples(st.just("steps"), st.integers(1, 3), _values),
+    st.just(("div",)),
+    st.tuples(st.just("stepdiv"), st.integers(1, 2)),
+)
+_leaf_specs = st.one_of(
+    _ready,
+    st.tuples(st.just("forced"), st.integers(0, 1), _ready),
+    st.tuples(st.just("lazy"), st.integers(0, 1), _ready),
+)
+
+
+def _delay(spec):
+    kind = spec[0]
+    if kind == "now":
+        return now(spec[1])
+    if kind == "steps":
+        return delay_n(spec[1], spec[2])
+    if kind == "div":
+        return DIVERGE
+    if kind == "stepdiv":
+        return Step(DIVERGE) if spec[1] == 1 else prepend_steps(spec[1], DIVERGE)
+    _, n, inner = spec
+    d = defer(lambda: _delay(inner))
+    if kind == "forced":
+        d.forced()
+    return prepend_steps(n, d)
+
+
+def _terms(th):
+    ops = [(o.name, o.arity) for o in th.signature.ops]
+    base = st.one_of(st.tuples(st.just("leaf"), _leaf_specs),
+                     *[st.just((name,)) for name, arity in ops if arity == 0])
+    applied = [name for name, arity in ops if arity > 0]
+    if not applied:
+        return base
+
+    def extend(kids):
+        return st.one_of(*[st.tuples(st.just(name), *[kids] * arity)
+                           for name, arity in ops if arity > 0])
+
+    return st.recursive(base, extend, max_leaves=6)
+
+
+def _element(th, t):
+    """A fresh element for the term spec ``t``, so that each side of a
+    comparison forces its own Deferred leaves."""
+    if t[0] == "leaf":
+        return fm.unit(th, _delay(t[1]))
+    return fm.apply_op(th, t[0], [_element(th, c) for c in t[1:]])
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_reference(self, carrier, mode, data):
+        th = CARRIERS[carrier]
+        t = data.draw(_terms(th))
+        out = induced_candidate(th, mode).apply(_element(th, t))
+        ref = _per_node(th, mode, _element(th, t))
+        assert reify(out) == ref
+        assert fm.canon_key(out) == fm.canon_key(ref)
+        assert step_count(out) == step_count(ref)
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_stepped_divergence_absorbs(self, mode):
+        th = fm.monoid()
+        cand = induced_candidate(th, mode)
+        assert cand.apply(fm.unit(th, Step(DIVERGE))) is DIVERGE
+        m = fm.apply_op(th, "mul", [fm.unit(th, delay_n(2, "a")), fm.unit(th, Step(DIVERGE))])
+        assert cand.apply(m) is DIVERGE
+
+    def test_materialised_input_skips_the_lifted_operations(self, monkeypatch):
+        # a tracer swaps the module's lifted operations for wrappers before
+        # candidates are built; the one-pass walk must not depend on which
+        # function lift_op holds
+        calls = []
+
+        def counting(lift):
+            def wrapper(op, args, th):
+                calls.append(op)
+                return lift(op, args, th)
+
+            return wrapper
+
+        monkeypatch.setattr(lifting, "seq_lift_op", counting(seq_lift_op))
+        monkeypatch.setattr(lifting, "par_lift_op", counting(par_lift_op))
+        th = fm.monoid()
+        el = lambda d: fm.unit(th, d)
+        inputs = [fm.apply_op(th, "mul", [el(delay_n(1, "a")), el(delay_n(2, "b"))]),
+                  fm.apply_op(th, "mul", [el(now("a")), el(Step(DIVERGE))]),
+                  fm.apply_op(th, "unit", []), el(DIVERGE)]
+        want = {"seq": [3, None, 0, None], "par": [2, None, 0, None]}
+        for mode in ("seq", "par"):
+            cand = lifting.induced_candidate(th, mode)
+            assert cand.lift_op is getattr(lifting, f"{mode}_lift_op")
+            assert [step_count(cand.apply(m)) for m in inputs] == want[mode]
+        assert calls == []
+        # a suspended leaf goes through the lifted operation
+        lazy = fm.apply_op(th, "mul", [el(defer(lambda: delay_n(1, "a"))), el(now("b"))])
+        assert step_count(lifting.induced_candidate(th, "par").apply(lazy)) == 1
+        assert calls == ["mul"]
+        # so does every custom candidate, whatever its name
+        for name in ("mine", "seq"):
+            calls.clear()
+            cand = lifting.custom_candidate(th, name, lifting.seq_lift_op)
+            assert step_count(cand.apply(inputs[0])) == 3
+            assert calls == ["mul"]
