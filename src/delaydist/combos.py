@@ -121,7 +121,7 @@ def selection_dist(d: Delay) -> "Sel":
     choice, for every predicate.
     """
     return Sel(lambda g: dmap(d, lambda f: f(lambda x: g(Now(x)))),
-               desc=f"dist({render_delay(d, _short)})")
+               lambda: f"dist({render_delay(d, _short)})")
 
 
 # ---------------------------------------------------------------------------
@@ -599,23 +599,25 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
 @dataclass
 class Sel:
     """A selection-style value: a callable from predicates to results,
-    carried with a printable description."""
+    carried with a printable description.  The description is a thunk,
+    rendered only when the value is printed: scans build thousands of
+    selectors and print at most the one in a witness."""
 
     fn: Callable
-    desc: str = "sel"
+    describe: Callable[[], str]
 
     def __call__(self, p):
         return self.fn(p)
 
     def __str__(self) -> str:
-        return self.desc
+        return self.describe()
 
 
 def sel_from_table(table: FinFun, value_domain: Sequence[Any]) -> Sel:
     """Wrap a tabulated selector so it accepts arbitrary callables as
     predicates, tabulating them over the value domain first."""
     dom = tuple(value_domain)
-    return Sel(lambda p: table(FinFun.tabulate(dom, p)), desc=str(table))
+    return Sel(lambda p: table(FinFun.tabulate(dom, p)), lambda: str(table))
 
 
 @dataclass(frozen=True)
@@ -647,13 +649,13 @@ def selection_pack(xs: Sequence[Any], rs: Sequence[Any], pred_fuel: int,
     preds = predicate_family(xs, rs, (pred_fuel,))
 
     def unit(x):
-        return Sel(lambda p: x, desc=f"always {_short(x)}")
+        return Sel(lambda p: x, lambda: f"always {_short(x)}")
 
     def mu(FF: Sel) -> Sel:
-        return Sel(lambda p: FF(lambda f: p(f(p)))(p), desc=f"mu({FF.desc})")
+        return Sel(lambda p: FF(lambda f: p(f(p)))(p), lambda: f"mu({FF})")
 
     def fmap(f, F: Sel) -> Sel:
-        return Sel(lambda p: f(F(lambda x: p(f(x)))), desc=f"map({F.desc})")
+        return Sel(lambda p: f(F(lambda x: p(f(x)))), lambda: f"map({F})")
 
     def equal(a: Sel, b: Sel, rel) -> Verdict:
         # selections over delayed values are compared pointwise on the
@@ -690,14 +692,15 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
                                                    u.include_diverge), rel, str, rr)
     entries.append(LawEntry("MultS", out.verdict, out.cases, out.witness))
 
-    two_level = [Sel(lambda q, f=f: f, desc=f"always {f.desc}") for f in sel_tables[:6]]
+    two_level = [Sel(lambda q, f=f: f, lambda f=f: f"always {f}") for f in sel_tables[:6]]
     probes = []
     for f0 in sel_tables[:3]:
         for r0 in rs:
             for f1, f2 in itertools.islice(itertools.combinations(sel_tables[:5], 2), 4):
                 probes.append(Sel(lambda q, f0=f0, r0=r0, f1=f1, f2=f2:
                                   f1 if q(f0) == r0 else f2,
-                                  desc=f"if q({f0.desc})={r0} then {f1.desc} else {f2.desc}"))
+                                  lambda f0=f0, r0=r0, f1=f1, f2=f2:
+                                  f"if q({f0})={r0} then {f1} else {f2}"))
     out = beck_mult_t(S, T, z, delay_values(two_level + probes, max_steps,
                                             u.include_diverge), rel, str, rr)
     entries.append(LawEntry("MultT", out.verdict, out.cases, out.witness))
@@ -822,15 +825,13 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
 def phi(f) -> Sel:
     """Selector-of-delays from delayed-result selector: probe only
     immediately finished values."""
-    return Sel(lambda g: f(lambda x: g(Now(x))),
-               desc=f"phi({getattr(f, 'desc', f)})")
+    return Sel(lambda g: f(lambda x: g(Now(x))), lambda: f"phi({f})")
 
 
 def psi(F, ralg: DelayAlgebra) -> Sel:
     """Delayed-result selector from selector-of-delays: score delayed
     candidates through the carrier algebra."""
-    return Sel(lambda p: F(lambda d: ralg.alg(dmap(d, p))),
-               desc=f"psi({getattr(F, 'desc', F)})")
+    return Sel(lambda p: F(lambda d: ralg.alg(dmap(d, p))), lambda: f"psi({F})")
 
 
 def mu_delayed_result(FF, ralg: DelayAlgebra) -> Sel:
@@ -839,12 +840,11 @@ def mu_delayed_result(FF, ralg: DelayAlgebra) -> Sel:
         inner = FF(lambda f: ralg.alg(dmap(f(q), q)))
         return reify(bind(inner, lambda f: f(q)))
 
-    return Sel(at, desc=f"muJD({getattr(FF, 'desc', FF)})")
+    return Sel(at, lambda: f"muJD({FF})")
 
 
 def jd_fmap(h, m) -> Sel:
-    return Sel(lambda p: dmap(m(lambda x: p(h(x))), h),
-               desc=f"mapJD({getattr(m, 'desc', m)})")
+    return Sel(lambda p: dmap(m(lambda x: p(h(x))), h), lambda: f"mapJD({m})")
 
 
 def mu_composite(G) -> Sel:
@@ -860,7 +860,7 @@ def mu_composite(G) -> Sel:
         chosen = j_zeta(lambda f: p_dd(f(p_dd)))
         return reify(join(chosen(p_dd)))
 
-    return Sel(at, desc=f"muJ∘D({getattr(G, 'desc', G)})")
+    return Sel(at, lambda: f"muJ∘D({G})")
 
 
 def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
@@ -903,15 +903,15 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
                                                               delay_n(2, xs[0]), DIVERGE]]]
     ffs = []
     for f0 in simple:
-        ffs.append(Sel(lambda q, f0=f0: Now(f0), desc=f"now({f0.desc})"))
-        ffs.append(Sel(lambda q, f0=f0: delay_n(1, f0), desc=f"1·step({f0.desc})"))
+        ffs.append(Sel(lambda q, f0=f0: Now(f0), lambda f0=f0: f"now({f0})"))
+        ffs.append(Sel(lambda q, f0=f0: delay_n(1, f0), lambda f0=f0: f"1·step({f0})"))
     for f0 in simple:
         for r0 in rs:
             for f1, f2 in itertools.islice(itertools.combinations(simple, 2), 3):
                 ffs.append(Sel(lambda q, f0=f0, r0=r0, f1=f1, f2=f2:
                                Now(f1 if q(f0) == r0 else f2),
-                               desc=f"now(if q({f0.desc})={r0} then {f1.desc} "
-                                    f"else {f2.desc})"))
+                               lambda f0=f0, r0=r0, f1=f1, f2=f2:
+                               f"now(if q({f0})={r0} then {f1} else {f2})"))
 
     mu_cases = 0
     mu_verdict: Verdict = YES
@@ -924,7 +924,7 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
             v = strong_equal(lhs(g), rhs(g), fuel)
             if v.is_no:
                 mu_verdict = NO
-                mu_witness = Witness(f"{FF.desc} under {g}",
+                mu_witness = Witness(f"{FF} under {g}",
                                      render_delay(lhs(g), _short),
                                      render_delay(rhs(g), _short),
                                      note="the embedding is not a monad map")

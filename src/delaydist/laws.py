@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -425,31 +426,71 @@ def _render_dt(d: Delay) -> str:
 # the seven checks for an algebraic-over-delay candidate
 
 
+@contextmanager
+def _memoised(apply: Callable[[fm.ModelElement], Delay]
+              ) -> Iterator[Callable[[fm.ModelElement], Delay]]:
+    """``apply`` memoised by input element while the ``with`` block runs.
+
+    An input whose ``apply`` raises is not stored, so it raises again.
+    On leaving the block the cache is emptied, and later calls go to
+    ``apply`` without storing anything.
+    """
+    cache: Dict[fm.ModelElement, Delay] = {}
+    live = True
+
+    def z(m: fm.ModelElement) -> Delay:
+        if not live:
+            return apply(m)
+        d = cache.get(m)
+        if d is None:
+            d = cache[m] = apply(m)
+        return d
+
+    try:
+        yield z
+    finally:
+        live = False
+        cache.clear()
+
+
 def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry:
+    """One axiom for ``cand`` over the universe ``u``.
+
+    The Beck axioms compose the candidate ``z`` with itself, so a scan
+    hands it the same element many times.  UnitS, UnitT, MultS, MultT and
+    Naturality therefore call ``cand.apply`` through a memo created for
+    this call and emptied when it returns; MonadLaws does the same in
+    :func:`check_composite_monad_laws`.  The key is exact: an element's
+    equality and hash are its carrier kind and canonical payload, which is
+    all that a distribution reads, and its theory is the candidate's own.
+    So verdicts, case counts and witnesses are those of calling
+    ``cand.apply`` every time, and a witness's replay recomputes through
+    ``cand.apply`` rather than reading cached results.
+    """
     th = cand.theory
+    if axiom == "EquationPreservation":
+        return check_equation_preservation(th, cand.lift_op, u)
+    if axiom == "MonadLaws":
+        return check_composite_monad_laws(cand, u)
     fuel = u.derived_fuel(th)
     S = theory_pack(th)
     T = delay_pack(u.relation, fuel)
-    z = cand.apply
     ri = fm.value_str
     rr = _render_dt
-    if axiom == "UnitS":
-        out = beck_unit_s(S, T, z, iter_universe(th, u, "D"), None, ri, rr)
-    elif axiom == "UnitT":
-        out = beck_unit_t(S, T, z, iter_universe(th, u, "T"), None, ri, rr)
-    elif axiom == "MultS":
-        out = beck_mult_s(S, T, z, iter_universe(th, u, "TTD"), None, ri, rr)
-    elif axiom == "MultT":
-        out = beck_mult_t(S, T, z, iter_universe(th, u, "TDD"), None, ri, rr)
-    elif axiom == "Naturality":
-        out = beck_naturality(S, T, z, _naturality_inputs(th, u), None,
-                              lambda p: f"f={p[0]} on {fm.value_str(p[1])}", rr)
-    elif axiom == "EquationPreservation":
-        return check_equation_preservation(th, cand.lift_op, u)
-    elif axiom == "MonadLaws":
-        return check_composite_monad_laws(cand, u)
-    else:
-        raise ValueError(f"unknown axiom {axiom!r}")
+    with _memoised(cand.apply) as z:
+        if axiom == "UnitS":
+            out = beck_unit_s(S, T, z, iter_universe(th, u, "D"), None, ri, rr)
+        elif axiom == "UnitT":
+            out = beck_unit_t(S, T, z, iter_universe(th, u, "T"), None, ri, rr)
+        elif axiom == "MultS":
+            out = beck_mult_s(S, T, z, iter_universe(th, u, "TTD"), None, ri, rr)
+        elif axiom == "MultT":
+            out = beck_mult_t(S, T, z, iter_universe(th, u, "TDD"), None, ri, rr)
+        elif axiom == "Naturality":
+            out = beck_naturality(S, T, z, _naturality_inputs(th, u), None,
+                                  lambda p: f"f={p[0]} on {fm.value_str(p[1])}", rr)
+        else:
+            raise ValueError(f"unknown axiom {axiom!r}")
     return LawEntry(axiom, out.verdict, out.cases, out.witness)
 
 
@@ -590,15 +631,17 @@ def composite_unit(cand: DistLawCandidate):
     return lambda x: Now(fm.unit(th, x))
 
 
-def composite_bind(cand: DistLawCandidate):
+def composite_bind(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]):
     """Kleisli extension of the composite delayed-model monad built from
-    the candidate: distribute, then flatten both layers."""
+    the candidate: distribute with ``z``, then flatten both layers.  ``z``
+    is ``cand.apply``, which the monad-law check passes memoised for the
+    length of that check (see :func:`_memoised`)."""
     th = cand.theory
 
     def bnd(m: Delay, k: Callable[[Any], Delay]) -> Delay:
         def on_element(t: fm.ModelElement) -> Delay:
             mapped = fm.fmap(th, k, t)  # element whose values are delayed elements
-            dd = cand.apply(mapped)
+            dd = z(mapped)
             return dmap(dd, lambda tt: fm.mu(th, tt))
 
         return reify(bind(m, on_element))
@@ -631,8 +674,9 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
     if estimate > u.case_budget:
         raise UniverseBudgetError("composite monad laws", estimate, u.case_budget)
 
-    out = check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand),
-                                   elements, vals, k_pool, compare, _render_dt)
+    with _memoised(cand.apply) as z:
+        out = check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand, z),
+                                       elements, vals, k_pool, compare, _render_dt)
     return LawEntry("MonadLaws", out.verdict, out.cases, out.witness)
 
 

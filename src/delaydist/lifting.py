@@ -124,16 +124,20 @@ def _seq(op: str, args: List[Delay], th: Theory) -> Delay:
 def lift_term(t: Term, env: Dict[str, Delay], mode, th: Theory) -> Delay:
     """Interpret a term over delayed values.
 
-    ``mode`` is "seq", "par", or an op-lifting callable.  Each variable
-    occurrence reads the (possibly shared) delayed value independently.
+    ``mode`` is "seq", "par", or an op-lifting callable, resolved once per
+    term.  Each variable occurrence reads the (possibly shared) delayed
+    value independently.
     """
     lifter = _lifter(mode)
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise TheorySemanticError(f"unbound variable '{t.name}'", t.name)
-        return env[t.name]
-    args = [lift_term(a, env, mode, th) for a in t.args]
-    return lifter(t.op, args, th)
+
+    def go(t: Term) -> Delay:
+        if isinstance(t, Var):
+            if t.name not in env:
+                raise TheorySemanticError(f"unbound variable '{t.name}'", t.name)
+            return env[t.name]
+        return lifter(t.op, [go(a) for a in t.args], th)
+
+    return go(t)
 
 
 def _lifter(mode) -> OpLifter:

@@ -102,3 +102,23 @@ def test_yang_baxter_standalone_entry():
     e = combos.yang_baxter_check(SMALL)
     assert e.axiom == "YangBaxter"
     assert e.verdict.is_yes
+
+
+def test_selector_descriptions_render_only_when_printed(monkeypatch):
+    xs = ("a", "b")
+    table = combos.fun_space(combos.fun_space(xs, (0, 1)), xs)[5]
+    text = str(table)
+    rendered = []
+    finfun_str = combos.FinFun.__str__
+
+    def counting(self):
+        rendered.append(self is table)
+        return finfun_str(self)
+
+    monkeypatch.setattr(combos.FinFun, "__str__", counting)
+    sel = combos.sel_from_table(table, xs)
+    nested = combos.phi(combos.jd_fmap(combos.phi, sel))
+    assert rendered == []
+    assert str(sel) == text
+    assert str(nested) == f"phi(mapJD({text}))"
+    assert rendered.count(True) == 2

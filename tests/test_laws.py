@@ -1,6 +1,8 @@
 """Axiom-suite engine behaviour: verdict bookkeeping, witnesses, JSON,
 bound monotonicity, and the composite monad-law checks."""
 
+import collections
+import contextlib
 import itertools
 import json
 
@@ -12,7 +14,7 @@ from delaydist.laws import (AXIOM_ORDER, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
 from delaydist.laws import TestUniverse as Universe
-from delaydist.lifting import induced_candidate
+from delaydist.lifting import DistLawCandidate, induced_candidate
 
 
 def _suite(th, mode, **bounds):
@@ -218,6 +220,120 @@ class TestStreamedUniverses:
             # raised by the call itself, before any pair is produced
             laws._naturality_inputs(
                 th, Universe(carrier_size=2, max_steps=1, max_depth=1, case_budget=n - 1))
+
+
+@contextlib.contextmanager
+def _unmemoised(apply):
+    yield apply
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Inputs handed to ``DistLawCandidate.apply``, counted by element."""
+    calls = collections.Counter()
+    apply = DistLawCandidate.apply
+
+    def counting(self, m):
+        calls[m] += 1
+        return apply(self, m)
+
+    monkeypatch.setattr(DistLawCandidate, "apply", counting)
+    return calls
+
+
+# the benchmark's canonical suites: every verdict yes, full scans
+CANONICAL_SUITES = [
+    ("magma", "seq", "strict", False),
+    ("monoid", "seq", "strict", False),
+    ("cmonoid", "seq", "strict", False),
+    ("semilattice", "par", "weak", True),
+    ("cmonoid", "par", "weak", False),
+    ("magma", "par", "weak", False),
+]
+
+
+class TestMemoisedDistribution:
+    """Within one check the candidate is memoised by input element; the
+    memo never outlives the check."""
+
+    U = Universe(carrier_size=1, max_steps=2, max_depth=2)
+    MEMOISED = ("UnitS", "UnitT", "MultS", "MultT", "Naturality", "MonadLaws")
+
+    @pytest.mark.parametrize("axiom", MEMOISED)
+    def test_each_distinct_input_distributes_once(self, apply_calls, monkeypatch, axiom):
+        cand = induced_candidate(fm.magma(), "seq")
+        memo_entry = laws.check_axiom(cand, axiom, self.U)
+        assert apply_calls and set(apply_calls.values()) == {1}
+        distinct = dict(apply_calls)
+        apply_calls.clear()
+        monkeypatch.setattr(laws, "_memoised", _unmemoised)
+        assert laws.check_axiom(cand, axiom, self.U) == memo_entry
+        # the unmemoised scan asks for the same inputs, repeats included
+        assert set(apply_calls) == set(distinct)
+        if axiom in ("MultS", "MultT", "MonadLaws"):
+            assert sum(apply_calls.values()) > len(distinct)
+
+    @pytest.mark.parametrize("axiom", MEMOISED)
+    def test_no_cache_survives_a_check(self, apply_calls, axiom):
+        cand = induced_candidate(fm.monoid(), "seq")
+        first = laws.check_axiom(cand, axiom, self.U)
+        once = sum(apply_calls.values())
+        assert laws.check_axiom(cand, axiom, self.U) == first
+        assert sum(apply_calls.values()) == 2 * once
+        assert set(apply_calls.values()) == {2}
+
+    def test_replay_recomputes_from_the_candidate(self, apply_calls):
+        cand = induced_candidate(fm.monoid(), "par")
+        entry = laws.check_axiom(cand, "MultT", Universe(carrier_size=2, max_steps=2,
+                                                         max_depth=2))
+        assert entry.verdict.is_no
+        w = entry.witness
+        for _ in range(2):
+            before = sum(apply_calls.values())
+            assert w.replay() == (w.lhs_render, w.rhs_render)
+            assert sum(apply_calls.values()) > before
+
+    def test_a_raising_input_is_not_cached(self):
+        th = fm.monoid()
+        bad, good = fm.unit(th, "not a delay"), fm.unit(th, laws.delay_n(1, "a"))
+        calls = collections.Counter()
+        cand = induced_candidate(th, "seq")
+
+        def apply(m):
+            calls[m] += 1
+            return cand.apply(m)
+
+        with laws._memoised(apply) as z:
+            for _ in range(2):
+                with pytest.raises(TypeError, match="must hold Delay values"):
+                    z(bad)
+                assert z(good) == laws.delay_n(1, fm.unit(th, "a"))
+        assert calls == {bad: 2, good: 1}
+
+    @pytest.mark.parametrize("name,mode,relation,diverge", CANONICAL_SUITES)
+    def test_canonical_suites_match_the_unmemoised_scan(self, monkeypatch, name, mode,
+                                                        relation, diverge):
+        th = fm.builtin_theory(name)
+        u = Universe(carrier_size=1, max_steps=2, max_depth=2, relation=relation,
+                     include_diverge=diverge)
+        memo = run_suite(th, mode, u)
+        monkeypatch.setattr(laws, "_memoised", _unmemoised)
+        plain = run_suite(th, mode, u)
+        assert memo.all_yes
+        assert memo.entries == plain.entries
+
+    @pytest.mark.parametrize("name,mode,relation", [
+        ("semilattice", "seq", "strict"), ("monoid", "par", "strict"),
+        ("magma", "par", "strict"),
+    ])
+    def test_refutations_match_the_unmemoised_scan(self, monkeypatch, name, mode, relation):
+        th = fm.builtin_theory(name)
+        u = Universe(carrier_size=2, max_steps=2, max_depth=1, relation=relation)
+        memo = run_suite(th, mode, u)
+        monkeypatch.setattr(laws, "_memoised", _unmemoised)
+        plain = run_suite(th, mode, u)
+        assert any(e.verdict.is_no and e.witness is not None for e in memo.entries)
+        assert memo.entries == plain.entries  # witnesses compare by their renders
 
 
 class TestCompositeLaws:

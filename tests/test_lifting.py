@@ -217,6 +217,16 @@ class TestTermInterpretation:
         with pytest.raises(ValueError):
             lift_term(Var("x"), {"x": now(_el(th, "a"))}, "zigzag", th)
 
+    def test_lifter_resolved_once_per_term(self, monkeypatch):
+        th = fm.magma()
+        resolved = []
+        lifter = lifting._lifter
+        monkeypatch.setattr(lifting, "_lifter", lambda mode: resolved.append(mode) or lifter(mode))
+        t = App("mul", (App("mul", (Var("x"), Var("y"))), Var("x")))
+        env = {"x": delay_n(1, _el(th, "a")), "y": delay_n(2, _el(th, "b"))}
+        assert step_count(lift_term(t, env, "seq", th)) == 4
+        assert resolved == ["seq"]
+
 
 class TestIdempotenceBreaksSeq:
     def test_two_versus_one_step(self):
