@@ -384,10 +384,11 @@ def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
         cases = 0
         for m in elements[:60]:
             for k in k_pool[:12]:
+                mk = ops.bind(m, lambda v: k[v])
                 for s in ops.states:
                     cases += 1
                     r1 = force(m.run(s), fuel)
-                    whole = force(ops.bind(m, lambda v: k[v]).run(s), fuel)
+                    whole = force(mk.run(s), fuel)
                     if not isinstance(r1, Terminated):
                         if isinstance(whole, Terminated):
                             return cases, Witness(f"m={m}, s={s}", str(whole),

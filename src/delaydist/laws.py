@@ -562,8 +562,13 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
                 v = weak_bisim(lhs, rhs, rel, fuel)
             if v.is_no and witness is None:
                 env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
+
+                def replay(eq=eq, env=env):
+                    return (_render_dt(lift_term(eq.lhs, env, lift_op, th)),
+                            _render_dt(lift_term(eq.rhs, env, lift_op, th)))
+
                 witness = Witness(f"{eq.name} with {env_r}", _render_dt(lhs), _render_dt(rhs),
-                                  note=f"equation '{eq.name}' not preserved")
+                                  note=f"equation '{eq.name}' not preserved", replay=replay)
             eq_verdicts.append(v)
             if v.is_no:
                 break
@@ -581,49 +586,86 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
     """Left unit, right unit and associativity in Kleisli form.
 
     ``k_pool`` is a list of dicts mapping each value to a monadic result;
-    associativity quantifies over pairs from the pool.
+    associativity quantifies over every (m, k, h) with k and h from the
+    pool, in the order m, then k, then h.
+
+    Associativity shares work between its cases.  ``bind_fn(m, k)`` is
+    computed once per (m, k) and bound to each h for the left side.  For
+    the right side each (k, h) pair has one continuation whose table maps
+    a value ``v`` to ``bind_fn(k[v], h)``; the table is filled the first
+    time ``v`` is reached, lives for this call only, and stores nothing
+    when ``bind_fn`` raises, so that input raises again.  This is exact
+    only because ``bind_fn`` must be pure: the same arguments give equal
+    results, and a result may be used again.  Verdicts, case counts, the
+    first Unknown and the first No's witness are then those of computing
+    both sides afresh for every case.  A witness is built only on a No,
+    and its replay recomputes both sides by the plain, unshared formula.
     """
     cases = 0
-    first_unknown = None
-
-    def record(v: Verdict, make_witness):
-        nonlocal first_unknown
-        if v.is_no:
-            return AxiomOutcome(NO, cases, make_witness())
-        if v.is_unknown and first_unknown is None:
-            first_unknown = v
-        return None
-
+    first_unknown: Optional[Verdict] = None
     for k in k_pool:
         for x in value_set:
             cases += 1
-            lhs = bind_fn(unit_fn(x), lambda v: k[v])
+            lhs = bind_fn(unit_fn(x), k.__getitem__)
             rhs = k[x]
-            bad = record(compare(lhs, rhs),
-                         lambda: Witness(f"left unit at {x!r}", render(lhs), render(rhs)))
-            if bad:
-                return bad
+            v = compare(lhs, rhs)
+            if v.is_no:
+                return AxiomOutcome(NO, cases, Witness(
+                    f"left unit at {x!r}", render(lhs), render(rhs),
+                    replay=lambda: (render(bind_fn(unit_fn(x), k.__getitem__)), render(k[x]))))
+            if v.is_unknown and first_unknown is None:
+                first_unknown = v
     for m in elements:
         cases += 1
         lhs = bind_fn(m, unit_fn)
-        bad = record(compare(lhs, m),
-                     lambda: Witness(f"right unit at {render(m)}", render(lhs), render(m)))
-        if bad:
-            return bad
+        v = compare(lhs, m)
+        if v.is_no:
+            return AxiomOutcome(NO, cases, Witness(
+                f"right unit at {render(m)}", render(lhs), render(m),
+                replay=lambda: (render(bind_fn(m, unit_fn)), render(m))))
+        if v.is_unknown and first_unknown is None:
+            first_unknown = v
+    continuations: Dict[Tuple[int, int], Callable[[Any], Any]] = {}
     for m in elements:
-        for k in k_pool:
-            for h in k_pool:
+        for i, k in enumerate(k_pool):
+            mk = bind_fn(m, k.__getitem__)
+            for j, h in enumerate(k_pool):
                 cases += 1
-                lhs = bind_fn(bind_fn(m, lambda v: k[v]), lambda v: h[v])
-                rhs = bind_fn(m, lambda v: bind_fn(k[v], lambda w: h[w]))
-                bad = record(compare(lhs, rhs),
-                             lambda: Witness(f"associativity at {render(m)}",
-                                             render(lhs), render(rhs)))
-                if bad:
-                    return bad
+                lhs = bind_fn(mk, h.__getitem__)
+                kh = continuations.get((i, j))
+                if kh is None:
+                    kh = continuations[i, j] = _tabled_continuation(bind_fn, k, h)
+                rhs = bind_fn(m, kh)
+                v = compare(lhs, rhs)
+                if v.is_no:
+                    return AxiomOutcome(NO, cases, Witness(
+                        f"associativity at {render(m)}", render(lhs), render(rhs),
+                        replay=lambda: _plain_associativity(bind_fn, m, k, h, render)))
+                if v.is_unknown and first_unknown is None:
+                    first_unknown = v
     if first_unknown is not None:
         return AxiomOutcome(first_unknown, cases)
     return AxiomOutcome(YES, cases)
+
+
+def _tabled_continuation(bind_fn, k: dict, h: dict) -> Callable[[Any], Any]:
+    """``v ↦ bind_fn(k[v], h)``, each value's result kept once computed."""
+    table: Dict[Any, Any] = {}
+
+    def kh(v):
+        d = table.get(v)
+        if d is None:
+            d = table[v] = bind_fn(k[v], h.__getitem__)
+        return d
+
+    return kh
+
+
+def _plain_associativity(bind_fn, m, k: dict, h: dict, render) -> Tuple[str, str]:
+    """Both sides of associativity at (m, k, h), computed from scratch."""
+    lhs = bind_fn(bind_fn(m, k.__getitem__), h.__getitem__)
+    rhs = bind_fn(m, lambda v: bind_fn(k[v], h.__getitem__))
+    return render(lhs), render(rhs)
 
 
 def composite_unit(cand: DistLawCandidate):

@@ -7,6 +7,8 @@ fails) and everything else passes at the default bounds."""
 import pytest
 
 from delaydist import combos
+from delaydist.delay import YES, Now, delay_n, peel
+from delaydist.laws import AxiomOutcome, Witness
 from delaydist.laws import TestUniverse as Universe
 
 SMALL = Universe(carrier_size=2, max_steps=2, max_depth=2)
@@ -122,3 +124,61 @@ def test_selector_descriptions_render_only_when_printed(monkeypatch):
     assert str(sel) == text
     assert str(nested) == f"phi(mapJD({text}))"
     assert rendered.count(True) == 2
+
+
+@pytest.mark.parametrize("name", ["state", "sum"])
+def test_monad_laws_match_the_reference_scan(use_reference_kleisli, name):
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    shared = combos.combo_report(name, u)
+    assert shared.entry("MonadLaws").verdict.is_yes
+    use_reference_kleisli()
+    assert combos.combo_report(name, u).entries == shared.entries
+
+
+def _lossy_state_bind(bind):
+    """``StateOps.bind`` that loses one step of every result that takes
+    two or more, which breaks right unit and step additivity."""
+
+    def lossy(self, m, k):
+        bound = bind(self, m, k)
+
+        def at(s):
+            n, end = peel(bound.run(s))
+            return delay_n(n - 1, end.value) if n >= 2 and isinstance(end, Now) else bound.run(s)
+
+        return combos.DelayedState(combos.FinFun.tabulate(self.states, at))
+
+    return lossy
+
+
+def test_state_first_no_matches_the_reference_scan(monkeypatch, use_reference_kleisli):
+    monkeypatch.setattr(combos.StateOps, "bind", _lossy_state_bind(combos.StateOps.bind))
+    r = combos.check_state(Universe())
+    laws_entry, additivity = r.entry("MonadLaws"), r.entry("StepAdditivity")
+    assert (laws_entry.verdict.kind, laws_entry.cases) == ("no", 59)
+    assert laws_entry.witness.input_render.startswith("right unit at")
+    assert laws_entry.witness.replay() == (laws_entry.witness.lhs_render,
+                                           laws_entry.witness.rhs_render)
+    # the first additivity failure, as found binding afresh for every state
+    assert (additivity.verdict.kind, additivity.cases) == ("no", 118)
+    assert additivity.witness == Witness("m=[0↦0·step ▸ (0, a), 1↦1·step ▸ (0, a)], s=1",
+                                         "Terminated(value=(0, 'a'), steps=1)",
+                                         "expected 1+1 steps")
+    use_reference_kleisli()
+    assert combos.check_state(Universe()).entries == r.entries
+
+
+def test_step_additivity_binds_once_per_m_and_k(monkeypatch):
+    calls = [0]
+    bind = combos.StateOps.bind
+
+    def counting(self, m, k):
+        calls[0] += 1
+        return bind(self, m, k)
+
+    monkeypatch.setattr(combos.StateOps, "bind", counting)
+    monkeypatch.setattr(combos, "check_monad_laws_kleisli",
+                        lambda *args: AxiomOutcome(YES, 0))
+    r = combos.check_state(Universe())
+    assert r.entry("StepAdditivity").cases == 60 * 12 * 2
+    assert calls[0] == 60 * 12  # the first 60 elements against the first 12 tables

@@ -10,11 +10,14 @@ import pytest
 
 from delaydist import freemodel as fm
 from delaydist import laws
+from delaydist.delay import DIVERGE, delay_n, peel
 from delaydist.laws import (AXIOM_ORDER, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
 from delaydist.laws import TestUniverse as Universe
 from delaydist.lifting import DistLawCandidate, induced_candidate
+
+from conftest import reference_monad_laws_kleisli
 
 
 def _suite(th, mode, **bounds):
@@ -334,6 +337,152 @@ class TestMemoisedDistribution:
         plain = run_suite(th, mode, u)
         assert any(e.verdict.is_no and e.witness is not None for e in memo.entries)
         assert memo.entries == plain.entries  # witnesses compare by their renders
+
+
+def _counting_scan(scan, calls):
+    """``scan`` with its ``bind_fn`` counted; each call appends a record of
+    its universe sizes and bind count to ``calls``."""
+
+    def counted_scan(unit_fn, bind_fn, elements, value_set, k_pool, *rest):
+        call = {"E": len(elements), "V": len(value_set), "K": len(k_pool), "binds": 0}
+        calls.append(call)
+
+        def counted(m, k):
+            call["binds"] += 1
+            return bind_fn(m, k)
+
+        return scan(unit_fn, counted, elements, value_set, k_pool, *rest)
+
+    return counted_scan
+
+
+def _steps_bind(steps):
+    """A bind on materialised delays whose result takes ``steps(n, p)``
+    steps, with n the steps of the input and p those of the continuation's
+    result; ``n + p`` is the delay monad's own bind."""
+
+    def bnd(d, k):
+        n, end = peel(d)
+        if end is DIVERGE:
+            return DIVERGE
+        p, out = peel(k(end.value))
+        if out is DIVERGE:
+            return DIVERGE
+        return delay_n(steps(n, p), out.value)
+
+    return bnd
+
+
+# the scan's first No for each of these is at the law it is named after
+BROKEN_BINDS = {
+    "left unit": _steps_bind(lambda n, p: n + p + 1),
+    "right unit": _steps_bind(lambda n, p: 2 * n + p),
+    "associativity": _steps_bind(lambda n, p: abs(n - p)),
+}
+
+
+class TestSharedKleisliScan:
+    """The monad-law scan binds once per (m, k) and once per (k, h, value)
+    and still agrees, case by case, with computing every side afresh."""
+
+    # (steps, values) of the benchmark's delay-law items, and composite
+    # MonadLaws of monoid seq at c1s2d2: bind_fn calls shared and afresh
+    PINNED_BINDS = [
+        ("delay s2v2", lambda: check_delay_monad_laws(2, ("a", "b")), 38_864, 64_932),
+        ("delay s3v2", lambda: check_delay_monad_laws(3, ("a", "b")), 48_568, 84_142),
+        ("monoid seq c1s2d2",
+         lambda: laws.check_axiom(induced_candidate(fm.monoid(), "seq"), "MonadLaws",
+                                  Universe(carrier_size=1, max_steps=2, max_depth=2)),
+         753, 1_311),
+    ]
+
+    @pytest.mark.parametrize("name,run,shared,plain", PINNED_BINDS,
+                             ids=[p[0] for p in PINNED_BINDS])
+    def test_bind_counts(self, monkeypatch, name, run, shared, plain):
+        calls = []
+        monkeypatch.setattr(laws, "check_monad_laws_kleisli",
+                            _counting_scan(laws.check_monad_laws_kleisli, calls))
+        out = run()
+        (c,) = calls
+        E, K, V = c["E"], c["K"], c["V"]
+        units = K * V + E
+        associativity = E * K + 2 * E * K * K
+        assert units + associativity <= c["binds"] <= units + associativity + K * K * V
+        assert c["binds"] == shared
+        monkeypatch.setattr(laws, "check_monad_laws_kleisli",
+                            _counting_scan(reference_monad_laws_kleisli, calls))
+        assert run() == out
+        assert calls[1]["binds"] == plain
+
+    @pytest.mark.parametrize("steps", [2, 3])
+    @pytest.mark.parametrize("fuel", [64, 1])
+    def test_delay_laws_match_the_reference(self, use_reference_kleisli, steps, fuel):
+        out = check_delay_monad_laws(steps, ("a", "b"), fuel)
+        assert out.verdict.kind == ("yes" if fuel == 64 else "unknown")
+        use_reference_kleisli()
+        assert check_delay_monad_laws(steps, ("a", "b"), fuel) == out
+
+    @pytest.mark.parametrize("law", list(BROKEN_BINDS))
+    def test_first_no_matches_the_reference(self, monkeypatch, use_reference_kleisli, law):
+        monkeypatch.setattr(laws, "bind", BROKEN_BINDS[law])
+        out = check_delay_monad_laws(2, ("a", "b"))
+        assert out.verdict.is_no
+        w = out.witness
+        assert w.input_render.startswith(law)
+        assert w.replay() == (w.lhs_render, w.rhs_render)
+        use_reference_kleisli()
+        assert check_delay_monad_laws(2, ("a", "b")) == out
+
+    @pytest.mark.parametrize("name,mode,relation,diverge", CANONICAL_SUITES)
+    def test_canonical_monad_laws_match_the_reference(self, use_reference_kleisli, name,
+                                                      mode, relation, diverge):
+        cand = induced_candidate(fm.builtin_theory(name), mode)
+        u = Universe(carrier_size=1, max_steps=2, max_depth=2, relation=relation,
+                     include_diverge=diverge)
+        entry = laws.check_axiom(cand, "MonadLaws", u)
+        assert entry.verdict.is_yes
+        use_reference_kleisli()
+        assert laws.check_axiom(cand, "MonadLaws", u) == entry
+
+    def test_refuted_monad_laws_match_the_reference(self, apply_calls,
+                                                    use_reference_kleisli):
+        cand = induced_candidate(fm.semilattice(), "seq")
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2)
+        entry = laws.check_axiom(cand, "MonadLaws", u)
+        assert entry.verdict.is_no
+        w = entry.witness
+        before = sum(apply_calls.values())
+        assert w.replay() == (w.lhs_render, w.rhs_render)
+        assert sum(apply_calls.values()) > before  # recomputed from the candidate
+        use_reference_kleisli()
+        assert laws.check_axiom(cand, "MonadLaws", u) == entry
+
+    def test_a_raising_bind_is_not_tabled(self):
+        k = {"a": laws.delay_n(1, "a"), "b": laws.delay_n(2, "b")}
+        h = {"a": laws.now("x"), "b": laws.now("y")}
+        calls = collections.Counter()
+
+        def bnd(d, kk):
+            calls[d] += 1
+            if d == k["a"]:
+                raise RuntimeError("no bind at a")
+            return laws.bind(d, kk)
+
+        kh = laws._tabled_continuation(bnd, k, h)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="no bind at a"):
+                kh("a")
+            assert kh("b") == laws.delay_n(2, "y")
+        assert calls == {k["a"]: 2, k["b"]: 1}
+
+    def test_equation_preservation_witness_replays(self):
+        cand = induced_candidate(fm.semilattice(), "seq")
+        entry = laws.check_axiom(cand, "EquationPreservation",
+                                 Universe(carrier_size=2, max_steps=3, max_depth=2))
+        assert entry.verdict.is_no
+        w = entry.witness
+        assert w.replay is not None
+        assert w.replay() == (w.lhs_render, w.rhs_render)
 
 
 class TestCompositeLaws:
