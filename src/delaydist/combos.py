@@ -92,7 +92,7 @@ def exceptions_dist(m: fm.ModelElement) -> Delay:
 
     Plain values keep their steps; raised exceptions need none.
     """
-    if m.kind != "either":
+    if not isinstance(m.carrier, fm.EitherCarrier):
         raise ValueError("exceptions_dist expects an exception-monad element")
     if m.payload[0] == "exc":
         return Now(m)

@@ -17,14 +17,25 @@ Enumeration deduplicates such a carrier through one index of bounded
 rewrite closures rather than a joinability search per pair.  Only
 theories flagged ``rewrite_complete`` get decisive No answers from
 distinct normal forms.
+
+Each kind of carrier is one :class:`Carrier` subclass, and ``CARRIERS``
+maps each kind's name to it.  A theory's carrier is built on first use
+and resolves once what is fixed per theory: operation arities, the
+weights of the ``mix[p/q]`` operations, whether terms are kept normal.
+The module functions (:func:`unit`, :func:`apply_op`, :func:`free_bind`,
+:func:`values_of`, :func:`representative`, :func:`render_element`)
+delegate to it.  A :class:`ModelElement` holds its carrier and computes
+its hash and :func:`canon_key` once, when first asked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .delay import DIVERGE, Delay, Verdict, YES, NO, unknown, peel, render_delay
@@ -46,19 +57,18 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def canon_key(v: Any):
-    """Total deterministic sort key across all value types the carriers hold."""
-    if isinstance(v, bool):
-        return ("b", v)
-    if isinstance(v, int):
-        return ("i", v)
+    """Total deterministic sort key across all value types the carriers
+    hold.  An element's key is computed once and kept on the element.
+    The types are tested most frequent first; no value has two of them,
+    except a bool, which is tested before int."""
     if isinstance(v, str):
         return ("s", v)
-    if isinstance(v, Fraction):
-        return ("q", v.numerator, v.denominator)
-    if isinstance(v, tuple):
-        return ("t", tuple(canon_key(x) for x in v))
     if isinstance(v, ModelElement):
-        return ("m", v.kind, canon_key(v.payload))
+        key = v._key
+        if key is None:
+            key = ("m", v.carrier.kind, canon_key(v.payload))
+            _set_key(v, key)
+        return key
     if isinstance(v, Delay):
         n, end = peel(v, 100_000)
         if n > 100_000:
@@ -66,6 +76,14 @@ def canon_key(v: Any):
         if end is DIVERGE:
             return ("dx", n)
         return ("d", n, canon_key(end.value))
+    if isinstance(v, tuple):
+        return ("t", tuple([canon_key(x) for x in v]))
+    if isinstance(v, bool):
+        return ("b", v)
+    if isinstance(v, int):
+        return ("i", v)
+    if isinstance(v, Fraction):
+        return ("q", v.numerator, v.denominator)
     return ("r", repr(v))
 
 
@@ -73,20 +91,68 @@ def canon_key(v: Any):
 # elements
 
 
-@dataclass(frozen=True)
 class ModelElement:
-    """A free-model element, tagged by carrier kind.
+    """A free-model element: a payload of one carrier kind.
 
     Payloads are canonical hashable structures; two elements of a
-    canonical carrier are provably-equal iff their payloads coincide.
+    canonical carrier are provably equal iff their payloads coincide.
+    Equality and hash are the kind and the payload, never the theory.
+    An element holds its carrier, which knows its kind and theory, and is
+    immutable.  It computes its hash and its :func:`canon_key` the first
+    time each is asked for and keeps them, so an element nested in many
+    payloads is hashed and ordered once: the per-node cache of
+    hash-consing (Filliâtre & Conchon 2006) without a global table.
     """
 
-    kind: str
-    payload: Any
-    theory: Theory = field(compare=False, repr=False)
+    __slots__ = ("carrier", "payload", "_hash", "_key")
+
+    def __new__(cls, kind: str, payload: Any, theory: Theory) -> "ModelElement":
+        return _carrier_for(theory, kind).element(payload)
+
+    @property
+    def kind(self) -> str:
+        return self.carrier.kind
+
+    @property
+    def theory(self) -> Theory:
+        return self.carrier.theory
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any):
+        if other.__class__ is not ModelElement:
+            return NotImplemented
+        # one carrier class per kind, so equal classes mean equal kinds
+        return self.carrier.__class__ is other.carrier.__class__ and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.carrier.kind, self.payload))
+            _set_hash(self, h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"ModelElement(kind={self.kind!r}, payload={self.payload!r})"
 
     def __str__(self) -> str:
         return render_element(self)
+
+    def __reduce__(self):
+        return ModelElement, (self.kind, self.payload, self.theory)
+
+
+# the slot setters, with which Carrier.element fills an element without
+# its frozen __setattr__
+_set_carrier = ModelElement.carrier.__set__
+_set_payload = ModelElement.payload.__set__
+_set_hash = ModelElement._hash.__set__
+_set_key = ModelElement._key.__set__
+_new = object.__new__
 
 
 def value_str(v: Any) -> str:
@@ -94,8 +160,6 @@ def value_str(v: Any) -> str:
         return render_element(v)
     if isinstance(v, Delay):
         return render_delay(v, value_str)
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -108,28 +172,8 @@ def _term_payload_str(p) -> str:
     return f"{op}({', '.join(_term_payload_str(a) for a in args)})"
 
 
-def render_element(m: "ModelElement") -> str:
-    k = m.kind
-    if k in ("tree", "quotient"):
-        return _term_payload_str(m.payload)
-    if k == "list":
-        return "[" + ", ".join(value_str(v) for v in m.payload) + "]"
-    if k == "multiset":
-        return "⟦" + ", ".join(value_str(v) for v in m.payload) + "⟧"
-    if k == "finset":
-        if not m.payload:
-            return "∅"
-        return "{" + ", ".join(value_str(v) for v in m.payload) + "}"
-    if k == "dist":
-        return "{" + ", ".join(f"{value_str(v)} ↦ {w}" for v, w in m.payload) + "}"
-    if k == "either":
-        tag, x = m.payload
-        return f"inl {value_str(x)}" if tag == "val" else f"inr {x}"
-    raise ValueError(f"unknown carrier kind {k!r}")
-
-
-def carrier_kind(th: Theory) -> str:
-    return th.oracle if th.oracle is not None else "quotient"
+def render_element(m: ModelElement) -> str:
+    return m.carrier.render(m)
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +305,115 @@ BUILTIN_NAMES = ("magma", "monoid", "cmonoid", "semilattice", "convex", "excepti
 
 
 # ---------------------------------------------------------------------------
-# carrier operations
+# carriers
 
 
-def unit(th: Theory, x: Any) -> ModelElement:
-    k = carrier_kind(th)
-    if k in ("tree", "quotient"):
-        return ModelElement(k, ("leaf", x), th)
-    if k in ("list", "multiset", "finset"):
-        return ModelElement(k, (x,), th)
-    if k == "dist":
-        return ModelElement(k, ((x, Fraction(1)),), th)
-    if k == "either":
-        return ModelElement(k, ("val", x), th)
-    raise ValueError(f"unknown carrier kind {k!r}")
+class Carrier:
+    """The free model of one theory in the carrier of one kind.
+
+    A carrier is built once per theory and resolves then what is fixed
+    per theory: the arity of each operation, and in subclasses the mix
+    weights or whether terms are kept normal.  It builds, combines, walks
+    and prints the payloads of its elements.  ``canonical`` says that
+    distinct payloads are provably distinct, so that equality is decided
+    by payload alone.
+
+    Each kind implements ``unit(x)``, ``apply_op(op, args)`` (or
+    ``_apply(op, arity, args)`` behind the arity check here),
+    ``free_bind(m, k)``, ``values_of(m)``, ``representative(m)`` and
+    ``render(m)``.
+    """
+
+    kind = ""
+    canonical = True
+
+    def __init__(self, th: Theory):
+        self.theory = th
+        arities: Dict[str, int] = {}
+        for o in th.signature.ops:
+            arities.setdefault(o.name, o.arity)  # the first declaration, as Signature.arity
+        self.arities = arities
+
+    def element(self, payload: Any) -> ModelElement:
+        e = _new(ModelElement)
+        _set_carrier(e, self)
+        _set_payload(e, payload)
+        _set_hash(e, None)
+        _set_key(e, None)
+        return e
+
+    def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
+        declared = self.arities.get(op)
+        if declared is None:
+            raise TheorySemanticError(
+                f"unknown operation '{op}' in theory '{self.theory.name}'", op)
+        if declared != len(args):
+            raise TheorySemanticError(
+                f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
+        return self._apply(op, declared, args)
 
 
-def _dist_merge(parts: Iterable[Tuple[Fraction, Any]]) -> tuple:
-    """parts: (weight, payload) pairs of distributions; weights sum to 1."""
-    acc: Dict[Any, Fraction] = {}
-    order: List[Any] = []
-    for w, payload in parts:
-        for v, q in payload:
-            if v in acc:
-                acc[v] += w * q
+class TreeCarrier(Carrier):
+    """Syntax trees: nodes ``(op, child, ...)``, leaves ``("leaf", value)``."""
+
+    kind = "tree"
+    # brings a node whose children are normal into normal form; None keeps
+    # terms as built
+    normalise: Optional[Callable[[Any], Any]] = None
+
+    def unit(self, x: Any) -> ModelElement:
+        return self.element(("leaf", x))
+
+    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
+        payload = (op, *[a.payload for a in args])
+        # argument payloads are normal by construction
+        return self.element(self.normalise(payload) if self.normalise else payload)
+
+    def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+        fix = self.normalise
+
+        def graft(p):
+            if p[0] == "leaf":
+                return k(p[1]).payload
+            out = (p[0], *[graft(a) for a in p[1:]])
+            # grafted subtrees are normal, so fixing each node on the way
+            # up keeps the whole payload normal
+            return fix(out) if fix else out
+
+        return self.element(graft(m.payload))
+
+    def values_of(self, m: ModelElement) -> List[Any]:
+        out: List[Any] = []
+
+        def walk(p):
+            if p[0] == "leaf":
+                out.append(p[1])
             else:
-                acc[v] = w * q
-                order.append(v)
-    items = [(v, acc[v]) for v in order if acc[v] != 0]
-    items.sort(key=lambda it: canon_key(it[0]))
-    return tuple(items)
+                for a in p[1:]:
+                    walk(a)
+
+        walk(m.payload)
+        return out
+
+    def representative(self, m: ModelElement):
+        return m.payload
+
+    def render(self, m: ModelElement) -> str:
+        return _term_payload_str(m.payload)
+
+
+class QuotientCarrier(TreeCarrier):
+    """Terms modulo the equations oriented left to right.  A
+    rewrite-complete theory keeps every payload in normal form; otherwise
+    equality is three valued (:func:`model_equal`)."""
+
+    kind = "quotient"
+    canonical = False
+
+    def __init__(self, th: Theory):
+        super().__init__(th)
+        if th.rewrite_complete:
+            self.normalise = functools.partial(_root_fix, th)
 
 
 def _root_fix(th: Theory, t):
@@ -314,49 +437,223 @@ def _build_normal(th: Theory, t: Term, binding: dict):
     return _root_fix(th, (t.op,) + tuple(_build_normal(th, a, binding) for a in t.args))
 
 
-def apply_op(th: Theory, op: str, args: Sequence[ModelElement]) -> ModelElement:
-    k = carrier_kind(th)
-    declared = th.signature.arity(op)
-    if k == "dist":
-        w = mix_weight(op)
-        if w is None:
-            raise TheorySemanticError(f"operation '{op}' has no distribution semantics", op)
+class ListCarrier(Carrier):
+    """Monoid: tuples of values, ``mul`` concatenating them."""
+
+    kind = "list"
+    # the constant and the binary operation a representative folds with
+    empty_op, join_op = "unit", "mul"
+    brackets = ("[", "]")
+
+    def unit(self, x: Any) -> ModelElement:
+        return self.element((x,))
+
+    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
+        if arity == 0:
+            return self.element(())
+        return self.element(self._collect(args[0].payload + args[1].payload))
+
+    def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+        out: List[Any] = []
+        for v in m.payload:
+            out.extend(k(v).payload)
+        return self.element(self._collect(out))
+
+    @staticmethod
+    def _collect(values) -> tuple:
+        """The payload holding ``values``, in order."""
+        return tuple(values)
+
+    def values_of(self, m: ModelElement) -> List[Any]:
+        return list(m.payload)
+
+    def representative(self, m: ModelElement):
+        values = m.payload
+        if not values:
+            return (self.empty_op,)
+        rep = ("leaf", values[0])
+        for v in values[1:]:
+            rep = (self.join_op, rep, ("leaf", v))
+        return rep
+
+    def render(self, m: ModelElement) -> str:
+        return self.brackets[0] + ", ".join(value_str(v) for v in m.payload) + self.brackets[1]
+
+
+class MultisetCarrier(ListCarrier):
+    """Commutative monoid: tuples of values sorted by :func:`canon_key`."""
+
+    kind = "multiset"
+    brackets = ("⟦", "⟧")
+
+    @staticmethod
+    def _collect(values) -> tuple:
+        return tuple(sorted(values, key=canon_key))
+
+
+class FinsetCarrier(ListCarrier):
+    """Semilattice with empty: tuples of distinct values sorted by
+    :func:`canon_key`."""
+
+    kind = "finset"
+    empty_op, join_op = "empty", "union"
+    brackets = ("{", "}")
+
+    @staticmethod
+    def _collect(values) -> tuple:
+        seen: Dict[Any, Any] = {}
+        for v in values:
+            seen.setdefault(canon_key(v), v)
+        # the keys are distinct, so sorting the pairs on them orders the
+        # values without computing a key twice
+        return tuple([v for _, v in sorted(seen.items(), key=itemgetter(0))])
+
+    def render(self, m: ModelElement) -> str:
+        return super().render(m) if m.payload else "∅"
+
+
+class DistCarrier(Carrier):
+    """Convex combinations: ``((value, weight), ...)`` with exact rational
+    weights summing to 1, sorted by the values' :func:`canon_key`."""
+
+    kind = "dist"
+
+    def __init__(self, th: Theory):
+        super().__init__(th)
+        # each declared mix[p/q] with its two weights, p and 1 - p
+        self.weights: Dict[str, Tuple[Fraction, Fraction]] = {}
+        for op in self.arities:
+            w = mix_weight(op)
+            if w is not None:
+                self.weights[op] = (w, 1 - w)
+
+    def unit(self, x: Any) -> ModelElement:
+        return self.element(((x, Fraction(1)),))
+
+    def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
+        weights = self.weights.get(op)
+        if weights is None:
+            # a mix[p/q] the signature does not declare means the same
+            w = mix_weight(op)
+            if w is None:
+                raise TheorySemanticError(f"operation '{op}' has no distribution semantics", op)
+            weights = (w, 1 - w)
         if len(args) != 2:
             raise TheorySemanticError(f"'{op}' expects 2 arguments, got {len(args)}", op)
-        payload = _dist_merge([(w, args[0].payload), (1 - w, args[1].payload)])
-        return ModelElement(k, payload, th)
-    if declared is None:
-        raise TheorySemanticError(f"unknown operation '{op}' in theory '{th.name}'", op)
-    if declared != len(args):
-        raise TheorySemanticError(
-            f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
-    if k == "tree" or k == "quotient":
-        payload = (op,) + tuple(a.payload for a in args)
-        if k == "quotient" and th.rewrite_complete:
-            # argument payloads are normal by construction
-            payload = _root_fix(th, payload)
-        return ModelElement(k, payload, th)
-    if k == "list":
-        if declared == 0:
-            return ModelElement(k, (), th)
-        return ModelElement(k, args[0].payload + args[1].payload, th)
-    if k == "multiset":
-        if declared == 0:
-            return ModelElement(k, (), th)
-        merged = sorted(args[0].payload + args[1].payload, key=canon_key)
-        return ModelElement(k, tuple(merged), th)
-    if k == "finset":
-        if declared == 0:
-            return ModelElement(k, (), th)
-        seen = dict()
-        for v in args[0].payload + args[1].payload:
-            seen.setdefault(canon_key(v), v)
-        vals = sorted(seen.values(), key=canon_key)
-        return ModelElement(k, tuple(vals), th)
-    if k == "either":
-        # only the exception constants
-        return ModelElement(k, ("exc", op), th)
-    raise ValueError(f"unknown carrier kind {k!r}")
+        p, q = weights
+        return self.element(_dist_merge([(p, args[0].payload), (q, args[1].payload)]))
+
+    def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+        return self.element(_dist_merge([(w, k(v).payload) for v, w in m.payload]))
+
+    def values_of(self, m: ModelElement) -> List[Any]:
+        return [v for v, _ in m.payload]
+
+    def representative(self, m: ModelElement):
+        def build(entries):
+            if len(entries) == 1:
+                return ("leaf", entries[0][0])
+            (v, w) = entries[0]
+            rest = entries[1:]
+            scale = 1 - w
+            rescaled = [(u, q / scale) for u, q in rest]
+            return (mix_op_name(w), ("leaf", v), build(rescaled))
+
+        return build(list(m.payload))
+
+    def render(self, m: ModelElement) -> str:
+        return "{" + ", ".join(f"{value_str(v)} ↦ {w}" for v, w in m.payload) + "}"
+
+
+def _dist_merge(parts: Iterable[Tuple[Fraction, Any]]) -> tuple:
+    """parts: (weight, payload) pairs of distributions; weights sum to 1."""
+    acc: Dict[Any, Fraction] = {}
+    order: List[Any] = []
+    for w, payload in parts:
+        for v, q in payload:
+            if v in acc:
+                acc[v] += w * q
+            else:
+                acc[v] = w * q
+                order.append(v)
+    items = [(v, acc[v]) for v in order if acc[v] != 0]
+    items.sort(key=lambda it: canon_key(it[0]))
+    return tuple(items)
+
+
+class EitherCarrier(Carrier):
+    """Exceptions: ``("val", x)`` or ``("exc", name)``; the operations are
+    the exception constants."""
+
+    kind = "either"
+
+    def unit(self, x: Any) -> ModelElement:
+        return self.element(("val", x))
+
+    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
+        return self.element(("exc", op))
+
+    def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+        tag, x = m.payload
+        return k(x) if tag == "val" else m
+
+    def values_of(self, m: ModelElement) -> List[Any]:
+        tag, x = m.payload
+        return [x] if tag == "val" else []
+
+    def representative(self, m: ModelElement):
+        tag, x = m.payload
+        return ("leaf", x) if tag == "val" else (x,)
+
+    def render(self, m: ModelElement) -> str:
+        tag, x = m.payload
+        return f"inl {value_str(x)}" if tag == "val" else f"inr {x}"
+
+
+# the one map from a carrier kind's name to its carrier
+CARRIERS: Dict[str, type] = {c.kind: c for c in (
+    TreeCarrier, QuotientCarrier, ListCarrier, MultisetCarrier, FinsetCarrier, DistCarrier,
+    EitherCarrier)}
+
+
+def _carrier_class(kind: str) -> type:
+    cls = CARRIERS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown carrier kind {kind!r}")
+    return cls
+
+
+def _carrier_of(th: Theory) -> Carrier:
+    """The theory's carrier: ``th.oracle``, or the quotient carrier.  It is
+    built on first use and kept on the theory, which is immutable, so what
+    it resolves is resolved once per theory.  ``unit``, ``apply_op`` and
+    ``free_bind`` read the kept carrier directly and call this only the
+    first time."""
+    c = getattr(th, "_carrier", None)
+    if c is None:
+        c = _carrier_class(th.oracle if th.oracle is not None else "quotient")(th)
+        object.__setattr__(th, "_carrier", c)
+    return c
+
+
+def _carrier_for(th: Theory, kind: str) -> Carrier:
+    """The carrier of ``kind`` over ``th``: the theory's own when it has
+    that kind."""
+    cls = _carrier_class(kind)
+    c = _carrier_of(th)
+    return c if c.__class__ is cls else cls(th)
+
+
+# ---------------------------------------------------------------------------
+# carrier operations
+
+
+def unit(th: Theory, x: Any) -> ModelElement:
+    return (getattr(th, "_carrier", None) or _carrier_of(th)).unit(x)
+
+
+def apply_op(th: Theory, op: str, args: Sequence[ModelElement]) -> ModelElement:
+    return (getattr(th, "_carrier", None) or _carrier_of(th)).apply_op(op, args)
 
 
 def eval_term(th: Theory, t: Term, env: Dict[str, Any]) -> ModelElement:
@@ -372,42 +669,7 @@ def eval_term(th: Theory, t: Term, env: Dict[str, Any]) -> ModelElement:
 
 def free_bind(th: Theory, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
     """Homomorphic extension of ``k`` over the element's values."""
-    kind = m.kind
-    if kind == "list":
-        out: List[Any] = []
-        for v in m.payload:
-            out.extend(k(v).payload)
-        return ModelElement(kind, tuple(out), th)
-    if kind == "multiset":
-        out = []
-        for v in m.payload:
-            out.extend(k(v).payload)
-        return ModelElement(kind, tuple(sorted(out, key=canon_key)), th)
-    if kind == "finset":
-        seen = dict()
-        for v in m.payload:
-            for w in k(v).payload:
-                seen.setdefault(canon_key(w), w)
-        return ModelElement(kind, tuple(sorted(seen.values(), key=canon_key)), th)
-    if kind == "dist":
-        payload = _dist_merge([(w, k(v).payload) for v, w in m.payload])
-        return ModelElement(kind, payload, th)
-    if kind == "either":
-        tag, x = m.payload
-        return k(x) if tag == "val" else m
-    if kind in ("tree", "quotient"):
-        renorm = kind == "quotient" and th.rewrite_complete
-
-        def graft(p):
-            if p[0] == "leaf":
-                return k(p[1]).payload
-            out = (p[0],) + tuple(graft(a) for a in p[1:])
-            # grafted subtrees are normal, so fixing each node on the way
-            # up keeps the whole payload normal
-            return _root_fix(th, out) if renorm else out
-
-        return ModelElement(kind, graft(m.payload), th)
-    raise ValueError(f"unknown carrier kind {kind!r}")
+    return (getattr(th, "_carrier", None) or _carrier_of(th)).free_bind(m, k)
 
 
 def fmap(th: Theory, f: Callable[[Any], Any], m: ModelElement) -> ModelElement:
@@ -421,25 +683,7 @@ def mu(th: Theory, mm: ModelElement) -> ModelElement:
 
 def values_of(m: ModelElement) -> List[Any]:
     """The carrier values in canonical traversal order, with repeats."""
-    kind = m.kind
-    if kind in ("list", "multiset", "finset"):
-        return list(m.payload)
-    if kind == "dist":
-        return [v for v, _ in m.payload]
-    if kind == "either":
-        tag, x = m.payload
-        return [x] if tag == "val" else []
-    out: List[Any] = []
-
-    def walk(p):
-        if p[0] == "leaf":
-            out.append(p[1])
-        else:
-            for a in p[1:]:
-                walk(a)
-
-    walk(m.payload)
-    return out
+    return m.carrier.values_of(m)
 
 
 # ---------------------------------------------------------------------------
@@ -454,41 +698,7 @@ def representative(m: ModelElement):
     order for lists/multisets/finsets, weight-ordered binary mixtures for
     distributions, the stored term for tree and quotient carriers.
     """
-    kind = m.kind
-    th = m.theory
-    if kind in ("tree", "quotient"):
-        return m.payload
-    if kind in ("list", "multiset"):
-        if not m.payload:
-            return ("unit",)
-        rep = ("leaf", m.payload[0])
-        for v in m.payload[1:]:
-            rep = ("mul", rep, ("leaf", v))
-        return rep
-    if kind == "finset":
-        if not m.payload:
-            return ("empty",)
-        rep = ("leaf", m.payload[0])
-        for v in m.payload[1:]:
-            rep = ("union", rep, ("leaf", v))
-        return rep
-    if kind == "dist":
-        items = list(m.payload)
-
-        def build(entries):
-            if len(entries) == 1:
-                return ("leaf", entries[0][0])
-            (v, w) = entries[0]
-            rest = entries[1:]
-            scale = 1 - w
-            rescaled = [(u, q / scale) for u, q in rest]
-            return (mix_op_name(w), ("leaf", v), build(rescaled))
-
-        return build(items)
-    if kind == "either":
-        tag, x = m.payload
-        return ("leaf", x) if tag == "val" else (x,)
-    raise ValueError(f"unknown carrier kind {kind!r}")
+    return m.carrier.representative(m)
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +826,11 @@ def model_equal(th: Theory, a: ModelElement, b: ModelElement,
     and otherwise return Unknown; rewrite-complete theories answer No
     from distinct normal forms.
     """
-    if a.kind != b.kind:
+    if a.carrier.__class__ is not b.carrier.__class__:
         raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")
-    if a.kind != "quotient":
-        return YES if a.payload == b.payload else NO
     if a.payload == b.payload:
         return YES
-    if th.rewrite_complete:
+    if a.carrier.canonical or th.rewrite_complete:
         return NO
     if _joinable(th, a.payload, b.payload, join_bound):
         return YES
@@ -643,35 +851,39 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
     found: generators first, then constants, then one round at a time.
 
     ``generators`` is consumed lazily, so it may itself be a stream.
-    Deduplication is by canonical payload.  Quotient carriers without a
-    complete rewrite system keep a closure index instead: the union of the
-    terms each kept element reaches in ``JOINABILITY_BOUND`` rewrite
-    steps.  A candidate is a duplicate iff its own closure meets that
-    union, which is exactly when :func:`model_equal` says Yes against some
-    kept element (equal or joinable payloads), so the kept elements and
-    their order are those of the pairwise comparison, Unknown counting
-    as distinct.  EnumerationBudgetError is raised when the stream would
-    pass ``max_elements``.
+    Deduplication is by element, that is by canonical payload.  Quotient
+    carriers without a complete rewrite system keep a closure index
+    instead: the union of the terms each kept element reaches in
+    ``JOINABILITY_BOUND`` rewrite steps.  A candidate is a duplicate iff
+    its own closure meets that union, which is exactly when
+    :func:`model_equal` says Yes against some kept element (equal or
+    joinable payloads), so the kept elements and their order are those of
+    the pairwise comparison, Unknown counting as distinct.
+    EnumerationBudgetError is raised when the stream would pass
+    ``max_elements``.
     """
     elems: List[ModelElement] = []
-    seen: set = set()  # payloads, or on slow_dedup the closure index
-    kind = carrier_kind(th)
-    slow_dedup = kind == "quotient" and not th.rewrite_complete
+    # the elements, or on slow_dedup the closure index of payloads; an
+    # element keeps the hash its membership test computes, for later lookups
+    seen: set = set()
+    carrier = _carrier_of(th)
+    slow_dedup = not (carrier.canonical or th.rewrite_complete)
     # with no equations every application builds a fresh tree, so the
-    # payload-dedup set would only burn time hashing deep tuples
-    free_tree = kind == "tree" and not th.equations
+    # dedup set would only burn time hashing deep tuples
+    free_tree = carrier.__class__ is TreeCarrier and not th.equations
 
     def add(m: ModelElement) -> bool:
-        if not free_tree:
+        if slow_dedup:
             if m.payload in seen:
                 return False
-            if slow_dedup:
-                closure = _reach(th, m.payload, JOINABILITY_BOUND)
-                if not closure.isdisjoint(seen):
-                    return False
-                seen.update(closure)
-            else:
-                seen.add(m.payload)
+            closure = _reach(th, m.payload, JOINABILITY_BOUND)
+            if not closure.isdisjoint(seen):
+                return False
+            seen.update(closure)
+        elif not free_tree:
+            if m in seen:
+                return False
+            seen.add(m)
         elems.append(m)
         if len(elems) > max_elements:
             raise EnumerationBudgetError(len(elems), max_elements)

@@ -390,9 +390,8 @@ def iter_universe(th: Theory, u: TestUniverse, shape: str) -> Iterator[Any]:
         for outer_depth in range(u.max_depth + 1):
             inner = enum(pool, u.max_depth - outer_depth)
             for m in enum(inner, outer_depth):
-                key = (m.kind, m.payload)
-                if key not in seen:
-                    seen.add(key)
+                if m not in seen:
+                    seen.add(m)
                     if len(seen) > budget:
                         raise UniverseBudgetError("TTD universe", len(seen), budget)
                     yield m

@@ -1,10 +1,14 @@
 """Helpers shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from delaydist import combos, laws
-from delaydist.delay import NO, YES
+from delaydist import freemodel as fm
+from delaydist.delay import DIVERGE, NO, YES, Delay, peel, render_delay, unknown
 from delaydist.laws import AxiomOutcome, Witness
+from delaydist.theory import TheorySemanticError, Var
 
 
 def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, compare,
@@ -66,3 +70,281 @@ def use_reference_kleisli(monkeypatch):
                                 reference_monad_laws_kleisli)
 
     return use
+
+
+# ---------------------------------------------------------------------------
+# the string-dispatch carrier operations that the carrier classes of
+# freemodel replaced, kept as the reference they must agree with byte for
+# byte.  They build elements through the public constructor and compute
+# every hash and sort key afresh.
+
+
+def _reference_kind(th):
+    return th.oracle if th.oracle is not None else "quotient"
+
+
+def reference_canon_key(v):
+    if isinstance(v, bool):
+        return ("b", v)
+    if isinstance(v, int):
+        return ("i", v)
+    if isinstance(v, str):
+        return ("s", v)
+    if isinstance(v, Fraction):
+        return ("q", v.numerator, v.denominator)
+    if isinstance(v, tuple):
+        return ("t", tuple(reference_canon_key(x) for x in v))
+    if isinstance(v, fm.ModelElement):
+        return ("m", v.kind, reference_canon_key(v.payload))
+    if isinstance(v, Delay):
+        n, end = peel(v, 100_000)
+        if n > 100_000:
+            raise RuntimeError("canon_key on an unreasonably deep delay")
+        if end is DIVERGE:
+            return ("dx", n)
+        return ("d", n, reference_canon_key(end.value))
+    return ("r", repr(v))
+
+
+def reference_value_str(v):
+    if isinstance(v, fm.ModelElement):
+        return reference_render_element(v)
+    if isinstance(v, Delay):
+        return render_delay(v, reference_value_str)
+    return str(v)
+
+
+def _reference_term_str(p):
+    if p[0] == "leaf":
+        return reference_value_str(p[1])
+    op, args = p[0], p[1:]
+    if not args:
+        return op
+    return f"{op}({', '.join(_reference_term_str(a) for a in args)})"
+
+
+def reference_render_element(m):
+    k = m.kind
+    if k in ("tree", "quotient"):
+        return _reference_term_str(m.payload)
+    if k == "list":
+        return "[" + ", ".join(reference_value_str(v) for v in m.payload) + "]"
+    if k == "multiset":
+        return "⟦" + ", ".join(reference_value_str(v) for v in m.payload) + "⟧"
+    if k == "finset":
+        if not m.payload:
+            return "∅"
+        return "{" + ", ".join(reference_value_str(v) for v in m.payload) + "}"
+    if k == "dist":
+        return "{" + ", ".join(f"{reference_value_str(v)} ↦ {w}" for v, w in m.payload) + "}"
+    if k == "either":
+        tag, x = m.payload
+        return f"inl {reference_value_str(x)}" if tag == "val" else f"inr {x}"
+    raise ValueError(f"unknown carrier kind {k!r}")
+
+
+def reference_unit(th, x):
+    k = _reference_kind(th)
+    if k in ("tree", "quotient"):
+        return fm.ModelElement(k, ("leaf", x), th)
+    if k in ("list", "multiset", "finset"):
+        return fm.ModelElement(k, (x,), th)
+    if k == "dist":
+        return fm.ModelElement(k, ((x, Fraction(1)),), th)
+    if k == "either":
+        return fm.ModelElement(k, ("val", x), th)
+    raise ValueError(f"unknown carrier kind {k!r}")
+
+
+def _reference_dist_merge(parts):
+    acc = {}
+    order = []
+    for w, payload in parts:
+        for v, q in payload:
+            if v in acc:
+                acc[v] += w * q
+            else:
+                acc[v] = w * q
+                order.append(v)
+    items = [(v, acc[v]) for v in order if acc[v] != 0]
+    items.sort(key=lambda it: reference_canon_key(it[0]))
+    return tuple(items)
+
+
+def _reference_root_fix(th, t):
+    while t[0] != "leaf":
+        for eq in th.equations:
+            b = fm._match_payload(eq.lhs, t, {})
+            if b is not None:
+                t = _reference_build_normal(th, eq.rhs, b)
+                break
+        else:
+            return t
+    return t
+
+
+def _reference_build_normal(th, t, binding):
+    if isinstance(t, Var):
+        return binding[t.name]
+    return _reference_root_fix(
+        th, (t.op,) + tuple(_reference_build_normal(th, a, binding) for a in t.args))
+
+
+def reference_apply_op(th, op, args):
+    k = _reference_kind(th)
+    declared = th.signature.arity(op)
+    if k == "dist":
+        w = fm.mix_weight(op)
+        if w is None:
+            raise TheorySemanticError(f"operation '{op}' has no distribution semantics", op)
+        if len(args) != 2:
+            raise TheorySemanticError(f"'{op}' expects 2 arguments, got {len(args)}", op)
+        payload = _reference_dist_merge([(w, args[0].payload), (1 - w, args[1].payload)])
+        return fm.ModelElement(k, payload, th)
+    if declared is None:
+        raise TheorySemanticError(f"unknown operation '{op}' in theory '{th.name}'", op)
+    if declared != len(args):
+        raise TheorySemanticError(
+            f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
+    if k == "tree" or k == "quotient":
+        payload = (op,) + tuple(a.payload for a in args)
+        if k == "quotient" and th.rewrite_complete:
+            payload = _reference_root_fix(th, payload)
+        return fm.ModelElement(k, payload, th)
+    if k == "list":
+        if declared == 0:
+            return fm.ModelElement(k, (), th)
+        return fm.ModelElement(k, args[0].payload + args[1].payload, th)
+    if k == "multiset":
+        if declared == 0:
+            return fm.ModelElement(k, (), th)
+        merged = sorted(args[0].payload + args[1].payload, key=reference_canon_key)
+        return fm.ModelElement(k, tuple(merged), th)
+    if k == "finset":
+        if declared == 0:
+            return fm.ModelElement(k, (), th)
+        seen = dict()
+        for v in args[0].payload + args[1].payload:
+            seen.setdefault(reference_canon_key(v), v)
+        vals = sorted(seen.values(), key=reference_canon_key)
+        return fm.ModelElement(k, tuple(vals), th)
+    if k == "either":
+        return fm.ModelElement(k, ("exc", op), th)
+    raise ValueError(f"unknown carrier kind {k!r}")
+
+
+def reference_free_bind(th, m, k):
+    kind = m.kind
+    if kind == "list":
+        out = []
+        for v in m.payload:
+            out.extend(k(v).payload)
+        return fm.ModelElement(kind, tuple(out), th)
+    if kind == "multiset":
+        out = []
+        for v in m.payload:
+            out.extend(k(v).payload)
+        return fm.ModelElement(kind, tuple(sorted(out, key=reference_canon_key)), th)
+    if kind == "finset":
+        seen = dict()
+        for v in m.payload:
+            for w in k(v).payload:
+                seen.setdefault(reference_canon_key(w), w)
+        return fm.ModelElement(kind, tuple(sorted(seen.values(), key=reference_canon_key)), th)
+    if kind == "dist":
+        payload = _reference_dist_merge([(w, k(v).payload) for v, w in m.payload])
+        return fm.ModelElement(kind, payload, th)
+    if kind == "either":
+        tag, x = m.payload
+        return k(x) if tag == "val" else m
+    if kind in ("tree", "quotient"):
+        renorm = kind == "quotient" and th.rewrite_complete
+
+        def graft(p):
+            if p[0] == "leaf":
+                return k(p[1]).payload
+            out = (p[0],) + tuple(graft(a) for a in p[1:])
+            return _reference_root_fix(th, out) if renorm else out
+
+        return fm.ModelElement(kind, graft(m.payload), th)
+    raise ValueError(f"unknown carrier kind {kind!r}")
+
+
+def reference_mu(th, mm):
+    return reference_free_bind(th, mm, lambda inner: inner)
+
+
+def reference_values_of(m):
+    kind = m.kind
+    if kind in ("list", "multiset", "finset"):
+        return list(m.payload)
+    if kind == "dist":
+        return [v for v, _ in m.payload]
+    if kind == "either":
+        tag, x = m.payload
+        return [x] if tag == "val" else []
+    out = []
+
+    def walk(p):
+        if p[0] == "leaf":
+            out.append(p[1])
+        else:
+            for a in p[1:]:
+                walk(a)
+
+    walk(m.payload)
+    return out
+
+
+def reference_representative(m):
+    kind = m.kind
+    if kind in ("tree", "quotient"):
+        return m.payload
+    if kind in ("list", "multiset"):
+        if not m.payload:
+            return ("unit",)
+        rep = ("leaf", m.payload[0])
+        for v in m.payload[1:]:
+            rep = ("mul", rep, ("leaf", v))
+        return rep
+    if kind == "finset":
+        if not m.payload:
+            return ("empty",)
+        rep = ("leaf", m.payload[0])
+        for v in m.payload[1:]:
+            rep = ("union", rep, ("leaf", v))
+        return rep
+    if kind == "dist":
+        items = list(m.payload)
+
+        def build(entries):
+            if len(entries) == 1:
+                return ("leaf", entries[0][0])
+            (v, w) = entries[0]
+            rest = entries[1:]
+            scale = 1 - w
+            rescaled = [(u, q / scale) for u, q in rest]
+            return (fm.mix_op_name(w), ("leaf", v), build(rescaled))
+
+        return build(items)
+    if kind == "either":
+        tag, x = m.payload
+        return ("leaf", x) if tag == "val" else (x,)
+    raise ValueError(f"unknown carrier kind {kind!r}")
+
+
+def reference_model_equal(th, a, b, join_bound=fm.JOINABILITY_BOUND):
+    if a.kind != b.kind:
+        raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")
+    if a.kind != "quotient":
+        return YES if a.payload == b.payload else NO
+    if a.payload == b.payload:
+        return YES
+    if th.rewrite_complete:
+        return NO
+    if fm._joinable(th, a.payload, b.payload, join_bound):
+        return YES
+    for model in th.finite_models:
+        if fm._model_refutes(model, a.payload, b.payload):
+            return NO
+    return unknown()

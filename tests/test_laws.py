@@ -163,15 +163,17 @@ def _eager_universe(th, u, shape):
     for outer in range(u.max_depth + 1):
         inner = fm.enumerate_elements(th, delays, u.max_depth - outer)
         for m in fm.enumerate_elements(th, inner, outer):
-            if m.payload not in seen:
-                seen.add(m.payload)
+            key = (m.kind, m.payload)
+            if key not in seen:
+                seen.add(key)
                 out.append(m)
     return out
 
 
 class TestStreamedUniverses:
     @pytest.mark.parametrize("shape", ["D", "T", "TD", "TDD", "TTD"])
-    @pytest.mark.parametrize("th", [fm.monoid(), fm.semilattice(), fm.magma()],
+    @pytest.mark.parametrize("th", [fm.monoid(), fm.semilattice(), fm.magma(), fm.cmonoid(),
+                                    fm.convex(), fm.exceptions()],
                              ids=lambda th: th.name)
     def test_stream_order_matches_whole_lists(self, th, shape):
         u = Universe(carrier_size=2, max_steps=1, max_depth=2, include_diverge=True)
