@@ -3,8 +3,8 @@ the coinductive delay monad, candidate distributive laws between them,
 and bounded-exhaustive checks of the composition axioms up to strict
 equality and weak bisimilarity."""
 
-from .delay import (DIVERGE, Delay, Now, Step, bind, defer, delay_n, dmap, force,
-                    join, reify, render_delay, step_count, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Step, bind, delay_n, dmap, force, join, reify,
+                    render_delay, step_count, strong_equal, weak_bisim)
 from .freemodel import (BUILTIN_NAMES, ModelElement, builtin_theory, cmonoid, convex,
                         exceptions, magma, model_equal, monoid, semilattice, unit,
                         value_str)
@@ -20,8 +20,8 @@ from .theory import (App, Equation, Operation, Signature, Theory, Var,
                      predict_composability, validate_theory)
 
 __all__ = [
-    "DIVERGE", "Delay", "Now", "Step", "bind", "defer", "delay_n", "dmap", "force",
-    "join", "reify", "render_delay", "step_count", "strong_equal", "weak_bisim",
+    "DIVERGE", "Delay", "Now", "Step", "bind", "delay_n", "dmap", "force", "join",
+    "reify", "render_delay", "step_count", "strong_equal", "weak_bisim",
     "BUILTIN_NAMES", "ModelElement", "builtin_theory", "cmonoid", "convex",
     "exceptions", "magma", "model_equal", "monoid", "semilattice", "unit",
     "value_str",

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -56,6 +57,11 @@ class EnumerationBudgetError(RuntimeError):
 # canonical ordering of heterogeneous carrier values
 
 
+# divergence sorts after every finished delay, as if its step count were
+# infinite
+_DIVERGE_KEY = ("d", math.inf)
+
+
 def canon_key(v: Any):
     """Total deterministic sort key across all value types the carriers
     hold.  An element's key is computed once and kept on the element.
@@ -70,11 +76,9 @@ def canon_key(v: Any):
             _set_key(v, key)
         return key
     if isinstance(v, Delay):
-        n, end = peel(v, 100_000)
-        if n > 100_000:
-            raise RuntimeError("canon_key on an unreasonably deep delay")
+        n, end = peel(v)
         if end is DIVERGE:
-            return ("dx", n)
+            return _DIVERGE_KEY
         return ("d", n, canon_key(end.value))
     if isinstance(v, tuple):
         return ("t", tuple([canon_key(x) for x in v]))

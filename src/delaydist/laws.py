@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, unknown, as_verdict, bind, conjoin,
-                    delay_n, dmap, join, now, reify, render_delay, strong_equal, weak_bisim)
+                    delay_n, dmap, join, now, render_delay, strong_equal, weak_bisim)
 from .lifting import DistLawCandidate, induced_candidate, lift_term
 from .theory import Theory, classify_equation, predict_composability
 
@@ -685,7 +685,7 @@ def composite_bind(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]
             dd = z(mapped)
             return dmap(dd, lambda tt: fm.mu(th, tt))
 
-        return reify(bind(m, on_element))
+        return bind(m, on_element)
 
     return bnd
 

@@ -9,12 +9,13 @@ to delayed-model by interpreting an element's representative term with
 lifted operations; whether the candidate is an actual distributive law
 is what the axiom checkers decide.
 
-On materialised input, where D X ≅ ℕ × X + 1, an induced candidate is
-plain arithmetic and runs in one walk over the representative: the
-sequential lifting sums the leaves' step counts, the parallel lifting
-takes their max, the model operations act on the leaves' values, and a
-divergent leaf makes the result divergent, absorbing the steps.  Lazy
-input and custom liftings go through the lifted operation at every node.
+Every delay is in the normal form D X ≅ ℕ × X + 1, so both liftings are
+plain arithmetic on step counts, and an induced candidate runs in one
+walk over the representative: the sequential lifting sums the leaves'
+step counts, the parallel lifting takes their max, the model operations
+act on the leaves' values, and a divergent leaf makes the result
+divergent, absorbing the steps.  Custom liftings go through the lifted
+operation at every node.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Deferred, Now, Step, delay_n, dmap, reify, resolve)
+from .delay import DIVERGE, Delay, Step, delay_n, dmap
 from .theory import Term, Theory, TheorySemanticError, Var
 
 OpLifter = Callable[[str, List[Delay], Theory], Delay]
@@ -38,23 +39,20 @@ _TOTAL: Dict[str, Callable[[Sequence[int]], int]] = {"seq": sum, "par": _longest
 
 
 def _eager_ends(args, total: Callable[[Sequence[int]], int]):
-    """The arguments' step counts, combined by ``total``, and final values
-    when all are materialised: DIVERGE when one of them diverges, None
-    when one is still suspended.  An argument is a Delay or, from the
-    one-pass walk, a ``(steps, value)`` pair already read off one."""
+    """The arguments' step counts, combined by ``total``, and final
+    values, or DIVERGE when one of them diverges.  An argument is a Delay
+    or, from the one-pass walk, a ``(steps, value)`` pair already read
+    off one."""
     counts, values, diverges = [], [], False
     for a in args:
         if isinstance(a, tuple):
             n, v = a
+        elif a is DIVERGE:
+            diverges = True
+            continue
         else:
             n, end = (a.steps, a.end) if isinstance(a, Step) else (0, a)
-            if isinstance(end, Now):
-                v = end.value
-            elif end is DIVERGE:
-                diverges = True
-                continue
-            else:
-                return None
+            v = end.value
         counts.append(n)
         values.append(v)
     return DIVERGE if diverges else (total(counts), values)
@@ -69,56 +67,28 @@ def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
             f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
 
 
-def par_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
-    """All-finished: apply now.  Otherwise one step, advancing every
-    unfinished argument together.  A divergent argument makes the whole
-    application divergent."""
+def _lift_op(op: str, args: Sequence[Delay], th: Theory,
+             total: Callable[[Sequence[int]], int]) -> Delay:
     _check_arity(op, args, th)
-    ends = _eager_ends(args, _longest)
-    if ends is None:
-        return _par(op, [resolve(a) for a in args], th)
+    ends = _eager_ends(args, total)
     if ends is DIVERGE:
         return DIVERGE
     n, values = ends
     return delay_n(n, fm.apply_op(th, op, values))
 
 
-def _par(op: str, args: List[Delay], th: Theory) -> Delay:
-    if any(a is DIVERGE for a in args):
-        return DIVERGE
-    if all(isinstance(a, Now) for a in args):
-        return Now(fm.apply_op(th, op, [a.value for a in args]))
-    nexts = [a.tail if isinstance(a, Step) else a for a in args]
-    return Step(Deferred(lambda: _par(op, [resolve(a) for a in nexts], th)))
+def par_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
+    """Advance every unfinished argument together, so the application
+    takes as many steps as its slowest argument.  A divergent argument
+    makes the whole application divergent."""
+    return _lift_op(op, args, th, _longest)
 
 
 def seq_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
     """Strip the leftmost unfinished argument one step at a time; steps
-    add up across arguments."""
-    _check_arity(op, args, th)
-    ends = _eager_ends(args, sum)
-    if ends is None:
-        return _seq(op, [resolve(a) for a in args], th)
-    if ends is DIVERGE:
-        return DIVERGE
-    n, values = ends
-    return delay_n(n, fm.apply_op(th, op, values))
-
-
-def _seq(op: str, args: List[Delay], th: Theory) -> Delay:
-    for i, a in enumerate(args):
-        if isinstance(a, Now):
-            continue
-        if a is DIVERGE:
-            return DIVERGE
-
-        def advance(i=i, tail=a.tail, frozen=tuple(args)):
-            rest = list(frozen)
-            rest[i] = resolve(tail)
-            return _seq(op, rest, th)
-
-        return Step(Deferred(advance))
-    return Now(fm.apply_op(th, op, [a.value for a in args]))
+    add up across arguments.  A divergent argument makes the whole
+    application divergent."""
+    return _lift_op(op, args, th, sum)
 
 
 def lift_term(t: Term, env: Dict[str, Delay], mode, th: Theory) -> Delay:
@@ -150,11 +120,6 @@ def _lifter(mode) -> OpLifter:
     raise ValueError(f"unknown lift mode {mode!r}")
 
 
-class _Suspended(Exception):
-    """A representative leaf ends in a Deferred node, so the one-pass walk
-    gives way to the lifted operations."""
-
-
 def _leaf_delay(x) -> Delay:
     if not isinstance(x, Delay):
         raise TypeError(f"distribution input must hold Delay values, found {type(x).__name__}")
@@ -162,20 +127,18 @@ def _leaf_delay(x) -> Delay:
 
 
 def _walk(node, th: Theory, total: Callable[[Sequence[int]], int]):
-    """``(steps, element)`` for a representative term over materialised
-    delays, or DIVERGE.  Leaves give their step count and unit element,
+    """``(steps, element)`` for a representative term over delays, or
+    DIVERGE.  Leaves give their step count and unit element,
     nodes combine their children's counts by ``total`` and apply the
     model operation to their elements; a divergent child makes the node
     divergent without applying it.  Errors come from the same leaf or
     node, in the same order, as on the per-node path."""
     if node[0] == "leaf":
         d = _leaf_delay(node[1])
-        n, end = (d.steps, d.end) if isinstance(d, Step) else (0, d)
-        if isinstance(end, Now):
-            return n, fm.unit(th, end.value)
-        if end is DIVERGE:
+        if d is DIVERGE:
             return DIVERGE
-        raise _Suspended
+        n, end = (d.steps, d.end) if isinstance(d, Step) else (0, d)
+        return n, fm.unit(th, end.value)
     op = node[0]
     args = [_walk(child, th, total) for child in node[1:]]
     _check_arity(op, args, th)
@@ -191,20 +154,20 @@ class DistLawCandidate:
     """A candidate transformation from model-over-delays to delayed-model.
 
     ``apply`` sends an element whose values are Delays to a Delay of an
-    element over the inner values; results are reified so they can be
-    embedded in canonical payloads.  ``lift_op`` is the underlying
+    element over the inner values.  ``lift_op`` is the underlying
     op-level lifting, also used for term interpretation in equation
-    preservation checks.
+    preservation checks.  A custom ``lift_op`` must return delays in
+    normal form, built from ``Now``, ``step``, ``prepend_steps``,
+    ``delay_n`` and ``DIVERGE``.
 
     ``induced`` names the structural lifting ("seq" or "par") that an
     induced candidate comes from, and is None for a custom one.  An
-    induced candidate distributes input whose leaves are all materialised
-    in one walk over the representative, without calling ``lift_op``:
-    seq sums the leaves' step counts, par takes their max, and a divergent
-    leaf makes the result DIVERGE, absorbing the steps.  When a leaf ends
-    in a Deferred node, and for custom candidates, every node goes through
-    ``lift_op``.  Both routes give the same result and raise the same
-    errors.
+    induced candidate distributes an element in one walk over its
+    representative, without calling ``lift_op``: seq sums the leaves'
+    step counts, par takes their max, and a divergent leaf makes the
+    result DIVERGE, absorbing the steps.  A custom candidate sends every
+    node through ``lift_op``.  For an induced candidate both routes give
+    the same result and raise the same errors.
     """
 
     theory: Theory
@@ -219,12 +182,8 @@ class DistLawCandidate:
         th = self.theory
         rep = fm.representative(m)
         if self.induced is not None:
-            try:
-                out = _walk(rep, th, _TOTAL[self.induced])
-            except _Suspended:
-                pass
-            else:
-                return DIVERGE if out is DIVERGE else delay_n(*out)
+            out = _walk(rep, th, _TOTAL[self.induced])
+            return DIVERGE if out is DIVERGE else delay_n(*out)
 
         def go(node) -> Delay:
             if node[0] == "leaf":
@@ -232,7 +191,7 @@ class DistLawCandidate:
             args = [go(child) for child in node[1:]]
             return self.lift_op(node[0], args, th)
 
-        return reify(go(rep))
+        return go(rep)
 
 
 def induced_candidate(th: Theory, mode: str) -> DistLawCandidate:

@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Deferred, Now, Step, defer, dmap, join, peel,
-                    prepend_steps, render_delay, step_count, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Step, dmap, join, peel, prepend_steps,
+                    render_delay, step_count, strong_equal, weak_bisim)
 from .laws import (LawEntry, LawReport, TestUniverse, Witness, prediction_for_failure,
                    run_suite)
 from .lifting import custom_candidate, induced_candidate
@@ -771,41 +771,31 @@ def idempotent_unary_theory() -> Theory:
 
 
 def _bang(d: Delay, th: Theory) -> Delay:
-    n, end = peel(d, 0)
+    n, end = peel(d)
     if n:
         return prepend_steps(n - 1, end)
     return end if end is DIVERGE else Now(fm.apply_op(th, "bang", [end.value]))
 
 
-def _after(n: int, end: Delay, t: int, th: Theory) -> Delay:
-    """One factor of a product after ``t`` lockstep steps: its own ``n``
-    steps go first, then ``bang`` absorbs each further one."""
-    if t <= n:
-        return prepend_steps(n - t, end)
+def _after(n: int, end: Now, t: int, th: Theory) -> Any:
+    """The value of a finished factor of a product after ``t`` ≥ ``n``
+    lockstep steps: its own ``n`` steps go first, then ``bang`` absorbs
+    each further one."""
     v = end.value
     for _ in range(t - n):
         v = fm.apply_op(th, "bang", [v])
-    return Now(v)
+    return v
 
 
 def _mul(a: Delay, b: Delay, th: Theory) -> Delay:
-    # Each step strips one guard from each side, banging a finished side.
-    # The product stops at the first side to reach DIVERGE or an unforced
-    # node, or once both have finished; it suspends only at that node.
+    # Each step strips one guard from each side, banging a finished side,
+    # until both have finished; a divergent side makes the product diverge.
+    if a is DIVERGE or b is DIVERGE:
+        return DIVERGE
     (na, ea), (nb, eb) = peel(a), peel(b)
     t = max(na, nb)
-    if not isinstance(ea, Now):
-        t = min(t, na)
-    if not isinstance(eb, Now):
-        t = min(t, nb)
-    a, b = _after(na, ea, t, th), _after(nb, eb, t, th)
-    if isinstance(a, Deferred):
-        return prepend_steps(t, defer(lambda: _mul(a.forced(), b, th)))
-    if isinstance(b, Deferred):
-        return prepend_steps(t, defer(lambda: _mul(a, b.forced(), th)))
-    if a is DIVERGE or b is DIVERGE:
-        return prepend_steps(t, DIVERGE)
-    return prepend_steps(t, Now(fm.apply_op(th, "mul", [a.value, b.value])))
+    values = [_after(na, ea, t, th), _after(nb, eb, t, th)]
+    return prepend_steps(t, Now(fm.apply_op(th, "mul", values)))
 
 
 def step_absorbing_lift(op: str, args, th: Theory) -> Delay:

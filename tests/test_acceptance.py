@@ -12,8 +12,7 @@ import pytest
 from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist import nogo
-from delaydist.delay import (DIVERGE, Deferred, Step, delay_n, join, step_count,
-                             weak_bisim)
+from delaydist.delay import DIVERGE, delay_n, join, step, step_count, weak_bisim
 from delaydist.laws import TestUniverse as Universe
 from delaydist.laws import check_delay_monad_laws, check_equation_preservation, run_suite
 from delaydist.lifting import par_lift_op, seq_lift_op
@@ -142,7 +141,7 @@ def test_criterion_7_parallel_setoid_law(par_weak_reports):
     rel = lambda u, v: u == v
     fuel = 64
     for d in flat:
-        assert weak_bisim(d, Step(Deferred(lambda d=d: d)), rel, fuel).is_yes
+        assert weak_bisim(d, step(d), rel, fuel).is_yes
         assert weak_bisim(d, d, rel, fuel).is_yes
     table = {(i, j): weak_bisim(x, y, rel, fuel)
              for (i, x), (j, y) in itertools.product(enumerate(flat), repeat=2)}

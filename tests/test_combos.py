@@ -7,7 +7,7 @@ fails) and everything else passes at the default bounds."""
 import pytest
 
 from delaydist import combos
-from delaydist.delay import YES, Now, delay_n, peel
+from delaydist.delay import YES, Now, Terminated, delay_n, dmap, force, peel
 from delaydist.laws import AxiomOutcome, Witness
 from delaydist.laws import TestUniverse as Universe
 
@@ -92,6 +92,43 @@ def test_gsd_standalone():
     assert r.entry("GsdAlgebraLaws").verdict.is_yes
     assert r.entry("GsdExtension").verdict.is_yes
     assert r.entry("GsdHomomorphism").verdict.is_yes
+
+
+def test_continuation_scan_stops_at_its_first_failure(monkeypatch):
+    # an algebra that sends every stepped input to the carrier's last value
+    # first fails on the first table after one step: 16 tables finished
+    # at once pass, then case 17 (no steps) passes and case 18 fails
+    def wrong_alg(self, d):
+        out = force(d, self.fuel)
+        if isinstance(out, Terminated):
+            return out.value if out.steps == 0 else self.carrier[-1]
+        return self.default
+
+    monkeypatch.setattr(combos.DelayAlgebra, "alg", wrong_alg)
+    r = combos.check_continuation(Universe(carrier_size=2, max_steps=1, max_depth=1))
+    e = r.entry("AlgebraLaws")
+    first = combos.fun_space(combos.fun_space(combos.base_values(2), (0, 1)), (0, 1))[0]
+    assert e.verdict.is_no
+    assert e.cases == 18
+    assert e.witness.input_render == f"1 steps on {first}"
+
+
+def test_gsd_homomorphism_scan_stops_at_its_first_failure(monkeypatch):
+    # an extension that never writes the state back commutes with lookup
+    # and step but not with update: the first update case fails, right
+    # after the 16 lookup cases
+    def forgetful_extend(f, alg):
+        return lambda m: combos.DelayedState(combos.FinFun.tabulate(
+            alg.states, lambda t: dmap(m.run(t), lambda sx: (t, sx[1]))))
+
+    monkeypatch.setattr(combos, "gsd_extend", forgetful_extend)
+    u = Universe(carrier_size=1, max_steps=2, max_depth=1)
+    r = combos.check_gsd(u)
+    e = r.entry("GsdHomomorphism")
+    first = combos.canonical_gsd((0, 1), ("x0",), u.derived_fuel()).samples[0]
+    assert e.verdict.is_no
+    assert e.cases == 17
+    assert e.witness.input_render == f"update {first} at 0"
 
 
 def test_retract_standalone():

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, DelayFuelError,
-                             Deferred, Now, Step, Terminated, bind, defer, delay_n,
-                             diverge, dmap, force, join, now, prepend_steps, reify,
-                             render_delay, resolve, step, step_count, strong_equal,
-                             unknown, weak_bisim)
+from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Now, Step,
+                             Terminated, bind, delay_n, diverge, dmap, force, join, now,
+                             prepend_steps, reify, render_delay, resolve, step, step_count,
+                             strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
 VALUES = ("a", "b", "c")
@@ -58,9 +57,10 @@ class TestForce:
         assert force(diverge(), 100) is KNOWN_DIVERGENT
         assert force(Step(DIVERGE), 100) is KNOWN_DIVERGENT
 
-    def test_deferred_chains_resolve(self):
-        d = defer(lambda: Step(defer(lambda: Now("v"))))
-        assert force(d, 4) == Terminated("v", 1)
+    def test_step_built_chains_force(self):
+        d = step(step(Now("v")))
+        assert force(d, 4) == Terminated("v", 2)
+        assert resolve(d) is d
 
 
 class TestBindJoin:
@@ -87,18 +87,9 @@ class TestBindJoin:
         assert step_count(join(now(step(now("x"))))) == 1
         assert step_count(join(step(now(now("y"))))) == 1
 
-    def test_bind_suspends_at_unforced_nodes(self):
-        forced = []
-
-        def tail():
-            forced.append(True)
-            return Now("a")
-
-        d = Step(defer(tail))
-        out = bind(d, now)
-        assert not forced  # building the bind must not run the suspension
-        assert step_count(out) == 1
-        assert forced
+    def test_divergent_continuation_absorbs_the_steps(self):
+        assert bind(delay_n(2, "a"), lambda _: DIVERGE) is DIVERGE
+        assert join(delay_n(3, DIVERGE)) is DIVERGE
 
 
 class TestStrongEqual:
@@ -116,8 +107,9 @@ class TestStrongEqual:
         assert strong_equal(DIVERGE, now("a"), 4).is_no
 
     def test_fuel_zero_on_suspended_tails(self):
-        x = Step(defer(lambda: Now("a")))
-        y = Step(defer(lambda: Now("a")))
+        # the values behind one step each are out of reach at fuel 0
+        x = Step(Now("a"))
+        y = Step(Now("a"))
         v = strong_equal(x, y, 0)
         assert v.is_unknown and v.fuel_spent == 0
 
@@ -217,36 +209,18 @@ class TestObservation:
         assert step_count(DIVERGE) is None
 
     def test_reify_materializes(self):
-        lazy = defer(lambda: Step(defer(lambda: Step(Now("a")))))
-        assert reify(lazy) == delay_n(2, "a")
+        # every delay is already one materialised node
+        for d in (now("a"), delay_n(2, "a"), DIVERGE):
+            assert reify(d) is d
 
     def test_reify_absorbs_steps_into_divergence(self):
         assert reify(Step(Step(DIVERGE))) is DIVERGE
-
-    def test_reify_limit(self):
-        def spin():
-            return Step(defer(spin))
-
-        with pytest.raises(DelayFuelError):
-            reify(defer(spin), limit=50)
 
     def test_render(self):
         assert render_delay(delay_n(2, "a")) == "2·step ▸ a"
         assert render_delay(now("a")) == "0·step ▸ a"
         assert render_delay(DIVERGE) == "⊥"
-        assert render_delay(Step(DIVERGE)) == "1·step ▸ ⊥"
-
-    def test_deferred_forces_once(self):
-        calls = []
-
-        def thunk():
-            calls.append(1)
-            return Now("x")
-
-        d = Deferred(thunk)
-        assert d.peek() is None
-        assert d.forced() is d.forced()
-        assert calls == [1]
+        assert render_delay(Step(DIVERGE)) == "⊥"
 
 
 @st.composite
@@ -287,29 +261,38 @@ class TestFlatNormalForm:
         assert d.tail == delay_n(1, "a")
         assert hash(d) == hash(delay_n(2, "a"))
 
-    def test_steps_in_front_of_divergence_are_kept(self):
-        # stepⁿ(⊥) stays apart from ⊥: only reify and bind absorb the steps
-        d = Step(Step(DIVERGE))
-        assert (d.steps, d.end) == (2, DIVERGE)
-        assert d != DIVERGE
-        assert canon_key(d) == ("dx", 2) and canon_key(DIVERGE) == ("dx", 0)
-        assert reify(d) is DIVERGE
-        assert bind(d, now) is DIVERGE
-        assert render_delay(d) == "2·step ▸ ⊥"
+    def test_steps_in_front_of_divergence_are_absorbed(self):
+        # never = step(never): stepⁿ(⊥) is ⊥ itself, however it is built
+        assert Step(Step(DIVERGE)) is DIVERGE
+        assert step(DIVERGE) is DIVERGE
+        assert prepend_steps(3, DIVERGE) is DIVERGE
+        assert bind(Step(Step(DIVERGE)), now) is DIVERGE
+        assert render_delay(Step(Step(DIVERGE))) == "⊥"
+        assert canon_key(Step(Step(DIVERGE))) == canon_key(DIVERGE)
+        assert step_count(Step(DIVERGE)) is None
 
     def test_fuel_zero_before_stepped_divergence(self):
-        assert strong_equal(Step(DIVERGE), DIVERGE, 0) == unknown(0)
-        assert strong_equal(Step(DIVERGE), DIVERGE, 1).is_yes
-        assert weak_bisim(Step(DIVERGE), DIVERGE, lambda u, v: u == v, 0) == unknown(0)
-        assert force(Step(DIVERGE), 0) is EXHAUSTED
+        assert strong_equal(Step(DIVERGE), DIVERGE, 0).is_yes
+        assert weak_bisim(Step(DIVERGE), DIVERGE, lambda u, v: u == v, 0).is_yes
+        assert force(Step(DIVERGE), 0) is KNOWN_DIVERGENT
+
+    def test_right_unit_is_exact_on_stepped_divergence(self):
+        # bind(m, now) = m with no fuel at all, stepped divergence included
+        assert strong_equal(bind(step(DIVERGE), now), step(DIVERGE), 0).is_yes
+        for m in chains(max_steps=2) + [step(DIVERGE)]:
+            assert strong_equal(bind(m, now), m, 0).kind != "no"
+
+    def test_divergence_sorts_after_every_finished_delay(self):
+        pool = chains(max_steps=2)
+        assert sorted(pool, key=canon_key)[-1] is DIVERGE
+        assert canon_key(delay_n(10 ** 6, "a")) < canon_key(DIVERGE)
 
 
 # Reference loops: the observations as they were written before delays had
-# a flat form, stepping one node at a time through resolve and .tail.
+# a flat form, stepping one node at a time through .tail.
 
 def _ref_force(d, fuel):
     steps = 0
-    d = resolve(d)
     while True:
         if isinstance(d, Now):
             return Terminated(d.value, steps)
@@ -318,12 +301,11 @@ def _ref_force(d, fuel):
         if steps >= fuel:
             return EXHAUSTED
         steps += 1
-        d = resolve(d.tail)
+        d = d.tail
 
 
 def _ref_strong_equal(x, y, fuel):
     spent = 0
-    x, y = resolve(x), resolve(y)
     while True:
         x_now, y_now = isinstance(x, Now), isinstance(y, Now)
         if x_now and y_now:
@@ -336,14 +318,13 @@ def _ref_strong_equal(x, y, fuel):
             return unknown(spent)
         spent += 1
         if isinstance(x, Step):
-            x = resolve(x.tail)
+            x = x.tail
         if isinstance(y, Step):
-            y = resolve(y.tail)
+            y = y.tail
 
 
 def _ref_weak_bisim(x, y, fuel):
     spent = 0
-    x, y = resolve(x), resolve(y)
     while True:
         x_now, y_now = isinstance(x, Now), isinstance(y, Now)
         if x_now and y_now:
@@ -356,16 +337,14 @@ def _ref_weak_bisim(x, y, fuel):
             return unknown(spent)
         spent += 1
         if isinstance(x, Step):
-            x = resolve(x.tail)
+            x = x.tail
         if isinstance(y, Step):
-            y = resolve(y.tail)
+            y = y.tail
 
 
-def _lazy(n, end):
-    """stepⁿ(end) with every node behind its own suspension."""
-    if n == 0:
-        return defer(lambda: end)
-    return defer(lambda: Step(_lazy(n - 1, end)))
+def _one_at_a_time(n, end):
+    """stepⁿ(end) built one ``Step`` at a time."""
+    return end if n == 0 else Step(_one_at_a_time(n - 1, end))
 
 
 ends = st.one_of(st.just(DIVERGE), st.sampled_from(VALUES).map(Now))
@@ -374,15 +353,16 @@ shapes = st.tuples(st.integers(0, 6), ends)
 
 @given(shapes, shapes, st.integers(0, 8))
 @settings(max_examples=400, deadline=None)
-def test_flat_and_lazy_delays_observe_alike(x, y, fuel):
+def test_flat_delays_observe_like_the_step_loops(x, y, fuel):
     flat_x, flat_y = prepend_steps(*x), prepend_steps(*y)
-    for d in (flat_x, _lazy(*x)):
-        assert force(d, fuel) == _ref_force(flat_x, fuel)
-        assert step_count(d) == (None if x[1] is DIVERGE else x[0])
-        assert reify(d) == reify(flat_x)
-        assert render_delay(d) == render_delay(flat_x)
-        assert canon_key(d) == canon_key(flat_x)
-        for e in (flat_y, _lazy(*y)):
-            assert strong_equal(d, e, fuel) == _ref_strong_equal(flat_x, flat_y, fuel)
-            assert (weak_bisim(d, e, lambda u, v: u == v, fuel)
-                    == _ref_weak_bisim(flat_x, flat_y, fuel))
+    d, e = _one_at_a_time(*x), _one_at_a_time(*y)
+    assert d == flat_x and e == flat_y
+    assert (flat_x is DIVERGE) == (x[1] is DIVERGE)
+    assert force(flat_x, fuel) == _ref_force(flat_x, fuel)
+    assert step_count(flat_x) == (None if x[1] is DIVERGE else x[0])
+    assert reify(flat_x) is flat_x
+    assert render_delay(d) == render_delay(flat_x)
+    assert canon_key(d) == canon_key(flat_x)
+    assert strong_equal(flat_x, flat_y, fuel) == _ref_strong_equal(flat_x, flat_y, fuel)
+    assert (weak_bisim(flat_x, flat_y, lambda u, v: u == v, fuel)
+            == _ref_weak_bisim(flat_x, flat_y, fuel))

@@ -3,8 +3,8 @@
 The sequential lifting must take the sum of its arguments' step counts,
 the parallel lifting the max; both facts are checked exhaustively for
 binary operations at up to three steps per argument.  Induced candidates
-distribute materialised input in one walk; the per-node interpretation
-through the lifted operations is kept here as its reference."""
+distribute an element in one walk; the per-node interpretation through
+the lifted operations, which custom candidates take, is its reference."""
 
 import itertools
 from fractions import Fraction
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from delaydist import freemodel as fm
 from delaydist import lifting
-from delaydist.delay import (DIVERGE, Delay, Now, Step, bind, defer, delay_n, dmap, now,
-                             prepend_steps, reify, step_count, strong_equal, weak_bisim)
+from delaydist.delay import (DIVERGE, Now, Step, delay_n, dmap, now, prepend_steps, reify,
+                             step_count, strong_equal, weak_bisim)
 from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candidate,
                                lift_term, par_lift_op, seq_lift_op)
 from delaydist.nogo import idempotent_unary_theory
@@ -33,20 +33,11 @@ def _band():
 
 
 def _per_node(th, mode, m):
-    """The reference distribution: interpret the representative with the
-    lifted operation at every node, then reify."""
+    """The reference distribution: a custom candidate over the same lifted
+    operation, which interprets the representative with it at every
+    node."""
     lift = {"seq": seq_lift_op, "par": par_lift_op}[mode]
-
-    def go(node):
-        if node[0] == "leaf":
-            d = node[1]
-            if not isinstance(d, Delay):
-                raise TypeError(
-                    f"distribution input must hold Delay values, found {type(d).__name__}")
-            return dmap(d, lambda v: fm.unit(th, v))
-        return lift(node[0], [go(child) for child in node[1:]], th)
-
-    return reify(go(fm.representative(m)))
+    return custom_candidate(th, f"per-node {mode}", lift).apply(m)
 
 
 def _outcome(f):
@@ -96,17 +87,6 @@ class TestStepArithmetic:
             assert step_count(lift("mul", [DIVERGE, now(_el(th, "b"))], th)) is None
             assert step_count(lift("mul", [delay_n(2, _el(th, "a")), DIVERGE], th)) is None
 
-    def test_suspended_arguments_still_counted(self):
-        th = fm.magma()
-
-        def lazy(n, v):
-            e = _el(th, v)
-            return defer(lambda: delay_n(n, e)) if n else now(e)
-
-        for m, n in itertools.product(STEPS, repeat=2):
-            assert step_count(seq_lift_op("mul", [lazy(m, "a"), lazy(n, "b")], th)) == m + n
-            assert step_count(par_lift_op("mul", [lazy(m, "a"), lazy(n, "b")], th)) == max(m, n)
-
     def test_nullary_op_is_immediate(self):
         th = fm.monoid()
         assert step_count(seq_lift_op("unit", [], th)) == 0
@@ -122,7 +102,7 @@ class TestStepArithmetic:
         th = fm.magma()
         a = _el(th, "a")
         # a wrong count is refused before any argument is looked at
-        for arg in (now(a), DIVERGE, defer(lambda: now(a))):
+        for arg in (now(a), DIVERGE, delay_n(1, a)):
             with pytest.raises(TheorySemanticError,
                                match=r"^operation 'mul' expects 2 arguments, got 1$"):
                 lift("mul", [arg], th)
@@ -131,16 +111,15 @@ class TestStepArithmetic:
                            match=r"^unknown operation 'frob' in theory 'magma'$"):
             lift("frob", [now(a)], th)
         assert lift("frob", [DIVERGE], th) is DIVERGE
-        lazy = lift("frob", [defer(lambda: delay_n(1, a))], th)
         with pytest.raises(TheorySemanticError, match="unknown operation 'frob'"):
-            reify(lazy)
+            lift("frob", [delay_n(1, a)], th)
 
         # through a candidate, one pass or per node, the same messages come
         # from the same node as through the lifted operation
         mode = {seq_lift_op: "seq", par_lift_op: "par"}[lift]
         cases = [(fm.ModelElement("tree", ("mul", ("leaf", arg)), th),
                   r"^operation 'mul' expects 2 arguments, got 1$")
-                 for arg in (now(a), DIVERGE, defer(lambda: now(a)))]
+                 for arg in (now(a), DIVERGE, delay_n(1, a))]
         # the first faulty node or leaf in post-order raises
         cases.append((fm.ModelElement("tree", ("mul", ("mul", ("leaf", now(a))),
                                                ("leaf", "bare")), th),
@@ -148,7 +127,7 @@ class TestStepArithmetic:
         cases.append((fm.ModelElement("tree", ("mul", ("leaf", "bare"),
                                                ("mul", ("leaf", now(a)))), th),
                       r"^distribution input must hold Delay values, found str$"))
-        cases.append((fm.ModelElement("tree", ("mul", ("leaf", defer(lambda: now(a))),
+        cases.append((fm.ModelElement("tree", ("mul", ("leaf", delay_n(1, a)),
                                                ("mul", ("leaf", now(a)))), th),
                       r"^operation 'mul' expects 2 arguments, got 1$"))
         # an unknown operation on a quotient payload fails where it is applied
@@ -157,20 +136,18 @@ class TestStepArithmetic:
         cases += [
             (fm.ModelElement("quotient", frob(now(a)), q),
              r"^unknown operation 'frob' in theory 'band'$"),
-            (fm.ModelElement("quotient", frob(defer(lambda: delay_n(1, a))), q),
+            (fm.ModelElement("quotient", frob(delay_n(1, a)), q),
              r"^unknown operation 'frob' in theory 'band'$"),
             (fm.ModelElement("quotient", ("mul", frob(DIVERGE), frob(delay_n(2, a))), q),
              r"^unknown operation 'frob' in theory 'band'$"),
             (fm.ModelElement("quotient", ("mul", frob(now(a)), ("leaf", "bare")), q),
              r"^unknown operation 'frob' in theory 'band'$"),
         ]
-        # over a stepping Deferred leaf, forced or not, the operation waits
-        # for the reify, so the bare leaf after it raises first
-        forced = defer(lambda: delay_n(1, a))
-        forced.forced()
-        for d in (defer(lambda: delay_n(1, a)), forced):
-            cases.append((fm.ModelElement("quotient", ("mul", frob(d), ("leaf", "bare")), q),
-                          r"^distribution input must hold Delay values, found str$"))
+        # over a stepping leaf the operation applies at once, so it raises
+        # before the bare leaf after it
+        cases.append((fm.ModelElement("quotient", ("mul", frob(delay_n(1, a)), ("leaf", "bare")),
+                                      q),
+                      r"^unknown operation 'frob' in theory 'band'$"))
         for m, message in cases:
             for cand in (induced_candidate(m.theory, mode),
                          custom_candidate(m.theory, "mine", lift)):
@@ -276,9 +253,9 @@ class TestCandidates:
         th = fm.magma()
         message = r"^distribution input must hold Delay values, found str$"
         bare = fm.unit(th, "bare")
-        # after a divergent or a suspended sibling, the bare leaf still raises
+        # after a divergent or a stepping sibling, the bare leaf still raises
         beside = [fm.apply_op(th, "mul", [fm.unit(th, d), bare])
-                  for d in (DIVERGE, defer(lambda: now("a")))]
+                  for d in (DIVERGE, delay_n(1, "a"))]
         for mode, lift in (("seq", seq_lift_op), ("par", par_lift_op)):
             for cand in (induced_candidate(th, mode), custom_candidate(th, "mine", lift)):
                 for m in (bare, *beside):
@@ -322,17 +299,12 @@ CARRIERS = {
 }
 
 _values = st.sampled_from(["a", "b"])
-# leaf specs: materialised delays, and Deferred ones forced or not
-_ready = st.one_of(
+# leaf specs: finished, stepping, divergent, and divergent built with steps
+_leaf_specs = st.one_of(
     st.tuples(st.just("now"), _values),
     st.tuples(st.just("steps"), st.integers(1, 3), _values),
     st.just(("div",)),
     st.tuples(st.just("stepdiv"), st.integers(1, 2)),
-)
-_leaf_specs = st.one_of(
-    _ready,
-    st.tuples(st.just("forced"), st.integers(0, 1), _ready),
-    st.tuples(st.just("lazy"), st.integers(0, 1), _ready),
 )
 
 
@@ -344,13 +316,7 @@ def _delay(spec):
         return delay_n(spec[1], spec[2])
     if kind == "div":
         return DIVERGE
-    if kind == "stepdiv":
-        return Step(DIVERGE) if spec[1] == 1 else prepend_steps(spec[1], DIVERGE)
-    _, n, inner = spec
-    d = defer(lambda: _delay(inner))
-    if kind == "forced":
-        d.forced()
-    return prepend_steps(n, d)
+    return Step(DIVERGE) if spec[1] == 1 else prepend_steps(spec[1], DIVERGE)
 
 
 def _terms(th):
@@ -369,8 +335,7 @@ def _terms(th):
 
 
 def _element(th, t):
-    """A fresh element for the term spec ``t``, so that each side of a
-    comparison forces its own Deferred leaves."""
+    """The element for the term spec ``t``."""
     if t[0] == "leaf":
         return fm.unit(th, _delay(t[1]))
     return fm.apply_op(th, t[0], [_element(th, c) for c in t[1:]])
@@ -386,7 +351,7 @@ class TestOnePass:
         t = data.draw(_terms(th))
         out = induced_candidate(th, mode).apply(_element(th, t))
         ref = _per_node(th, mode, _element(th, t))
-        assert reify(out) == ref
+        assert out == ref
         assert fm.canon_key(out) == fm.canon_key(ref)
         assert step_count(out) == step_count(ref)
 
@@ -424,11 +389,8 @@ class TestOnePass:
             assert cand.lift_op is getattr(lifting, f"{mode}_lift_op")
             assert [step_count(cand.apply(m)) for m in inputs] == want[mode]
         assert calls == []
-        # a suspended leaf goes through the lifted operation
-        lazy = fm.apply_op(th, "mul", [el(defer(lambda: delay_n(1, "a"))), el(now("b"))])
-        assert step_count(lifting.induced_candidate(th, "par").apply(lazy)) == 1
-        assert calls == ["mul"]
-        # so does every custom candidate, whatever its name
+        # every custom candidate, whatever its name, goes through the
+        # lifted operation
         for name in ("mine", "seq"):
             calls.clear()
             cand = lifting.custom_candidate(th, name, lifting.seq_lift_op)

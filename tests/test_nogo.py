@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from delaydist import nogo
-from delaydist.delay import (DIVERGE, Now, Step, defer, peel, prepend_steps, resolve,
-                             step_count, strong_equal, weak_bisim)
+from delaydist.delay import (DIVERGE, Now, Step, peel, prepend_steps, step_count, strong_equal,
+                             weak_bisim)
 from delaydist.laws import TestUniverse as Universe
 from delaydist import freemodel as fm
 
@@ -221,7 +221,6 @@ class TestIdempotentUnary:
 
 
 def _ref_bang(d, th):
-    d = resolve(d)
     if isinstance(d, Now):
         return Now(fm.apply_op(th, "bang", [d.value]))
     return d if d is DIVERGE else d.tail
@@ -231,7 +230,6 @@ def _ref_mul(a, b, th):
     """The step-absorbing product one lockstep step at a time."""
     steps = 0
     while True:
-        a, b = resolve(a), resolve(b)
         if a is DIVERGE or b is DIVERGE:
             return prepend_steps(steps, DIVERGE)
         if isinstance(a, Now) and isinstance(b, Now):
@@ -243,17 +241,11 @@ def _ref_mul(a, b, th):
         steps += 1
 
 
-def _lazy(n, end):
-    return defer(lambda: end) if n == 0 else defer(lambda: Step(_lazy(n - 1, end)))
-
-
 def test_step_absorbing_product_matches_the_lockstep_loop():
     th = nogo.idempotent_unary_theory()
     shapes = [(n, end) for n in range(4)
               for end in (Now(fm.unit(th, "x")), Now(fm.unit(th, "y")), DIVERGE)]
     for (na, ea), (nb, eb) in itertools.product(shapes, repeat=2):
-        want = peel(_ref_mul(prepend_steps(na, ea), prepend_steps(nb, eb), th), 64)
-        for a, b in ((prepend_steps(na, ea), prepend_steps(nb, eb)),
-                     (_lazy(na, ea), prepend_steps(nb, eb)),
-                     (prepend_steps(na, ea), _lazy(nb, eb))):
-            assert peel(nogo.step_absorbing_lift("mul", [a, b], th), 64) == want
+        a, b = prepend_steps(na, ea), prepend_steps(nb, eb)
+        want = peel(_ref_mul(a, b, th))
+        assert peel(nogo.step_absorbing_lift("mul", [a, b], th)) == want
