@@ -35,6 +35,15 @@ def _eq(u, v) -> bool:
     return u == v
 
 
+def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any]) -> Witness:
+    """A witness whose two sides are the renders of ``lhs()`` and
+    ``rhs()``; its replay computes both sides again."""
+    def replay() -> Tuple[str, str]:
+        return str(lhs()), str(rhs())
+
+    return Witness(input_render, *replay(), replay=replay)
+
+
 # ---------------------------------------------------------------------------
 # finite function tables
 
@@ -573,7 +582,8 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
         v = ops.equal(ext(alg.lookup(g)),
                       alg.lookup(lambda s: ext(g(s))), fuel)
         if not v.is_yes:
-            hom, hom_witness = v, Witness(f"lookup {g}", "", "")
+            hom, hom_witness = v, _replayable(f"lookup {g}", lambda: ext(alg.lookup(g)),
+                                              lambda: alg.lookup(lambda s: ext(g(s))))
             break
     if hom.is_yes:
         for m in alg.samples[:8]:
@@ -581,14 +591,17 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
                 hom_cases += 1
                 v = ops.equal(ext(alg.update(m, s)), alg.update(ext(m), s), fuel)
                 if not v.is_yes:
-                    hom, hom_witness = v, Witness(f"update {m} at {s}", "", "")
+                    hom, hom_witness = v, _replayable(f"update {m} at {s}",
+                                                      lambda: ext(alg.update(m, s)),
+                                                      lambda: alg.update(ext(m), s))
                     break
             if not hom.is_yes:
                 break
             hom_cases += 1
             v = ops.equal(ext(ops.step(m)), ops.step(ext(m)), fuel)
             if not v.is_yes:
-                hom, hom_witness = v, Witness(f"step {m}", "", "")
+                hom, hom_witness = v, _replayable(f"step {m}", lambda: ext(ops.step(m)),
+                                                  lambda: ops.step(ext(m)))
                 break
     entries.append(LawEntry("GsdHomomorphism", hom, hom_cases, hom_witness))
     return LawReport("gsd", "custom:state", u.relation, u.bounds_dict(), entries,
@@ -777,7 +790,8 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
             cases += 1
             if not ffeq(alg_cx(delay_n(n, c)), c):
                 verdict = NO
-                witness = Witness(f"{n} steps on {c}", "", str(c))
+                witness = _replayable(f"{n} steps on {c}", lambda: alg_cx(delay_n(n, c)),
+                                      lambda: c)
                 break
     if verdict.is_yes:
         # flattening a delayed delayed continuation agrees with algebra-then-algebra

@@ -86,6 +86,11 @@ class _Diverge(Delay):
     def __repr__(self) -> str:
         return "DIVERGE"
 
+    # copy and pickle return the module's one DIVERGE, so divergence
+    # keeps being recognised by identity
+    def __reduce__(self) -> str:
+        return "DIVERGE"
+
 
 DIVERGE = _Diverge()
 

@@ -27,9 +27,10 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, unknown, as_verdict, bind, conjoin,
-                    delay_n, dmap, join, now, render_delay, strong_equal, weak_bisim)
-from .lifting import DistLawCandidate, induced_candidate, lift_term
-from .theory import Theory, classify_equation, predict_composability
+                    delay_n, dmap, join, now, peel, render_delay, strong_equal, weak_bisim)
+from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
+from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
+                     predict_composability, var_counts)
 
 AXIOM_ORDER = ("UnitS", "UnitT", "MultS", "MultT", "Naturality",
                "EquationPreservation", "MonadLaws")
@@ -465,10 +466,15 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
     So verdicts, case counts and witnesses are those of calling
     ``cand.apply`` every time, and a witness's replay recomputes through
     ``cand.apply`` rather than reading cached results.
+
+    EquationPreservation gets the lifting the way :func:`lift_term` takes
+    it: an induced candidate's "seq" or "par", a custom candidate's
+    ``lift_op``.  The path is chosen by that name, never by comparing
+    ``lift_op`` with a lifting function, which a wrapper would defeat.
     """
     th = cand.theory
     if axiom == "EquationPreservation":
-        return check_equation_preservation(th, cand.lift_op, u)
+        return check_equation_preservation(th, cand.induced or cand.lift_op, u)
     if axiom == "MonadLaws":
         return check_composite_monad_laws(cand, u)
     fuel = u.derived_fuel(th)
@@ -534,13 +540,33 @@ def _naturality_inputs(th: Theory, u: TestUniverse) -> Iterator[Tuple[Callable, 
 
 def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntry:
     """Interpret both sides of every equation over delayed model values
-    and compare under the universe's relation."""
+    and compare under the universe's relation.
+
+    ``lift_op`` is what :func:`lift_term` takes: "seq", "par" or an
+    op-lifting callable.  A callable lifts both sides node by node for
+    every case.  Under "seq" or "par" each side is evaluated in two parts
+    (see :func:`_induced_side`): its step count by arithmetic on the
+    variables' step counts, and its value by one free-model evaluation
+    per assignment of values to its variables.  Both routes give the same
+    verdicts, case counts, details and witnesses.  The environment and
+    witness are built only on a No, and a witness's replay lifts both
+    sides again with :func:`lift_term`.
+    """
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
     model_pool = _bounded_elements(th, vals, min(u.max_depth, 1), u,
                                    "equation preservation universe")
     env_pool = delay_values(model_pool, u.max_steps, u.include_diverge)
     rel = _element_rel(th)
+    induced = lift_op if isinstance(lift_op, str) and lift_op in ("seq", "par") else None
+    # each pool delay as (steps, value key, value), or None for DIVERGE;
+    # equal values share a key
+    keys: Dict[fm.ModelElement, int] = {}
+    ends: List[Optional[tuple]] = []
+    for d in env_pool:
+        n, end = peel(d)
+        ends.append(None if end is DIVERGE else
+                    (n, keys.setdefault(end.value, len(keys)), end.value))
 
     details: List[Tuple[str, Verdict]] = []
     witness: Optional[Witness] = None
@@ -549,17 +575,26 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
         estimate = len(env_pool) ** len(eq.context)
         if estimate > u.case_budget:
             raise UniverseBudgetError(f"equation '{eq.name}'", estimate, u.case_budget)
+        sides = None
+        if induced is not None:
+            sides = [_induced_side(t, eq.context, induced, th, ends) for t in (eq.lhs, eq.rhs)]
+            if None in sides:
+                sides = None
         eq_verdicts = []
-        for assignment in itertools.product(env_pool, repeat=len(eq.context)):
+        for idx in itertools.product(range(len(env_pool)), repeat=len(eq.context)):
             total += 1
-            env = dict(zip(eq.context, assignment))
-            lhs = lift_term(eq.lhs, env, lift_op, th)
-            rhs = lift_term(eq.rhs, env, lift_op, th)
+            if sides is not None:
+                lhs, rhs = sides[0](idx), sides[1](idx)
+            else:
+                env = {k: env_pool[i] for k, i in zip(eq.context, idx)}
+                lhs = lift_term(eq.lhs, env, lift_op, th)
+                rhs = lift_term(eq.rhs, env, lift_op, th)
             if u.relation == "strict":
                 v = strong_equal(lhs, rhs, fuel, value_eq=rel)
             else:
                 v = weak_bisim(lhs, rhs, rel, fuel)
             if v.is_no and witness is None:
+                env = {k: env_pool[i] for k, i in zip(eq.context, idx)}
                 env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
 
                 def replay(eq=eq, env=env):
@@ -574,6 +609,71 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
         details.append((eq.name, conjoin(eq_verdicts)))
     overall = conjoin(v for _, v in details)
     return LawEntry("EquationPreservation", overall, total, witness, details=details)
+
+
+def _induced_side(t: Term, context: Sequence[str], mode: str, th: Theory,
+                  ends: Sequence[Optional[tuple]]) -> Optional[Callable[[tuple], Delay]]:
+    """The side ``t`` of an equation over ``context``, lifted by the
+    induced lifting ``mode``, as a function of a case: the positions in
+    the delay pool of the context's variables, in order.  ``ends`` holds
+    each pool delay as ``(steps, value key, value)``, or None for
+    DIVERGE.  None comes back when ``t`` has an unbound variable or an
+    operation whose argument count the lifting refuses.
+
+    Every delay is in normal form, so lifting ``t`` node by node gives
+    DIVERGE when a variable on it diverges, and otherwise
+    ``delay_n(steps, eval_term(t))``.  The sequential lifting adds the
+    steps of its arguments, so ``steps`` is the sum over the variables
+    on ``t`` of occurrences times steps; the parallel lifting takes their
+    max, so ``steps`` is the largest step count of a variable on ``t``
+    (0 on a ground side).  The value depends only on the values of the
+    variables on ``t``, so it is evaluated once per assignment of them,
+    in a dict local to the function returned.
+
+    Errors stay where the node-by-node lifting raises them.  A side the
+    lifting refuses is left to :func:`lift_term`.  On any other side the
+    only errors come from ``apply_op``, which ``eval_term`` calls in the
+    same order, and the first case, where no variable diverges, raises
+    them.
+    """
+    if not _liftable(t, set(context), th):
+        return None
+    # a repeated context name is bound at its last position, as by dict(zip(...))
+    position = {name: i for i, name in enumerate(context)}
+    occurrences = var_counts(t)
+    names = list(occurrences)
+    slots = [position[n] for n in names]
+    counts = [occurrences[n] for n in names]
+    seq = mode == "seq"
+    memo: Dict[tuple, fm.ModelElement] = {}
+
+    def side(idx: tuple) -> Delay:
+        picked = [ends[idx[i]] for i in slots]
+        if None in picked:
+            return DIVERGE
+        if seq:
+            steps = sum([c * e[0] for c, e in zip(counts, picked)])
+        else:
+            steps = max([e[0] for e in picked], default=0)
+        key = tuple([e[1] for e in picked])
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fm.eval_term(th, t, {n: e[2] for n, e in zip(names, picked)})
+        return delay_n(steps, value)
+
+    return side
+
+
+def _liftable(t: Term, bound: set, th: Theory) -> bool:
+    """Whether every variable of ``t`` is in ``bound`` and every operation
+    of ``t`` has an argument count the structural liftings accept."""
+    if isinstance(t, Var):
+        return t.name in bound
+    try:
+        _check_arity(t.op, t.args, th)
+    except TheorySemanticError:
+        return False
+    return all(_liftable(a, bound, th) for a in t.args)
 
 
 # ---------------------------------------------------------------------------

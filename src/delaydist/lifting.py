@@ -59,7 +59,9 @@ def _eager_ends(args, total: Callable[[Sequence[int]], int]):
 
 
 def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
-    declared = th.signature.arity(op)
+    """Refuse a wrong argument count: the arity the theory's carrier
+    resolved for ``op``, or 2 for an undeclared ``mix[p/q]``."""
+    declared = fm._carrier_of(th).arities.get(op)
     if declared is None and fm.mix_weight(op) is not None:
         declared = 2
     if declared is not None and declared != len(args):
@@ -155,10 +157,10 @@ class DistLawCandidate:
 
     ``apply`` sends an element whose values are Delays to a Delay of an
     element over the inner values.  ``lift_op`` is the underlying
-    op-level lifting, also used for term interpretation in equation
-    preservation checks.  A custom ``lift_op`` must return delays in
-    normal form, built from ``Now``, ``step``, ``prepend_steps``,
-    ``delay_n`` and ``DIVERGE``.
+    op-level lifting, with which a custom candidate's equation
+    preservation check interprets terms.  A custom ``lift_op`` must
+    return delays in normal form, built from ``Now``, ``step``,
+    ``prepend_steps``, ``delay_n`` and ``DIVERGE``.
 
     ``induced`` names the structural lifting ("seq" or "par") that an
     induced candidate comes from, and is None for a custom one.  An
@@ -167,7 +169,9 @@ class DistLawCandidate:
     step counts, par takes their max, and a divergent leaf makes the
     result DIVERGE, absorbing the steps.  A custom candidate sends every
     node through ``lift_op``.  For an induced candidate both routes give
-    the same result and raise the same errors.
+    the same result and raise the same errors.  Its equation preservation
+    check counts steps and evaluates values the same way, once per value
+    assignment (:func:`delaydist.laws.check_equation_preservation`).
     """
 
     theory: Theory

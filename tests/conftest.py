@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 
 from delaydist import combos, laws
 from delaydist import freemodel as fm
-from delaydist.delay import DIVERGE, NO, YES, Delay, peel, render_delay, unknown
-from delaydist.laws import AxiomOutcome, Witness
+from delaydist.delay import (DIVERGE, NO, YES, Delay, conjoin, peel, render_delay,
+                             strong_equal, unknown, weak_bisim)
+from delaydist.laws import AxiomOutcome, LawEntry, Witness
+from delaydist.lifting import lift_term
 from delaydist.theory import TheorySemanticError, Var
 
 
@@ -58,6 +61,54 @@ def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, 
     if first_unknown is not None:
         return AxiomOutcome(first_unknown, cases)
     return AxiomOutcome(YES, cases)
+
+
+def reference_equation_preservation(th, lift_op, u):
+    """The equation-preservation scan with both sides of every case lifted
+    node by node through :func:`lift_term`: the reference that
+    :func:`laws.check_equation_preservation`, which counts steps and
+    evaluates each side's value once per value assignment under an
+    induced lifting, must agree with."""
+    fuel = u.derived_fuel(th)
+    vals = laws.base_values(u.carrier_size)
+    model_pool = laws._bounded_elements(th, vals, min(u.max_depth, 1), u,
+                                        "equation preservation universe")
+    env_pool = laws.delay_values(model_pool, u.max_steps, u.include_diverge)
+    rel = laws._element_rel(th)
+    render = laws._render_dt
+
+    details = []
+    witness = None
+    total = 0
+    for eq in th.equations:
+        estimate = len(env_pool) ** len(eq.context)
+        if estimate > u.case_budget:
+            raise laws.UniverseBudgetError(f"equation '{eq.name}'", estimate, u.case_budget)
+        eq_verdicts = []
+        for assignment in itertools.product(env_pool, repeat=len(eq.context)):
+            total += 1
+            env = dict(zip(eq.context, assignment))
+            lhs = lift_term(eq.lhs, env, lift_op, th)
+            rhs = lift_term(eq.rhs, env, lift_op, th)
+            if u.relation == "strict":
+                v = strong_equal(lhs, rhs, fuel, value_eq=rel)
+            else:
+                v = weak_bisim(lhs, rhs, rel, fuel)
+            if v.is_no and witness is None:
+                env_r = ", ".join(f"{k}={render(d)}" for k, d in env.items())
+
+                def replay(eq=eq, env=env):
+                    return (render(lift_term(eq.lhs, env, lift_op, th)),
+                            render(lift_term(eq.rhs, env, lift_op, th)))
+
+                witness = Witness(f"{eq.name} with {env_r}", render(lhs), render(rhs),
+                                  note=f"equation '{eq.name}' not preserved", replay=replay)
+            eq_verdicts.append(v)
+            if v.is_no:
+                break
+        details.append((eq.name, conjoin(eq_verdicts)))
+    overall = conjoin(v for _, v in details)
+    return LawEntry("EquationPreservation", overall, total, witness, details=details)
 
 
 @pytest.fixture

@@ -111,6 +111,9 @@ def test_continuation_scan_stops_at_its_first_failure(monkeypatch):
     assert e.verdict.is_no
     assert e.cases == 18
     assert e.witness.input_render == f"1 steps on {first}"
+    w = e.witness
+    assert w.lhs_render and w.rhs_render == str(first)
+    assert w.replay() == (w.lhs_render, w.rhs_render)
 
 
 def test_gsd_homomorphism_scan_stops_at_its_first_failure(monkeypatch):
@@ -129,6 +132,9 @@ def test_gsd_homomorphism_scan_stops_at_its_first_failure(monkeypatch):
     assert e.verdict.is_no
     assert e.cases == 17
     assert e.witness.input_render == f"update {first} at 0"
+    w = e.witness
+    assert w.lhs_render and w.rhs_render
+    assert w.replay() == (w.lhs_render, w.rhs_render)
 
 
 def test_retract_standalone():

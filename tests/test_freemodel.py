@@ -660,3 +660,11 @@ class TestModelElementContract:
         for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert twin == m and hash(twin) == hash(m) and str(twin) == str(m)
         assert repr(m) == "ModelElement(kind='finset', payload=(Now(value='a'), 'b'))"
+        # divergence keeps its identity, so an element over it stays equal
+        for d in (copy.copy(DIVERGE), copy.deepcopy(DIVERGE),
+                  pickle.loads(pickle.dumps(DIVERGE))):
+            assert d is DIVERGE
+        e = fm.unit(fm.monoid(), DIVERGE)
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e)
+            assert fm.value_str(twin) == fm.value_str(e) == "[⊥]"

@@ -3,21 +3,30 @@ bound monotonicity, and the composite monad-law checks."""
 
 import collections
 import contextlib
+import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conftest
 from delaydist import freemodel as fm
-from delaydist import laws
+from delaydist import laws, lifting
 from delaydist.delay import DIVERGE, delay_n, peel
 from delaydist.laws import (AXIOM_ORDER, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
 from delaydist.laws import TestUniverse as Universe
-from delaydist.lifting import DistLawCandidate, induced_candidate
+from delaydist.lifting import DistLawCandidate, induced_candidate, par_lift_op, seq_lift_op
+from delaydist.nogo import idempotent_unary_theory
+from delaydist.theory import App, Equation, TheorySemanticError, Var, free_vars, parse_theory
 
-from conftest import reference_monad_laws_kleisli
+from conftest import reference_equation_preservation, reference_monad_laws_kleisli
+
+THEORY_FILES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
 
 
 def _suite(th, mode, **bounds):
@@ -485,6 +494,194 @@ class TestSharedKleisliScan:
         w = entry.witness
         assert w.replay is not None
         assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+# every built-in theory and theory file, by the name a test id shows
+EQUATION_THEORIES = {
+    **{name: (lambda name=name: fm.builtin_theory(name))
+       for name in ("magma", "monoid", "cmonoid", "semilattice", "convex", "convex(1/3)",
+                    "exceptions")},
+    "idempotent-unary": idempotent_unary_theory,
+    **{p.name: (lambda p=p: parse_theory(p.read_text(encoding="utf-8"))) for p in THEORY_FILES},
+}
+
+
+def _assert_same_entry(got, want):
+    """Same verdict, cases, details, witness renders and replays."""
+    assert got == want  # a witness compares by its renders and note
+    assert got.details == want.details
+    if want.witness is not None:
+        g, w = got.witness, want.witness
+        assert g.to_json_dict() == w.to_json_dict()
+        assert g.replay() == w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def _with_equations(th, *equations):
+    return dataclasses.replace(th, equations=tuple(equations))
+
+
+class TestInducedEquationPreservation:
+    """Under an induced lifting, equation preservation counts each side's
+    steps from its variables and evaluates its value once per value
+    assignment; it agrees, case by case, with lifting both sides node by
+    node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(EQUATION_THEORIES)), mode=st.sampled_from(["seq", "par"]),
+           relation=st.sampled_from(["strict", "weak"]), size=st.integers(1, 2),
+           steps=st.integers(0, 3), depth=st.integers(0, 2), diverge=st.booleans(),
+           fuel=st.sampled_from([None, 1, 2, 3]))
+    def test_matches_the_per_node_scan(self, name, mode, relation, size, steps, depth,
+                                       diverge, fuel):
+        th = EQUATION_THEORIES[name]()
+        u = Universe(carrier_size=size, max_steps=steps, max_depth=depth, relation=relation,
+                     include_diverge=diverge, fuel=fuel)
+        entry = laws.check_axiom(induced_candidate(th, mode), "EquationPreservation", u)
+        _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
+
+    @pytest.mark.parametrize("name", sorted(EQUATION_THEORIES))
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("relation", ["strict", "weak"])
+    def test_matches_the_per_node_scan_on_every_theory(self, name, mode, relation):
+        th = EQUATION_THEORIES[name]()
+        for diverge, fuel in ((False, None), (True, 1)):
+            u = Universe(carrier_size=2, max_steps=2, max_depth=1, relation=relation,
+                         include_diverge=diverge, fuel=fuel)
+            _assert_same_entry(laws.check_equation_preservation(th, mode, u),
+                               reference_equation_preservation(th, mode, u))
+
+    @pytest.mark.parametrize("name", sorted(EQUATION_THEORIES))
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_each_side_is_the_lifted_term(self, name, mode):
+        th = EQUATION_THEORIES[name]()
+        models = fm.enumerate_elements(th, laws.base_values(2), 1)
+        pool = [delay_n(n, m) for n in range(3) for m in models] + [DIVERGE]
+        # (steps, value key, value) as the check reads them off the pool
+        ends = [(n, j, m) for n in range(3) for j, m in enumerate(models)] + [None]
+        for eq in th.equations:
+            for t in (eq.lhs, eq.rhs):
+                side = laws._induced_side(t, eq.context, mode, th, ends)
+                for idx in itertools.product(range(len(pool)), repeat=len(eq.context)):
+                    env = {k: pool[i] for k, i in zip(eq.context, idx)}
+                    assert side(idx) == lifting.lift_term(t, env, mode, th)
+
+    def test_known_refutations_keep_their_witnesses(self):
+        # the scans of the documented Nos, each with its first No
+        for name, mode, relation in (("semilattice", "seq", "strict"),
+                                     ("band.th", "seq", "strict"),
+                                     ("leftzero.th", "par", "weak"),
+                                     ("idempotent-unary", "seq", "strict")):
+            th = EQUATION_THEORIES[name]()
+            u = Universe(carrier_size=2, max_steps=3, max_depth=2, relation=relation,
+                         include_diverge=True)
+            entry = laws.check_equation_preservation(th, mode, u)
+            assert entry.verdict.is_no and entry.witness is not None
+            _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_no_lifted_operation_and_one_evaluation_per_assignment(self, monkeypatch, mode):
+        lifted = collections.Counter()
+        for lift in (seq_lift_op, par_lift_op):
+            def counting(op, args, th, lift=lift):
+                lifted[lift.__name__] += 1
+                return lift(op, args, th)
+
+            monkeypatch.setattr(lifting, lift.__name__, counting)
+        evaluations = collections.Counter()
+        depth = [0]
+        eval_term = fm.eval_term
+
+        def counting_eval(th, t, env):
+            if depth[0] == 0:  # a side, not one of its subterms
+                evaluations[id(t), tuple(sorted(env.items()))] += 1
+            depth[0] += 1
+            try:
+                return eval_term(th, t, env)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(fm, "eval_term", counting_eval)
+        semilattice = fm.semilattice()
+        u = Universe(carrier_size=2, max_steps=3, max_depth=1, include_diverge=True)
+        entries = []
+        # one equation at a time, since equations may share a side's term
+        for eq in semilattice.equations:
+            th = _with_equations(semilattice, eq)
+            evaluations.clear()
+            # built after the patch, as under a tracer: its lift_op is the wrapper
+            entry = laws.check_axiom(induced_candidate(th, mode), "EquationPreservation", u)
+            assert not lifted
+            assert evaluations and set(evaluations.values()) == {1}
+            # the pool holds four values: ∅, {a}, {b} and {a, b}
+            bound = sum(4 ** len(free_vars(t)) for t in (eq.lhs, eq.rhs))
+            assert len(evaluations) <= bound < 2 * entry.cases
+            entries.append((th, entry))
+        monkeypatch.undo()
+        for th, entry in entries:
+            _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
+
+    def test_a_callable_lifting_goes_node_by_node(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(op, args, th):
+            calls[op] += 1
+            return seq_lift_op(op, args, th)
+
+        th = fm.monoid()
+        u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+        entry = laws.check_equation_preservation(th, counting, u)
+        assert calls and entry == laws.check_equation_preservation(th, "seq", u)
+
+    MALFORMED = [
+        (Equation("unbound", ("x",), App("mul", (Var("x"), Var("y"))), Var("x")),
+         r"^unbound variable 'y'$"),
+        (Equation("arity", ("x",), App("mul", (Var("x"),)), Var("x")),
+         r"^operation 'mul' expects 2 arguments, got 1$"),
+        (Equation("unknown", ("x",), Var("x"), App("frob", (Var("x"),))),
+         r"^unknown operation 'frob' in theory 'magma'$"),
+        (Equation("mix", ("x", "y"), App("mix[1/3]", (Var("x"), Var("y"))), Var("x")),
+         r"^unknown operation 'mix\[1/3\]' in theory 'magma'$"),
+        (Equation("undeclared-mix", ("x",), App("mix[1/3]", (Var("x"),)), Var("x")),
+         r"^operation 'mix\[1/3\]' expects 2 arguments, got 1$"),
+        # post-order: the unknown operation is applied before its parent's
+        # arity is checked
+        (Equation("order", ("x",), App("mul", (App("frob", (Var("x"),)),)), Var("x")),
+         r"^unknown operation 'frob' in theory 'magma'$"),
+    ]
+
+    @pytest.mark.parametrize("bad,message", MALFORMED, ids=[b.name for b, _ in MALFORMED])
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_a_malformed_equation_raises_at_the_same_case(self, monkeypatch, bad, message,
+                                                          mode):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        same = App("mul", (x, App("mul", (y, z))))
+        th = _with_equations(fm.magma(), Equation("refl", ("x", "y", "z"), same, same), bad)
+        u = Universe(carrier_size=1, max_steps=1, max_depth=1, include_diverge=True)
+        compared = []
+        for module in (laws, conftest):
+            strong_equal = module.strong_equal
+
+            def counting(*args, strong_equal=strong_equal, **kwargs):
+                compared[-1] += 1
+                return strong_equal(*args, **kwargs)
+
+            monkeypatch.setattr(module, "strong_equal", counting)
+        for check in (laws.check_equation_preservation, reference_equation_preservation):
+            compared.append(0)
+            with pytest.raises(TheorySemanticError, match=message):
+                check(th, mode, u)
+        # every case of the good equation first, then the raise
+        assert compared[0] == compared[1] == 5 ** 3
+
+    def test_a_dist_arity_error_keeps_the_lifting_message(self):
+        convex = fm.convex()
+        bad = Equation("short", ("x",), App("mix[1/2]", (Var("x"),)), Var("x"))
+        th = _with_equations(convex, bad)
+        u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+        for check in (laws.check_equation_preservation, reference_equation_preservation):
+            with pytest.raises(TheorySemanticError,
+                               match=r"^operation 'mix\[1/2\]' expects 2 arguments, got 1$"):
+                check(th, "seq", u)
 
 
 class TestCompositeLaws:
