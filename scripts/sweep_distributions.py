@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the distribution no-go over every reduced fraction p = n/d with
 d up to a bound, verify both clause orientations, and print a histogram
-of the delay exponent each refutation needs."""
+of the delay exponent each refutation needs.  Weights whose exponent is
+past the replay bound (nogo.MAX_EXPONENT) are counted, not replayed."""
 
 import argparse
 import math
@@ -22,6 +23,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     hist = {b: Counter() for b in branches}
+    past_bound = Counter()
     weights = 0
     for den in range(2, ns.max_denominator + 1):
         for num in range(1, den):
@@ -30,7 +32,11 @@ def main() -> int:
             p = Fraction(num, den)
             weights += 1
             for b in branches:
-                tr = nogo.distributions_nogo_replay(p, b)
+                try:
+                    tr = nogo.distributions_nogo_replay(p, b)
+                except ValueError:
+                    past_bound[b] += 1
+                    continue
                 if not tr.verify():
                     print(f"trace for p={p} {b} failed to verify", file=sys.stderr)
                     return 1
@@ -41,6 +47,8 @@ def main() -> int:
           f"{len(branches)} orientation(s), {elapsed:.1f}s")
     for b in branches:
         print(f"\ndelay exponent n, branch {b}:")
+        if past_bound[b]:
+            print(f"  {past_bound[b]} weight(s) need n > {nogo.MAX_EXPONENT}, not replayed")
         top = max(hist[b].values())
         for n in sorted(hist[b]):
             bar = "#" * max(1, round(40 * hist[b][n] / top))

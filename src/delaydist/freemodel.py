@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from .delay import DIVERGE, Delay, Verdict, YES, NO, unknown, peel, render_delay
 from .theory import (App, Equation, Operation, Signature, Term, Theory, TheorySemanticError,
-                     Var, make_equation, validate_theory)
+                     Var, free_vars, make_equation, validate_theory)
 
 JOINABILITY_BOUND = 8
 
@@ -409,13 +409,26 @@ class TreeCarrier(Carrier):
 class QuotientCarrier(TreeCarrier):
     """Terms modulo the equations oriented left to right.  A
     rewrite-complete theory keeps every payload in normal form; otherwise
-    equality is three valued (:func:`model_equal`)."""
+    equality is three valued (:func:`model_equal`).  Each equation must
+    be usable as a rule: its left side is not a variable, and its right
+    side uses no variable the left side lacks."""
 
     kind = "quotient"
     canonical = False
 
     def __init__(self, th: Theory):
         super().__init__(th)
+        for eq in th.equations:
+            if isinstance(eq.lhs, Var):
+                raise TheorySemanticError(
+                    f"equation '{eq.name}' cannot be rewritten left to right: its left "
+                    f"side is the variable '{eq.lhs.name}'", eq.lhs.name)
+            lhs_vars = free_vars(eq.lhs)
+            for v in free_vars(eq.rhs):
+                if v not in lhs_vars:
+                    raise TheorySemanticError(
+                        f"equation '{eq.name}' cannot be rewritten left to right: its "
+                        f"right side uses '{v}', which its left side lacks", v)
         if th.rewrite_complete:
             self.normalise = functools.partial(_root_fix, th)
 

@@ -13,14 +13,15 @@ or a plain algebra equation that a hard-coded four-element model
 refutes).  Traces replay mechanically: :meth:`ContradictionTrace.verify`
 re-applies every rewrite and re-derives the clash.
 
-The rewriter is deliberately tiny.  Terms are nested tuples over a fixed
-vocabulary (variables, now, step, union, empty, convex mixtures with
-exact `Fraction` weights, and the two candidate operations written
-``op1`` and ``opP``); rules are concrete pattern pairs.  It is a trace
-checker, not a prover: every derivation is spelled out where it can be
-audited line by line.  Rules that reassociate convex mixtures are
-validated at construction by flattening both sides to affine
-combinations.
+The rewriter is deliberately tiny.  Terms are :mod:`theory` terms over a
+fixed vocabulary (``∅``, ``∪``, ``now``, ``step``, convex mixtures
+``⊕[q]`` whose exact `Fraction` weight is part of the operation's name,
+and the two candidate operations ``∨₁`` and ``∨′``).  In a trace term a
+variable is a constant; in a rule, a :class:`theory.Equation` applied
+left to right, it is a metavariable.  It is a trace checker, not a
+prover: every derivation is spelled out where it can be audited line by
+line.  Rules that reassociate convex mixtures are validated at
+construction by flattening both sides to affine combinations.
 
 Also here: the two-path witness separating strict from weak equality for
 the parallel lifting (`mogelberg_vezzosi_witness`), and the positive
@@ -33,6 +34,7 @@ coinductive refutations above are the machine-checked ones.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +46,8 @@ from .delay import (DIVERGE, Delay, Now, Step, dmap, join, peel, prepend_steps,
 from .laws import (LawEntry, LawReport, TestUniverse, Witness, prediction_for_failure,
                    run_suite)
 from .lifting import custom_candidate, induced_candidate
-from .theory import (App, Operation, Signature, Theory, Var, make_equation,
+from .theory import (App, Equation, Operation, Signature, Term, Theory, Var, free_vars,
+                     make_equation, match, replace, substitute, subterm, term_str,
                      validate_theory)
 
 HALF = Fraction(1, 2)
@@ -56,164 +59,103 @@ class TraceError(AssertionError):
 
 # ---------------------------------------------------------------------------
 # the term language
-#
-# ("var", name) | ("now", t) | ("step", t) | ("empty",) | ("union", a, b)
-# ("mix", Fraction, a, b) | ("op1", a, b) | ("opP", a, b) | ("?", name)
+
+UNION, NOW, STEP, OP1, OPP = "∪", "now", "step", "∨₁", "∨′"
+EMPTY = App("∅", ())
 
 
-def var(name: str) -> tuple:
-    return ("var", name)
+def var(name: str) -> Var:
+    return Var(name)
 
 
-def now_t(t: tuple) -> tuple:
-    return ("now", t)
+def now_t(t: Term) -> App:
+    return App(NOW, (t,))
 
 
-def step_t(t: tuple) -> tuple:
-    return ("step", t)
+def step_t(t: Term) -> App:
+    return App(STEP, (t,))
 
 
-def union_t(a: tuple, b: tuple) -> tuple:
-    return ("union", a, b)
+def union_t(a: Term, b: Term) -> App:
+    return App(UNION, (a, b))
 
 
-def mix_t(q: Fraction, a: tuple, b: tuple) -> tuple:
-    return ("mix", q, a, b)
+def mix_t(q: Fraction, a: Term, b: Term) -> App:
+    return App(f"⊕[{q}]", (a, b))
 
 
-def op1_t(a: tuple, b: tuple) -> tuple:
-    return ("op1", a, b)
+def op1_t(a: Term, b: Term) -> App:
+    return App(OP1, (a, b))
 
 
-def opp_t(a: tuple, b: tuple) -> tuple:
-    return ("opP", a, b)
+def opp_t(a: Term, b: Term) -> App:
+    return App(OPP, (a, b))
 
 
-EMPTY = ("empty",)
-
-_SYM = {"op1": "∨₁", "opP": "∨′"}
-
-
-def render_term(t: tuple) -> str:
-    k = t[0]
-    if k in ("var", "?"):
-        return t[1]
-    if k == "empty":
-        return "∅"
-    if k in ("now", "step"):
-        return f"{k}({render_term(t[1])})"
-    if k == "union":
-        return f"({render_term(t[1])} ∪ {render_term(t[2])})"
-    if k == "mix":
-        return f"⊕[{t[1]}]({render_term(t[2])}, {render_term(t[3])})"
-    return f"{_SYM[k]}({render_term(t[1])}, {render_term(t[2])})"
+def _head(t: Term) -> Optional[str]:
+    return t.op if isinstance(t, App) else None
 
 
-def _children(t: tuple) -> tuple:
-    if t[0] in ("var", "empty", "?"):
-        return ()
-    if t[0] == "mix":
-        return t[2:]
-    return t[1:]
+@functools.lru_cache(maxsize=1024)
+def _op_weight(op: str) -> Optional[Fraction]:
+    return Fraction(op[2:-1]) if op.startswith("⊕[") else None
 
 
-def _rebuild(t: tuple, kids: tuple) -> tuple:
-    if t[0] == "mix":
-        return ("mix", t[1]) + kids
-    return (t[0],) + kids
+def _weight(t: Term) -> Optional[Fraction]:
+    """The weight of a mixture, None for any other term."""
+    return _op_weight(t.op) if isinstance(t, App) else None
 
 
-def _at(t: tuple, path: Tuple[int, ...]) -> tuple:
-    for i in path:
-        kids = _children(t)
-        if i >= len(kids):
-            raise TraceError(f"path {path} leaves {render_term(t)}")
-        t = kids[i]
-    return t
+def render_term(t: Term) -> str:
+    """:func:`theory.term_str` with ``∪`` written infix."""
+    if isinstance(t, Var) or not t.args:
+        return term_str(t)
+    if t.op == UNION:
+        return f"({render_term(t.args[0])} ∪ {render_term(t.args[1])})"
+    return f"{t.op}({', '.join(render_term(a) for a in t.args)})"
 
 
-def _replace(t: tuple, path: Tuple[int, ...], new: tuple) -> tuple:
-    if not path:
-        return new
-    kids = list(_children(t))
-    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
-    return _rebuild(t, tuple(kids))
+def render_rule(rule: Equation) -> str:
+    return f"{render_term(rule.lhs)} = {render_term(rule.rhs)}"
 
 
-def _match(pat: tuple, term: tuple, binding: Dict[str, tuple]) -> bool:
-    if pat[0] == "?":
-        prev = binding.get(pat[1])
-        if prev is None:
-            binding[pat[1]] = term
-            return True
-        return prev == term
-    if pat[0] != term[0] or len(pat) != len(term):
-        return False
-    if pat[0] == "var":
-        return pat[1] == term[1]
-    if pat[0] == "mix" and pat[1] != term[1]:
-        return False
-    return all(_match(p, s, binding) for p, s in zip(_children(pat), _children(term)))
-
-
-def _instantiate(pat: tuple, binding: Dict[str, tuple]) -> tuple:
-    if pat[0] == "?":
-        return binding[pat[1]]
-    kids = tuple(_instantiate(k, binding) for k in _children(pat))
-    return _rebuild(pat, kids)
-
-
-def _q(name: str) -> tuple:
-    return ("?", name)
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """A directed equation between term patterns."""
-
-    name: str
-    lhs: tuple
-    rhs: tuple
-
-    def render_eq(self) -> str:
-        return f"{render_term(self.lhs)} = {render_term(self.rhs)}"
-
-
-def apply_rule_at(term: tuple, rule: RewriteRule, path: Tuple[int, ...]) -> Optional[tuple]:
+def apply_rule_at(term: Term, rule: Equation, path: Tuple[int, ...]) -> Optional[Term]:
     """Left-to-right application at one position; None when it does not match."""
-    sub = _at(term, path)
-    binding: Dict[str, tuple] = {}
-    if not _match(rule.lhs, sub, binding):
+    sub = subterm(term, path)
+    binding: Dict[str, Term] = {}
+    if sub is None or not match(rule.lhs, sub, binding):
         return None
-    return _replace(term, path, _instantiate(rule.rhs, binding))
+    return replace(term, path, substitute(rule.rhs, binding))
 
 
-def _affine(t: tuple, weight: Fraction, acc: Dict[tuple, Fraction]) -> None:
-    if t[0] == "mix":
-        _affine(t[2], weight * t[1], acc)
-        _affine(t[3], weight * (1 - t[1]), acc)
+def _affine(t: Term, weight: Fraction, acc: Dict[Term, Fraction]) -> None:
+    q = _weight(t)
+    if q is not None:
+        _affine(t.args[0], weight * q, acc)
+        _affine(t.args[1], weight * (1 - q), acc)
     else:
         acc[t] = acc.get(t, Fraction(0)) + weight
 
 
-def convex_rule(name: str, lhs: tuple, rhs: tuple) -> RewriteRule:
+def convex_rule(name: str, lhs: Term, rhs: Term) -> Equation:
     """A mixture-reassociation rule, checked sound by flattening both
     sides to affine combinations over their non-mixture subterms."""
     for side in (lhs, rhs):
         stack = [side]
         while stack:
             u = stack.pop()
-            if u[0] == "mix":
-                if not (0 < u[1] < 1):
-                    raise TraceError(f"rule '{name}': weight {u[1]} outside (0,1)")
-            stack.extend(_children(u))
-    la: Dict[tuple, Fraction] = {}
-    ra: Dict[tuple, Fraction] = {}
+            q = _weight(u)
+            if q is not None and not (0 < q < 1):
+                raise TraceError(f"rule '{name}': weight {q} outside (0,1)")
+            if isinstance(u, App):
+                stack.extend(u.args)
+    la: Dict[Term, Fraction] = {}
+    ra: Dict[Term, Fraction] = {}
     _affine(lhs, Fraction(1), la)
     _affine(rhs, Fraction(1), ra)
     if la != ra:
         raise TraceError(f"rule '{name}' is not a convex-algebra identity")
-    return RewriteRule(name, lhs, rhs)
+    return make_equation(name, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +195,20 @@ class Clash:
 DIAMOND_ELEMENTS = (0, 1, 2, 3)
 
 
-def _eval_diamond(t: tuple, env: Dict[str, int]) -> int:
-    if t[0] == "var":
-        return env[t[1]]
-    if t[0] == "empty":
+def _eval_diamond(t: Term, env: Dict[str, int]) -> int:
+    if isinstance(t, Var):
+        return env[t.name]
+    if t == EMPTY:
         return 0
-    if t[0] == "union":
-        return _eval_diamond(t[1], env) | _eval_diamond(t[2], env)
+    if t.op == UNION:
+        return _eval_diamond(t.args[0], env) | _eval_diamond(t.args[1], env)
     raise TraceError(f"{render_term(t)} is not a plain set-algebra term")
 
 
-def _free_vars(t: tuple) -> List[str]:
-    out: List[str] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u[0] == "var" and u[1] not in out:
-            out.append(u[1])
-        stack.extend(_children(u))
-    return sorted(out)
-
-
-def _strip_steps(t: tuple) -> Tuple[tuple, int]:
+def _strip_steps(t: Term) -> Tuple[Term, int]:
     n = 0
-    while t[0] == "step":
-        t = t[1]
+    while _head(t) == STEP:
+        t = t.args[0]
         n += 1
     return t, n
 
@@ -285,18 +216,18 @@ def _strip_steps(t: tuple) -> Tuple[tuple, int]:
 _STANDARD_VALUATION = {"x": 1, "y": 2}
 
 
-def derive_clash(start: tuple, end: tuple) -> Clash:
+def derive_clash(start: Term, end: Term) -> Clash:
     """The mechanical reading of why ``start = end`` cannot hold."""
     a, b = start, end
-    while a[0] == b[0] and a[0] in ("now", "step"):
-        a, b = a[1], b[1]
-    if {a[0], b[0]} == {"now", "step"}:
+    while _head(a) == _head(b) and _head(a) in (NOW, STEP):
+        a, b = a.args[0], b.args[0]
+    if {_head(a), _head(b)} == {NOW, STEP}:
         return Clash("StepEqNow")
     ca, na = _strip_steps(a)
     cb, nb = _strip_steps(b)
     if ca == cb and na != nb:
         return Clash("StepEqDoubleStep")
-    env = {v: _STANDARD_VALUATION[v] for v in _free_vars(a) + _free_vars(b)}
+    env = {v: _STANDARD_VALUATION[v] for v in free_vars(a) + free_vars(b)}
     va = _eval_diamond(a, env)
     vb = _eval_diamond(b, env)
     if va == vb:
@@ -311,11 +242,11 @@ class TraceStep:
     """One rewrite.  ``path`` addresses the subterm the rule's left side
     matches; for a reversed step that is a position in ``result``."""
 
-    term: tuple
-    rule: RewriteRule
+    term: Term
+    rule: Equation
     path: Tuple[int, ...]
     reversed: bool
-    result: tuple
+    result: Term
 
 
 @dataclass
@@ -327,11 +258,11 @@ class ContradictionTrace:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def start(self) -> tuple:
+    def start(self) -> Term:
         return self.steps[0].term
 
     @property
-    def end(self) -> tuple:
+    def end(self) -> Term:
         return self.steps[-1].result
 
     def verify(self) -> bool:
@@ -371,18 +302,18 @@ class ContradictionTrace:
 
 
 class _TraceBuilder:
-    def __init__(self, start: tuple):
+    def __init__(self, start: Term):
         self.cur = start
         self.steps: List[TraceStep] = []
 
-    def fwd(self, rule: RewriteRule, path: Tuple[int, ...] = ()) -> None:
+    def fwd(self, rule: Equation, path: Tuple[int, ...] = ()) -> None:
         res = apply_rule_at(self.cur, rule, path)
         if res is None:
             raise TraceError(f"'{rule.name}' does not apply at {path} in {render_term(self.cur)}")
         self.steps.append(TraceStep(self.cur, rule, path, False, res))
         self.cur = res
 
-    def rev(self, rule: RewriteRule, result: tuple, path: Tuple[int, ...] = ()) -> None:
+    def rev(self, rule: Equation, result: Term, path: Tuple[int, ...] = ()) -> None:
         back = apply_rule_at(result, rule, path)
         if back != self.cur:
             raise TraceError(f"'{rule.name}' reversed does not reach {render_term(result)}")
@@ -398,42 +329,28 @@ class _TraceBuilder:
 
 
 # ---------------------------------------------------------------------------
-# shared rules
+# shared rules; a, b and c are their metavariables
 
-R_OP1_IDEM = RewriteRule("∨₁ idempotent", op1_t(_q("a"), _q("a")), _q("a"))
-R_OP1_COMM = RewriteRule("∨₁ commutative", op1_t(_q("a"), _q("b")), op1_t(_q("b"), _q("a")))
-R_UNION_IDEM = RewriteRule("∪ idempotent", union_t(_q("a"), _q("a")), _q("a"))
-R_UNION_COMM = RewriteRule("∪ commutative", union_t(_q("a"), _q("b")), union_t(_q("b"), _q("a")))
-R_NOW_UNION = RewriteRule("now preserves ∪",
-                          union_t(now_t(_q("a")), now_t(_q("b"))),
-                          now_t(union_t(_q("a"), _q("b"))))
-R_NOW_EMPTY = RewriteRule("now preserves ∅", EMPTY, now_t(EMPTY))
+A, B, C = Var("a"), Var("b"), Var("c")
+
+R_OP1_IDEM = make_equation("∨₁ idempotent", op1_t(A, A), A)
+R_OP1_COMM = make_equation("∨₁ commutative", op1_t(A, B), op1_t(B, A))
+R_UNION_IDEM = make_equation("∪ idempotent", union_t(A, A), A)
+R_UNION_COMM = make_equation("∪ commutative", union_t(A, B), union_t(B, A))
+R_NOW_UNION = make_equation("now preserves ∪", union_t(now_t(A), now_t(B)),
+                            now_t(union_t(A, B)))
+R_NOW_EMPTY = make_equation("now preserves ∅", EMPTY, now_t(EMPTY))
 
 # the step clauses a distributive law would force, one pair per branch
-R_EQ1_LEFT = RewriteRule("Eq1 left-step clause",
-                         union_t(step_t(_q("a")), _q("b")),
-                         step_t(opp_t(_q("a"), _q("b"))))
-R_EQ1_RIGHT = RewriteRule("Eq1 right-step clause",
-                          opp_t(_q("a"), step_t(_q("b"))),
-                          op1_t(_q("a"), _q("b")))
-R_EQ2_LEFT = RewriteRule("Eq2 left-step clause",
-                         union_t(step_t(_q("a")), _q("b")),
-                         opp_t(_q("a"), _q("b")))
-R_EQ2_RIGHT = RewriteRule("Eq2 right-step clause",
-                          opp_t(_q("a"), step_t(_q("b"))),
-                          step_t(op1_t(_q("a"), _q("b"))))
+R_EQ1_LEFT = make_equation("Eq1 left-step clause", union_t(step_t(A), B), step_t(opp_t(A, B)))
+R_EQ1_RIGHT = make_equation("Eq1 right-step clause", opp_t(A, step_t(B)), op1_t(A, B))
+R_EQ2_LEFT = make_equation("Eq2 left-step clause", union_t(step_t(A), B), opp_t(A, B))
+R_EQ2_RIGHT = make_equation("Eq2 right-step clause", opp_t(A, step_t(B)), step_t(op1_t(A, B)))
 
 
-def _def_rule(symbol: str, head: str, body: tuple) -> RewriteRule:
-    sub = {"x": _q("a"), "y": _q("b")}
-
-    def walk(t: tuple) -> tuple:
-        if t[0] == "var":
-            return sub[t[1]]
-        return _rebuild(t, tuple(walk(k) for k in _children(t)))
-
-    return RewriteRule(f"{symbol} := {render_term(body)}",
-                       (head, _q("a"), _q("b")), walk(body))
+def _def_rule(op: str, body: Term) -> Equation:
+    return make_equation(f"{op} := {render_term(body)}", App(op, (A, B)),
+                         substitute(body, {"x": A, "y": B}))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +373,7 @@ class CandidateConfig:
                 f"∨′ := {render_term(_element_term(self.op_prime))}, {self.branch}")
 
 
-def _element_term(e: fm.ModelElement) -> tuple:
+def _element_term(e: fm.ModelElement) -> Term:
     leaves = sorted(fm.values_of(e))
     if not leaves:
         return EMPTY
@@ -467,19 +384,19 @@ def _element_term(e: fm.ModelElement) -> tuple:
     return union_t(var("x"), var("y"))
 
 
-def _powerset_assumptions(cfg: CandidateConfig, rules: List[RewriteRule]) -> List[Tuple[str, str]]:
+def _powerset_assumptions(cfg: CandidateConfig, rules: List[Equation]) -> List[Tuple[str, str]]:
     out = [("∨₁ candidate", f"∨₁(x, y) = {render_term(_element_term(cfg.op1))}"),
            ("∨′ candidate", f"∨′(x, y) = {render_term(_element_term(cfg.op_prime))}")]
     for r in rules:
-        out.append((r.name, r.render_eq()))
+        out.append((r.name, render_rule(r)))
     return out
 
 
 def _powerset_trace(cfg: CandidateConfig) -> ContradictionTrace:
     t1 = _element_term(cfg.op1)
     tp = _element_term(cfg.op_prime)
-    r1 = _def_rule("∨₁", "op1", t1)
-    rp = _def_rule("∨′", "opP", tp)
+    r1 = _def_rule(OP1, t1)
+    rp = _def_rule(OPP, tp)
     title = f"powerset candidate {cfg.describe()}"
     x, y = var("x"), var("y")
 
@@ -565,53 +482,50 @@ def powerset_nogo_search() -> List[Tuple[CandidateConfig, ContradictionTrace]]:
 
 
 # ---------------------------------------------------------------------------
-# finite distributions: exact-rational replay for any mixing weight
+# finite distributions: exact-rational replay for every mixing weight
+# whose delay exponent stays within the bound
+
+# A replay unrolls n steps of a term that grows with n, so its rendering
+# grows about as n³; at n = 64 it still prints in a few megabytes.  Every
+# weight with denominator at most 64 needs n <= 45.
+MAX_EXPONENT = 64
 
 
 def _least_power(base: Fraction, bound: Fraction) -> int:
+    """The least n with ``base ** n <= bound``, or ``MAX_EXPONENT + 1``
+    when that n is larger than the bound."""
     n, cur = 1, base
-    while cur > bound:
+    while cur > bound and n <= MAX_EXPONENT:
         n += 1
         cur *= base
-        if n > 4096:
-            raise TraceError("weight too extreme for a bounded replay")
     return n
 
 
-def _mix_comm(q: Fraction) -> RewriteRule:
-    return convex_rule(f"⊕[{q}] swap", mix_t(q, _q("a"), _q("b")),
-                       mix_t(1 - q, _q("b"), _q("a")))
+def _mix_comm(q: Fraction) -> Equation:
+    return convex_rule(f"⊕[{q}] swap", mix_t(q, A, B), mix_t(1 - q, B, A))
 
 
-def _now_mix(q: Fraction) -> RewriteRule:
-    return RewriteRule(f"now preserves ⊕[{q}]",
-                       mix_t(q, now_t(_q("a")), now_t(_q("b"))),
-                       now_t(mix_t(q, _q("a"), _q("b"))))
+def _now_mix(q: Fraction) -> Equation:
+    return make_equation(f"now preserves ⊕[{q}]", mix_t(q, now_t(A), now_t(B)),
+                         now_t(mix_t(q, A, B)))
 
 
-def _lmerge(q: Fraction, r: Fraction) -> RewriteRule:
-    return convex_rule(f"⊕ regroup {q}·{r}",
-                       mix_t(q, mix_t(r, _q("a"), _q("c")), _q("c")),
-                       mix_t(q * r, _q("a"), _q("c")))
+def _lmerge(q: Fraction, r: Fraction) -> Equation:
+    return convex_rule(f"⊕ regroup {q}·{r}", mix_t(q, mix_t(r, A, C), C), mix_t(q * r, A, C))
 
 
-def _rmerge(q: Fraction, r: Fraction) -> RewriteRule:
-    return convex_rule(f"⊕ regroup right {q},{r}",
-                       mix_t(q, _q("c"), mix_t(r, _q("c"), _q("a"))),
-                       mix_t(q + (1 - q) * r, _q("c"), _q("a")))
+def _rmerge(q: Fraction, r: Fraction) -> Equation:
+    return convex_rule(f"⊕ regroup right {q},{r}", mix_t(q, C, mix_t(r, C, A)),
+                       mix_t(q + (1 - q) * r, C, A))
 
 
 def _dist_rules(p: Fraction):
-    r1 = RewriteRule("∨₁ := ⊕[1/2]", op1_t(_q("a"), _q("b")), mix_t(HALF, _q("a"), _q("b")))
-    rp = RewriteRule(f"∨′ := ⊕[{p}]", opp_t(_q("a"), _q("b")), mix_t(p, _q("a"), _q("b")))
-    e1a = RewriteRule("Eq1 left-step clause",
-                      mix_t(HALF, step_t(_q("a")), _q("b")), step_t(opp_t(_q("a"), _q("b"))))
-    e1b = RewriteRule("Eq1 right-step clause",
-                      opp_t(_q("a"), step_t(_q("b"))), op1_t(_q("a"), _q("b")))
-    e2a = RewriteRule("Eq2 left-step clause",
-                      mix_t(HALF, step_t(_q("a")), _q("b")), opp_t(_q("a"), _q("b")))
-    e2b = RewriteRule("Eq2 right-step clause",
-                      opp_t(_q("a"), step_t(_q("b"))), step_t(op1_t(_q("a"), _q("b"))))
+    r1 = make_equation("∨₁ := ⊕[1/2]", op1_t(A, B), mix_t(HALF, A, B))
+    rp = make_equation(f"∨′ := ⊕[{p}]", opp_t(A, B), mix_t(p, A, B))
+    e1a = make_equation("Eq1 left-step clause", mix_t(HALF, step_t(A), B), step_t(opp_t(A, B)))
+    e1b = make_equation("Eq1 right-step clause", opp_t(A, step_t(B)), op1_t(A, B))
+    e2a = make_equation("Eq2 left-step clause", mix_t(HALF, step_t(A), B), opp_t(A, B))
+    e2b = make_equation("Eq2 right-step clause", opp_t(A, step_t(B)), step_t(op1_t(A, B)))
     return r1, rp, e1a, e1b, e2a, e2b
 
 
@@ -625,22 +539,28 @@ def distributions_nogo_replay(p, branch: str = "Eq1") -> ContradictionTrace:
     The replay decomposes the probe term with exact rationals and ends
     in a now-versus-step clash.  ``branch`` selects which orientation of
     the mixed clause is assumed; the other branch is the mirror image.
+    A weight whose replay needs a delay exponent above
+    :data:`MAX_EXPONENT` raises :class:`ValueError`.
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"mixing weight must lie strictly between 0 and 1, got {p}")
     if branch not in ("Eq1", "Eq2"):
         raise ValueError(f"branch must be 'Eq1' or 'Eq2', got {branch!r}")
+    n = _least_power(HALF, 1 - p) if branch == "Eq1" else _least_power(1 - p, HALF)
+    if n > MAX_EXPONENT:
+        raise ValueError(f"mixing weight {p} needs a delay exponent n > {MAX_EXPONENT} on "
+                         f"branch {branch}; replays are bounded at n <= {MAX_EXPONENT} so "
+                         f"that their traces stay printable")
     r1, rp, e1a, e1b, e2a, e2b = _dist_rules(p)
     x, y = var("x"), var("y")
     nx, ny = now_t(x), now_t(y)
     stepped = step_t(nx)
-    assume = [("∨₁ forced", r1.render_eq() + "  (commutativity on the unit interval)"),
-              ("∨′ candidate", rp.render_eq())]
+    assume = [("∨₁ forced", render_rule(r1) + "  (commutativity on the unit interval)"),
+              ("∨′ candidate", render_rule(rp))]
 
     if branch == "Eq1":
-        assume += [(e1a.name, e1a.render_eq()), (e1b.name, e1b.render_eq())]
-        n = _least_power(HALF, 1 - p)
+        assume += [(e1a.name, render_rule(e1a)), (e1b.name, render_rule(e1b))]
         hn = HALF ** n
         w = ((1 - p) - hn) / (1 - hn)
         z = ny if w == 0 else mix_t(w, stepped, ny)
@@ -652,9 +572,8 @@ def distributions_nogo_replay(p, branch: str = "Eq1") -> ContradictionTrace:
         b.fwd(rp)
         b.fwd(_mix_comm(p))
         if w != 0:
-            b.fwd(convex_rule(f"⊕ split off ⊕[{w}]",
-                              mix_t(1 - p, _q("a"), _q("b")),
-                              mix_t(hn, _q("a"), mix_t(w, _q("a"), _q("b")))))
+            b.fwd(convex_rule(f"⊕ split off ⊕[{w}]", mix_t(1 - p, A, B),
+                              mix_t(hn, A, mix_t(w, A, B))))
         core = nx
         for k in range(n, 1, -1):
             b.rev(_lmerge(HALF ** (k - 1), HALF),
@@ -673,8 +592,7 @@ def distributions_nogo_replay(p, branch: str = "Eq1") -> ContradictionTrace:
                       {"p": p, "branch": branch, "n": n,
                        "z_weight": (w if w else None), "z": render_term(z)})
 
-    assume += [(e2a.name, e2a.render_eq()), (e2b.name, e2b.render_eq())]
-    n = _least_power(1 - p, HALF)
+    assume += [(e2a.name, render_rule(e2a)), (e2b.name, render_rule(e2b))]
     gn = (1 - p) ** n
     w = (HALF - gn) / (1 - gn)
     z = ny if w == 0 else mix_t(1 - w, ny, stepped)
@@ -684,9 +602,8 @@ def distributions_nogo_replay(p, branch: str = "Eq1") -> ContradictionTrace:
     b.rev(e2a, mix_t(HALF, stepped, ny))
     b.fwd(_mix_comm(HALF))
     if w != 0:
-        b.fwd(convex_rule(f"⊕ split off ⊕[{1 - w}]",
-                          mix_t(HALF, _q("c"), _q("a")),
-                          mix_t(1 - gn, mix_t(1 - w, _q("c"), _q("a")), _q("a"))))
+        b.fwd(convex_rule(f"⊕ split off ⊕[{1 - w}]", mix_t(HALF, C, A),
+                          mix_t(1 - gn, mix_t(1 - w, C, A), A)))
     core = nx
     for k in range(n, 1, -1):
         prev = 1 - (1 - p) ** (k - 1)

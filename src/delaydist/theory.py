@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class TheoryError(Exception):
@@ -91,6 +91,44 @@ def substitute(t: Term, env: Dict[str, Term]) -> Term:
             raise TheorySemanticError(f"unbound variable '{t.name}' in substitution", t.name)
         return env[t.name]
     return App(t.op, tuple(substitute(a, env) for a in t.args))
+
+
+def match(pattern: Term, term: Term, binding: Dict[str, Term]) -> bool:
+    """First-order matching: extend ``binding`` so that substituting it
+    into ``pattern`` gives ``term``.  The pattern's variables are
+    metavariables; the term's variables are constants.  On failure
+    ``binding`` may hold part of an attempted extension."""
+    if isinstance(pattern, Var):
+        prev = binding.get(pattern.name)
+        if prev is None:
+            binding[pattern.name] = term
+            return True
+        return prev == term
+    if not isinstance(term, App) or term.op != pattern.op or len(term.args) != len(pattern.args):
+        return False
+    for p, s in zip(pattern.args, term.args):
+        if not match(p, s, binding):
+            return False
+    return True
+
+
+def subterm(t: Term, path: Sequence[int]) -> Optional[Term]:
+    """The subterm at ``path``, a sequence of argument indices from the
+    root; None when the path leaves the term."""
+    for i in path:
+        if isinstance(t, Var) or not 0 <= i < len(t.args):
+            return None
+        t = t.args[i]
+    return t
+
+
+def replace(t: Term, path: Sequence[int], new: Term) -> Term:
+    """``t`` with its subterm at ``path`` (which must lie in ``t``)
+    replaced by ``new``."""
+    if not path:
+        return new
+    i = path[0]
+    return App(t.op, t.args[:i] + (replace(t.args[i], path[1:], new),) + t.args[i + 1:])
 
 
 @dataclass(frozen=True, slots=True)

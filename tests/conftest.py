@@ -398,3 +398,85 @@ def reference_model_equal(th, a, b, join_bound=fm.JOINABILITY_BOUND):
         if fm._model_refutes(model, a.payload, b.payload):
             return NO
     return unknown()
+
+
+# ---------------------------------------------------------------------------
+# the nested-tuple term walkers that the no-go traces ran on before they
+# moved to theory terms, kept as the reference that theory.match,
+# substitute, subterm and replace must agree with.  ("var", name) is a
+# constant, ("?", name) a metavariable, ("mix", q, a, b) a mixture with
+# weight q; every other node is (head, child, ...).
+
+
+class ReferencePathError(Exception):
+    """A path leaves the term."""
+
+
+def _reference_children(t: tuple) -> tuple:
+    if t[0] in ("var", "empty", "?"):
+        return ()
+    if t[0] == "mix":
+        return t[2:]
+    return t[1:]
+
+
+def _reference_rebuild(t: tuple, kids: tuple) -> tuple:
+    if t[0] == "mix":
+        return ("mix", t[1]) + kids
+    return (t[0],) + kids
+
+
+def reference_at(t: tuple, path) -> tuple:
+    for i in path:
+        kids = _reference_children(t)
+        if i >= len(kids):
+            raise ReferencePathError(f"path {path} leaves {t}")
+        t = kids[i]
+    return t
+
+
+def reference_replace(t: tuple, path, new: tuple) -> tuple:
+    if not path:
+        return new
+    kids = list(_reference_children(t))
+    kids[path[0]] = reference_replace(kids[path[0]], path[1:], new)
+    return _reference_rebuild(t, tuple(kids))
+
+
+def reference_match(pat: tuple, term: tuple, binding: dict) -> bool:
+    if pat[0] == "?":
+        prev = binding.get(pat[1])
+        if prev is None:
+            binding[pat[1]] = term
+            return True
+        return prev == term
+    if pat[0] != term[0] or len(pat) != len(term):
+        return False
+    if pat[0] == "var":
+        return pat[1] == term[1]
+    if pat[0] == "mix" and pat[1] != term[1]:
+        return False
+    return all(reference_match(p, s, binding)
+               for p, s in zip(_reference_children(pat), _reference_children(term)))
+
+
+def reference_instantiate(pat: tuple, binding: dict) -> tuple:
+    if pat[0] == "?":
+        return binding[pat[1]]
+    kids = tuple(reference_instantiate(k, binding) for k in _reference_children(pat))
+    return _reference_rebuild(pat, kids)
+
+
+_TUPLE_HEADS = {"∅": "empty", "∪": "union", "now": "now", "step": "step",
+                "∨₁": "op1", "∨′": "opP"}
+
+
+def tuple_term(t, pattern: bool = False) -> tuple:
+    """A no-go theory term in the tuple language; its variables become
+    metavariables when ``pattern`` is set, constants otherwise."""
+    if isinstance(t, Var):
+        return ("?" if pattern else "var", t.name)
+    kids = tuple(tuple_term(a, pattern) for a in t.args)
+    if t.op.startswith("⊕["):
+        return ("mix", Fraction(t.op[2:-1])) + kids
+    return (_TUPLE_HEADS[t.op],) + kids

@@ -155,6 +155,23 @@ class TestCheck:
         assert {a["name"]: a["verdict"] for a in d["axioms"]} == dict.fromkeys(counts, "yes")
         assert d["caseCounts"] == counts
 
+    @pytest.mark.parametrize("eq,bad,cls", [
+        ("mul(x, y) = z", "'z'", "drop"),
+        ("mul(x, e) = mul(e, y)", "'y'", "drop"),
+        ("x = mul(x, x)", "variable 'x'", "dup"),
+    ])
+    def test_rejects_equation_not_usable_left_to_right(self, capsys, tmp_path, eq, bad, cls):
+        f = tmp_path / "bad.th"
+        f.write_text(f"op mul : 2\nop e : 0\neq r : {eq}\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(f), "--lift", "seq", *FAST_BOUNDS)
+        assert code == 3
+        assert out == ""
+        assert "equation 'r' cannot be rewritten left to right" in err and bad in err
+        # classify builds no carrier, so it still reports the theory
+        code, out, _ = run(capsys, "classify", str(f))
+        assert code == 0
+        assert f"eq r: {eq}  [{cls}]" in out
+
     def test_rejects_nonpositive_bounds(self, capsys):
         code, _, err = run(capsys, "check", "monoid", "--max-steps", "0")
         assert code == 3
@@ -232,6 +249,21 @@ class TestNogo:
     def test_out_of_range_p(self, capsys):
         code, _, err = run(capsys, "nogo", "distributions", "--p", "3/2")
         assert code == 3
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("nogo", "powerset"), "nogo_powerset.txt"),
+        (("nogo", "distributions", "--p", "1/3", "--json"), "nogo_distributions_1_3.json"),
+    ])
+    def test_matches_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_weight_past_the_exponent_bound_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "nogo", "distributions", "--p", "1/1000")
+        assert code == 3
+        assert out == ""
+        assert "error:" in err and "1/1000" in err and "64" in err
 
 
 class TestParserPlumbing:

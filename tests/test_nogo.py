@@ -10,12 +10,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (ReferencePathError, reference_at, reference_instantiate, reference_match,
+                      reference_replace, tuple_term)
 from delaydist import nogo
 from delaydist.delay import (DIVERGE, Now, Step, peel, prepend_steps, step_count, strong_equal,
                              weak_bisim)
 from delaydist.laws import TestUniverse as Universe
 from delaydist import freemodel as fm
+from delaydist.theory import App, Var, match, replace, substitute, subterm
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +74,7 @@ class TestPowersetSearch:
 class TestTraceIntegrity:
     def test_tampered_step_rejected(self, powerset_results):
         _, trace = powerset_results[0]
-        bad_step = dataclasses.replace(trace.steps[-1], result=("var", "zz"))
+        bad_step = dataclasses.replace(trace.steps[-1], result=nogo.var("zz"))
         tampered = dataclasses.replace(trace, steps=trace.steps[:-1] + [bad_step])
         with pytest.raises(nogo.TraceError):
             tampered.verify()
@@ -249,3 +254,104 @@ def test_step_absorbing_product_matches_the_lockstep_loop():
         a, b = prepend_steps(na, ea), prepend_steps(nb, eb)
         want = peel(_ref_mul(a, b, th))
         assert peel(nogo.step_absorbing_lift("mul", [a, b], th)) == want
+
+
+class TestExponentBound:
+    @pytest.mark.parametrize("p,branch", [(Fraction(1, 1000), "Eq2"), (Fraction(1, 2000), "Eq2"),
+                                          (1 - Fraction(1, 2 ** 70), "Eq1"),
+                                          (1 - Fraction(1, 2 ** 65), "Eq1")])
+    def test_weight_past_the_bound_is_a_value_error(self, p, branch):
+        with pytest.raises(ValueError, match=f"n > {nogo.MAX_EXPONENT} on branch {branch}"):
+            nogo.distributions_nogo_replay(p, branch)
+
+    def test_weight_at_the_bound_replays(self):
+        trace = nogo.distributions_nogo_replay(1 - Fraction(1, 2 ** 64), "Eq1")
+        assert trace.meta["n"] == nogo.MAX_EXPONENT
+        assert trace.verify()
+
+
+# ---------------------------------------------------------------------------
+# the theory walkers against the tuple walkers the traces used before
+
+_LEAVES = [nogo.var("x"), nogo.var("y"), nogo.EMPTY]
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def _nogo_terms(leaves):
+    def extend(sub):
+        return st.one_of(
+            sub.map(nogo.now_t), sub.map(nogo.step_t),
+            st.tuples(sub, sub).map(lambda ab: nogo.union_t(*ab)),
+            sub.map(lambda a: nogo.union_t(a, a)),
+            st.tuples(sub, sub).map(lambda ab: nogo.op1_t(*ab)),
+            st.tuples(sub, sub).map(lambda ab: nogo.mix_t(_HALF, *ab)),
+            st.tuples(sub, sub).map(lambda ab: nogo.mix_t(_THIRD, *ab)),
+            # an arity no trace uses, so patterns and terms can disagree on it
+            st.tuples(sub, sub).map(lambda ab: App("now", ab)))
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
+def _abstract(draw, t, chosen=None):
+    """A pattern that ``t`` often matches: some subterms become the
+    metavariable a or b, each distinct subterm the same one wherever it
+    occurs, so that repeated subterms give non-linear patterns."""
+    chosen = {} if chosen is None else chosen
+    if t not in chosen:
+        chosen[t] = draw(st.sampled_from([Var("a"), Var("b"), None, None, None]))
+    if chosen[t] is not None:
+        return chosen[t]
+    if isinstance(t, Var) or not t.args:
+        return t
+    return App(t.op, tuple(_abstract(draw, a, chosen) for a in t.args))
+
+
+_paths = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+_subjects = _nogo_terms(_LEAVES)
+_patterns = _nogo_terms(_LEAVES + [Var("a"), Var("b")])
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_match_and_substitute_agree_with_the_tuple_reference(data):
+    term = data.draw(_subjects)
+    pattern = _abstract(data.draw, term) if data.draw(st.booleans()) else data.draw(_patterns)
+    binding, ref_binding = {}, {}
+    ok = match(pattern, term, binding)
+    tp = tuple_term(pattern, pattern=True)
+    assert ok == reference_match(tp, tuple_term(term), ref_binding)
+    if ok:
+        assert {k: tuple_term(v) for k, v in binding.items()} == ref_binding
+        assert substitute(pattern, binding) == term
+        assert tuple_term(substitute(pattern, binding)) == reference_instantiate(tp, ref_binding)
+
+
+@given(_subjects, _paths, _subjects)
+@settings(max_examples=400, deadline=None)
+def test_subterm_and_replace_agree_with_the_tuple_reference(term, path, new):
+    tt = tuple_term(term)
+    try:
+        want = reference_at(tt, path)
+    except ReferencePathError:
+        assert subterm(term, path) is None
+        return
+    assert tuple_term(subterm(term, path)) == want
+    assert tuple_term(replace(term, path, new)) == reference_replace(tt, path, tuple_term(new))
+
+
+def test_non_linear_pattern_needs_equal_arguments():
+    a, x, y = Var("a"), nogo.var("x"), nogo.var("y")
+    pattern = nogo.union_t(a, a)
+    binding = {}
+    assert match(pattern, nogo.union_t(x, x), binding) and binding == {"a": x}
+    assert not match(pattern, nogo.union_t(x, y), {})
+    assert not reference_match(tuple_term(pattern, pattern=True), tuple_term(nogo.union_t(x, y)),
+                               {})
+
+
+def test_trace_variables_are_constants():
+    x = nogo.var("x")
+    # a subject's variable matches a metavariable or itself, nothing else
+    assert match(Var("x"), nogo.now_t(x), {})
+    assert not match(nogo.now_t(Var("a")), x, {})
+    assert subterm(x, (0,)) is None
