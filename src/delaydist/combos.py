@@ -10,13 +10,21 @@ reuse the generic Beck machinery from :mod:`delaydist.laws`; function
 spaces are tabulated over small finite carriers, and selection-style
 higher-order values are compared pointwise over a declared finite
 predicate family, since their full function space is unenumerable.
+
+A selector built from a table by :func:`sel_from_table` keeps the table:
+its answers to the predicate tables over its value domain.  ``phi`` and
+``psi`` are predicate transformers, so on such a selector they keep the
+table too, and ``psi(phi(f))`` has ``f``'s rows reindexed by a row map
+computed once per algebra.  The retraction check reads those rows.  Every
+selector also answers arbitrary callables by its plain definition (the
+lambda path), which the multiplications and the witness replays use.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
@@ -35,13 +43,16 @@ def _eq(u, v) -> bool:
     return u == v
 
 
-def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any]) -> Witness:
+def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any],
+                note: str = "", seen: Optional[Tuple[str, str]] = None) -> Witness:
     """A witness whose two sides are the renders of ``lhs()`` and
-    ``rhs()``; its replay computes both sides again."""
+    ``rhs()``; its replay computes both sides again.  ``seen`` gives the
+    renders the scan itself produced instead, so that a replay by another
+    route cross-checks them."""
     def replay() -> Tuple[str, str]:
         return str(lhs()), str(rhs())
 
-    return Witness(input_render, *replay(), replay=replay)
+    return Witness(input_render, *(seen or replay()), note=note, replay=replay)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +628,19 @@ class Sel:
     """A selection-style value: a callable from predicates to results,
     carried with a printable description.  The description is a thunk,
     rendered only when the value is printed: scans build thousands of
-    selectors and print at most the one in a witness."""
+    selectors and print at most the one in a witness.
+
+    A table-backed selector also keeps ``table``, answers indexed by the
+    predicate tables over the value domain ``dom``, and ``pre``, the
+    predicate transformers it applies, first to last, to a predicate it
+    is asked before reading the answer from the table.  ``fn`` is always
+    the plain definition (the lambda path)."""
 
     fn: Callable
     describe: Callable[[], str]
+    table: Optional[FinFun] = None
+    dom: Tuple[Any, ...] = ()
+    pre: Tuple[Callable, ...] = ()
 
     def __call__(self, p):
         return self.fn(p)
@@ -630,10 +650,34 @@ class Sel:
 
 
 def sel_from_table(table: FinFun, value_domain: Sequence[Any]) -> Sel:
-    """Wrap a tabulated selector so it accepts arbitrary callables as
-    predicates, tabulating them over the value domain first."""
+    """The selector with the given answers to the predicate tables over
+    the value domain.  It keeps its table and domain, so ``phi`` and
+    ``psi`` on it are table-backed too; asked an arbitrary callable, it
+    tabulates the callable over the domain first."""
     dom = tuple(value_domain)
-    return Sel(lambda p: table(FinFun.tabulate(dom, p)), lambda: str(table))
+    return Sel(lambda p: table(FinFun.tabulate(dom, p)), lambda: str(table), table, dom)
+
+
+def _precompose(F, h: Callable, describe: Callable[[], str]) -> Sel:
+    """The selector that answers ``q`` with ``F``'s answer to ``h(q)``;
+    on a table-backed ``F`` it keeps the table and puts ``h`` in front of
+    ``F``'s transformers."""
+    if isinstance(F, Sel) and F.table is not None:
+        return Sel(lambda q: F(h(q)), describe, F.table, F.dom, (h,) + F.pre)
+    return Sel(lambda q: F(h(q)), describe)
+
+
+def _row_map(sel: Sel) -> Tuple[int, ...]:
+    """For each predicate table of ``sel``'s table, the position in that
+    table of the predicate ``sel``'s transformers turn it into."""
+    preds = sel.table.domain
+
+    def row(p) -> int:
+        for h in sel.pre:
+            p = h(p)
+        return preds.index(FinFun.tabulate(sel.dom, p))
+
+    return tuple(row(p) for p in preds)
 
 
 @dataclass(frozen=True)
@@ -738,17 +782,28 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
 @dataclass(frozen=True)
 class DelayAlgebra:
     """Step-erasing algebra on a finite carrier: finished values come out
-    unchanged however long they took; divergence maps to a default."""
+    unchanged however long they took; divergence maps to a default.
+
+    ``row_maps`` holds, for each transformer chain, the predicate domain
+    ``psi`` last reindexed through this algebra and its row map, so a
+    check that builds one algebra computes it once."""
 
     carrier: Tuple[Any, ...]
     default: Any
     fuel: int = 4096
+    row_maps: Dict[Tuple[Callable, ...], Tuple[Tuple[FinFun, ...], Tuple[int, ...]]] = field(
+        default_factory=dict, repr=False, compare=False, hash=False)
 
     def alg(self, d: Delay):
         out = force(d, self.fuel)
         if isinstance(out, Terminated):
             return out.value
         return self.default
+
+    def score(self, p) -> Callable[[Delay], Any]:
+        """``psi``'s predicate transformer: ``p`` becomes the predicate
+        that runs a delayed value through ``p`` and then this algebra."""
+        return lambda d: self.alg(dmap(d, p))
 
 
 def continuation_step_lift(ralg: DelayAlgebra, xs: Sequence[Any]) -> Callable[[Delay], FinFun]:
@@ -783,7 +838,7 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     for c in c_tables:
         cases += 1
         if not ffeq(alg_cx(Now(c)), c):
-            verdict, witness = NO, Witness(str(c), str(alg_cx(Now(c))), str(c))
+            verdict, witness = NO, _replayable(str(c), lambda: alg_cx(Now(c)), lambda: c)
             break
     if verdict.is_yes:
         for c, n in itertools.product(c_tables[:6], range(6)):
@@ -802,7 +857,8 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
             rhs = alg_cx(dmap(dd, alg_cx))
             if not ffeq(lhs, rhs):
                 verdict = NO
-                witness = Witness(f"{outer}+{inner} steps on {c}", str(lhs), str(rhs))
+                witness = _replayable(f"{outer}+{inner} steps on {c}",
+                                      lambda: alg_cx(join(dd)), lambda: alg_cx(dmap(dd, alg_cx)))
                 break
     entries.append(LawEntry("AlgebraLaws", verdict, cases, witness))
 
@@ -822,7 +878,9 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
         rec_cases += 1
         recovered = alg_cr(dmap(d, eval_at))(ident)
         if recovered != ralg.alg(d):
-            rec, rec_witness = NO, Witness(render_delay(d), str(recovered), str(ralg.alg(d)))
+            rec, rec_witness = NO, _replayable(render_delay(d),
+                                               lambda: alg_cr(dmap(d, eval_at))(ident),
+                                               lambda: ralg.alg(d))
             break
     entries.append(LawEntry("CarrierRecovery", rec, rec_cases, rec_witness))
 
@@ -836,16 +894,41 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
 # the two delayed selection monads and their retraction
 
 
+def probe_now(g) -> Callable[[Any], Any]:
+    """``phi``'s predicate transformer: ``g`` precomposed with ``Now``,
+    so only immediately finished values are probed."""
+    return lambda x: g(Now(x))
+
+
 def phi(f) -> Sel:
-    """Selector-of-delays from delayed-result selector: probe only
-    immediately finished values."""
-    return Sel(lambda g: f(lambda x: g(Now(x))), lambda: f"phi({f})")
+    """Selector-of-delays from delayed-result selector: ``f`` precomposed
+    with :func:`probe_now`.  On a table-backed ``f`` the result keeps
+    ``f``'s table; its predicates range over delays, so its rows are
+    reindexed only when ``psi`` brings it back to predicate tables."""
+    return _precompose(f, probe_now, lambda: f"phi({f})")
 
 
 def psi(F, ralg: DelayAlgebra) -> Sel:
-    """Delayed-result selector from selector-of-delays: score delayed
-    candidates through the carrier algebra."""
-    return Sel(lambda p: F(lambda d: ralg.alg(dmap(d, p))), lambda: f"psi({F})")
+    """Delayed-result selector from selector-of-delays: ``F`` precomposed
+    with :meth:`DelayAlgebra.score`, which scores delayed candidates
+    through the carrier algebra.
+
+    On a table-backed ``F`` with transformers still to apply (``phi`` of
+    a table-backed selector), the predicates asked range over ``F``'s
+    value domain again, so the result is table-backed with the rows
+    reindexed: row ``i`` is ``F``'s answer to what predicate table ``i``
+    becomes.  The row map comes from running the transformers on each
+    predicate table, and is kept in ``ralg`` while the predicate domain
+    stays the same object.  Any other ``F`` gets the lambda path only."""
+    back = _precompose(F, ralg.score, lambda: f"psi({F})")
+    if back.table is None or not F.pre:
+        return Sel(back.fn, back.describe)
+    preds = back.table.domain
+    known = ralg.row_maps.get(F.pre)
+    if known is None or known[0] is not preds:
+        known = ralg.row_maps[F.pre] = (preds, _row_map(back))
+    table = FinFun(preds, tuple(map(F.table.values.__getitem__, known[1])))
+    return Sel(back.fn, back.describe, table, F.dom)
 
 
 def mu_delayed_result(FF, ralg: DelayAlgebra) -> Sel:
@@ -890,20 +973,27 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
     d_pool = delay_values(xs, 2, True)
     entries = []
 
-    # psi . phi = id over every table (X -> R) -> D X
+    # psi . phi = id over every table (X -> R) -> D X, read row by row
+    # from the table-backed selectors; a witness replays on the lambda path
+    def retract_witness(table: FinFun, i: int, back: Sel) -> Witness:
+        p = table.domain[i]
+        return _replayable(f"{table} at {p}",
+                           lambda: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
+                                                _short),
+                           lambda: render_delay(sel_from_table(table, xs)(p), _short),
+                           seen=(render_delay(back.table.values[i], _short),
+                                 render_delay(table.values[i], _short)))
+
     cases = 0
     verdict: Verdict = YES
     witness = None
     for table in fun_space(p_tables, d_pool):
-        f = sel_from_table(table, xs)
-        back = psi(phi(f), ralg)
-        for p in p_tables:
+        back = psi(phi(sel_from_table(table, xs)), ralg)
+        for i, d in enumerate(table.values):
             cases += 1
-            v = strong_equal(back(p), f(p), fuel)
+            v = strong_equal(back.table.values[i], d, fuel)
             if not v.is_yes:
-                verdict = v
-                witness = Witness(f"{table} at {p}", render_delay(back(p), _short),
-                                  render_delay(f(p), _short))
+                verdict, witness = v, retract_witness(table, i, back)
                 break
         if not verdict.is_yes:
             break
@@ -938,10 +1028,11 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
             v = strong_equal(lhs(g), rhs(g), fuel)
             if v.is_no:
                 mu_verdict = NO
-                mu_witness = Witness(f"{FF} under {g}",
-                                     render_delay(lhs(g), _short),
-                                     render_delay(rhs(g), _short),
-                                     note="the embedding is not a monad map")
+                mu_witness = _replayable(
+                    f"{FF} under {g}",
+                    lambda: render_delay(phi(mu_delayed_result(FF, ralg))(g), _short),
+                    lambda: render_delay(mu_composite(phi(jd_fmap(phi, FF)))(g), _short),
+                    note="the embedding is not a monad map")
                 break
         if mu_verdict.is_no:
             break

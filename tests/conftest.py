@@ -8,7 +8,7 @@ import pytest
 
 from delaydist import combos, laws
 from delaydist import freemodel as fm
-from delaydist.delay import (DIVERGE, NO, YES, Delay, conjoin, peel, render_delay,
+from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, conjoin, dmap, peel, render_delay,
                              strong_equal, unknown, weak_bisim)
 from delaydist.laws import AxiomOutcome, LawEntry, Witness
 from delaydist.lifting import lift_term
@@ -480,3 +480,43 @@ def tuple_term(t, pattern: bool = False) -> tuple:
     if t.op.startswith("⊕["):
         return ("mix", Fraction(t.op[2:-1])) + kids
     return (_TUPLE_HEADS[t.op],) + kids
+
+
+# ---------------------------------------------------------------------------
+# the RetractIdentity scan as it ran before selectors kept their tables:
+# phi and psi as plain lambdas, each case tabulating its predicate afresh.
+# It is the reference that the table-backed rows of combos.psi(combos.phi(f))
+# must agree with.
+
+
+def reference_sel(table, xs):
+    return combos.Sel(lambda p: table(combos.FinFun.tabulate(xs, p)), lambda: str(table))
+
+
+def reference_phi(f):
+    return combos.Sel(lambda g: f(lambda x: g(Now(x))), lambda: f"phi({f})")
+
+
+def reference_psi(F, ralg):
+    return combos.Sel(lambda p: F(lambda d: ralg.alg(dmap(d, p))), lambda: f"psi({F})")
+
+
+def reference_retract_identity(u, rs=(0, 1)) -> LawEntry:
+    xs = laws.base_values(u.carrier_size)
+    ralg = combos.DelayAlgebra(tuple(rs), rs[0])
+    fuel = u.derived_fuel()
+    p_tables = combos.fun_space(xs, rs)
+    d_pool = laws.delay_values(xs, 2, True)
+    cases = 0
+    for table in combos.fun_space(p_tables, d_pool):
+        f = reference_sel(table, xs)
+        back = reference_psi(reference_phi(f), ralg)
+        for p in p_tables:
+            cases += 1
+            v = strong_equal(back(p), f(p), fuel)
+            if not v.is_yes:
+                return LawEntry("RetractIdentity", v, cases,
+                                Witness(f"{table} at {p}",
+                                        render_delay(back(p), combos._short),
+                                        render_delay(f(p), combos._short)))
+    return LawEntry("RetractIdentity", YES, cases)

@@ -187,6 +187,18 @@ class TestCombo:
         code, _, _ = run(capsys, "combo", "frobnitz")
         assert code == 3
 
+    @pytest.mark.parametrize("size", ["1", "2"])
+    def test_continuation_matches_golden(self, capsys, size):
+        # the golden files are the report with elapsedMs taken out
+        code, out, _ = run(capsys, "combo", "continuation", "--carrier-size", size,
+                           "--max-steps", "1", "--max-depth", "1", "--json")
+        assert code == 0
+        d = json.loads(out)
+        del d["elapsedMs"]
+        golden = GOLDEN / f"combo_continuation_c{size}s1d1.json"
+        assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == golden.read_text(
+            encoding="utf-8")
+
 
 class TestDemo:
     def test_text_output(self, capsys):

@@ -6,8 +6,10 @@ fails) and everything else passes at the default bounds."""
 
 import pytest
 
+from conftest import reference_phi, reference_psi, reference_retract_identity, reference_sel
 from delaydist import combos
-from delaydist.delay import YES, Now, Terminated, delay_n, dmap, force, peel
+from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
+                             strong_equal)
 from delaydist.laws import AxiomOutcome, Witness
 from delaydist.laws import TestUniverse as Universe
 
@@ -225,3 +227,131 @@ def test_step_additivity_binds_once_per_m_and_k(monkeypatch):
     r = combos.check_state(Universe())
     assert r.entry("StepAdditivity").cases == 60 * 12 * 2
     assert calls[0] == 60 * 12  # the first 60 elements against the first 12 tables
+
+
+# ---------------------------------------------------------------------------
+# the retraction on table-backed selectors against the lambda reference
+
+
+def _retract_pool(carrier_size, rs=(0, 1)):
+    xs = combos.base_values(carrier_size)
+    p_tables = combos.fun_space(xs, rs)
+    return xs, combos.fun_space(p_tables, combos.delay_values(xs, 2, True))
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_retract_rows_match_the_lambda_reference(carrier_size):
+    xs, tables = _retract_pool(carrier_size)
+    ralg = combos.DelayAlgebra((0, 1), 0)
+    fuel = Universe(carrier_size=carrier_size).derived_fuel()
+    for table in tables:
+        back = combos.psi(combos.phi(combos.sel_from_table(table, xs)), ralg)
+        assert back.table.domain is table.domain
+        lam = reference_psi(reference_phi(reference_sel(table, xs)), ralg)
+        for p, row in back.table.items():
+            assert strong_equal(row, lam(p), fuel).is_yes, (str(table), str(p))
+            assert back(p) is lam(p)
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_retract_identity_matches_the_reference_scan(carrier_size):
+    u = Universe(carrier_size=carrier_size, max_steps=1, max_depth=1)
+    entry = combos.retract_check(u).entry("RetractIdentity")
+    assert entry.verdict.is_yes
+    assert entry.cases == (32, 9604)[carrier_size - 1]
+    assert entry == reference_retract_identity(u)
+
+
+def test_retract_transformer_runs_once_per_predicate_table(monkeypatch):
+    calls = [0]
+    score = combos.DelayAlgebra.score
+
+    def counting(self, p):
+        calls[0] += 1
+        return score(self, p)
+
+    monkeypatch.setattr(combos.DelayAlgebra, "score", counting)
+    r = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1))
+    assert r.entry("RetractIdentity").cases == 9604
+    assert calls[0] == 4  # the 4 predicate tables, not 9,604 cases
+
+
+def test_psi_of_a_plain_table_selector_takes_the_lambda_path():
+    xs, tables = _retract_pool(1)
+    ralg = combos.DelayAlgebra((0, 1), 0)
+    sel = combos.psi(combos.sel_from_table(tables[0], tables[0].domain), ralg)
+    assert sel.table is None
+    phi_sel = combos.phi(combos.sel_from_table(tables[0], xs))
+    assert phi_sel.table is tables[0] and phi_sel.pre == (combos.probe_now,)
+
+
+def _to_last(self, d):
+    out = force(d, self.fuel)
+    return self.carrier[-1] if isinstance(out, Terminated) else self.default
+
+
+def _swapped(self, d):
+    out = force(d, self.fuel)
+    return self.carrier[1 - out.value] if isinstance(out, Terminated) else self.default
+
+
+@pytest.mark.parametrize("wrong_alg,cases", [(_to_last, 5), (_swapped, 5)])
+def test_retract_identity_under_a_wrong_algebra_matches_the_reference(monkeypatch, wrong_alg,
+                                                                      cases):
+    # a wrong algebra moves psi . phi's rows: the first table whose rows
+    # differ there fails, at the same case and with the same witness as
+    # the lambda scan; the replay recomputes on the lambda path
+    monkeypatch.setattr(combos.DelayAlgebra, "alg", wrong_alg)
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    e = combos.retract_check(u).entry("RetractIdentity")
+    assert e.verdict.is_no
+    assert e.cases == cases
+    assert e == reference_retract_identity(u)
+    w = e.witness
+    assert w.lhs_render != w.rhs_render
+    assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def test_retract_replay_recomputes_on_the_lambda_path(monkeypatch):
+    monkeypatch.setattr(combos.DelayAlgebra, "alg", _to_last)
+    w = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1)).entry(
+        "RetractIdentity").witness
+    # with table rows read no more, the replay still reaches the same sides
+    monkeypatch.setattr(combos, "_row_map", lambda sel: pytest.fail("replay read a row map"))
+    assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def test_mu_square_witness_replays(default_reports):
+    w = default_reports["continuation"].entry("MuSquare").witness
+    assert w.note == "the embedding is not a monad map"
+    assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def test_unstepped_algebra_laws_and_carrier_recovery_witnesses_replay(monkeypatch):
+    # a lift that ignores its input answers every continuation with the
+    # carrier's last value: the first table finished at once fails, and
+    # so does recovery of the first delay
+    def constant_lift(ralg, xs):
+        g_tables = combos.fun_space(xs, ralg.carrier)
+        return lambda d: combos.FinFun(tuple(g_tables), (ralg.carrier[-1],) * len(g_tables))
+
+    monkeypatch.setattr(combos, "continuation_step_lift", constant_lift)
+    r = combos.check_continuation(Universe(carrier_size=2, max_steps=1, max_depth=1))
+    for axiom in ("AlgebraLaws", "CarrierRecovery"):
+        e = r.entry(axiom)
+        assert e.verdict.is_no and e.cases == 1, axiom
+        assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
+
+
+def test_flattening_witness_replays(monkeypatch):
+    # a join that loses the value sends every flattened input to the
+    # algebra's default: the first table (all defaults) passes its 9
+    # cases, the second fails at once, after 16 unstepped and 36 stepped
+    monkeypatch.setattr(combos, "join", lambda dd: DIVERGE)
+    r = combos.check_continuation(Universe(carrier_size=2, max_steps=1, max_depth=1))
+    e = r.entry("AlgebraLaws")
+    c1 = combos.fun_space(combos.fun_space(combos.base_values(2), (0, 1)), (0, 1))[1]
+    assert e.verdict.is_no
+    assert e.cases == 16 + 36 + 9 + 1
+    assert e.witness.input_render == f"0+0 steps on {c1}"
+    assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
