@@ -3,7 +3,7 @@ the coinductive delay monad, candidate distributive laws between them,
 and bounded-exhaustive checks of the composition axioms up to strict
 equality and weak bisimilarity."""
 
-from .delay import (DIVERGE, Delay, Now, Step, bind, delay_n, dmap, force, join, reify,
+from .delay import (DIVERGE, Delay, Now, Step, bind, delay_n, dmap, force, join,
                     render_delay, step_count, strong_equal, weak_bisim)
 from .freemodel import (BUILTIN_NAMES, ModelElement, builtin_theory, cmonoid, convex,
                         exceptions, magma, model_equal, monoid, semilattice, unit,
@@ -21,7 +21,7 @@ from .theory import (App, Equation, Operation, Signature, Theory, Var,
 
 __all__ = [
     "DIVERGE", "Delay", "Now", "Step", "bind", "delay_n", "dmap", "force", "join",
-    "reify", "render_delay", "step_count", "strong_equal", "weak_bisim",
+    "render_delay", "step_count", "strong_equal", "weak_bisim",
     "BUILTIN_NAMES", "ModelElement", "builtin_theory", "cmonoid", "convex",
     "exceptions", "magma", "model_equal", "monoid", "semilattice", "unit",
     "value_str",

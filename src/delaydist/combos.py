@@ -6,10 +6,20 @@ writer (plus their Yang-Baxter compatibility), the delayed-state monad
 with its algebra-extension operator, the selection monad, delay algebras
 on continuations, the retraction between the two delayed-selection
 monads, and the free sum of a theory monad with delay.  The axiom checks
-reuse the generic Beck machinery from :mod:`delaydist.laws`; function
-spaces are tabulated over small finite carriers, and selection-style
-higher-order values are compared pointwise over a declared finite
-predicate family, since their full function space is unenumerable.
+reuse the Beck scan and the Kleisli monad-law scan of
+:mod:`delaydist.laws`; function spaces are tabulated over small finite
+carriers, and selection-style higher-order values are compared pointwise
+over a declared finite predicate family, since their full function
+space is unenumerable.
+
+Every scan here turns its comparisons into a verdict as
+:func:`delaydist.laws._scan` does: the first No wins and its witness
+replays both sides; the first Unknown is kept and the scan goes on past
+it, so an Unknown entry counts every case and carries no witness.  A
+check whose cases come in several kinds chains them into one stream
+(:func:`_scan_kinds`).  RetractIdentity keeps its own row loop under the
+same policy.  Uniqueness is a search rather than a scan: it is Yes when
+it finds an element that separates the extension from a guard-blind map.
 
 A selector built from a table by :func:`sel_from_table` keeps the table:
 its answers to the predicate tables over its value domain.  ``phi`` and
@@ -25,22 +35,25 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Terminated, Verdict, YES, NO, as_verdict,
-                    bind, conjoin, delay_n, dmap, force, join, peel, render_delay,
-                    step, strong_equal)
-from .laws import (LawEntry, LawReport, MonadPack, TestUniverse, Witness,
-                   base_values, beck_mult_s, beck_mult_t, beck_naturality, beck_unit_s,
-                   beck_unit_t, check_monad_laws_kleisli, delay_pack, delay_values,
-                   double_delay_values, _scan)
+from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Terminated, Verdict,
+                    YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join, peel,
+                    render_delay, step, strong_equal, unknown)
+from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse, Witness,
+                   base_values, beck_scan, check_monad_laws_kleisli, delay_pack, delay_values,
+                   double_delay_values, _memoised, _scan)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
 
 def _eq(u, v) -> bool:
     return u == v
+
+
+def _same(u, v) -> Verdict:
+    return as_verdict(u == v)
 
 
 def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any],
@@ -53,6 +66,32 @@ def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any
         return str(lhs()), str(rhs())
 
     return Witness(input_render, *(seen or replay()), note=note, replay=replay)
+
+
+def _scan_kinds(axiom: str, cases: Iterable[Tuple[str, Any]],
+                kinds: Dict[str, Tuple[Callable, Callable, Callable]],
+                compare: Callable[[Any, Any], Verdict], render_result=str) -> LawEntry:
+    """:func:`_scan` over ``(kind, input)`` cases, where ``kinds`` maps
+    each kind to its input render and its two sides."""
+    return _scan(axiom, cases,
+                 lambda c: kinds[c[0]][1](c[1]), lambda c: kinds[c[0]][2](c[1]), compare,
+                 lambda c: kinds[c[0]][0](c[1]), render_result)
+
+
+def _beck_entries(S: MonadPack, T: MonadPack, z, inputs: Dict[str, Sequence],
+                  render_result) -> List[LawEntry]:
+    """The five Beck axioms for ``z``, each over its own inputs; values
+    inside S are compared by ``==``."""
+    return [beck_scan(axiom, S, T, z, inputs[axiom], _eq,
+                      _nat_render if axiom == "Naturality" else _short, render_result)
+            for axiom in BECK_AXIOMS]
+
+
+def _report(theory: str, mode: str, u: TestUniverse, entries: List[LawEntry],
+            t0: float) -> LawReport:
+    """One pairing's entries as a report, timed from ``t0``."""
+    return LawReport(theory, mode, u.relation, u.bounds_dict(), entries,
+                     (time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +138,8 @@ def _short(v) -> str:
     return str(v)
 
 
-def _delay_eq(fuel: int):
-    return lambda a, b: strong_equal(a, b, fuel)
+def _nat_render(p) -> str:
+    return f"f={p[0]} on {_short(p[1])}"
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +211,19 @@ def check_reader(u: TestUniverse, r_domain: Sequence[Any] = (0, 1)) -> LawReport
     over tabulated environments."""
     t0 = time.perf_counter()
     xs = base_values(u.carrier_size)
-    fuel = u.derived_fuel()
-    S = delay_pack(u.relation, fuel)
+    S = delay_pack(u.relation, u.derived_fuel())
     T = reader_pack(r_domain)
-    rel = _eq
-
-    def z(d: Delay) -> FinFun:
-        return reader_dist(d, r_domain)
-
     tables = fun_space(r_domain, xs)
-    delays = delay_values(tables, u.max_steps, u.include_diverge)
-    rr = str
-
-    entries = []
-    out = beck_unit_s(S, T, z, tables, rel, _short, rr)
-    entries.append(LawEntry("UnitS", out.verdict, out.cases, out.witness))
-    out = beck_unit_t(S, T, z, delay_values(xs, u.max_steps, u.include_diverge), rel, _short, rr)
-    entries.append(LawEntry("UnitT", out.verdict, out.cases, out.witness))
-    out = beck_mult_s(S, T, z, double_delay_values(tables, u.max_steps, u.include_diverge),
-                      rel, _short, rr)
-    entries.append(LawEntry("MultS", out.verdict, out.cases, out.witness))
-    nested = fun_space(r_domain, tables)
-    out = beck_mult_t(S, T, z, delay_values(nested, u.max_steps, u.include_diverge),
-                      rel, _short, rr)
-    entries.append(LawEntry("MultT", out.verdict, out.cases, out.witness))
-    renamings = [FinFun(tuple(xs), img) for img in itertools.product(xs, repeat=len(xs))]
-    nat_inputs = [(f, d) for f in renamings for d in delays]
-    out = beck_naturality(S, T, z, nat_inputs, rel,
-                          lambda p: f"f={p[0]} on {_short(p[1])}", rr)
-    entries.append(LawEntry("Naturality", out.verdict, out.cases, out.witness))
-    return LawReport("reader", "custom:reader", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    inputs = {
+        "UnitS": tables,
+        "UnitT": delay_values(xs, u.max_steps, u.include_diverge),
+        "MultS": double_delay_values(tables, u.max_steps, u.include_diverge),
+        "MultT": delay_values(fun_space(r_domain, tables), u.max_steps, u.include_diverge),
+        "Naturality": [(f, d) for f in fun_space(xs, xs)
+                       for d in delay_values(tables, u.max_steps, u.include_diverge)],
+    }
+    entries = _beck_entries(S, T, lambda d: reader_dist(d, r_domain), inputs, str)
+    return _report("reader", "custom:reader", u, entries, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,38 +274,22 @@ def check_writer(u: TestUniverse, monoid: Optional[FiniteMonoid] = None) -> LawR
     monoid of outputs."""
     t0 = time.perf_counter()
     monoid = monoid or bool_and_monoid()
+    ms = monoid.elements
     xs = base_values(u.carrier_size)
-    fuel = u.derived_fuel()
     S = writer_pack(monoid)
-    T = delay_pack(u.relation, fuel)
-    rel = _eq
-
-    def z(mx) -> Delay:
-        return writer_dist(mx[0], mx[1], monoid)
-
+    T = delay_pack(u.relation, u.derived_fuel())
     delays = delay_values(xs, u.max_steps, u.include_diverge)
-    wd = [(m, d) for m in monoid.elements for d in delays]
-    rr = lambda d: render_delay(d, _short)
-
-    entries = []
-    out = beck_unit_s(S, T, z, delays, rel, _short, rr)
-    entries.append(LawEntry("UnitS", out.verdict, out.cases, out.witness))
-    out = beck_unit_t(S, T, z, [(m, x) for m in monoid.elements for x in xs], rel, _short, rr)
-    entries.append(LawEntry("UnitT", out.verdict, out.cases, out.witness))
-    out = beck_mult_s(S, T, z, [(m, (n, d)) for m in monoid.elements
-                                for n in monoid.elements for d in delays], rel, _short, rr)
-    entries.append(LawEntry("MultS", out.verdict, out.cases, out.witness))
-    out = beck_mult_t(S, T, z, [(m, dd) for m in monoid.elements
-                                for dd in double_delay_values(xs, u.max_steps,
-                                                              u.include_diverge)],
-                      rel, _short, rr)
-    entries.append(LawEntry("MultT", out.verdict, out.cases, out.witness))
-    renamings = [FinFun(tuple(xs), img) for img in itertools.product(xs, repeat=len(xs))]
-    out = beck_naturality(S, T, z, [(f, p) for f in renamings for p in wd], rel,
-                          lambda p: f"f={p[0]} on {_short(p[1])}", rr)
-    entries.append(LawEntry("Naturality", out.verdict, out.cases, out.witness))
-    return LawReport("writer", "custom:writer", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    inputs = {
+        "UnitS": delays,
+        "UnitT": [(m, x) for m in ms for x in xs],
+        "MultS": [(m, (n, d)) for m in ms for n in ms for d in delays],
+        "MultT": [(m, dd) for m in ms
+                  for dd in double_delay_values(xs, u.max_steps, u.include_diverge)],
+        "Naturality": [(f, (m, d)) for f in fun_space(xs, xs) for m in ms for d in delays],
+    }
+    entries = _beck_entries(S, T, lambda mx: writer_dist(mx[0], mx[1], monoid), inputs,
+                            lambda d: render_delay(d, _short))
+    return _report("writer", "custom:writer", u, entries, t0)
 
 
 def writer_steps_preserved(monoid: FiniteMonoid, xs: Sequence[Any], max_steps: int) -> Verdict:
@@ -331,13 +336,15 @@ def yang_baxter_check(u: TestUniverse, monoid: Optional[FiniteMonoid] = None,
     def compare(F: FinFun, G: FinFun) -> Verdict:
         return conjoin(strong_equal(F(r), G(r), fuel) for r in r_domain)
 
-    out = _scan([(m, d) for m in monoid.elements for d in delays],
-                lambda p: path_read_first(*p),
-                lambda p: path_write_first(*p),
-                compare,
-                lambda p: f"({p[0]}, {_short(p[1])})",
-                str)
-    return LawEntry("YangBaxter", out.verdict, out.cases, out.witness)
+    return _scan("YangBaxter", [(m, d) for m in monoid.elements for d in delays],
+                 lambda p: path_read_first(*p), lambda p: path_write_first(*p), compare,
+                 lambda p: f"({p[0]}, {_short(p[1])})")
+
+
+def check_yang_baxter(u: TestUniverse) -> LawReport:
+    """The hexagon of :func:`yang_baxter_check` as a report."""
+    t0 = time.perf_counter()
+    return _report("yang-baxter", "custom:yang-baxter", u, [yang_baxter_check(u)], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +385,28 @@ def state_monad(states: Sequence[Any]) -> StateOps:
     return StateOps(tuple(states))
 
 
+@dataclass(frozen=True)
+class _Stages:
+    """The two stages of a state bind at one state, each forced; the
+    second is None when the first does not finish.  It prints as what the
+    whole bind should do."""
+
+    first: Any
+    second: Any
+
+    def __str__(self) -> str:
+        if self.first is EXHAUSTED:
+            return "expected more steps than the fuel: the first stage runs out of it"
+        if self.second is None:
+            return "no termination: the first stage diverges"
+        if self.second is KNOWN_DIVERGENT:
+            return "no termination: the second stage diverges"
+        if self.second is EXHAUSTED:
+            return (f"expected {self.first.steps} steps plus more than the fuel: "
+                    "the second stage runs out of it")
+        return f"expected {self.first.steps}+{self.second.steps} steps"
+
+
 def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     """Monad laws of the delayed-state monad plus per-state step
     additivity of its bind."""
@@ -396,41 +425,44 @@ def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
              + [DelayedState(FinFun(ops.states, (DIVERGE,) * len(ops.states)))])
     k_pool = [dict(zip(xs, combo)) for combo in itertools.product(small, repeat=len(xs))]
 
-    out = check_monad_laws_kleisli(ops.unit, ops.bind, elements, xs, k_pool,
-                                   lambda a, b: ops.equal(a, b, fuel), str)
-    entries = [LawEntry("MonadLaws", out.verdict, out.cases, out.witness)]
+    entries = [check_monad_laws_kleisli(ops.unit, ops.bind, elements, xs, k_pool,
+                                        lambda a, b: ops.equal(a, b, fuel), str)]
 
-    def step_additivity():
-        cases = 0
-        for m in elements[:60]:
-            for k in k_pool[:12]:
-                mk = ops.bind(m, lambda v: k[v])
-                for s in ops.states:
-                    cases += 1
-                    r1 = force(m.run(s), fuel)
-                    whole = force(mk.run(s), fuel)
-                    if not isinstance(r1, Terminated):
-                        if isinstance(whole, Terminated):
-                            return cases, Witness(f"m={m}, s={s}", str(whole),
-                                                  "no termination: the first stage diverges")
-                        continue
-                    s1, x1 = r1.value
-                    r2 = force(k[x1].run(s1), fuel)
-                    if not isinstance(r2, Terminated):
-                        continue
-                    if not (isinstance(whole, Terminated)
-                            and whole.steps == r1.steps + r2.steps):
-                        return cases, Witness(f"m={m}, s={s}", str(whole),
-                                              f"expected {r1.steps}+{r2.steps} steps")
-        return cases, None
+    # step additivity: the bind of m and k at state s takes the steps of
+    # m at s plus those of k's result from there, and diverges when either
+    # stage does.  A case is ((i, j), s) for m = ms[i], k = ks[j]; the scan
+    # binds once per (m, k), and a witness's replay binds afresh.
+    ms, ks = elements[:60], k_pool[:12]
 
-    add_cases, add_witness = step_additivity()
-    entries.append(LawEntry("StepAdditivity", YES if add_witness is None else NO,
-                            add_cases, add_witness))
+    def stages(c) -> _Stages:
+        (i, j), s = c
+        first = force(ms[i].run(s), fuel)
+        if not isinstance(first, Terminated):
+            return _Stages(first, None)
+        s1, x1 = first.value
+        return _Stages(first, force(ks[j][x1].run(s1), fuel))
 
+    def additive(whole, st: _Stages) -> Verdict:
+        # a delay past the fuel still finishes, in more than `fuel` steps,
+        # so step arithmetic can refute a case that involves one
+        if st.first is EXHAUSTED or st.second is EXHAUSTED:
+            return NO if isinstance(whole, Terminated) else unknown(fuel)
+        if st.second is None or st.second is KNOWN_DIVERGENT:
+            return unknown(fuel) if whole is EXHAUSTED else as_verdict(
+                not isinstance(whole, Terminated))
+        expected = st.first.steps + st.second.steps
+        if whole is EXHAUSTED:
+            return NO if expected <= fuel else unknown(fuel)
+        return as_verdict(isinstance(whole, Terminated) and whole.steps == expected)
+
+    with _memoised(lambda ij: ops.bind(ms[ij[0]], ks[ij[1]].__getitem__)) as bound:
+        entries.append(_scan("StepAdditivity",
+                             (((i, j), s) for i in range(len(ms)) for j in range(len(ks))
+                              for s in ops.states),
+                             lambda c: force(bound(c[0]).run(c[1]), fuel), stages, additive,
+                             lambda c: f"m={ms[c[0][0]]}, s={c[1]}"))
     entries.extend(check_gsd(u, states).entries)
-    return LawReport("state", "custom:state", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    return _report("state", "custom:state", u, entries, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,41 +498,44 @@ GSD_LAWS = ("lookup-lookup", "lookup-update", "update-lookup",
             "update-update", "step-lookup", "step-update")
 
 
-def validate_gsd(alg: GsdAlgebra, g_budget: int = 40) -> List[str]:
-    """Names of the equations the algebra fails on its probe set."""
-    eq = lambda a, b: as_verdict(alg.equal(a, b)).is_yes
-    failed = []
+def validate_gsd(alg: GsdAlgebra, g_budget: int = 40) -> Dict[str, Verdict]:
+    """Each equation's verdict on the algebra's probe set, by name in
+    :data:`GSD_LAWS` order: No at its first failing probe, else Unknown
+    if a probe could not be decided, else Yes."""
+    eq = lambda a, b: as_verdict(alg.equal(a, b))
     gs = [FinFun(alg.states, combo)
           for combo in itertools.islice(itertools.product(alg.samples,
                                                           repeat=len(alg.states)), g_budget)]
     fs = list(itertools.islice(itertools.product(gs, repeat=len(alg.states)), g_budget))
+    probes = {
+        "lookup-lookup": (eq(alg.lookup(lambda s, f=f: alg.lookup(dict(zip(alg.states, f))[s])),
+                             alg.lookup(lambda s, f=f: dict(zip(alg.states, f))[s](s)))
+                          for f in fs),
+        "lookup-update": (eq(alg.lookup(lambda s, y=y: alg.update(y, s)), y)
+                          for y in alg.samples),
+        "update-lookup": (eq(alg.update(alg.lookup(g), s), alg.update(g(s), s))
+                          for g in gs for s in alg.states),
+        "update-update": (eq(alg.update(alg.update(y, s), t), alg.update(y, s))
+                          for y in alg.samples for s in alg.states for t in alg.states),
+        "step-lookup": (eq(alg.step(alg.lookup(g)), alg.lookup(lambda s, g=g: alg.step(g(s))))
+                        for g in gs),
+        "step-update": (eq(alg.update(alg.step(y), s), alg.step(alg.update(y, s)))
+                        for y in alg.samples for s in alg.states),
+    }
+    return {law: conjoin(probes[law]) for law in GSD_LAWS}
 
-    if not all(eq(alg.lookup(lambda s, f=f: alg.lookup(dict(zip(alg.states, f))[s])),
-                  alg.lookup(lambda s, f=f: dict(zip(alg.states, f))[s](s)))
-               for f in fs):
-        failed.append("lookup-lookup")
-    if not all(eq(alg.lookup(lambda s, y=y: alg.update(y, s)), y) for y in alg.samples):
-        failed.append("lookup-update")
-    if not all(eq(alg.update(alg.lookup(g), s), alg.update(g(s), s))
-               for g in gs for s in alg.states):
-        failed.append("update-lookup")
-    if not all(eq(alg.update(alg.update(y, s), t), alg.update(y, s))
-               for y in alg.samples for s in alg.states for t in alg.states):
-        failed.append("update-update")
-    if not all(eq(alg.step(alg.lookup(g)), alg.lookup(lambda s, g=g: alg.step(g(s))))
-               for g in gs):
-        failed.append("step-lookup")
-    if not all(eq(alg.update(alg.step(y), s), alg.step(alg.update(y, s)))
-               for y in alg.samples for s in alg.states):
-        failed.append("step-update")
-    return failed
+
+def _failed_laws(verdicts: Dict[str, Verdict]) -> List[str]:
+    return [law for law, v in verdicts.items() if v.is_no]
 
 
 def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], Any]:
     """The unique algebra map out of the delayed-state monad determined
     by where the generators go: read the state, run the delayed pair,
-    then write back and continue in the algebra."""
-    failed = validate_gsd(alg)
+    then write back and continue in the algebra.  Raises GsdAlgebraError
+    when the algebra definitely fails an equation; one its probes cannot
+    decide does not stop the extension."""
+    failed = _failed_laws(validate_gsd(alg))
     if failed:
         raise GsdAlgebraError(failed)
 
@@ -554,69 +589,43 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     fuel = u.derived_fuel()
     xs = ("x0",)  # one generator keeps the identity extension readable
     alg = canonical_gsd(states, xs, fuel)
-    entries = []
+    equal = lambda a, b: ops.equal(a, b, fuel)
 
-    failed = validate_gsd(alg)
-    entries.append(LawEntry("GsdAlgebraLaws", YES if not failed else NO,
-                            6, None if not failed else
-                            Witness("canonical algebra", ", ".join(failed), "all laws")))
+    verdicts = validate_gsd(alg)
+    algebra = LawEntry("GsdAlgebraLaws", conjoin(verdicts.values()), len(GSD_LAWS))
+    if algebra.verdict.is_no:
+        algebra.witness = _replayable(
+            "canonical algebra", lambda: ", ".join(_failed_laws(validate_gsd(alg))),
+            lambda: "all laws", seen=(", ".join(_failed_laws(verdicts)), "all laws"))
 
+    # the extension fixes the generators and, being the identity here,
+    # every sample
     ext = gsd_extend({x: ops.unit(x) for x in xs}, alg)
-    cases = 0
-    verdict: Verdict = YES
-    witness = None
-    for x in xs:
-        cases += 1
-        v = ops.equal(ext(ops.unit(x)), ops.unit(x), fuel)
-        if not v.is_yes:
-            verdict = v
-            witness = Witness(f"generator {x}", str(ext(ops.unit(x))), str(ops.unit(x)))
-            break
-    if verdict.is_yes:
-        for m in alg.samples:
-            cases += 1
-            v = ops.equal(ext(m), m, fuel)
-            if not v.is_yes:
-                verdict = v
-                witness = Witness(f"sample {m}", str(ext(m)), str(m))
-                break
-    entries.append(LawEntry("GsdExtension", verdict, cases, witness))
+    extension = _scan("GsdExtension",
+                      [("generator", x, ops.unit(x)) for x in xs]
+                      + [("sample", m, m) for m in alg.samples],
+                      lambda c: ext(c[2]), lambda c: c[2], equal,
+                      lambda c: f"{c[0]} {c[1]}")
 
-    hom_cases = 0
-    hom: Verdict = YES
-    hom_witness = None
-    sample_gs = [FinFun(alg.states, c)
-                 for c in itertools.islice(itertools.product(alg.samples[:6],
-                                                             repeat=len(alg.states)), 16)]
-    for g in sample_gs:
-        hom_cases += 1
-        v = ops.equal(ext(alg.lookup(g)),
-                      alg.lookup(lambda s: ext(g(s))), fuel)
-        if not v.is_yes:
-            hom, hom_witness = v, _replayable(f"lookup {g}", lambda: ext(alg.lookup(g)),
-                                              lambda: alg.lookup(lambda s: ext(g(s))))
-            break
-    if hom.is_yes:
+    # the extension commutes with lookup, update and step
+    def hom_cases():
+        for c in itertools.islice(itertools.product(alg.samples[:6], repeat=len(alg.states)),
+                                  16):
+            yield "lookup", FinFun(alg.states, c)
         for m in alg.samples[:8]:
             for s in alg.states:
-                hom_cases += 1
-                v = ops.equal(ext(alg.update(m, s)), alg.update(ext(m), s), fuel)
-                if not v.is_yes:
-                    hom, hom_witness = v, _replayable(f"update {m} at {s}",
-                                                      lambda: ext(alg.update(m, s)),
-                                                      lambda: alg.update(ext(m), s))
-                    break
-            if not hom.is_yes:
-                break
-            hom_cases += 1
-            v = ops.equal(ext(ops.step(m)), ops.step(ext(m)), fuel)
-            if not v.is_yes:
-                hom, hom_witness = v, _replayable(f"step {m}", lambda: ext(ops.step(m)),
-                                                  lambda: ops.step(ext(m)))
-                break
-    entries.append(LawEntry("GsdHomomorphism", hom, hom_cases, hom_witness))
-    return LawReport("gsd", "custom:state", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+                yield "update", (m, s)
+            yield "step", m
+
+    homomorphism = _scan_kinds("GsdHomomorphism", hom_cases(), {
+        "lookup": (lambda g: f"lookup {g}", lambda g: ext(alg.lookup(g)),
+                   lambda g: alg.lookup(lambda s: ext(g(s)))),
+        "update": (lambda ms: f"update {ms[0]} at {ms[1]}", lambda ms: ext(alg.update(*ms)),
+                   lambda ms: alg.update(ext(ms[0]), ms[1])),
+        "step": (lambda m: f"step {m}", lambda m: ext(ops.step(m)),
+                 lambda m: ops.step(ext(m))),
+    }, equal)
+    return _report("gsd", "custom:state", u, [algebra, extension, homomorphism], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -735,22 +744,8 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
     fuel = u.derived_fuel()
     S = delay_pack(u.relation, fuel)
     T = selection_pack(xs, rs, pred_fuel, fuel)
-    rel = _eq
-    z = selection_dist
-
-    p_tables = fun_space(xs, rs)
-    sel_tables = [sel_from_table(t, xs) for t in fun_space(p_tables, xs)]
+    sel_tables = [sel_from_table(t, xs) for t in fun_space(fun_space(xs, rs), xs)]
     max_steps = min(u.max_steps, 2)
-    rr = lambda d: render_delay(d, _short) if isinstance(d, Delay) else str(d)
-
-    entries = []
-    out = beck_unit_s(S, T, z, sel_tables, rel, str, rr)
-    entries.append(LawEntry("UnitS", out.verdict, out.cases, out.witness))
-    out = beck_unit_t(S, T, z, delay_values(xs, max_steps, u.include_diverge), rel, _short, rr)
-    entries.append(LawEntry("UnitT", out.verdict, out.cases, out.witness))
-    out = beck_mult_s(S, T, z, double_delay_values(sel_tables[:8], max_steps,
-                                                   u.include_diverge), rel, str, rr)
-    entries.append(LawEntry("MultS", out.verdict, out.cases, out.witness))
 
     two_level = [Sel(lambda q, f=f: f, lambda f=f: f"always {f}") for f in sel_tables[:6]]
     probes = []
@@ -761,18 +756,17 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
                                   f1 if q(f0) == r0 else f2,
                                   lambda f0=f0, r0=r0, f1=f1, f2=f2:
                                   f"if q({f0})={r0} then {f1} else {f2}"))
-    out = beck_mult_t(S, T, z, delay_values(two_level + probes, max_steps,
-                                            u.include_diverge), rel, str, rr)
-    entries.append(LawEntry("MultT", out.verdict, out.cases, out.witness))
-
-    renamings = [FinFun(tuple(xs), img) for img in itertools.product(xs, repeat=len(xs))]
-    nat_inputs = [(f, d) for f in renamings
-                  for d in delay_values(sel_tables[:6], max_steps, u.include_diverge)]
-    out = beck_naturality(S, T, z, nat_inputs, rel,
-                          lambda p: f"f={p[0]} on {_short(p[1])}", rr)
-    entries.append(LawEntry("Naturality", out.verdict, out.cases, out.witness))
-    return LawReport("selection", "custom:selection", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    inputs = {
+        "UnitS": sel_tables,
+        "UnitT": delay_values(xs, max_steps, u.include_diverge),
+        "MultS": double_delay_values(sel_tables[:8], max_steps, u.include_diverge),
+        "MultT": delay_values(two_level + probes, max_steps, u.include_diverge),
+        "Naturality": [(f, d) for f in fun_space(xs, xs)
+                       for d in delay_values(sel_tables[:6], max_steps, u.include_diverge)],
+    }
+    entries = _beck_entries(S, T, selection_dist, inputs,
+                            lambda d: render_delay(d, _short) if isinstance(d, Delay) else str(d))
+    return _report("selection", "custom:selection", u, entries, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,40 +821,25 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     alg_cx = continuation_step_lift(ralg, xs)
     g_tables = fun_space(xs, ralg.carrier)
     c_tables = fun_space(g_tables, ralg.carrier)
-    entries = []
 
-    def ffeq(F: FinFun, G: FinFun) -> bool:
-        return all(F(g) == G(g) for g in g_tables)
+    def ffeq(F: FinFun, G: FinFun) -> Verdict:
+        return as_verdict(all(F(g) == G(g) for g in g_tables))
 
-    cases = 0
-    verdict: Verdict = YES
-    witness = None
-    for c in c_tables:
-        cases += 1
-        if not ffeq(alg_cx(Now(c)), c):
-            verdict, witness = NO, _replayable(str(c), lambda: alg_cx(Now(c)), lambda: c)
-            break
-    if verdict.is_yes:
-        for c, n in itertools.product(c_tables[:6], range(6)):
-            cases += 1
-            if not ffeq(alg_cx(delay_n(n, c)), c):
-                verdict = NO
-                witness = _replayable(f"{n} steps on {c}", lambda: alg_cx(delay_n(n, c)),
-                                      lambda: c)
-                break
-    if verdict.is_yes:
-        # flattening a delayed delayed continuation agrees with algebra-then-algebra
-        for c, outer, inner in itertools.product(c_tables[:4], range(3), range(3)):
-            cases += 1
-            dd = delay_n(outer, delay_n(inner, c))
-            lhs = alg_cx(join(dd))
-            rhs = alg_cx(dmap(dd, alg_cx))
-            if not ffeq(lhs, rhs):
-                verdict = NO
-                witness = _replayable(f"{outer}+{inner} steps on {c}",
-                                      lambda: alg_cx(join(dd)), lambda: alg_cx(dmap(dd, alg_cx)))
-                break
-    entries.append(LawEntry("AlgebraLaws", verdict, cases, witness))
+    # unit and step erasure on each continuation, then flattening a
+    # delayed delayed continuation against algebra-then-algebra
+    def flat(cd):
+        return delay_n(cd[1], delay_n(cd[2], cd[0]))
+
+    algebra = _scan_kinds("AlgebraLaws", itertools.chain(
+        (("now", c) for c in c_tables),
+        (("steps", cn) for cn in itertools.product(c_tables[:6], range(6))),
+        (("flat", cd) for cd in itertools.product(c_tables[:4], range(3), range(3)))), {
+        "now": (str, lambda c: alg_cx(Now(c)), lambda c: c),
+        "steps": (lambda cn: f"{cn[1]} steps on {cn[0]}",
+                  lambda cn: alg_cx(delay_n(cn[1], cn[0])), lambda cn: cn[0]),
+        "flat": (lambda cd: f"{cd[1]}+{cd[2]} steps on {cd[0]}",
+                 lambda cd: alg_cx(join(flat(cd))), lambda cd: alg_cx(dmap(flat(cd), alg_cx))),
+    }, ffeq)
 
     # extracting the carrier algebra back out: send each result to the
     # evaluate-here continuation, then apply at the identity table
@@ -871,23 +850,11 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     def eval_at(r) -> FinFun:
         return FinFun.tabulate(gr_tables, lambda g: g(r))
 
-    rec_cases = 0
-    rec: Verdict = YES
-    rec_witness = None
-    for d in delay_values(rs, min(u.max_steps, 3), True):
-        rec_cases += 1
-        recovered = alg_cr(dmap(d, eval_at))(ident)
-        if recovered != ralg.alg(d):
-            rec, rec_witness = NO, _replayable(render_delay(d),
-                                               lambda: alg_cr(dmap(d, eval_at))(ident),
-                                               lambda: ralg.alg(d))
-            break
-    entries.append(LawEntry("CarrierRecovery", rec, rec_cases, rec_witness))
-
-    ret = retract_check(u, rs)
-    entries.extend(ret.entries)
-    return LawReport("continuation", "custom:continuation", u.relation, u.bounds_dict(),
-                     entries, (time.perf_counter() - t0) * 1000.0)
+    recovery = _scan("CarrierRecovery", delay_values(rs, min(u.max_steps, 3), True),
+                     lambda d: alg_cr(dmap(d, eval_at))(ident), ralg.alg,
+                     _same, render_delay)
+    return _report("continuation", "custom:continuation", u,
+                   [algebra, recovery] + retract_check(u, rs).entries, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -971,10 +938,10 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
     fuel = u.derived_fuel()
     p_tables = fun_space(xs, rs)
     d_pool = delay_values(xs, 2, True)
-    entries = []
 
     # psi . phi = id over every table (X -> R) -> D X, read row by row
-    # from the table-backed selectors; a witness replays on the lambda path
+    # from the table-backed selectors; a witness replays on the lambda
+    # path.  The policy is _scan's, inlined: this is the hottest combo scan
     def retract_witness(table: FinFun, i: int, back: Sel) -> Witness:
         p = table.domain[i]
         return _replayable(f"{table} at {p}",
@@ -984,20 +951,24 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
                            seen=(render_delay(back.table.values[i], _short),
                                  render_delay(table.values[i], _short)))
 
-    cases = 0
-    verdict: Verdict = YES
-    witness = None
-    for table in fun_space(p_tables, d_pool):
-        back = psi(phi(sel_from_table(table, xs)), ralg)
-        for i, d in enumerate(table.values):
-            cases += 1
-            v = strong_equal(back.table.values[i], d, fuel)
-            if not v.is_yes:
-                verdict, witness = v, retract_witness(table, i, back)
-                break
-        if not verdict.is_yes:
-            break
-    entries.append(LawEntry("RetractIdentity", verdict, cases, witness))
+    def retract_identity() -> LawEntry:
+        cases = 0
+        first_unknown: Optional[Verdict] = None
+        for table in fun_space(p_tables, d_pool):
+            back = psi(phi(sel_from_table(table, xs)), ralg)
+            for i, d in enumerate(table.values):
+                cases += 1
+                v = strong_equal(back.table.values[i], d, fuel)
+                if v.is_yes:
+                    continue
+                if v.is_no:
+                    return LawEntry("RetractIdentity", NO, cases, retract_witness(table, i, back))
+                if first_unknown is None:
+                    first_unknown = v
+        return LawEntry("RetractIdentity", YES if first_unknown is None else first_unknown,
+                        cases)
+
+    identity = retract_identity()
 
     # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
     preds = predicate_family(xs, rs, (0, 1, 2))
@@ -1017,33 +988,21 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
                                lambda f0=f0, r0=r0, f1=f1, f2=f2:
                                f"now(if q({f0})={r0} then {f1} else {f2})"))
 
-    mu_cases = 0
-    mu_verdict: Verdict = YES
-    mu_witness = None
-    for FF in ffs:
-        lhs = phi(mu_delayed_result(FF, ralg))
-        rhs = mu_composite(phi(jd_fmap(phi, FF)))
-        for g in preds:
-            mu_cases += 1
-            v = strong_equal(lhs(g), rhs(g), fuel)
-            if v.is_no:
-                mu_verdict = NO
-                mu_witness = _replayable(
-                    f"{FF} under {g}",
-                    lambda: render_delay(phi(mu_delayed_result(FF, ralg))(g), _short),
-                    lambda: render_delay(mu_composite(phi(jd_fmap(phi, FF)))(g), _short),
-                    note="the embedding is not a monad map")
-                break
-        if mu_verdict.is_no:
-            break
-    entry = LawEntry("MuSquare", mu_verdict, mu_cases, mu_witness)
-    if mu_verdict.is_no:
-        entry.predicted = True
-        entry.prediction_note = ("the two delayed selection monads multiply differently; "
-                                 "a failure witness is the expected outcome")
-    entries.append(entry)
-    return LawReport("retract", "custom:continuation", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    # both sides of the square as selectors: a case is (i, g) for FF =
+    # ffs[i]; the scan builds each side once per FF and asks it every
+    # predicate, and a witness's replay rebuilds both from FF
+    with _memoised(lambda i: phi(mu_delayed_result(ffs[i], ralg))) as lhs, \
+            _memoised(lambda i: mu_composite(phi(jd_fmap(phi, ffs[i])))) as rhs:
+        square = _scan("MuSquare", itertools.product(range(len(ffs)), preds),
+                       lambda c: lhs(c[0])(c[1]), lambda c: rhs(c[0])(c[1]),
+                       lambda a, b: strong_equal(a, b, fuel),
+                       lambda c: f"{ffs[c[0]]} under {c[1]}", lambda d: render_delay(d, _short))
+    if square.verdict.is_no:
+        square.witness.note = "the embedding is not a monad map"
+        square.predicted = True
+        square.prediction_note = ("the two delayed selection monads multiply differently; "
+                                  "a failure witness is the expected outcome")
+    return _report("retract", "custom:continuation", u, [identity, square], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,9 +1149,8 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
     small = base + [ops.later(base[0]), ops.div(), ops.node("union", [base[0], base[-1]])]
     k_pool = [dict(zip(xs, combo)) for combo in itertools.product(small[:5], repeat=len(xs))]
 
-    out = check_monad_laws_kleisli(ops.pure, ops.bind, elements, xs, k_pool,
-                                   lambda a, b: ops.equal(a, b), fm.value_str)
-    entries = [LawEntry("MonadLaws", out.verdict, out.cases, out.witness)]
+    entries = [check_monad_laws_kleisli(ops.pure, ops.bind, elements, xs, k_pool,
+                                        lambda a, b: ops.equal(a, b), fm.value_str)]
 
     # extension vs direct evaluation into the diamond join model
     dm_elems = (0, 1, 2, 3)
@@ -1205,28 +1163,18 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
 
     f = {x: i + 1 for i, x in enumerate(xs)}
     ext = sum_free_extension(ops, diamond, step_y, 0, f)
-    ext_cases = 0
-    ext_verdict: Verdict = YES
-    ext_witness = None
-    for e in elements:
-        ext_cases += 1
-        got = ext(e)
-        want = _eval_into_model(th, diamond, e,
+
+    def direct(e: fm.ModelElement):
+        return _eval_into_model(th, diamond, e,
                                 lambda leaf: (f[leaf.value] if isinstance(leaf, PureLeaf)
                                               else step_y(ext(leaf.tail))
                                               if isinstance(leaf, LaterLeaf) else 0))
-        if got != want:
-            ext_verdict = NO
-            ext_witness = Witness(fm.value_str(e), str(got), str(want))
-            break
-    if ext_verdict.is_yes:
-        for x in xs:
-            ext_cases += 1
-            if ext(ops.pure(x)) != f[x]:
-                ext_verdict = NO
-                ext_witness = Witness(f"generator {x}", str(ext(ops.pure(x))), str(f[x]))
-                break
-    entries.append(LawEntry("FreeExtension", ext_verdict, ext_cases, ext_witness))
+
+    entries.append(_scan_kinds("FreeExtension", itertools.chain(
+        (("element", e) for e in elements), (("generator", x) for x in xs)), {
+        "element": (fm.value_str, ext, direct),
+        "generator": (lambda x: f"generator {x}", lambda x: ext(ops.pure(x)), f.__getitem__),
+    }, _same))
 
     # a guard-counting carrier separates the real extension from a
     # guard-blind alternative, so the alternative is not a homomorphism
@@ -1261,25 +1209,18 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
     entries.append(LawEntry("Uniqueness", YES if sep_witness is not None else NO,
                             uniq_cases, sep_witness))
 
-    # bind never loses a guard
-    g_cases = 0
-    g_verdict: Verdict = YES
-    g_witness = None
-    for e in elements:
-        base_depths = ops.guard_depths(e)
-        for k in k_pool[:6]:
-            g_cases += 1
-            bound = ops.bind(e, lambda v: k[v])
-            got = ops.guard_depths(bound)
-            if got and base_depths and min(got) < min(base_depths):
-                g_verdict = NO
-                g_witness = Witness(fm.value_str(e), str(got), str(base_depths))
-                break
-        if not g_verdict.is_yes:
-            break
-    entries.append(LawEntry("GuardInvariant", g_verdict, g_cases, g_witness))
-    return LawReport("sum", "custom:sum", u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
+    # bind never loses a guard: the bound tree's shallowest leaf is no
+    # shallower than the original's
+    def keeps_guards(got: List[int], base_depths: List[int]) -> Verdict:
+        return as_verdict(not (got and base_depths and min(got) < min(base_depths)))
+
+    # the original's depths are walked once per element during the scan
+    with _memoised(ops.guard_depths) as base_depths:
+        entries.append(_scan("GuardInvariant", itertools.product(elements, k_pool[:6]),
+                             lambda ek: ops.guard_depths(ops.bind(ek[0], ek[1].__getitem__)),
+                             lambda ek: base_depths(ek[0]), keeps_guards,
+                             lambda ek: fm.value_str(ek[0])))
+    return _report("sum", "custom:sum", u, entries, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,33 +1234,20 @@ def check_exceptions(u: TestUniverse, n_exceptions: int = 2) -> LawReport:
     th = fm.exceptions(n_exceptions)
     cand = custom_candidate(th, "custom:exceptions", seq_lift_op)
     report = run_suite(th, cand, u)
-    report = LawReport("exceptions", "custom:exceptions", report.relation, report.bounds,
-                       report.entries, report.elapsed_ms, report.guaranteed)
-    return report
+    return LawReport("exceptions", "custom:exceptions", report.relation, report.bounds,
+                     report.entries, report.elapsed_ms, report.guaranteed)
 
 
-COMBO_NAMES = ("exceptions", "reader", "writer", "yang-baxter", "state",
-               "selection", "continuation", "sum")
+# each pairing's checker, by the name the CLI and combo_report take
+COMBOS: Dict[str, Callable[[TestUniverse], LawReport]] = {
+    "exceptions": check_exceptions, "reader": check_reader, "writer": check_writer,
+    "yang-baxter": check_yang_baxter, "state": check_state, "selection": check_selection,
+    "continuation": check_continuation, "sum": check_sum,
+}
+COMBO_NAMES = tuple(COMBOS)
 
 
 def combo_report(name: str, u: TestUniverse) -> LawReport:
-    if name == "exceptions":
-        return check_exceptions(u)
-    if name == "reader":
-        return check_reader(u)
-    if name == "writer":
-        return check_writer(u)
-    if name == "yang-baxter":
-        t0 = time.perf_counter()
-        entry = yang_baxter_check(u)
-        return LawReport("yang-baxter", "custom:yang-baxter", u.relation, u.bounds_dict(),
-                         [entry], (time.perf_counter() - t0) * 1000.0)
-    if name == "state":
-        return check_state(u)
-    if name == "selection":
-        return check_selection(u)
-    if name == "continuation":
-        return check_continuation(u)
-    if name == "sum":
-        return check_sum(u)
-    raise ValueError(f"unknown combination {name!r}; choose from {', '.join(COMBO_NAMES)}")
+    if name not in COMBOS:
+        raise ValueError(f"unknown combination {name!r}; choose from {', '.join(COMBO_NAMES)}")
+    return COMBOS[name](u)

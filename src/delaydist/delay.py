@@ -197,13 +197,6 @@ def force(d: Delay, fuel: int):
     return Terminated(end.value, n) if isinstance(end, Now) else KNOWN_DIVERGENT
 
 
-def reify(d: Delay) -> Delay:
-    """``d`` itself: every delay is already one materialised node.  Kept
-    as a public name for callers that normalised the results of lazy
-    liftings."""
-    return d
-
-
 def step_count(d: Delay) -> Optional[int]:
     """Number of steps before Now, or None for divergence."""
     n, end = peel(d)

@@ -22,12 +22,12 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, unknown, as_verdict, bind, conjoin,
-                    delay_n, dmap, join, now, peel, render_delay, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, bind, conjoin, delay_n, dmap, join,
+                    now, peel, render_delay, strong_equal, weak_bisim)
 from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
 from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
                      predict_composability, var_counts)
@@ -245,20 +245,19 @@ def theory_pack(th: Theory) -> MonadPack:
                      lambda f, m: fm.fmap(th, f, m), equal)
 
 
-@dataclass
-class AxiomOutcome:
-    verdict: Verdict
-    cases: int
-    witness: Optional[Witness] = None
-
-
-def _scan(inputs: Iterable,
+def _scan(axiom: str,
+          inputs: Iterable,
           lhs_fn: Callable[[Any], Any],
           rhs_fn: Callable[[Any], Any],
           compare: Callable[[Any, Any], Verdict],
-          render_input: Callable[[Any], str],
-          render_result: Callable[[Any], str]) -> AxiomOutcome:
-    """Evaluate both sides on every input; first No wins, Unknowns collect."""
+          render_input: Callable[[Any], str] = str,
+          render_result: Callable[[Any], str] = str) -> LawEntry:
+    """Evaluate both sides on every input and compare them.
+
+    The first No wins: the scan stops there, and its witness replays both
+    sides.  The first Unknown is kept and the scan goes on past it, so an
+    Unknown entry counts every case and carries no witness.
+    """
     cases = 0
     first_unknown: Optional[Verdict] = None
     for x in inputs:
@@ -266,65 +265,47 @@ def _scan(inputs: Iterable,
         lhs = lhs_fn(x)
         rhs = rhs_fn(x)
         v = compare(lhs, rhs)
+        if v.is_yes:
+            continue
         if v.is_no:
             def replay(x=x):
                 return render_result(lhs_fn(x)), render_result(rhs_fn(x))
 
             w = Witness(render_input(x), render_result(lhs), render_result(rhs), replay=replay)
-            return AxiomOutcome(NO, cases, w)
-        if v.is_unknown and first_unknown is None:
+            return LawEntry(axiom, NO, cases, w)
+        if first_unknown is None:
             first_unknown = v
-    if first_unknown is not None:
-        return AxiomOutcome(first_unknown, cases)
-    return AxiomOutcome(YES, cases)
+    return LawEntry(axiom, YES if first_unknown is None else first_unknown, cases)
 
 
-def beck_unit_s(S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-                render_input=str, render_result=str) -> AxiomOutcome:
-    """z(unit_S(t)) = fmap_T(unit_S)(t) for t in T X."""
-    return _scan(inputs,
-                 lambda t: z(S.unit(t)),
-                 lambda t: T.fmap(S.unit, t),
-                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
-                 render_input, render_result)
+BECK_AXIOMS = ("UnitS", "UnitT", "MultS", "MultT", "Naturality")
 
 
-def beck_unit_t(S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-                render_input=str, render_result=str) -> AxiomOutcome:
-    """z(fmap_S(unit_T)(s)) = unit_T(s) for s in S X."""
-    return _scan(inputs,
-                 lambda s: z(S.fmap(T.unit, s)),
-                 lambda s: T.unit(s),
-                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
-                 render_input, render_result)
+def beck_scan(axiom: str, S: MonadPack, T: MonadPack, z, inputs, inner_rel,
+              render_input=str, render_result=str) -> LawEntry:
+    """One Beck axiom for ``z : S(T X) -> T(S X)``, chosen by name:
 
+    - UnitS: ``z(unit_S(t)) = fmap_T(unit_S)(t)`` for t in T X;
+    - UnitT: ``z(fmap_S(unit_T)(s)) = unit_T(s)`` for s in S X;
+    - MultS: ``z(mu_S(M)) = fmap_T(mu_S)(z(fmap_S(z)(M)))`` for M in S(S(T X));
+    - MultT: ``z(fmap_S(mu_T)(M)) = mu_T(fmap_T(z)(z(M)))`` for M in S(T(T X));
+    - Naturality: on ``(f, m)`` pairs with m in S(T X), the f-image taken
+      after ``z`` and the one taken before.
 
-def beck_mult_s(S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-                render_input=str, render_result=str) -> AxiomOutcome:
-    """z(mu_S(M)) = fmap_T(mu_S)(z(fmap_S(z)(M))) for M in S(S(T X))."""
-    return _scan(inputs,
-                 lambda M: z(S.mu(M)),
-                 lambda M: T.fmap(S.mu, z(S.fmap(z, M))),
-                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
-                 render_input, render_result)
-
-
-def beck_mult_t(S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-                render_input=str, render_result=str) -> AxiomOutcome:
-    """z(fmap_S(mu_T)(M)) = mu_T(fmap_T(z)(z(M))) for M in S(T(T X))."""
-    return _scan(inputs,
-                 lambda M: z(S.fmap(T.mu, M)),
-                 lambda M: T.mu(T.fmap(z, z(M))),
-                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
-                 render_input, render_result)
-
-
-def beck_naturality(S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-                    render_input=str, render_result=str) -> AxiomOutcome:
-    """inputs: (f, m) pairs with m in S(T X); compares the two f-images."""
-    return _scan(inputs,
-                 lambda fm_pair: T.fmap(lambda s: S.fmap(fm_pair[0], s), z(fm_pair[1])),
-                 lambda fm_pair: z(S.fmap(lambda t: T.fmap(fm_pair[0], t), fm_pair[1])),
+    Both sides are compared in T, with S values compared inside under
+    ``inner_rel``.
+    """
+    if axiom not in BECK_AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    lhs, rhs = {
+        "UnitS": (lambda t: z(S.unit(t)), lambda t: T.fmap(S.unit, t)),
+        "UnitT": (lambda s: z(S.fmap(T.unit, s)), lambda s: T.unit(s)),
+        "MultS": (lambda M: z(S.mu(M)), lambda M: T.fmap(S.mu, z(S.fmap(z, M)))),
+        "MultT": (lambda M: z(S.fmap(T.mu, M)), lambda M: T.mu(T.fmap(z, z(M)))),
+        "Naturality": (lambda p: T.fmap(lambda s: S.fmap(p[0], s), z(p[1])),
+                       lambda p: z(S.fmap(lambda t: T.fmap(p[0], t), p[1]))),
+    }[axiom]
+    return _scan(axiom, inputs, lhs, rhs,
                  lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
                  render_input, render_result)
 
@@ -427,18 +408,17 @@ def _render_dt(d: Delay) -> str:
 
 
 @contextmanager
-def _memoised(apply: Callable[[fm.ModelElement], Delay]
-              ) -> Iterator[Callable[[fm.ModelElement], Delay]]:
-    """``apply`` memoised by input element while the ``with`` block runs.
+def _memoised(apply: Callable[[Any], Any]) -> Iterator[Callable[[Any], Any]]:
+    """``apply`` memoised by (hashable) input while the ``with`` block runs.
 
     An input whose ``apply`` raises is not stored, so it raises again.
     On leaving the block the cache is emptied, and later calls go to
     ``apply`` without storing anything.
     """
-    cache: Dict[fm.ModelElement, Delay] = {}
+    cache: Dict[Any, Any] = {}
     live = True
 
-    def z(m: fm.ModelElement) -> Delay:
+    def z(m):
         if not live:
             return apply(m)
         d = cache.get(m)
@@ -451,6 +431,10 @@ def _memoised(apply: Callable[[fm.ModelElement], Delay]
     finally:
         live = False
         cache.clear()
+
+
+# the universe shape each Beck axiom other than Naturality ranges over
+BECK_SHAPES = {"UnitS": "D", "UnitT": "T", "MultS": "TTD", "MultT": "TDD"}
 
 
 def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry:
@@ -477,26 +461,17 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
         return check_equation_preservation(th, cand.induced or cand.lift_op, u)
     if axiom == "MonadLaws":
         return check_composite_monad_laws(cand, u)
-    fuel = u.derived_fuel(th)
     S = theory_pack(th)
-    T = delay_pack(u.relation, fuel)
-    ri = fm.value_str
-    rr = _render_dt
+    T = delay_pack(u.relation, u.derived_fuel(th))
     with _memoised(cand.apply) as z:
-        if axiom == "UnitS":
-            out = beck_unit_s(S, T, z, iter_universe(th, u, "D"), None, ri, rr)
-        elif axiom == "UnitT":
-            out = beck_unit_t(S, T, z, iter_universe(th, u, "T"), None, ri, rr)
-        elif axiom == "MultS":
-            out = beck_mult_s(S, T, z, iter_universe(th, u, "TTD"), None, ri, rr)
-        elif axiom == "MultT":
-            out = beck_mult_t(S, T, z, iter_universe(th, u, "TDD"), None, ri, rr)
-        elif axiom == "Naturality":
-            out = beck_naturality(S, T, z, _naturality_inputs(th, u), None,
-                                  lambda p: f"f={p[0]} on {fm.value_str(p[1])}", rr)
-        else:
-            raise ValueError(f"unknown axiom {axiom!r}")
-    return LawEntry(axiom, out.verdict, out.cases, out.witness)
+        if axiom == "Naturality":
+            return beck_scan(axiom, S, T, z, _naturality_inputs(th, u), None,
+                             lambda p: f"f={p[0]} on {fm.value_str(p[1])}", _render_dt)
+        # the universe is built lazily, so beck_scan rejects an unknown
+        # axiom before any input is enumerated
+        return beck_scan(axiom, S, T, z, iter_universe(th, u, BECK_SHAPES.get(axiom)), None,
+                         fm.value_str, _render_dt)
+
 
 
 class _Renaming:
@@ -681,8 +656,9 @@ def _liftable(t: Term, bound: set, th: Theory) -> bool:
 
 
 def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, compare,
-                             render=str) -> AxiomOutcome:
-    """Left unit, right unit and associativity in Kleisli form.
+                             render=str) -> LawEntry:
+    """Left unit, right unit and associativity in Kleisli form, as one
+    MonadLaws entry under the policy of :func:`_scan`.
 
     ``k_pool`` is a list of dicts mapping each value to a monadic result;
     associativity quantifies over every (m, k, h) with k and h from the
@@ -709,7 +685,7 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
             rhs = k[x]
             v = compare(lhs, rhs)
             if v.is_no:
-                return AxiomOutcome(NO, cases, Witness(
+                return LawEntry("MonadLaws", NO, cases, Witness(
                     f"left unit at {x!r}", render(lhs), render(rhs),
                     replay=lambda: (render(bind_fn(unit_fn(x), k.__getitem__)), render(k[x]))))
             if v.is_unknown and first_unknown is None:
@@ -719,7 +695,7 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
         lhs = bind_fn(m, unit_fn)
         v = compare(lhs, m)
         if v.is_no:
-            return AxiomOutcome(NO, cases, Witness(
+            return LawEntry("MonadLaws", NO, cases, Witness(
                 f"right unit at {render(m)}", render(lhs), render(m),
                 replay=lambda: (render(bind_fn(m, unit_fn)), render(m))))
         if v.is_unknown and first_unknown is None:
@@ -737,14 +713,12 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
                 rhs = bind_fn(m, kh)
                 v = compare(lhs, rhs)
                 if v.is_no:
-                    return AxiomOutcome(NO, cases, Witness(
+                    return LawEntry("MonadLaws", NO, cases, Witness(
                         f"associativity at {render(m)}", render(lhs), render(rhs),
                         replay=lambda: _plain_associativity(bind_fn, m, k, h, render)))
                 if v.is_unknown and first_unknown is None:
                     first_unknown = v
-    if first_unknown is not None:
-        return AxiomOutcome(first_unknown, cases)
-    return AxiomOutcome(YES, cases)
+    return LawEntry("MonadLaws", YES if first_unknown is None else first_unknown, cases)
 
 
 def _tabled_continuation(bind_fn, k: dict, h: dict) -> Callable[[Any], Any]:
@@ -816,14 +790,14 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
         raise UniverseBudgetError("composite monad laws", estimate, u.case_budget)
 
     with _memoised(cand.apply) as z:
-        out = check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand, z),
-                                       elements, vals, k_pool, compare, _render_dt)
-    return LawEntry("MonadLaws", out.verdict, out.cases, out.witness)
+        return check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand, z),
+                                        elements, vals, k_pool, compare, _render_dt)
 
 
 def check_delay_monad_laws(max_steps: int = 5, values: Sequence[Any] = ("a", "b", "c"),
-                           fuel: int = 64) -> AxiomOutcome:
-    """Monad laws of the delay monad itself up to strong equality."""
+                           fuel: int = 64) -> LawEntry:
+    """Monad laws of the delay monad itself up to strong equality, as a
+    MonadLaws entry."""
     elements = delay_values(values, max_steps, include_diverge=True)
     k_values = [delay_n(s, v) for s in (0, 1, 2) for v in values] + [DIVERGE]
     k_pool = [dict(zip(values, combo))

@@ -10,13 +10,13 @@ from delaydist import combos, laws
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, conjoin, dmap, peel, render_delay,
                              strong_equal, unknown, weak_bisim)
-from delaydist.laws import AxiomOutcome, LawEntry, Witness
+from delaydist.laws import LawEntry, Witness
 from delaydist.lifting import lift_term
 from delaydist.theory import TheorySemanticError, Var
 
 
 def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, compare,
-                                 render=str) -> AxiomOutcome:
+                                 render=str) -> LawEntry:
     """The Kleisli monad-law scan with both sides of every case computed
     afresh: the reference that :func:`laws.check_monad_laws_kleisli`,
     which shares binds between cases, must agree with."""
@@ -26,7 +26,7 @@ def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, 
     def record(v, make_witness):
         nonlocal first_unknown
         if v.is_no:
-            return AxiomOutcome(NO, cases, make_witness())
+            return LawEntry("MonadLaws", NO, cases, make_witness())
         if v.is_unknown and first_unknown is None:
             first_unknown = v
         return None
@@ -58,9 +58,7 @@ def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, 
                                              render(lhs), render(rhs)))
                 if bad:
                     return bad
-    if first_unknown is not None:
-        return AxiomOutcome(first_unknown, cases)
-    return AxiomOutcome(YES, cases)
+    return LawEntry("MonadLaws", YES if first_unknown is None else first_unknown, cases)
 
 
 def reference_equation_preservation(th, lift_op, u):
@@ -508,15 +506,18 @@ def reference_retract_identity(u, rs=(0, 1)) -> LawEntry:
     p_tables = combos.fun_space(xs, rs)
     d_pool = laws.delay_values(xs, 2, True)
     cases = 0
+    first_unknown = None
     for table in combos.fun_space(p_tables, d_pool):
         f = reference_sel(table, xs)
         back = reference_psi(reference_phi(f), ralg)
         for p in p_tables:
             cases += 1
             v = strong_equal(back(p), f(p), fuel)
-            if not v.is_yes:
+            if v.is_no:
                 return LawEntry("RetractIdentity", v, cases,
                                 Witness(f"{table} at {p}",
                                         render_delay(back(p), combos._short),
                                         render_delay(f(p), combos._short)))
-    return LawEntry("RetractIdentity", YES, cases)
+            if v.is_unknown and first_unknown is None:
+                first_unknown = v
+    return LawEntry("RetractIdentity", YES if first_unknown is None else first_unknown, cases)

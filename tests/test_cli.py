@@ -187,6 +187,16 @@ class TestCombo:
         code, _, _ = run(capsys, "combo", "frobnitz")
         assert code == 3
 
+    @pytest.mark.parametrize("fuel", ["1", "2"])
+    def test_state_out_of_fuel_exits_two(self, capsys, fuel):
+        # an exhausted bind is Unknown, never an unexpected No, and an
+        # undecided algebra law does not stop the extension
+        code, out, _ = run(capsys, "combo", "state", "--carrier-size", "1", "--max-steps", "2",
+                           "--max-depth", "1", "--fuel", fuel)
+        assert code == 2
+        assert "StepAdditivity         unknown" in out
+        assert "UNEXPECTED" not in out
+
     @pytest.mark.parametrize("size", ["1", "2"])
     def test_continuation_matches_golden(self, capsys, size):
         # the golden files are the report with elapsedMs taken out

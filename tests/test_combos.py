@@ -4,13 +4,16 @@ Each pairing runs through the same axiom engine; the continuation
 pairing is the documented negative (its composite multiplication square
 fails) and everything else passes at the default bounds."""
 
+import dataclasses
+
 import pytest
 
 from conftest import reference_phi, reference_psi, reference_retract_identity, reference_sel
 from delaydist import combos
+from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
                              strong_equal)
-from delaydist.laws import AxiomOutcome, Witness
+from delaydist.laws import LawEntry, Witness
 from delaydist.laws import TestUniverse as Universe
 
 SMALL = Universe(carrier_size=2, max_steps=2, max_depth=2)
@@ -213,6 +216,190 @@ def test_state_first_no_matches_the_reference_scan(monkeypatch, use_reference_kl
     assert combos.check_state(Universe()).entries == r.entries
 
 
+def test_step_additivity_catches_a_bind_that_outruns_a_diverging_stage(monkeypatch):
+    # a bind that finishes where its continuation diverges: the first such
+    # case is m = [0↦(0, a), 1↦(0, b)] against the fifth table, which sends
+    # b to divergence, at state 1
+    bind = combos.StateOps.bind
+
+    def finishing(self, m, k):
+        bound = bind(self, m, k)
+        return combos.DelayedState(combos.FinFun.tabulate(
+            self.states, lambda s: Now((s, "a")) if bound.run(s) is DIVERGE else bound.run(s)))
+
+    monkeypatch.setattr(combos.StateOps, "bind", finishing)
+    e = combos.check_state(Universe()).entry("StepAdditivity")
+    assert (e.verdict.kind, e.cases) == ("no", 12 * 2 + 4 * 2 + 2)
+    assert e.witness.rhs_render == "no termination: the second stage diverges"
+    assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
+
+
+def test_step_additivity_witness_replays(monkeypatch):
+    monkeypatch.setattr(combos.StateOps, "bind", _lossy_state_bind(combos.StateOps.bind))
+    w = combos.check_state(Universe()).entry("StepAdditivity").witness
+    assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def _state_bind_at(bind, reshape):
+    """``StateOps.bind`` with each state's result passed through
+    ``reshape(first-stage steps, bound steps, end)``."""
+
+    def reshaped(self, m, k):
+        bound = bind(self, m, k)
+
+        def at(s):
+            n, end = peel(bound.run(s))
+            return reshape(peel(m.run(s))[0], n, end) if isinstance(end, Now) else bound.run(s)
+
+        return combos.DelayedState(combos.FinFun.tabulate(self.states, at))
+
+    return reshaped
+
+
+@pytest.mark.parametrize("reshape,cases,lhs,rhs", [
+    # a bind that drops every step of a first stage past the fuel finishes
+    # within it; first at m = [0↦(0, a), 1↦2·step ▸ (0, a)], the first table, state 1
+    (lambda first, n, end: end if first >= 2 else delay_n(n, end.value), 4 * 6 + 2,
+     "Terminated(value=(0, 'a'), steps=0)",
+     "expected more steps than the fuel: the first stage runs out of it"),
+    # a bind that pads a one-step result to two outruns the fuel where
+    # its stages finish within it: first at m = [0↦(0, a), 1↦(0, a)], the
+    # second table (one step), state 0
+    (lambda first, n, end: delay_n(2 if n == 1 else n, end.value), 3,
+     "EXHAUSTED", "expected 0+1 steps"),
+])
+def test_step_additivity_refutes_past_the_fuel_by_arithmetic(monkeypatch, reshape, cases,
+                                                             lhs, rhs):
+    monkeypatch.setattr(combos.StateOps, "bind",
+                        _state_bind_at(combos.StateOps.bind, reshape))
+    r = combos.check_state(Universe(carrier_size=1, max_steps=2, max_depth=1, fuel=1))
+    e = r.entry("StepAdditivity")
+    assert (e.verdict.kind, e.cases) == ("no", cases)
+    assert (e.witness.lhs_render, e.witness.rhs_render) == (lhs, rhs)
+    assert e.witness.replay() == (lhs, rhs)
+
+
+def test_step_additivity_replay_binds_afresh(monkeypatch):
+    lossy = _lossy_state_bind(combos.StateOps.bind)
+    monkeypatch.setattr(combos.StateOps, "bind", lossy)
+    w = combos.check_state(Universe()).entry("StepAdditivity").witness
+    # a bind restored after the scan shows in the replay, so the replay
+    # did not reuse the scan's bind
+    monkeypatch.undo()
+    assert w.replay() != (w.lhs_render, w.rhs_render)
+
+
+@pytest.mark.parametrize("fuel,algebra", [(1, "unknown"), (2, "yes")])
+def test_state_out_of_fuel_is_unknown(fuel, algebra):
+    # at fuel 2 a bind of 2 + 1 steps runs out; at fuel 1 the step laws
+    # of the algebra cannot be decided either.  Neither is a No
+    r = combos.check_state(Universe(carrier_size=1, max_steps=2, max_depth=1, fuel=fuel))
+    add = r.entry("StepAdditivity")
+    assert add.verdict.kind == "unknown" and add.witness is None
+    assert add.cases == 294  # every case, not only those before the first Unknown
+    assert r.entry("GsdAlgebraLaws").verdict.kind == algebra
+    assert not any(e.verdict.is_no for e in r.entries)
+
+
+def test_gsd_validation_keeps_unknowns_apart_from_failures():
+    alg = combos.canonical_gsd((0, 1), ("x0",), 1)
+    verdicts = combos.validate_gsd(alg)
+    assert tuple(verdicts) == combos.GSD_LAWS
+    assert {law for law, v in verdicts.items() if not v.is_yes} == {"step-lookup",
+                                                                    "step-update"}
+    assert not any(v.is_no for v in verdicts.values())
+    combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)  # does not raise
+
+
+def test_wrong_gsd_algebra_raises():
+    # an update that ignores the state it is given breaks update-lookup
+    alg = dataclasses.replace(combos.canonical_gsd((0, 1), ("x0",), 64),
+                              update=lambda y, s: y)
+    with pytest.raises(combos.GsdAlgebraError) as err:
+        combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)
+    assert "update-lookup" in err.value.failed
+    assert all(combos.validate_gsd(alg)[law].is_no for law in err.value.failed)
+
+
+def test_gsd_extension_witness_replays(monkeypatch):
+    # an extension that puts back the state it started from fixes the
+    # generator but not a sample that changes the state
+    def forgetful_extend(f, alg):
+        return lambda m: combos.DelayedState(combos.FinFun.tabulate(
+            alg.states, lambda t: dmap(m.run(t), lambda sx: (t, sx[1]))))
+
+    monkeypatch.setattr(combos, "gsd_extend", forgetful_extend)
+    e = combos.check_gsd(Universe(carrier_size=1, max_steps=2, max_depth=1)).entry(
+        "GsdExtension")
+    assert e.verdict.is_no
+    assert e.witness.input_render.startswith("sample ")
+    assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
+
+
+def test_free_extension_and_guard_invariant_witnesses_replay(monkeypatch):
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    monkeypatch.setattr(combos, "sum_free_extension", lambda *args: lambda e: 0)
+    monkeypatch.setattr(combos.SumOps, "bind", lambda self, e, k: self.pure("a"))
+    r = combos.check_sum(u)
+    ext, guards = r.entry("FreeExtension"), r.entry("GuardInvariant")
+    # the first element, pure a, evaluates to 1, not 0
+    assert (ext.verdict.kind, ext.cases) == ("no", 1)
+    # a bind that drops every guard keeps the 2 x 6 unguarded cases and
+    # fails on the first guarded element
+    assert (guards.verdict.kind, guards.cases) == ("no", 13)
+    assert guards.witness.input_render == fm.value_str(combos.SumOps(fm.semilattice()).later(
+        combos.SumOps(fm.semilattice()).pure("a")))
+    for e in (ext, guards):
+        assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
+
+
+def test_guard_invariant_walks_each_original_once(monkeypatch):
+    calls = [0]
+    walk = combos.SumOps.guard_depths
+
+    def counting(self, e):
+        calls[0] += 1
+        return walk(self, e)
+
+    monkeypatch.setattr(combos.SumOps, "guard_depths", counting)
+    e = combos.check_sum(Universe(carrier_size=2, max_steps=1, max_depth=1)).entry(
+        "GuardInvariant")
+    assert e.verdict.is_yes
+    # one walk of each bound tree, and one of each original for its 6 tables
+    assert calls[0] == e.cases + e.cases // 6
+
+
+def test_mu_square_unknowns_are_not_a_yes(monkeypatch):
+    # both multiplications answer every predicate after 2 steps, so under
+    # fuel 1 no case is decided: the square is Unknown over all 40 x 24
+    # cases, not a yes
+    constant = lambda *args: combos.Sel(lambda p: delay_n(2, "a"), lambda: "two steps")
+    monkeypatch.setattr(combos, "mu_composite", constant)
+    monkeypatch.setattr(combos, "mu_delayed_result", constant)
+    e = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1, fuel=1)).entry(
+        "MuSquare")
+    assert e.verdict.kind == "unknown"
+    assert e.cases == 40 * 24
+    assert e.witness is None and not e.predicted
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_retract_identity_continues_past_an_unknown(carrier_size):
+    u = Universe(carrier_size=carrier_size, max_steps=1, max_depth=1, fuel=1)
+    entry = combos.retract_check(u).entry("RetractIdentity")
+    assert entry.verdict.kind == "unknown"
+    assert entry.cases == (32, 9604)[carrier_size - 1]
+    assert entry.witness is None
+    assert entry == reference_retract_identity(u)
+
+
+def test_combo_report_dispatches_yang_baxter_like_any_pairing():
+    r = combos.combo_report("yang-baxter", SMALL)
+    assert (r.theory, r.mode) == ("yang-baxter", "custom:yang-baxter")
+    assert r.entries == [combos.yang_baxter_check(SMALL)]
+    assert combos.COMBO_NAMES == tuple(combos.COMBOS)
+
+
 def test_step_additivity_binds_once_per_m_and_k(monkeypatch):
     calls = [0]
     bind = combos.StateOps.bind
@@ -223,7 +410,7 @@ def test_step_additivity_binds_once_per_m_and_k(monkeypatch):
 
     monkeypatch.setattr(combos.StateOps, "bind", counting)
     monkeypatch.setattr(combos, "check_monad_laws_kleisli",
-                        lambda *args: AxiomOutcome(YES, 0))
+                        lambda *args: LawEntry("MonadLaws", YES, 0))
     r = combos.check_state(Universe())
     assert r.entry("StepAdditivity").cases == 60 * 12 * 2
     assert calls[0] == 60 * 12  # the first 60 elements against the first 12 tables
@@ -325,6 +512,17 @@ def test_mu_square_witness_replays(default_reports):
     w = default_reports["continuation"].entry("MuSquare").witness
     assert w.note == "the embedding is not a monad map"
     assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def test_mu_square_replay_rebuilds_both_sides(monkeypatch):
+    w = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1)).entry(
+        "MuSquare").witness
+    # a multiplication changed after the scan shows in the replay, so the
+    # replay built its selectors again from FF
+    monkeypatch.setattr(combos, "mu_composite",
+                        lambda *args: combos.Sel(lambda p: DIVERGE, lambda: "never"))
+    lhs, rhs = w.replay()
+    assert lhs == w.lhs_render and rhs != w.rhs_render
 
 
 def test_unstepped_algebra_laws_and_carrier_recovery_witnesses_replay(monkeypatch):

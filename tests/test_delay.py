@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Now, Step,
                              Terminated, bind, delay_n, diverge, dmap, force, join, now,
-                             prepend_steps, reify, render_delay, resolve, step, step_count,
+                             prepend_steps, render_delay, resolve, step, step_count,
                              strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
@@ -66,7 +66,7 @@ class TestForce:
 class TestBindJoin:
     def test_left_unit_clause(self):
         k = lambda v: delay_n(2, v.upper())
-        assert reify(bind(now("a"), k)) == delay_n(2, "A")
+        assert bind(now("a"), k) == delay_n(2, "A")
 
     def test_step_clause_keeps_guard(self):
         out = resolve(bind(delay_n(1, "a"), now))
@@ -207,14 +207,6 @@ class TestObservation:
     def test_step_count(self):
         assert step_count(delay_n(7, "a")) == 7
         assert step_count(DIVERGE) is None
-
-    def test_reify_materializes(self):
-        # every delay is already one materialised node
-        for d in (now("a"), delay_n(2, "a"), DIVERGE):
-            assert reify(d) is d
-
-    def test_reify_absorbs_steps_into_divergence(self):
-        assert reify(Step(Step(DIVERGE))) is DIVERGE
 
     def test_render(self):
         assert render_delay(delay_n(2, "a")) == "2·step ▸ a"
@@ -360,7 +352,6 @@ def test_flat_delays_observe_like_the_step_loops(x, y, fuel):
     assert (flat_x is DIVERGE) == (x[1] is DIVERGE)
     assert force(flat_x, fuel) == _ref_force(flat_x, fuel)
     assert step_count(flat_x) == (None if x[1] is DIVERGE else x[0])
-    assert reify(flat_x) is flat_x
     assert render_delay(d) == render_delay(flat_x)
     assert canon_key(d) == canon_key(flat_x)
     assert strong_equal(flat_x, flat_y, fuel) == _ref_strong_equal(flat_x, flat_y, fuel)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import conftest
 from delaydist import freemodel as fm
 from delaydist import laws, lifting
-from delaydist.delay import DIVERGE, delay_n, peel
-from delaydist.laws import (AXIOM_ORDER, LawReport, UniverseBudgetError,
+from delaydist.delay import DIVERGE, NO, YES, delay_n, peel, unknown
+from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
 from delaydist.laws import TestUniverse as Universe
@@ -51,6 +51,39 @@ class TestUniverseConfig:
     def test_bounds_dict_keys(self):
         d = Universe().bounds_dict()
         assert set(d) == {"carrierSize", "maxSteps", "maxDepth", "fuel", "includeDiverge"}
+
+
+class TestScanPolicy:
+    """The first No wins; the first Unknown is kept, the scan goes on past
+    it, and an Unknown entry carries no witness."""
+
+    def _scan(self, verdicts):
+        return laws._scan("X", range(len(verdicts)), lambda i: i, lambda i: -i,
+                          lambda a, b: verdicts[a])
+
+    def test_a_no_after_an_unknown_wins(self):
+        e = self._scan([YES, unknown(3), YES, NO, unknown(1)])
+        assert (e.axiom, e.verdict, e.cases) == ("X", NO, 4)
+        assert (e.witness.input_render, e.witness.lhs_render, e.witness.rhs_render) == (
+            "3", "3", "-3")
+        assert e.witness.replay() == ("3", "-3")
+
+    def test_unknowns_count_every_case_and_carry_no_witness(self):
+        e = self._scan([YES, unknown(3), YES, unknown(1)])
+        assert (e.verdict, e.cases, e.witness) == (unknown(3), 4, None)
+
+    def test_all_yes(self):
+        assert self._scan([YES, YES]) == LawEntry("X", YES, 2)
+
+    def test_beck_scan_rejects_an_unknown_axiom(self):
+        pack = laws.delay_pack("strict", 8)
+        with pytest.raises(ValueError, match="unknown axiom 'Frob'"):
+            laws.beck_scan("Frob", pack, pack, lambda d: d, [], None)
+
+    def test_check_axiom_rejects_an_unknown_axiom(self):
+        cand = induced_candidate(fm.semilattice(), "seq")
+        with pytest.raises(ValueError, match="unknown axiom 'Frob'"):
+            laws.check_axiom(cand, "Frob", Universe(carrier_size=1, max_steps=1, max_depth=1))
 
 
 class TestReportShape:
