@@ -475,13 +475,15 @@ class GsdAlgebraError(ValueError):
         self.failed = tuple(failed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GsdAlgebra:
     """State-and-delay algebra: lookup/update with the four state
     equations, a step endomap, and a divergence default.
 
     ``samples`` is a finite probe set used to validate the equations;
-    ``equal`` may return a bool or a Verdict.
+    ``equal`` may return a bool or a Verdict.  An algebra is immutable,
+    so its equations are validated once and the verdicts kept on it
+    (:func:`_laws`).
     """
 
     name: str
@@ -525,6 +527,17 @@ def validate_gsd(alg: GsdAlgebra, g_budget: int = 40) -> Dict[str, Verdict]:
     return {law: conjoin(probes[law]) for law in GSD_LAWS}
 
 
+def _laws(alg: GsdAlgebra) -> Dict[str, Verdict]:
+    """``validate_gsd(alg)``, computed on first use and kept on the
+    algebra, so that checking the laws and extending share one
+    validation."""
+    verdicts = getattr(alg, "_verdicts", None)
+    if verdicts is None:
+        verdicts = validate_gsd(alg)
+        object.__setattr__(alg, "_verdicts", verdicts)
+    return verdicts
+
+
 def _failed_laws(verdicts: Dict[str, Verdict]) -> List[str]:
     return [law for law, v in verdicts.items() if v.is_no]
 
@@ -535,7 +548,7 @@ def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], A
     then write back and continue in the algebra.  Raises GsdAlgebraError
     when the algebra definitely fails an equation; one its probes cannot
     decide does not stop the extension."""
-    failed = _failed_laws(validate_gsd(alg))
+    failed = _failed_laws(_laws(alg))
     if failed:
         raise GsdAlgebraError(failed)
 
@@ -591,7 +604,7 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     alg = canonical_gsd(states, xs, fuel)
     equal = lambda a, b: ops.equal(a, b, fuel)
 
-    verdicts = validate_gsd(alg)
+    verdicts = _laws(alg)
     algebra = LawEntry("GsdAlgebraLaws", conjoin(verdicts.values()), len(GSD_LAWS))
     if algebra.verdict.is_no:
         algebra.witness = _replayable(

@@ -23,8 +23,10 @@ maps each kind's name to it.  A theory's carrier is built on first use
 and resolves once what is fixed per theory: operation arities, the
 weights of the ``mix[p/q]`` operations, whether terms are kept normal.
 The module functions (:func:`unit`, :func:`apply_op`, :func:`free_bind`,
-:func:`values_of`, :func:`representative`, :func:`render_element`)
-delegate to it.  A :class:`ModelElement` holds its carrier and computes
+:func:`fmap`, :func:`values_of`, :func:`representative`,
+:func:`render_element`) delegate to it.  A carrier maps an element's
+values directly, without the unit element per value that binding would
+build.  A :class:`ModelElement` holds its carrier and computes
 its hash and :func:`canon_key` once, when first asked.
 """
 
@@ -324,8 +326,10 @@ class Carrier:
 
     Each kind implements ``unit(x)``, ``apply_op(op, args)`` (or
     ``_apply(op, arity, args)`` behind the arity check here),
-    ``free_bind(m, k)``, ``values_of(m)``, ``representative(m)`` and
-    ``render(m)``.
+    ``free_bind(m, k)``, ``fmap(m, f)``, ``values_of(m)``,
+    ``representative(m)`` and ``render(m)``.  ``fmap(m, f)`` gives the
+    payload of ``free_bind(m, λv. unit(f(v)))`` without building an
+    element per value.
     """
 
     kind = ""
@@ -346,11 +350,14 @@ class Carrier:
         _set_key(e, None)
         return e
 
+    def unknown_operation(self, op: str) -> TheorySemanticError:
+        """The error for applying ``op``, which the theory does not declare."""
+        return TheorySemanticError(f"unknown operation '{op}' in theory '{self.theory.name}'", op)
+
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         declared = self.arities.get(op)
         if declared is None:
-            raise TheorySemanticError(
-                f"unknown operation '{op}' in theory '{self.theory.name}'", op)
+            raise self.unknown_operation(op)
         if declared != len(args):
             raise TheorySemanticError(
                 f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
@@ -385,6 +392,18 @@ class TreeCarrier(Carrier):
             return fix(out) if fix else out
 
         return self.element(graft(m.payload))
+
+    def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
+        fix = self.normalise
+
+        def relabel(p):
+            if p[0] == "leaf":
+                return ("leaf", f(p[1]))
+            out = (p[0], *[relabel(a) for a in p[1:]])
+            # as in free_bind: a merged pair of leaves may make a redex
+            return fix(out) if fix else out
+
+        return self.element(relabel(m.payload))
 
     def values_of(self, m: ModelElement) -> List[Any]:
         out: List[Any] = []
@@ -476,6 +495,9 @@ class ListCarrier(Carrier):
             out.extend(k(v).payload)
         return self.element(self._collect(out))
 
+    def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
+        return self.element(self._collect([f(v) for v in m.payload]))
+
     @staticmethod
     def _collect(values) -> tuple:
         """The payload holding ``values``, in order."""
@@ -529,6 +551,9 @@ class FinsetCarrier(ListCarrier):
         return super().render(m) if m.payload else "∅"
 
 
+_ONE = Fraction(1)
+
+
 class DistCarrier(Carrier):
     """Convex combinations: ``((value, weight), ...)`` with exact rational
     weights summing to 1, sorted by the values' :func:`canon_key`."""
@@ -545,7 +570,7 @@ class DistCarrier(Carrier):
                 self.weights[op] = (w, 1 - w)
 
     def unit(self, x: Any) -> ModelElement:
-        return self.element(((x, Fraction(1)),))
+        return self.element(((x, _ONE),))
 
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         weights = self.weights.get(op)
@@ -562,6 +587,9 @@ class DistCarrier(Carrier):
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
         return self.element(_dist_merge([(w, k(v).payload) for v, w in m.payload]))
+
+    def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
+        return self.element(_dist_merge([(w, ((f(v), _ONE),)) for v, w in m.payload]))
 
     def values_of(self, m: ModelElement) -> List[Any]:
         return [v for v, _ in m.payload]
@@ -613,6 +641,10 @@ class EitherCarrier(Carrier):
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
         tag, x = m.payload
         return k(x) if tag == "val" else m
+
+    def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
+        tag, x = m.payload
+        return self.element(("val", f(x))) if tag == "val" else m
 
     def values_of(self, m: ModelElement) -> List[Any]:
         tag, x = m.payload
@@ -690,7 +722,10 @@ def free_bind(th: Theory, m: ModelElement, k: Callable[[Any], ModelElement]) -> 
 
 
 def fmap(th: Theory, f: Callable[[Any], Any], m: ModelElement) -> ModelElement:
-    return free_bind(th, m, lambda v: unit(th, f(v)))
+    """The element with ``f`` applied to each value: the payload of
+    ``free_bind(th, m, λv. unit(th, f(v)))``, without a unit element per
+    value."""
+    return (getattr(th, "_carrier", None) or _carrier_of(th)).fmap(m, f)
 
 
 def mu(th: Theory, mm: ModelElement) -> ModelElement:

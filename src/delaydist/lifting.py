@@ -10,12 +10,16 @@ lifted operations; whether the candidate is an actual distributive law
 is what the axiom checkers decide.
 
 Every delay is in the normal form D X ≅ ℕ × X + 1, so both liftings are
-plain arithmetic on step counts, and an induced candidate runs in one
-walk over the representative: the sequential lifting sums the leaves'
-step counts, the parallel lifting takes their max, the model operations
-act on the leaves' values, and a divergent leaf makes the result
-divergent, absorbing the steps.  Custom liftings go through the lifted
-operation at every node.
+plain arithmetic on step counts, and an induced candidate builds one
+element per distribution: the sequential lifting sums the leaves' step
+counts, the parallel lifting takes their max, and a divergent leaf makes
+the result divergent, absorbing the steps.  The value is the element
+with each leaf replaced by its end value.  On a tree carrier one
+post-order walk over the representative builds the counts and the
+payload together and makes the element at the root; on the other
+carriers the counts come from the element's values and the value from
+one :meth:`~delaydist.freemodel.Carrier.fmap`.  Custom liftings go
+through the lifted operation at every node.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ _TOTAL: Dict[str, Callable[[Sequence[int]], int]] = {"seq": sum, "par": _longest
 def _eager_ends(args, total: Callable[[Sequence[int]], int]):
     """The arguments' step counts, combined by ``total``, and final
     values, or DIVERGE when one of them diverges.  An argument is a Delay
-    or, from the one-pass walk, a ``(steps, value)`` pair already read
+    or, from the payload walk, a ``(steps, payload)`` pair already read
     off one."""
     counts, values, diverges = [], [], False
     for a in args:
@@ -128,27 +132,38 @@ def _leaf_delay(x) -> Delay:
     return x
 
 
-def _walk(node, th: Theory, total: Callable[[Sequence[int]], int]):
-    """``(steps, element)`` for a representative term over delays, or
-    DIVERGE.  Leaves give their step count and unit element,
-    nodes combine their children's counts by ``total`` and apply the
-    model operation to their elements; a divergent child makes the node
-    divergent without applying it.  Errors come from the same leaf or
-    node, in the same order, as on the per-node path."""
+def _end(d: Delay):
+    """The final value of a delay that finishes."""
+    return (d.end if isinstance(d, Step) else d).value
+
+
+def _walk(node, carrier: fm.TreeCarrier, total: Callable[[Sequence[int]], int]):
+    """``(steps, payload)`` for a representative term over delays, or
+    DIVERGE, in the tree carrier ``carrier``.  Leaves give their step
+    count and a leaf over their value, nodes combine their children's
+    counts by ``total`` and build the model operation's payload over
+    theirs; a divergent child makes the node divergent without applying
+    it.  Errors come from the same leaf or node, in the same order, as
+    on the per-node path."""
     if node[0] == "leaf":
         d = _leaf_delay(node[1])
         if d is DIVERGE:
             return DIVERGE
         n, end = (d.steps, d.end) if isinstance(d, Step) else (0, d)
-        return n, fm.unit(th, end.value)
+        return n, ("leaf", end.value)
     op = node[0]
-    args = [_walk(child, th, total) for child in node[1:]]
-    _check_arity(op, args, th)
+    args = [_walk(child, carrier, total) for child in node[1:]]
+    _check_arity(op, args, carrier.theory)
     ends = _eager_ends(args, total)
     if ends is DIVERGE:
         return DIVERGE
-    n, values = ends
-    return n, fm.apply_op(th, op, values)
+    if op not in carrier.arities:
+        # an undeclared operation fails where it would be applied
+        raise carrier.unknown_operation(op)
+    n, payloads = ends
+    payload = (op, *payloads)
+    # the children are normal, so fixing the node keeps the payload normal
+    return n, carrier.normalise(payload) if carrier.normalise else payload
 
 
 @dataclass
@@ -164,13 +179,20 @@ class DistLawCandidate:
 
     ``induced`` names the structural lifting ("seq" or "par") that an
     induced candidate comes from, and is None for a custom one.  An
-    induced candidate distributes an element in one walk over its
-    representative, without calling ``lift_op``: seq sums the leaves'
-    step counts, par takes their max, and a divergent leaf makes the
-    result DIVERGE, absorbing the steps.  A custom candidate sends every
-    node through ``lift_op``.  For an induced candidate both routes give
-    the same result and raise the same errors.  Its equation preservation
-    check counts steps and evaluates values the same way, once per value
+    induced candidate distributes an element without calling ``lift_op``
+    and makes one element per result: seq sums the leaves' step counts,
+    par takes their max, and a divergent leaf makes the result DIVERGE,
+    absorbing the steps.  On a tree or quotient carrier one post-order
+    walk over the representative builds ``(steps, payload)``, with the
+    checks of the per-node path in its order (argument count, divergence
+    before the operation is applied, an unknown operation where it is
+    applied, a non-Delay leaf); on the other carriers the counts come
+    from the element's values and the value is ``fmap`` of their end
+    values.  A custom candidate, and an induced one given an element of
+    another carrier kind than its theory's, sends every node through
+    ``lift_op``.  For an induced candidate both routes give the same
+    result and raise the same errors.  Its equation preservation check
+    counts steps and evaluates values the same way, once per value
     assignment (:func:`delaydist.laws.check_equation_preservation`).
     """
 
@@ -184,10 +206,14 @@ class DistLawCandidate:
 
     def _distribute(self, m: fm.ModelElement) -> Delay:
         th = self.theory
-        rep = fm.representative(m)
         if self.induced is not None:
-            out = _walk(rep, th, _TOTAL[self.induced])
-            return DIVERGE if out is DIVERGE else delay_n(*out)
+            total = _TOTAL[self.induced]
+            carrier = fm._carrier_of(th)
+            if isinstance(carrier, fm.TreeCarrier):
+                out = _walk(fm.representative(m), carrier, total)
+                return DIVERGE if out is DIVERGE else delay_n(out[0], carrier.element(out[1]))
+            if m.carrier.__class__ is carrier.__class__:
+                return _distribute_values(m, carrier, total)
 
         def go(node) -> Delay:
             if node[0] == "leaf":
@@ -195,7 +221,34 @@ class DistLawCandidate:
             args = [go(child) for child in node[1:]]
             return self.lift_op(node[0], args, th)
 
-        return go(rep)
+        return go(fm.representative(m))
+
+
+def _distribute_values(m: fm.ModelElement, carrier: fm.Carrier,
+                       total: Callable[[Sequence[int]], int]) -> Delay:
+    """An induced candidate on an element of a carrier that is not a tree:
+    the values' step counts combined by ``total``, over the element with
+    each value replaced by its end, or DIVERGE when a value diverges.
+    Every value is checked to be a delay, as every leaf of the
+    representative is.  An element without values is a constant: its
+    representative is one nullary operation, checked as the walk checks
+    a node."""
+    values = carrier.values_of(m)
+    if not values:
+        op = fm.representative(m)[0]
+        _check_arity(op, (), carrier.theory)
+        if op not in carrier.arities:
+            raise carrier.unknown_operation(op)
+    counts, diverges = [], False
+    for v in values:
+        d = _leaf_delay(v)
+        if d is DIVERGE:
+            diverges = True
+        else:
+            counts.append(d.steps if isinstance(d, Step) else 0)
+    if diverges:
+        return DIVERGE
+    return delay_n(total(counts), carrier.fmap(m, _end))
 
 
 def induced_candidate(th: Theory, mode: str) -> DistLawCandidate:

@@ -322,6 +322,12 @@ def reference_mu(th, mm):
     return reference_free_bind(th, mm, lambda inner: inner)
 
 
+def reference_fmap(th, f, m):
+    """``fmap`` by its definition: bind each value to the unit element
+    over its image."""
+    return fm.free_bind(th, m, lambda v: fm.unit(th, f(v)))
+
+
 def reference_values_of(m):
     kind = m.kind
     if kind in ("list", "multiset", "finset"):

@@ -311,6 +311,24 @@ def test_gsd_validation_keeps_unknowns_apart_from_failures():
     combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)  # does not raise
 
 
+def test_check_gsd_validates_its_algebra_once(monkeypatch):
+    # the GsdAlgebraLaws entry and the extension share one validation
+    calls = []
+    validate = combos.validate_gsd
+    monkeypatch.setattr(combos, "validate_gsd", lambda alg: calls.append(alg) or validate(alg))
+    for fuel in (1, 2, None):
+        calls.clear()
+        r = combos.check_gsd(Universe(carrier_size=1, max_steps=2, max_depth=1, fuel=fuel))
+        assert len(calls) == 1
+        assert not r.entry("GsdAlgebraLaws").verdict.is_no
+    # an algebra is validated once however often it is extended
+    alg = combos.canonical_gsd((0, 1), ("x0",), 4)
+    calls.clear()
+    for _ in range(2):
+        combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)
+    assert len(calls) == 1
+
+
 def test_wrong_gsd_algebra_raises():
     # an update that ignores the state it is given breaks update-lookup
     alg = dataclasses.replace(combos.canonical_gsd((0, 1), ("x0",), 64),

@@ -3,8 +3,11 @@
 The sequential lifting must take the sum of its arguments' step counts,
 the parallel lifting the max; both facts are checked exhaustively for
 binary operations at up to three steps per argument.  Induced candidates
-distribute an element in one walk; the per-node interpretation through
-the lifted operations, which custom candidates take, is its reference."""
+build one element per distribution: a payload walk over tree
+representatives, the values' step counts and one ``fmap`` on the other
+carriers.  The per-node interpretation through the lifted operations,
+which custom candidates take, is their reference, and ``fmap`` is
+checked against its definition by binding."""
 
 import itertools
 from fractions import Fraction
@@ -22,6 +25,8 @@ from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candi
                                lift_term, par_lift_op, seq_lift_op)
 from delaydist.nogo import idempotent_unary_theory
 from delaydist.theory import App, TheorySemanticError, Var, parse_theory
+
+from conftest import reference_fmap
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
@@ -395,3 +400,90 @@ class TestOnePass:
             cand = lifting.custom_candidate(th, name, lifting.seq_lift_op)
             assert step_count(cand.apply(inputs[0])) == 3
             assert calls == ["mul"]
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_undeclared_exception_raises(self, mode):
+        # an exception the theory does not declare has no values to map,
+        # yet it fails where the per-node path applies it
+        th = fm.exceptions(2)
+        m = fm.ModelElement("either", ("exc", "zzz"), th)
+        lift = {"seq": seq_lift_op, "par": par_lift_op}[mode]
+        for cand in (induced_candidate(th, mode), custom_candidate(th, "mine", lift)):
+            with pytest.raises(TheorySemanticError,
+                               match=r"^unknown operation 'zzz' in theory 'exceptions2'$"):
+                cand.apply(m)
+        declared = fm.ModelElement("either", ("exc", "e1"), th)
+        assert induced_candidate(th, mode).apply(declared) == _per_node(th, mode, declared)
+
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_one_element_per_distribution(self, carrier, monkeypatch):
+        # an induced candidate builds no unit element per leaf and applies
+        # no model operation; the result's element is made once, at most
+        th = CARRIERS[carrier]
+        leaves = [now("a"), delay_n(2, "b"), DIVERGE, delay_n(1, "a")]
+        inputs = list(itertools.islice(fm.iter_elements(th, leaves, 2), 80))
+        want = {mode: [_per_node(th, mode, m) for m in inputs] for mode in ("seq", "par")}
+        calls = {"unit": 0, "apply_op": 0, "element": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fm, "unit", counting("unit", fm.unit))
+        monkeypatch.setattr(fm, "apply_op", counting("apply_op", fm.apply_op))
+        monkeypatch.setattr(fm.Carrier, "element", counting("element", fm.Carrier.element))
+        for mode in ("seq", "par"):
+            cand = induced_candidate(th, mode)
+            for m, ref in zip(inputs, want[mode]):
+                calls["element"] = 0
+                assert cand.apply(m) == ref
+                assert calls["element"] <= 1
+        assert (calls["unit"], calls["apply_op"]) == (0, 0)
+        # the per-node path, which custom candidates take, makes a unit
+        # element per leaf, so the counters do see it
+        _per_node(th, "seq", inputs[0])
+        assert calls["unit"] == 1
+
+
+# ---------------------------------------------------------------------------
+# fmap against its definition by binding
+
+_MAPS = {
+    "tagged": lambda d: ("tagged", d),  # injective
+    "end": lambda d: "⊥" if d is DIVERGE else _value(d),  # merges delays with one end
+    "steps": step_count,
+    "constant": lambda d: "c",
+}
+
+
+class TestFmap:
+    @pytest.mark.parametrize("f", sorted(_MAPS))
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_its_definition(self, carrier, f, data):
+        th = CARRIERS[carrier]
+        m = _element(th, data.draw(_terms(th)))
+        got, want = fm.fmap(th, _MAPS[f], m), reference_fmap(th, _MAPS[f], m)
+        assert (got.kind, repr(got.payload)) == (want.kind, repr(want.payload))
+        assert got.payload == want.payload
+        assert fm.canon_key(got) == fm.canon_key(want)
+        assert fm.render_element(got) == fm.render_element(want)
+
+    def test_merging_values_renormalises(self):
+        # mapping both leaves of mul(a, b) to one value makes a redex of
+        # mul(x, x) = x, which the rewrite-complete carrier contracts
+        th = CARRIERS["quotient-complete"]
+        m = fm.apply_op(th, "mul", [fm.unit(th, "a"), fm.unit(th, "b")])
+        assert fm.fmap(th, _MAPS["constant"], m).payload == ("leaf", "c")
+        for carrier, merged in (("finset", ("c",)), ("multiset", ("c", "c"))):
+            th = CARRIERS[carrier]
+            op = [o.name for o in th.signature.ops if o.arity == 2][0]
+            m = fm.apply_op(th, op, [fm.unit(th, "a"), fm.unit(th, "b")])
+            assert fm.fmap(th, _MAPS["constant"], m).payload == merged
+        th = CARRIERS["dist"]
+        m = fm.apply_op(th, "mix[1/3]", [fm.unit(th, "a"), fm.unit(th, "b")])
+        assert fm.fmap(th, _MAPS["constant"], m).payload == (("c", Fraction(1)),)
