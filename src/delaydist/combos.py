@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Terminated, Verdict,
+from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
                     YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join, peel,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse, Witness,
@@ -98,9 +98,10 @@ def _report(theory: str, mode: str, u: TestUniverse, entries: List[LawEntry],
 # finite function tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinFun:
-    """A total function on a small finite domain, compared extensionally."""
+    """A total function on a small finite domain, compared extensionally.
+    :meth:`tabulate` covers its domain by construction, unchecked."""
 
     domain: Tuple[Any, ...]
     values: Tuple[Any, ...]
@@ -114,13 +115,21 @@ class FinFun:
 
     @staticmethod
     def tabulate(domain: Sequence[Any], f: Callable[[Any], Any]) -> "FinFun":
-        return FinFun(tuple(domain), tuple(f(a) for a in domain))
+        dom = tuple(domain)
+        t = object.__new__(FinFun)
+        _set_domain(t, dom)
+        _set_values(t, tuple([f(a) for a in dom]))
+        return t
 
     def items(self):
         return zip(self.domain, self.values)
 
     def __str__(self) -> str:
         return "[" + ", ".join(f"{_short(a)}↦{_short(v)}" for a, v in self.items()) + "]"
+
+
+# tabulate fills a FinFun's slots past its frozen __setattr__ and __post_init__
+_set_domain, _set_values = FinFun.domain.__set__, FinFun.values.__set__
 
 
 def fun_space(domain: Sequence[Any], codomain: Sequence[Any]) -> List[FinFun]:
@@ -705,18 +714,20 @@ def _row_map(sel: Sel) -> Tuple[int, ...]:
 @dataclass(frozen=True)
 class PredFn:
     """A predicate over delayed values factoring through bounded
-    observation: terminated values within fuel go through the table,
-    anything else gets the default."""
+    observation, read in place as :func:`force` would: terminated values
+    within fuel go through the table, anything else gets the default."""
 
     table: FinFun
     default: Any
     fuel: int
 
     def __call__(self, d: Delay):
-        out = force(d, self.fuel)
-        if isinstance(out, Terminated):
-            return self.table(out.value)
-        return self.default
+        n = 0
+        if isinstance(d, Step):
+            n, d = d.steps, d.end
+        if n > self.fuel or d is DIVERGE:
+            return self.default
+        return self.table(d.value)
 
     def __str__(self) -> str:
         return f"{self.table} else {self.default} (fuel {self.fuel})"

@@ -11,6 +11,9 @@ step(never), so ``Step(DIVERGE)``, :func:`step`, :func:`prepend_steps`
 and :func:`bind` all return ``DIVERGE`` for stepⁿ(⊥).  A checker that
 observes delays up to fuel needs nothing lazier than this form.
 
+:func:`dmap`, :func:`join` and the comparisons are direct on this form:
+they read the step count and the end in place, with no closure or peel.
+
 All observations are fuel bounded.  Comparisons are three valued
 (:class:`Verdict`): strong equality counts steps exactly, weak
 bisimilarity ignores finite step differences but still separates
@@ -25,12 +28,6 @@ from typing import Any, Callable, Iterable, Optional, Tuple
 
 class Delay:
     __slots__ = ()
-
-    def map(self, f: Callable[[Any], Any]) -> "Delay":
-        return dmap(self, f)
-
-    def bind(self, k: Callable[[Any], "Delay"]) -> "Delay":
-        return bind(self, k)
 
     def __str__(self) -> str:
         return render_delay(self)
@@ -139,22 +136,25 @@ def peel(d: Delay) -> Tuple[int, Delay]:
 def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:
     """Substitute into the final value, keeping every step of ``d``;
     divergence, of ``d`` or of ``k``'s result, absorbs them."""
-    n = 0
-    if isinstance(d, Step):
-        n, d = d.steps, d.end
-    if d is DIVERGE:
-        return DIVERGE
-    out = k(d.value)
-    return _fill(_new(Step), n, out) if n and out is not DIVERGE else out
+    if isinstance(d, Step):  # its end is a Now
+        out = k(d.end.value)
+        return DIVERGE if out is DIVERGE else _fill(_new(Step), d.steps, out)
+    return DIVERGE if d is DIVERGE else k(d.value)
 
 
 def dmap(d: Delay, f: Callable[[Any], Any]) -> Delay:
-    return bind(d, lambda v: Now(f(v)))
+    """``f`` applied to the final value; the step count is kept."""
+    if isinstance(d, Step):
+        return _fill(_new(Step), d.steps, Now(f(d.end.value)))
+    return DIVERGE if d is DIVERGE else Now(f(d.value))
 
 
 def join(dd: Delay) -> Delay:
     """Flatten a delayed delayed value; steps of both layers add up."""
-    return bind(dd, lambda inner: inner)
+    if isinstance(dd, Step):  # its end is a Now
+        inner = dd.end.value
+        return DIVERGE if inner is DIVERGE else _fill(_new(Step), dd.steps, inner)
+    return DIVERGE if dd is DIVERGE else dd.value
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +269,23 @@ def strong_equal(x: Delay, y: Delay, fuel: int, value_eq: Optional[ValueRel] = N
     first depth where one side has finished; Unknown when fuel runs out
     first.
     """
-    (nx, x), (ny, y) = peel(x), peel(y)
-    x_now, y_now = isinstance(x, Now), isinstance(y, Now)
-    if x_now and y_now and nx == ny:
-        if nx > fuel:
-            return unknown(fuel)
-        if value_eq is None:
-            return as_verdict(x.value == y.value)
-        return as_verdict(value_eq(x.value, y.value))
-    if not (x_now or y_now):
-        return YES
+    nx = ny = 0
+    if isinstance(x, Step):
+        nx, x = x.steps, x.end
+    if isinstance(y, Step):
+        ny, y = y.steps, y.end
     # NO where the first side finishes, the other still stepping there
-    decided_at = min(n for n, done in ((nx, x_now), (ny, y_now)) if done)
-    return NO if decided_at <= fuel else unknown(fuel)
+    if x is DIVERGE:
+        return YES if y is DIVERGE else NO if ny <= fuel else unknown(fuel)
+    if y is DIVERGE:
+        return NO if nx <= fuel else unknown(fuel)
+    if nx != ny:
+        return NO if min(nx, ny) <= fuel else unknown(fuel)
+    if nx > fuel:
+        return unknown(fuel)
+    if value_eq is None:
+        return YES if x.value == y.value else NO
+    return as_verdict(value_eq(x.value, y.value))
 
 
 def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
@@ -291,12 +295,16 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     divergence.  Both sides advance together, so the verdict falls once
     the longer one has ended; Unknown when that is beyond ``fuel``.
     """
-    (nx, x), (ny, y) = peel(x), peel(y)
-    if max(nx, ny) > fuel:
+    nx = ny = 0
+    if isinstance(x, Step):
+        nx, x = x.steps, x.end
+    if isinstance(y, Step):
+        ny, y = y.steps, y.end
+    if nx > fuel or ny > fuel:
         return unknown(fuel)
-    if isinstance(x, Now) and isinstance(y, Now):
-        return as_verdict(rel(x.value, y.value))
-    return as_verdict(x is DIVERGE and y is DIVERGE)
+    if x is DIVERGE or y is DIVERGE:
+        return YES if x is y else NO
+    return as_verdict(rel(x.value, y.value))
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,17 @@ class ModelElement:
     immutable.  It computes its hash and its :func:`canon_key` the first
     time each is asked for and keeps them, so an element nested in many
     payloads is hashed and ordered once: the per-node cache of
-    hash-consing (Filliâtre & Conchon 2006) without a global table.
+    hash-consing (Filliâtre & Conchon 2006) without a global table.  The
+    constructor, for outside input and unpickling, checks the payload
+    with ``Carrier.check_payload``; carriers build elements unchecked.
     """
 
     __slots__ = ("carrier", "payload", "_hash", "_key")
 
     def __new__(cls, kind: str, payload: Any, theory: Theory) -> "ModelElement":
-        return _carrier_for(theory, kind).element(payload)
+        c = _carrier_for(theory, kind)
+        c.check_payload(payload)
+        return c.element(payload)
 
     @property
     def kind(self) -> str:
@@ -350,6 +354,9 @@ class Carrier:
         _set_key(e, None)
         return e
 
+    def check_payload(self, payload: Any) -> None:
+        """Raise ``ValueError`` for a payload this kind cannot work with."""
+
     def unknown_operation(self, op: str) -> TheorySemanticError:
         """The error for applying ``op``, which the theory does not declare."""
         return TheorySemanticError(f"unknown operation '{op}' in theory '{self.theory.name}'", op)
@@ -572,6 +579,11 @@ class DistCarrier(Carrier):
     def unit(self, x: Any) -> ModelElement:
         return self.element(((x, _ONE),))
 
+    def check_payload(self, payload: Any) -> None:
+        weights = [w for _, w in payload]
+        if not all(isinstance(w, Fraction) and w > 0 for w in weights) or sum(weights) != 1:
+            raise ValueError(f"dist weights must be positive Fractions summing to 1: {payload!r}")
+
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         weights = self.weights.get(op)
         if weights is None:
@@ -634,6 +646,10 @@ class EitherCarrier(Carrier):
 
     def unit(self, x: Any) -> ModelElement:
         return self.element(("val", x))
+
+    def check_payload(self, payload: Any) -> None:
+        if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] in ("val", "exc")):
+            raise ValueError(f"either payload must be ('val', x) or ('exc', name): {payload!r}")
 
     def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
         return self.element(("exc", op))

@@ -265,7 +265,7 @@ def _scan(axiom: str,
         lhs = lhs_fn(x)
         rhs = rhs_fn(x)
         v = compare(lhs, rhs)
-        if v.is_yes:
+        if v is YES:
             continue
         if v.is_no:
             def replay(x=x):
@@ -273,7 +273,7 @@ def _scan(axiom: str,
 
             w = Witness(render_input(x), render_result(lhs), render_result(rhs), replay=replay)
             return LawEntry(axiom, NO, cases, w)
-        if first_unknown is None:
+        if v.is_unknown and first_unknown is None:
             first_unknown = v
     return LawEntry(axiom, YES if first_unknown is None else first_unknown, cases)
 
@@ -700,18 +700,21 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
                 replay=lambda: (render(bind_fn(m, unit_fn)), render(m))))
         if v.is_unknown and first_unknown is None:
             first_unknown = v
-    continuations: Dict[Tuple[int, int], Callable[[Any], Any]] = {}
+    # rows[i][j]: the (k_i, h_j) continuation, built when first needed
+    rows: List[List[Optional[Callable[[Any], Any]]]] = [[None] * len(k_pool) for _ in k_pool]
     for m in elements:
-        for i, k in enumerate(k_pool):
+        for k, row in zip(k_pool, rows):
             mk = bind_fn(m, k.__getitem__)
             for j, h in enumerate(k_pool):
                 cases += 1
                 lhs = bind_fn(mk, h.__getitem__)
-                kh = continuations.get((i, j))
+                kh = row[j]
                 if kh is None:
-                    kh = continuations[i, j] = _tabled_continuation(bind_fn, k, h)
+                    kh = row[j] = _tabled_continuation(bind_fn, k, h)
                 rhs = bind_fn(m, kh)
                 v = compare(lhs, rhs)
+                if v is YES:
+                    continue
                 if v.is_no:
                     return LawEntry("MonadLaws", NO, cases, Witness(
                         f"associativity at {render(m)}", render(lhs), render(rhs),

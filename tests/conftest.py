@@ -8,8 +8,9 @@ import pytest
 
 from delaydist import combos, laws
 from delaydist import freemodel as fm
-from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, conjoin, dmap, peel, render_delay,
-                             strong_equal, unknown, weak_bisim)
+from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, Terminated, as_verdict, bind,
+                             conjoin, dmap, force, peel, render_delay, strong_equal, unknown,
+                             weak_bisim)
 from delaydist.laws import LawEntry, Witness
 from delaydist.lifting import lift_term
 from delaydist.theory import TheorySemanticError, Var
@@ -107,6 +108,57 @@ def reference_equation_preservation(th, lift_op, u):
         details.append((eq.name, conjoin(eq_verdicts)))
     overall = conjoin(v for _, v in details)
     return LawEntry("EquationPreservation", overall, total, witness, details=details)
+
+
+# ---------------------------------------------------------------------------
+# the delay and table kernels as they were written before they read the
+# delay normal form and fill tables directly: dmap and join through bind
+# with a fresh closure, the comparisons and predicates through peel and
+# force, tables through the checking constructor.  The kernels must agree
+# with them exactly.
+
+
+def reference_dmap(d, f):
+    return bind(d, lambda v: Now(f(v)))
+
+
+def reference_join(dd):
+    return bind(dd, lambda inner: inner)
+
+
+def reference_strong_equal(x, y, fuel, value_eq=None):
+    (nx, x), (ny, y) = peel(x), peel(y)
+    x_now, y_now = isinstance(x, Now), isinstance(y, Now)
+    if x_now and y_now and nx == ny:
+        if nx > fuel:
+            return unknown(fuel)
+        if value_eq is None:
+            return as_verdict(x.value == y.value)
+        return as_verdict(value_eq(x.value, y.value))
+    if not (x_now or y_now):
+        return YES
+    decided_at = min(n for n, done in ((nx, x_now), (ny, y_now)) if done)
+    return NO if decided_at <= fuel else unknown(fuel)
+
+
+def reference_weak_bisim(x, y, rel, fuel):
+    (nx, x), (ny, y) = peel(x), peel(y)
+    if max(nx, ny) > fuel:
+        return unknown(fuel)
+    if isinstance(x, Now) and isinstance(y, Now):
+        return as_verdict(rel(x.value, y.value))
+    return as_verdict(x is DIVERGE and y is DIVERGE)
+
+
+def reference_tabulate(domain, f):
+    return combos.FinFun(tuple(domain), tuple(map(f, domain)))
+
+
+def reference_pred_call(pred, d):
+    out = force(d, pred.fuel)
+    if isinstance(out, Terminated):
+        return pred.table(out.value)
+    return pred.default
 
 
 @pytest.fixture

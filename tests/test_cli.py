@@ -209,6 +209,17 @@ class TestCombo:
         assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == golden.read_text(
             encoding="utf-8")
 
+    def test_selection_matches_golden(self, capsys):
+        # the report that tabulated predicates and bounded probes decide
+        code, out, _ = run(capsys, "combo", "selection", "--carrier-size", "2",
+                           "--max-steps", "3", "--max-depth", "2", "--json")
+        assert code == 0
+        d = json.loads(out)
+        del d["elapsedMs"]
+        golden = GOLDEN / "combo_selection_c2s3d2.json"
+        assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == golden.read_text(
+            encoding="utf-8")
+
 
 class TestDemo:
     def test_text_output(self, capsys):

@@ -5,10 +5,12 @@ pairing is the documented negative (its composite multiplication square
 fails) and everything else passes at the default bounds."""
 
 import dataclasses
+import pickle
 
 import pytest
 
-from conftest import reference_phi, reference_psi, reference_retract_identity, reference_sel
+from conftest import (reference_phi, reference_pred_call, reference_psi,
+                      reference_retract_identity, reference_sel, reference_tabulate)
 from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
@@ -571,3 +573,54 @@ def test_flattening_witness_replays(monkeypatch):
     assert e.cases == 16 + 36 + 9 + 1
     assert e.witness.input_render == f"0+0 steps on {c1}"
     assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
+
+
+# Tables and bounded predicates against their definitions, kept in conftest:
+# the checking constructor over a mapped domain, and force.
+
+TABULATE_CASES = [
+    ((), str),
+    (("x",), str.upper),
+    (("x", "y", "z"), lambda a: a * 2),
+    ((0, 1), lambda r: (r, Now(r))),
+    (("a", "b"), lambda a: delay_n(2, a)),
+    ([DIVERGE, Now("a")], lambda d: peel(d)[0]),
+    ((combos.FinFun(("x",), (0,)),), lambda t: combos.FinFun(("y",), t.values)),
+]
+
+
+@pytest.mark.parametrize("dom,f", TABULATE_CASES)
+def test_tabulate_equals_the_checked_table(dom, f):
+    t = combos.FinFun.tabulate(dom, f)
+    ref = reference_tabulate(tuple(dom), f)
+    assert t == ref and ref == t
+    assert hash(t) == hash(ref)
+    assert str(t) == str(ref)
+    assert type(t.domain) is tuple and type(t.values) is tuple
+    twin = pickle.loads(pickle.dumps(t))
+    assert twin == t and hash(twin) == hash(t) and str(twin) == str(t)
+    assert [t(a) for a in dom] == [f(a) for a in dom]
+
+
+def test_tables_stay_frozen_and_checked():
+    t = combos.FinFun.tabulate(("x", "y"), str.upper)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.values = ("X",)
+    with pytest.raises(ValueError, match="cover its whole domain"):
+        combos.FinFun(("x", "y"), ("X",))
+    assert len({t, reference_tabulate(("x", "y"), str.upper)}) == 1
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 2, 3])
+def test_pred_fn_matches_force(fuel):
+    table = combos.FinFun(("a", "b"), (0, 1))
+    delays = [delay_n(n, v) for n in range(5) for v in ("a", "b")] + [DIVERGE]
+    for default in (0, 1):
+        p = combos.PredFn(table, default, fuel)
+        for d in delays:
+            assert p(d) == reference_pred_call(p, d), (d, fuel)
+    # finished within fuel, exhausted and divergent all reached
+    p = combos.PredFn(table, "other", fuel)
+    assert p(delay_n(fuel, "b")) == 1
+    assert p(delay_n(fuel + 1, "b")) == "other"
+    assert p(DIVERGE) == "other"

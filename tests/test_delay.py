@@ -16,6 +16,9 @@ from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Now, 
                              strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
+from conftest import (reference_dmap, reference_join, reference_strong_equal,
+                      reference_weak_bisim)
+
 VALUES = ("a", "b", "c")
 
 
@@ -357,3 +360,65 @@ def test_flat_delays_observe_like_the_step_loops(x, y, fuel):
     assert strong_equal(flat_x, flat_y, fuel) == _ref_strong_equal(flat_x, flat_y, fuel)
     assert (weak_bisim(flat_x, flat_y, lambda u, v: u == v, fuel)
             == _ref_weak_bisim(flat_x, flat_y, fuel))
+
+
+# The kernels against their definitions, kept in conftest: dmap and join
+# through bind, the comparisons through peel.
+
+KERNEL_CHAINS = chains(max_steps=4)
+VALUE_RELS = [
+    lambda u, v: u == v,
+    lambda u, v: u <= v,
+    # a relation that answers with verdicts, passed through unchanged
+    lambda u, v: YES if u == v else unknown(9) if "c" in (u, v) else NO,
+]
+
+
+@given(delays(), st.sampled_from([str.upper, lambda v: "a", lambda v: (v, v)]))
+@settings(max_examples=200, deadline=None)
+def test_dmap_matches_bind_through_now(d, f):
+    out = dmap(d, f)
+    assert out == reference_dmap(d, f)
+    assert type(out) is type(reference_dmap(d, f))
+
+
+@pytest.mark.parametrize("outer_steps", range(5))
+def test_join_matches_bind_of_identity(outer_steps):
+    inners = KERNEL_CHAINS + [Step(DIVERGE)]
+    for inner in inners:
+        dd = delay_n(outer_steps, inner)
+        assert join(dd) == reference_join(dd)
+        assert (join(dd) is DIVERGE) == (inner is DIVERGE)
+    # divergence of the outer layer absorbs it all
+    assert join(DIVERGE) is reference_join(DIVERGE) is DIVERGE
+
+
+def test_join_step_counts_add_across_layers():
+    for n, m in itertools.product(range(4), repeat=2):
+        out = join(delay_n(n, delay_n(m, "a")))
+        assert out == reference_join(delay_n(n, delay_n(m, "a"))) == delay_n(n + m, "a")
+        assert join(delay_n(n, prepend_steps(m, DIVERGE))) is DIVERGE
+
+
+@pytest.mark.parametrize("fuel", range(6))
+def test_strong_equal_matches_the_peel_form(fuel):
+    # chains up to 4 steps at fuel 0-5 reach n == fuel and n == fuel + 1
+    for x, y in itertools.product(KERNEL_CHAINS, repeat=2):
+        assert strong_equal(x, y, fuel) == reference_strong_equal(x, y, fuel)
+        for rel in VALUE_RELS:
+            assert (strong_equal(x, y, fuel, value_eq=rel)
+                    == reference_strong_equal(x, y, fuel, value_eq=rel))
+
+
+@pytest.mark.parametrize("fuel", range(6))
+def test_weak_bisim_matches_the_peel_form(fuel):
+    for x, y in itertools.product(KERNEL_CHAINS, repeat=2):
+        for rel in VALUE_RELS:
+            assert weak_bisim(x, y, rel, fuel) == reference_weak_bisim(x, y, rel, fuel)
+
+
+def test_kernel_comparisons_cover_each_verdict():
+    kinds = {(v.kind, v.fuel_spent)
+             for fuel in range(6) for x, y in itertools.product(KERNEL_CHAINS, repeat=2)
+             for v in (strong_equal(x, y, fuel), weak_bisim(x, y, VALUE_RELS[2], fuel))}
+    assert {("yes", 0), ("no", 0), ("unknown", 0), ("unknown", 3), ("unknown", 9)} <= kinds

@@ -654,6 +654,39 @@ class TestModelElementContract:
         with pytest.raises(ValueError, match="unknown carrier kind 'bogus'"):
             fm.ModelElement("bogus", (), fm.monoid())
 
+    @pytest.mark.parametrize("weights", [
+        (Fraction(1), Fraction(1, 2)),     # sums past 1
+        (Fraction(1, 2),),                 # sums short of 1
+        (Fraction(3, 2), Fraction(-1, 2)),  # sums to 1 through a negative weight
+        (Fraction(1), Fraction(0)),        # a zero weight
+        (1,),                              # not a Fraction
+        (),                                # nothing to sum
+    ])
+    def test_dist_payloads_are_checked_at_construction(self, weights):
+        th = fm.convex()
+        payload = tuple(zip((now("a"), now("b")), weights))
+        with pytest.raises(ValueError, match="positive Fractions summing to 1"):
+            fm.ModelElement("dist", payload, th)
+
+    @pytest.mark.parametrize("payload", [("foo", "e0"), ("val",), "val", ("val", "a", "b")])
+    def test_either_payloads_are_checked_at_construction(self, payload):
+        with pytest.raises(ValueError, match="either payload must be"):
+            fm.ModelElement("either", payload, fm.exceptions(2))
+
+    def test_checked_constructor_accepts_what_carriers_build(self):
+        cv, ex = fm.convex(), fm.exceptions(2)
+        mixed = fm.apply_op(cv, "mix[1/3]", [fm.unit(cv, "a"), fm.unit(cv, now("b"))])
+        raised = fm.apply_op(ex, "e1", [])
+        # undeclared exception names still construct, and fail where used
+        for m in (mixed, fm.unit(cv, "a"), raised, fm.unit(ex, "a"),
+                  fm.ModelElement("either", ("exc", "zzz"), ex)):
+            twin = fm.ModelElement(m.kind, m.payload, m.theory)
+            assert twin == m and str(twin) == str(m)
+            assert pickle.loads(pickle.dumps(m)) == m
+        # the carriers' own elements are not checked on the way
+        assert fm._carrier_of(cv).element(((now("a"), Fraction(1, 2)),)).payload[0][1] == \
+            Fraction(1, 2)
+
     def test_copies_are_equal(self):
         th = fm.semilattice()
         m = fm.apply_op(th, "union", [fm.unit(th, now("a")), fm.unit(th, "b")])

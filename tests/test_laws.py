@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import conftest
 from delaydist import freemodel as fm
 from delaydist import laws, lifting
-from delaydist.delay import DIVERGE, NO, YES, delay_n, peel, unknown
+from delaydist.delay import (DIVERGE, NO, YES, delay_n, now, peel, prepend_steps, strong_equal,
+                             unknown)
 from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
@@ -500,6 +501,32 @@ class TestSharedKleisliScan:
         assert sum(apply_calls.values()) > before  # recomputed from the candidate
         use_reference_kleisli()
         assert laws.check_axiom(cand, "MonadLaws", u) == entry
+
+    def test_first_no_past_the_first_k_row_matches_the_reference(self):
+        # a bind that drops the input's steps when the continuation ends in
+        # "c": the unit laws hold, and associativity fails only where k
+        # sends an input with steps to "c" and h sends "c" elsewhere, which
+        # here is k = h = k_pool[1] at m = step(a)
+        def bnd(d, k):
+            n, end = peel(d)
+            if end is DIVERGE:
+                return DIVERGE
+            out = k(end.value)
+            return out if peel(out)[1] == now("c") else prepend_steps(n, out)
+
+        k_pool = [{v: now(v) for v in "abc"}, {"a": now("c"), "b": delay_n(1, "b"), "c": now("a")}]
+        elements = [now("a"), delay_n(1, "a"), delay_n(2, "b")]
+        args = (now, bnd, elements, ("a", "b", "c"), k_pool, lambda a, b: strong_equal(a, b, 8))
+        entry = laws.check_monad_laws_kleisli(*args)
+        assert entry.verdict.is_no
+        # 6 left unit, 3 right unit, 4 at m = now(a), then k_0's row and the
+        # second case of k_1's row at m = step(a)
+        assert entry.cases == 6 + 3 + 4 + 2 + 2
+        assert entry.witness.input_render == "associativity at 1·step ▸ a"
+        assert (entry.witness.lhs_render, entry.witness.rhs_render) == ("0·step ▸ a",
+                                                                       "1·step ▸ a")
+        assert entry.witness.replay() == (entry.witness.lhs_render, entry.witness.rhs_render)
+        assert reference_monad_laws_kleisli(*args) == entry
 
     def test_a_raising_bind_is_not_tabled(self):
         k = {"a": laws.delay_n(1, "a"), "b": laws.delay_n(2, "b")}
