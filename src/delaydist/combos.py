@@ -21,29 +21,31 @@ check whose cases come in several kinds chains them into one stream
 same policy.  Uniqueness is a search rather than a scan: it is Yes when
 it finds an element that separates the extension from a guard-blind map.
 
-A selector built from a table by :func:`sel_from_table` keeps the table:
-its answers to the predicate tables over its value domain.  ``phi`` and
-``psi`` are predicate transformers, so on such a selector they keep the
-table too, and ``psi(phi(f))`` has ``f``'s rows reindexed by a row map
-computed once per algebra.  The retraction check reads those rows.  Every
-selector also answers arbitrary callables by its plain definition (the
-lambda path), which the multiplications and the witness replays use.
+A selector built from a table by :func:`sel_from_table` answers a
+predicate from its table: its answers to the predicate tables over its
+value domain, found by the predicate's values on that domain.  ``phi``
+and ``psi`` are plain predicate transformers (the lambda path).  The
+retraction check reads ``psi . phi`` as one row map per check, and
+tabulates the left side of its multiplication square on the predicate
+tables; the multiplications and the witness replays take the lambda
+path.  Table spaces that can outgrow the case budget are counted before
+they are built.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
 from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
                     YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join, peel,
                     render_delay, step, strong_equal, unknown)
-from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse, Witness,
-                   base_values, beck_scan, check_monad_laws_kleisli, delay_pack, delay_values,
-                   double_delay_values, _memoised, _scan)
+from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
+                   UniverseBudgetError, Witness, base_values, beck_scan, check_monad_laws_kleisli,
+                   delay_pack, delay_values, double_delay_values, _memoised, _scan)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
@@ -116,10 +118,7 @@ class FinFun:
     @staticmethod
     def tabulate(domain: Sequence[Any], f: Callable[[Any], Any]) -> "FinFun":
         dom = tuple(domain)
-        t = object.__new__(FinFun)
-        _set_domain(t, dom)
-        _set_values(t, tuple([f(a) for a in dom]))
-        return t
+        return _table(dom, tuple([f(a) for a in dom]))
 
     def items(self):
         return zip(self.domain, self.values)
@@ -128,13 +127,34 @@ class FinFun:
         return "[" + ", ".join(f"{_short(a)}↦{_short(v)}" for a, v in self.items()) + "]"
 
 
-# tabulate fills a FinFun's slots past its frozen __setattr__ and __post_init__
+# _table fills a FinFun's slots past its frozen __setattr__ and __post_init__
 _set_domain, _set_values = FinFun.domain.__set__, FinFun.values.__set__
 
 
+def _table(dom: Tuple[Any, ...], values: Tuple[Any, ...]) -> FinFun:
+    """The table of ``values`` over ``dom``, which the caller makes the
+    same length: unchecked, and equal to ``FinFun(dom, values)``."""
+    t = object.__new__(FinFun)
+    _set_domain(t, dom)
+    _set_values(t, values)
+    return t
+
+
 def fun_space(domain: Sequence[Any], codomain: Sequence[Any]) -> List[FinFun]:
+    """Every table from ``domain`` to ``codomain``, |codomain|^|domain| of
+    them, in ``itertools.product`` order; filled unchecked as
+    :meth:`FinFun.tabulate` fills its tables.  A check whose space can
+    outgrow its case budget counts it first (:func:`_check_space`)."""
     dom = tuple(domain)
-    return [FinFun(dom, vals) for vals in itertools.product(codomain, repeat=len(dom))]
+    return [_table(dom, vals) for vals in itertools.product(codomain, repeat=len(dom))]
+
+
+def _check_space(u: TestUniverse, what: str, domain: Sequence[Any],
+                 codomain: Sequence[Any]) -> None:
+    """Refuse a table space larger than the case budget before it is built."""
+    count = len(codomain) ** len(domain)
+    if count > u.case_budget:
+        raise UniverseBudgetError(f"{what} table space", count, u.case_budget)
 
 
 def _short(v) -> str:
@@ -659,19 +679,10 @@ class Sel:
     """A selection-style value: a callable from predicates to results,
     carried with a printable description.  The description is a thunk,
     rendered only when the value is printed: scans build thousands of
-    selectors and print at most the one in a witness.
-
-    A table-backed selector also keeps ``table``, answers indexed by the
-    predicate tables over the value domain ``dom``, and ``pre``, the
-    predicate transformers it applies, first to last, to a predicate it
-    is asked before reading the answer from the table.  ``fn`` is always
-    the plain definition (the lambda path)."""
+    selectors and print at most the one in a witness."""
 
     fn: Callable
     describe: Callable[[], str]
-    table: Optional[FinFun] = None
-    dom: Tuple[Any, ...] = ()
-    pre: Tuple[Callable, ...] = ()
 
     def __call__(self, p):
         return self.fn(p)
@@ -680,35 +691,48 @@ class Sel:
         return self.describe()
 
 
-def sel_from_table(table: FinFun, value_domain: Sequence[Any]) -> Sel:
+def pred_index(preds: Sequence[Any], dom: Sequence[Any]) -> Dict[Tuple[Any, ...], int]:
+    """Each predicate table's values to its first row, for a selector
+    table whose domain ``preds`` holds tables over ``dom``; empty when a
+    row is not such a table or has an unhashable value."""
+    dom = tuple(dom)
+    index: Dict[Tuple[Any, ...], int] = {}
+    for row, t in enumerate(preds):
+        if type(t) is not FinFun or t.domain != dom:
+            return {}
+        try:
+            index.setdefault(t.values, row)
+        except TypeError:
+            return {}
+    return index
+
+
+def sel_from_table(table: FinFun, value_domain: Sequence[Any],
+                   index: Optional[Dict[Tuple[Any, ...], int]] = None) -> Sel:
     """The selector with the given answers to the predicate tables over
-    the value domain.  It keeps its table and domain, so ``phi`` and
-    ``psi`` on it are table-backed too; asked an arbitrary callable, it
-    tabulates the callable over the domain first."""
+    the value domain.  Asked a predicate ``p``, it looks up the tuple of
+    ``p``'s values on the domain in ``index`` (:func:`pred_index` of the
+    table's domain, unless the caller shares one across a table space):
+    the row ``table(FinFun(dom, values))`` reads, since predicate tables
+    over one domain are equal exactly when their values are.  A tuple
+    missing from the index goes through ``table(...)``, which raises
+    ``ValueError`` for a predicate that is not in the table."""
     dom = tuple(value_domain)
-    return Sel(lambda p: table(FinFun.tabulate(dom, p)), lambda: str(table), table, dom)
+    if index is None:
+        index = pred_index(table.domain, dom)
+    values, row_of = table.values, index.get
 
+    def ask(p):
+        key = tuple(map(p, dom))
+        try:
+            row = row_of(key)
+        except TypeError:  # an unhashable value: only the table's scan can place it
+            row = None
+        if row is None:
+            return table(_table(dom, key))
+        return values[row]
 
-def _precompose(F, h: Callable, describe: Callable[[], str]) -> Sel:
-    """The selector that answers ``q`` with ``F``'s answer to ``h(q)``;
-    on a table-backed ``F`` it keeps the table and puts ``h`` in front of
-    ``F``'s transformers."""
-    if isinstance(F, Sel) and F.table is not None:
-        return Sel(lambda q: F(h(q)), describe, F.table, F.dom, (h,) + F.pre)
-    return Sel(lambda q: F(h(q)), describe)
-
-
-def _row_map(sel: Sel) -> Tuple[int, ...]:
-    """For each predicate table of ``sel``'s table, the position in that
-    table of the predicate ``sel``'s transformers turn it into."""
-    preds = sel.table.domain
-
-    def row(p) -> int:
-        for h in sel.pre:
-            p = h(p)
-        return preds.index(FinFun.tabulate(sel.dom, p))
-
-    return tuple(row(p) for p in preds)
+    return Sel(ask, lambda: str(table))
 
 
 @dataclass(frozen=True)
@@ -765,10 +789,13 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
     and single-probe branches."""
     t0 = time.perf_counter()
     xs = base_values(u.carrier_size)
+    p_tables = fun_space(xs, rs)
+    _check_space(u, "selector", p_tables, xs)
     fuel = u.derived_fuel()
     S = delay_pack(u.relation, fuel)
     T = selection_pack(xs, rs, pred_fuel, fuel)
-    sel_tables = [sel_from_table(t, xs) for t in fun_space(fun_space(xs, rs), xs)]
+    index = pred_index(p_tables, xs)
+    sel_tables = [sel_from_table(t, xs, index) for t in fun_space(p_tables, xs)]
     max_steps = min(u.max_steps, 2)
 
     two_level = [Sel(lambda q, f=f: f, lambda f=f: f"always {f}") for f in sel_tables[:6]]
@@ -800,17 +827,13 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
 @dataclass(frozen=True)
 class DelayAlgebra:
     """Step-erasing algebra on a finite carrier: finished values come out
-    unchanged however long they took; divergence maps to a default.
-
-    ``row_maps`` holds, for each transformer chain, the predicate domain
-    ``psi`` last reindexed through this algebra and its row map, so a
-    check that builds one algebra computes it once."""
+    unchanged however long they took; divergence maps to a default.  It
+    keeps no state between checks: the retraction check computes its row
+    map once per check (:func:`_row_map`)."""
 
     carrier: Tuple[Any, ...]
     default: Any
     fuel: int = 4096
-    row_maps: Dict[Tuple[Callable, ...], Tuple[Tuple[FinFun, ...], Tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False, hash=False)
 
     def alg(self, d: Delay):
         out = force(d, self.fuel)
@@ -840,6 +863,7 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     laws, flattening agreement, and recovery of the carrier's algebra by
     instantiating at the identity continuation."""
     t0 = time.perf_counter()
+    _retract_spaces(u, rs)  # the retraction's budget, before the first scan here
     xs = base_values(u.carrier_size)
     ralg = DelayAlgebra(tuple(rs), rs[0])
     alg_cx = continuation_step_lift(ralg, xs)
@@ -893,33 +917,15 @@ def probe_now(g) -> Callable[[Any], Any]:
 
 def phi(f) -> Sel:
     """Selector-of-delays from delayed-result selector: ``f`` precomposed
-    with :func:`probe_now`.  On a table-backed ``f`` the result keeps
-    ``f``'s table; its predicates range over delays, so its rows are
-    reindexed only when ``psi`` brings it back to predicate tables."""
-    return _precompose(f, probe_now, lambda: f"phi({f})")
+    with :func:`probe_now`."""
+    return Sel(lambda g: f(probe_now(g)), lambda: f"phi({f})")
 
 
 def psi(F, ralg: DelayAlgebra) -> Sel:
     """Delayed-result selector from selector-of-delays: ``F`` precomposed
     with :meth:`DelayAlgebra.score`, which scores delayed candidates
-    through the carrier algebra.
-
-    On a table-backed ``F`` with transformers still to apply (``phi`` of
-    a table-backed selector), the predicates asked range over ``F``'s
-    value domain again, so the result is table-backed with the rows
-    reindexed: row ``i`` is ``F``'s answer to what predicate table ``i``
-    becomes.  The row map comes from running the transformers on each
-    predicate table, and is kept in ``ralg`` while the predicate domain
-    stays the same object.  Any other ``F`` gets the lambda path only."""
-    back = _precompose(F, ralg.score, lambda: f"psi({F})")
-    if back.table is None or not F.pre:
-        return Sel(back.fn, back.describe)
-    preds = back.table.domain
-    known = ralg.row_maps.get(F.pre)
-    if known is None or known[0] is not preds:
-        known = ralg.row_maps[F.pre] = (preds, _row_map(back))
-    table = FinFun(preds, tuple(map(F.table.values.__getitem__, known[1])))
-    return Sel(back.fn, back.describe, table, F.dom)
+    through the carrier algebra."""
+    return Sel(lambda p: F(ralg.score(p)), lambda: f"psi({F})")
 
 
 def mu_delayed_result(FF, ralg: DelayAlgebra) -> Sel:
@@ -951,52 +957,33 @@ def mu_composite(G) -> Sel:
     return Sel(at, lambda: f"muJ∘D({G})")
 
 
-def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
-    """The delayed-result selection monad sits inside selection-over-
-    delay: one direction after the other is the identity, exhaustively
-    over selector tables.  Neither embedding commutes with the two
-    multiplications; the search returns the first witness."""
-    t0 = time.perf_counter()
+def _retract_spaces(u: TestUniverse, rs: Sequence[Any]):
+    """The retraction's value domain, predicate tables and delay pool,
+    once its table space (every predicate table to a pooled delay) is
+    known to fit the case budget."""
     xs = base_values(u.carrier_size)
-    ralg = DelayAlgebra(tuple(rs), rs[0])
-    fuel = u.derived_fuel()
-    p_tables = fun_space(xs, rs)
+    p_tables = tuple(fun_space(xs, rs))
     d_pool = delay_values(xs, 2, True)
+    _check_space(u, "retraction", p_tables, d_pool)
+    return xs, p_tables, d_pool
 
-    # psi . phi = id over every table (X -> R) -> D X, read row by row
-    # from the table-backed selectors; a witness replays on the lambda
-    # path.  The policy is _scan's, inlined: this is the hottest combo scan
-    def retract_witness(table: FinFun, i: int, back: Sel) -> Witness:
-        p = table.domain[i]
-        return _replayable(f"{table} at {p}",
-                           lambda: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
-                                                _short),
-                           lambda: render_delay(sel_from_table(table, xs)(p), _short),
-                           seen=(render_delay(back.table.values[i], _short),
-                                 render_delay(table.values[i], _short)))
 
-    def retract_identity() -> LawEntry:
-        cases = 0
-        first_unknown: Optional[Verdict] = None
-        for table in fun_space(p_tables, d_pool):
-            back = psi(phi(sel_from_table(table, xs)), ralg)
-            for i, d in enumerate(table.values):
-                cases += 1
-                v = strong_equal(back.table.values[i], d, fuel)
-                if v.is_yes:
-                    continue
-                if v.is_no:
-                    return LawEntry("RetractIdentity", NO, cases, retract_witness(table, i, back))
-                if first_unknown is None:
-                    first_unknown = v
-        return LawEntry("RetractIdentity", YES if first_unknown is None else first_unknown,
-                        cases)
+def _row_map(p_tables: Tuple[FinFun, ...], xs: Sequence[Any], ralg: DelayAlgebra,
+             index) -> Tuple[int, ...]:
+    """For each predicate table, the row of a selector table that
+    ``psi(phi(-))`` answers it from: ``psi . phi`` of the selector whose
+    answer to each predicate table is that table's position."""
+    positions = sel_from_table(_table(p_tables, tuple(range(len(p_tables)))), xs, index)
+    return tuple(map(psi(phi(positions), ralg), p_tables))
 
-    identity = retract_identity()
 
-    # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
-    preds = predicate_family(xs, rs, (0, 1, 2))
-    simple = [sel_from_table(t, xs)
+def mu_square_inputs(xs: Sequence[Any], rs: Sequence[Any]) -> List[Sel]:
+    """MuSquare's two-level selectors ``FF``: five constant selector
+    tables, each now and after one step, and single-probe branches
+    between them."""
+    p_tables = fun_space(xs, rs)
+    index = pred_index(p_tables, xs)
+    simple = [sel_from_table(t, xs, index)
               for t in [FinFun(tuple(p_tables), (d,) * len(p_tables))
                         for d in [Now(x) for x in xs[:2]] + [delay_n(1, xs[0]),
                                                               delay_n(2, xs[0]), DIVERGE]]]
@@ -1011,11 +998,78 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
                                Now(f1 if q(f0) == r0 else f2),
                                lambda f0=f0, r0=r0, f1=f1, f2=f2:
                                f"now(if q({f0})={r0} then {f1} else {f2})"))
+    return ffs
+
+
+def mu_square_lhs(ff, ralg: DelayAlgebra, p_tables: Tuple[FinFun, ...], xs: Sequence[Any],
+                  index) -> Sel:
+    """MuSquare's left side ``phi(mu_delayed_result(ff))``, answered from
+    ``mu_delayed_result(ff)``'s answers to the predicate tables over
+    ``xs``."""
+    return phi(sel_from_table(FinFun.tabulate(p_tables, mu_delayed_result(ff, ralg)), xs, index))
+
+
+def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
+    """The delayed-result selection monad sits inside selection-over-
+    delay: one direction after the other is the identity, exhaustively
+    over selector tables.  Neither embedding commutes with the two
+    multiplications; the search returns the first witness.
+
+    RetractIdentity computes ``psi . phi``'s row map once
+    (:func:`_row_map`) and compares row ``row[i]`` of each table with row
+    ``i``; a No's replay recomputes both sides through ``psi`` and
+    ``phi``.  MuSquare's left side is tabulated on the predicate tables
+    (:func:`mu_square_lhs`): ``phi`` probes a predicate only at
+    ``Now(x)`` and ``mu_delayed_result(FF)`` calls it only on the values,
+    so those answers fix every other.  The right side applies its
+    predicate to joined delays and takes the lambda path.  A table space
+    over the case budget is refused before it is built."""
+    t0 = time.perf_counter()
+    xs, p_tables, d_pool = _retract_spaces(u, rs)
+    ralg = DelayAlgebra(tuple(rs), rs[0])
+    fuel = u.derived_fuel()
+    index = pred_index(p_tables, xs)
+
+    # psi . phi = id over every table (X -> R) -> D X, read through the
+    # row map; a witness replays through psi and phi.  The policy is
+    # _scan's, inlined: this is the hottest combo scan
+    def retract_witness(table: FinFun, i: int, j: int) -> Witness:
+        p = table.domain[i]
+        return _replayable(f"{table} at {p}",
+                           lambda: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
+                                                _short),
+                           lambda: render_delay(sel_from_table(table, xs)(p), _short),
+                           seen=(render_delay(table.values[j], _short),
+                                 render_delay(table.values[i], _short)))
+
+    def retract_identity() -> LawEntry:
+        rows = tuple(enumerate(_row_map(p_tables, xs, ralg, index)))
+        cases = 0
+        first_unknown: Optional[Verdict] = None
+        for table in fun_space(p_tables, d_pool):
+            values = table.values
+            for i, j in rows:
+                cases += 1
+                v = strong_equal(values[j], values[i], fuel)
+                if v.is_yes:
+                    continue
+                if v.is_no:
+                    return LawEntry("RetractIdentity", NO, cases, retract_witness(table, i, j))
+                if first_unknown is None:
+                    first_unknown = v
+        return LawEntry("RetractIdentity", YES if first_unknown is None else first_unknown,
+                        cases)
+
+    identity = retract_identity()
+
+    # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
+    preds = predicate_family(xs, rs, (0, 1, 2))
+    ffs = mu_square_inputs(xs, rs)
 
     # both sides of the square as selectors: a case is (i, g) for FF =
     # ffs[i]; the scan builds each side once per FF and asks it every
     # predicate, and a witness's replay rebuilds both from FF
-    with _memoised(lambda i: phi(mu_delayed_result(ffs[i], ralg))) as lhs, \
+    with _memoised(lambda i: mu_square_lhs(ffs[i], ralg, p_tables, xs, index)) as lhs, \
             _memoised(lambda i: mu_composite(phi(jd_fmap(phi, ffs[i])))) as rhs:
         square = _scan("MuSquare", itertools.product(range(len(ffs)), preds),
                        lambda c: lhs(c[0])(c[1]), lambda c: rhs(c[0])(c[1]),

@@ -541,12 +541,19 @@ def tuple_term(t, pattern: bool = False) -> tuple:
 # ---------------------------------------------------------------------------
 # the RetractIdentity scan as it ran before selectors kept their tables:
 # phi and psi as plain lambdas, each case tabulating its predicate afresh.
-# It is the reference that the table-backed rows of combos.psi(combos.phi(f))
-# must agree with.
+# It is the reference that the row map of combos.retract_check must agree
+# with.
+
+
+def reference_sel_query(table, xs, p):
+    """A selector table's answer to ``p``: the predicate tabulated over
+    ``xs`` and found in the table's domain by ``tuple.index``, the query
+    that :func:`combos.sel_from_table` answers by value tuple."""
+    return table(combos.FinFun.tabulate(xs, p))
 
 
 def reference_sel(table, xs):
-    return combos.Sel(lambda p: table(combos.FinFun.tabulate(xs, p)), lambda: str(table))
+    return combos.Sel(lambda p: reference_sel_query(table, xs, p), lambda: str(table))
 
 
 def reference_phi(f):

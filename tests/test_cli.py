@@ -221,6 +221,35 @@ class TestCombo:
             encoding="utf-8")
 
 
+class TestComboBudget:
+    """Table spaces past the case budget are refused before they are
+    built; each command runs as a process with a timeout, so one that
+    builds its space again fails here instead of exhausting memory."""
+
+    @staticmethod
+    def combo(name, size):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "delaydist", "combo", name,
+                               "--carrier-size", size, "--max-steps", "1", "--max-depth", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    @pytest.mark.parametrize("name,size,space,count", [
+        ("continuation", "3", "retraction", 10 ** 8),
+        ("selection", "4", "selector", 4 ** 16),
+    ])
+    def test_over_budget_space_exits_three(self, name, size, space, count):
+        done = self.combo(name, size)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (f"error: {space} table space: about {count} cases exceeds "
+                               f"budget 1000000\n")
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("name,size", [("continuation", "2"), ("selection", "3")])
+    def test_largest_space_in_budget_runs(self, name, size):
+        done = self.combo(name, size)
+        assert done.returncode == 0, done.stderr
+
+
 class TestDemo:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "demo", "mogelberg-vezzosi")

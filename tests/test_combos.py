@@ -5,12 +5,16 @@ pairing is the documented negative (its composite multiplication square
 fails) and everything else passes at the default bounds."""
 
 import dataclasses
+import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (reference_phi, reference_pred_call, reference_psi,
-                      reference_retract_identity, reference_sel, reference_tabulate)
+                      reference_retract_identity, reference_sel, reference_sel_query,
+                      reference_tabulate)
 from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
@@ -449,15 +453,17 @@ def _retract_pool(carrier_size, rs=(0, 1)):
 @pytest.mark.parametrize("carrier_size", [1, 2])
 def test_retract_rows_match_the_lambda_reference(carrier_size):
     xs, tables = _retract_pool(carrier_size)
+    p_tables = tables[0].domain
     ralg = combos.DelayAlgebra((0, 1), 0)
     fuel = Universe(carrier_size=carrier_size).derived_fuel()
+    rows = combos._row_map(p_tables, xs, ralg, combos.pred_index(p_tables, xs))
+    assert rows == tuple(range(len(p_tables)))
     for table in tables:
         back = combos.psi(combos.phi(combos.sel_from_table(table, xs)), ralg)
-        assert back.table.domain is table.domain
         lam = reference_psi(reference_phi(reference_sel(table, xs)), ralg)
-        for p, row in back.table.items():
-            assert strong_equal(row, lam(p), fuel).is_yes, (str(table), str(p))
-            assert back(p) is lam(p)
+        for p, row in zip(p_tables, rows):
+            assert strong_equal(table.values[row], lam(p), fuel).is_yes, (str(table), str(p))
+            assert back(p) is lam(p) is table.values[row]
 
 
 @pytest.mark.parametrize("carrier_size", [1, 2])
@@ -483,13 +489,30 @@ def test_retract_transformer_runs_once_per_predicate_table(monkeypatch):
     assert calls[0] == 4  # the 4 predicate tables, not 9,604 cases
 
 
-def test_psi_of_a_plain_table_selector_takes_the_lambda_path():
+def test_phi_and_psi_are_the_plain_transformers():
     xs, tables = _retract_pool(1)
     ralg = combos.DelayAlgebra((0, 1), 0)
-    sel = combos.psi(combos.sel_from_table(tables[0], tables[0].domain), ralg)
-    assert sel.table is None
-    phi_sel = combos.phi(combos.sel_from_table(tables[0], xs))
-    assert phi_sel.table is tables[0] and phi_sel.pre == (combos.probe_now,)
+    for table in tables:
+        f = combos.sel_from_table(table, xs)
+        for p in table.domain:
+            assert combos.phi(f)(lambda d: p(d.value)) is reference_phi(f)(lambda d: p(d.value))
+            assert combos.psi(combos.phi(f), ralg)(p) is reference_psi(reference_phi(f), ralg)(p)
+
+
+def test_retract_identity_computes_one_row_map_per_check(monkeypatch):
+    calls = []
+    row_map = combos._row_map
+
+    def counting(*args):
+        calls.append(args[0])
+        return row_map(*args)
+
+    monkeypatch.setattr(combos, "_row_map", counting)
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    assert combos.retract_check(u).entry("RetractIdentity").cases == 9604
+    assert len(calls) == 1
+    combos.check_continuation(u)
+    assert len(calls) == 2 and calls[1] == calls[0]
 
 
 def _to_last(self, d):
@@ -517,6 +540,22 @@ def test_retract_identity_under_a_wrong_algebra_matches_the_reference(monkeypatc
     w = e.witness
     assert w.lhs_render != w.rhs_render
     assert w.replay() == (w.lhs_render, w.rhs_render)
+
+
+def _outside(self, d):
+    return "z"
+
+
+def test_retract_algebra_outside_the_codomain_raises_as_the_reference(monkeypatch):
+    # an algebra whose values are no predicate's: the first case cannot
+    # find its predicate table, by value tuple or by the reference's scan
+    monkeypatch.setattr(combos.DelayAlgebra, "alg", _outside)
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    with pytest.raises(ValueError) as ref:
+        reference_retract_identity(u)
+    with pytest.raises(type(ref.value)) as got:
+        combos.retract_check(u)
+    assert str(got.value) == str(ref.value)
 
 
 def test_retract_replay_recomputes_on_the_lambda_path(monkeypatch):
@@ -575,6 +614,128 @@ def test_flattening_witness_replays(monkeypatch):
     assert e.witness.replay() == (e.witness.lhs_render, e.witness.rhs_render)
 
 
+# ---------------------------------------------------------------------------
+# selectors answering from their tables against the tabulate-then-index
+# query kept in conftest
+
+
+def _answer(f, *args):
+    """``f(*args)``, or the type and message of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as e:  # noqa: BLE001 - compared as data
+        return ("raised", type(e), str(e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), carrier_size=st.integers(1, 3))
+def test_table_selector_answers_as_the_reference(data, carrier_size):
+    xs = combos.base_values(carrier_size)
+    p_tables = combos.fun_space(xs, (0, 1))
+    # a duplicated predicate table answers from its first row
+    preds = p_tables + data.draw(st.lists(st.sampled_from(p_tables), max_size=2))
+    answers = data.draw(st.lists(st.integers(0, 5), min_size=len(preds), max_size=len(preds)))
+    table = combos.FinFun(tuple(preds), tuple(answers))
+    shared = combos.pred_index(preds, xs)
+    for sel in (combos.sel_from_table(table, xs), combos.sel_from_table(table, xs, shared)):
+        for p in p_tables:
+            assert _answer(sel, p) == _answer(reference_sel_query, table, xs, p)
+            assert _answer(sel, lambda x: p(x)) == _answer(reference_sel_query, table, xs, p)
+        # values outside the predicates' codomain, hashable or not
+        pos = data.draw(st.integers(0, carrier_size - 1))
+        for bad in (2, "z", [0], None):
+            def p(x, bad=bad):
+                return bad if x == xs[pos] else 0
+            out = _answer(sel, p)
+            assert out[0] == "raised" and out == _answer(reference_sel_query, table, xs, p)
+    # tables whose domain is not predicate tables over the value domain
+    others = [xs[::-1], xs + ("e",), tuple(range(carrier_size))]
+    for dom in others:
+        sel = combos.sel_from_table(table, dom)
+        for p in p_tables:
+            q = lambda x, p=p: p(x) if x in xs else 0
+            assert _answer(sel, q) == _answer(reference_sel_query, table, dom, q)
+    plain = combos.FinFun(tuple(range(len(preds))), tuple(answers))
+    sel = combos.sel_from_table(plain, xs)
+    for p in p_tables:
+        assert _answer(sel, p) == _answer(reference_sel_query, plain, xs, p)
+
+
+def test_pred_index_refuses_tables_it_cannot_key():
+    xs = ("a", "b")
+    p_tables = combos.fun_space(xs, (0, 1))
+    assert combos.pred_index(p_tables + p_tables[:1], xs) == {t.values: i
+                                                              for i, t in enumerate(p_tables)}
+    assert combos.pred_index(p_tables, xs[::-1]) == {}
+    assert combos.pred_index(p_tables + [combos.FinFun(xs, ([0], 1))], xs) == {}
+    assert combos.pred_index(list(range(4)), xs) == {}
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2, 3])
+def test_mu_delayed_result_probes_only_the_values(carrier_size):
+    # MuSquare's left side is tabulated on the predicate tables; that is
+    # exact because mu_delayed_result(FF) only ever calls its predicate on
+    # the values, which phi probes at Now(x)
+    xs = combos.base_values(carrier_size)
+    rs = (0, 1)
+    ralg = combos.DelayAlgebra(rs, 0)
+    for ff in combos.mu_square_inputs(xs, rs):
+        for t in combos.fun_space(xs, rs):
+            seen = []
+
+            def spy(x, t=t):
+                seen.append(x)
+                return t(x)
+
+            assert combos.mu_delayed_result(ff, ralg)(spy) == combos.mu_delayed_result(ff, ralg)(t)
+            assert seen and set(seen) <= set(xs), str(ff)
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_mu_square_left_side_matches_the_lambda_path(carrier_size):
+    xs = combos.base_values(carrier_size)
+    rs = (0, 1)
+    ralg = combos.DelayAlgebra(rs, 0)
+    p_tables = tuple(combos.fun_space(xs, rs))
+    preds = combos.predicate_family(xs, rs, (0, 1, 2))
+    for ff in combos.mu_square_inputs(xs, rs):
+        tabulated = combos.mu_square_lhs(ff, ralg, p_tables, xs,
+                                         combos.pred_index(p_tables, xs))
+        lam = reference_phi(combos.mu_delayed_result(ff, ralg))
+        for g in preds:
+            assert tabulated(g) == lam(g), (str(ff), str(g))
+
+
+def test_mu_square_scan_matches_the_lambda_left_side(monkeypatch):
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    e = combos.retract_check(u).entry("MuSquare")
+    monkeypatch.setattr(combos, "mu_square_lhs",
+                        lambda ff, ralg, *rest: reference_phi(combos.mu_delayed_result(ff, ralg)))
+    ref = combos.retract_check(u).entry("MuSquare")
+    assert e == ref and e.verdict.is_no
+    assert e.witness.replay() == ref.witness.replay() == (e.witness.lhs_render,
+                                                          e.witness.rhs_render)
+
+
+@pytest.mark.parametrize("name,size", [("continuation", 3), ("selection", 4)])
+def test_over_budget_table_space_is_refused_before_any_scan(monkeypatch, name, size):
+    def no_scan(*args, **kwargs):
+        pytest.fail("scanned before the budget check")
+
+    monkeypatch.setattr(combos, "_scan", no_scan)
+    monkeypatch.setattr(combos, "beck_scan", no_scan)
+    fun_space = combos.fun_space
+
+    def bounded(dom, cod):
+        if len(cod) ** len(dom) > 10 ** 6:
+            pytest.fail("built a table space past the budget")
+        return fun_space(dom, cod)
+
+    monkeypatch.setattr(combos, "fun_space", bounded)
+    with pytest.raises(combos.UniverseBudgetError, match="table space: about"):
+        combos.combo_report(name, Universe(carrier_size=size, max_steps=1, max_depth=1))
+
+
 # Tables and bounded predicates against their definitions, kept in conftest:
 # the checking constructor over a mapped domain, and force.
 
@@ -600,6 +761,21 @@ def test_tabulate_equals_the_checked_table(dom, f):
     twin = pickle.loads(pickle.dumps(t))
     assert twin == t and hash(twin) == hash(t) and str(twin) == str(t)
     assert [t(a) for a in dom] == [f(a) for a in dom]
+
+
+@pytest.mark.parametrize("dom,cod", [((), (0, 1)), (("x",), ()), (("a", "b"), (0, 1)),
+                                     (("a", "b", "c"), (Now("a"), DIVERGE)),
+                                     ((combos.FinFun(("x",), (0,)),), ("p", "q", "r"))])
+def test_fun_space_equals_the_checked_tables(dom, cod):
+    space = combos.fun_space(dom, cod)
+    checked = [combos.FinFun(tuple(dom), vals) for vals in itertools.product(cod, repeat=len(dom))]
+    assert len(space) == len(cod) ** len(dom) == len(checked)
+    for t, ref in zip(space, checked):
+        assert t == ref and ref == t
+        assert hash(t) == hash(ref)
+        assert str(t) == str(ref)
+        twin = pickle.loads(pickle.dumps(t))
+        assert twin == ref and hash(twin) == hash(ref) and str(twin) == str(ref)
 
 
 def test_tables_stay_frozen_and_checked():
