@@ -41,11 +41,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from . import freemodel as fm
 from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
-                    YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join, peel,
+                    YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
-                   UniverseBudgetError, Witness, base_values, beck_scan, check_monad_laws_kleisli,
-                   delay_pack, delay_values, double_delay_values, _memoised, _scan)
+                   UniverseBudgetError, Witness, base_values, beck_scan, check_kleisli_space,
+                   check_monad_laws_kleisli, delay_pack, delay_values, double_delay_values,
+                   _memoised, _scan)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
@@ -438,7 +439,8 @@ class _Stages:
 
 def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     """Monad laws of the delayed-state monad plus per-state step
-    additivity of its bind."""
+    additivity of its bind.  A monad-law space over the case budget is
+    refused before it is built."""
     t0 = time.perf_counter()
     ops = state_monad(states)
     xs = base_values(u.carrier_size)
@@ -446,12 +448,14 @@ def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     pairs = [(s, x) for s in ops.states for x in xs]
     max_steps = min(u.max_steps, 2)
     components = [delay_n(n, p) for n in range(max_steps + 1) for p in pairs] + [DIVERGE]
-    elements = [DelayedState(FinFun(ops.states, combo))
-                for combo in itertools.product(components, repeat=len(ops.states))]
-
     small = ([ops.unit(x) for x in xs]
              + [ops.step(ops.unit(x)) for x in xs]
              + [DelayedState(FinFun(ops.states, (DIVERGE,) * len(ops.states)))])
+    # both spaces are counted before either is built
+    check_kleisli_space(u, "state monad laws", len(components) ** len(ops.states),
+                        len(small) ** len(xs))
+    elements = [DelayedState(FinFun(ops.states, combo))
+                for combo in itertools.product(components, repeat=len(ops.states))]
     k_pool = [dict(zip(xs, combo)) for combo in itertools.product(small, repeat=len(xs))]
 
     entries = [check_monad_laws_kleisli(ops.unit, ops.bind, elements, xs, k_pool,
@@ -582,13 +586,11 @@ def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], A
         raise GsdAlgebraError(failed)
 
     def into(d: Delay):
-        steps, end = peel(d)
-        if end is DIVERGE:
-            out = alg.div
-        else:
-            s1, x1 = end.value
-            out = alg.update(f[x1], s1)
-        for _ in range(steps):
+        if d is DIVERGE:
+            return alg.div
+        s1, x1 = d.value
+        out = alg.update(f[x1], s1)
+        for _ in range(d.steps if isinstance(d, Step) else 0):
             out = alg.step(out)
         return out
 
@@ -746,9 +748,7 @@ class PredFn:
     fuel: int
 
     def __call__(self, d: Delay):
-        n = 0
-        if isinstance(d, Step):
-            n, d = d.steps, d.end
+        n = d.steps if isinstance(d, Step) else 0
         if n > self.fuel or d is DIVERGE:
             return self.default
         return self.table(d.value)
@@ -1206,7 +1206,8 @@ def _op_rows(elements: Sequence[Any], arity: int, f: Callable) -> Dict[tuple, An
 def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
     """Monad laws of the free combination, agreement of the extension
     operator with direct evaluation, failure of a guard-blind alternative
-    homomorphism, and guard preservation under bind."""
+    homomorphism, and guard preservation under bind.  A monad-law space
+    over the case budget is refused before its scan."""
     t0 = time.perf_counter()
     ops = sum_monad(th or fm.semilattice())
     th = ops.theory
@@ -1225,6 +1226,7 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
     elements += [ops.later(e) for e in elements[len(lvl1):len(lvl1) + 6]]
 
     small = base + [ops.later(base[0]), ops.div(), ops.node("union", [base[0], base[-1]])]
+    check_kleisli_space(u, "sum monad laws", len(elements), len(small[:5]) ** len(xs))
     k_pool = [dict(zip(xs, combo)) for combo in itertools.product(small[:5], repeat=len(xs))]
 
     entries = [check_monad_laws_kleisli(ops.pure, ops.bind, elements, xs, k_pool,

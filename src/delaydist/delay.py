@@ -3,7 +3,7 @@
 Every ``Delay`` is in one normal form, the classical D X ≅ ℕ × X + 1:
 
 * ``Now(v)``, a finished computation,
-* ``Step``, n ≥ 1 visible steps in front of a ``Now``, held as one node,
+* ``Step``, n ≥ 1 visible steps and the final value, held as one node,
 * ``DIVERGE``, the computation that never finishes.
 
 Divergence absorbs its steps when it is built.  Coinductively never =
@@ -12,7 +12,7 @@ and :func:`bind` all return ``DIVERGE`` for stepⁿ(⊥).  A checker that
 observes delays up to fuel needs nothing lazier than this form.
 
 :func:`dmap`, :func:`join` and the comparisons are direct on this form:
-they read the step count and the end in place, with no closure or peel.
+they read the step count and the value in place, with no closure or peel.
 
 All observations are fuel bounded.  Comparisons are three valued
 (:class:`Verdict`): strong equality counts steps exactly, weak
@@ -40,13 +40,13 @@ class Now(Delay):
 
 @dataclass(frozen=True, slots=True, init=False)
 class Step(Delay):
-    """``steps`` ≥ 1 visible steps in front of ``end``, a ``Now``.
+    """``steps`` ≥ 1 visible steps, then the final ``value``.
     ``Step(tail)`` puts one step in front of ``tail``, so
-    ``Step(Step(Now(v)))`` is the single node ``steps=2, end=Now(v)``, and
+    ``Step(Step(Now(v)))`` is the single node ``steps=2, value=v``, and
     ``Step(DIVERGE)`` is ``DIVERGE`` itself."""
 
     steps: int
-    end: Delay
+    value: Any
 
     # copy and pickle call __new__ with no tail
     def __new__(cls, tail: Optional[Delay] = None):
@@ -58,22 +58,30 @@ class Step(Delay):
     @property
     def tail(self) -> Delay:
         """The delayed value after the first step."""
-        return prepend_steps(self.steps - 1, self.end)
+        n = self.steps - 1
+        return _steps(n, self.value) if n else Now(self.value)
 
 
 # the slot setters, which build a frozen Step without the cost of its
 # frozen __setattr__
-_set_steps, _set_end = Step.steps.__set__, Step.end.__set__
+_set_steps, _set_value = Step.steps.__set__, Step.value.__set__
 _new = object.__new__
+
+
+def _steps(n: int, value: Any) -> Step:
+    """stepⁿ(now value), for n ≥ 1."""
+    s = _new(Step)
+    _set_steps(s, n)
+    _set_value(s, value)
+    return s
 
 
 def _fill(s: Step, n: int, d: Delay) -> Step:
     """``s`` made stepⁿ(d), for ``d`` other than ``DIVERGE``."""
     if isinstance(d, Step):
         n += d.steps
-        d = d.end
     _set_steps(s, n)
-    _set_end(s, d)
+    _set_value(s, d.value)
     return s
 
 
@@ -110,7 +118,7 @@ def delay_n(n: int, value: Any) -> Delay:
     """step^n(now value)."""
     if n < 0:
         raise ValueError("negative step count")
-    return prepend_steps(n, Now(value))
+    return _steps(n, value) if n else Now(value)
 
 
 def resolve(d: Delay) -> Delay:
@@ -127,17 +135,18 @@ def prepend_steps(n: int, d: Delay) -> Delay:
 
 def peel(d: Delay) -> Tuple[int, Delay]:
     """Split ``d`` into its count of visible steps and its end, a ``Now``
-    or ``DIVERGE``."""
+    or ``DIVERGE``.  It builds a ``Now`` for a ``Step``; the kernels read
+    ``steps`` and ``value`` in place instead."""
     if isinstance(d, Step):
-        return d.steps, d.end
+        return d.steps, Now(d.value)
     return 0, d
 
 
 def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:
     """Substitute into the final value, keeping every step of ``d``;
     divergence, of ``d`` or of ``k``'s result, absorbs them."""
-    if isinstance(d, Step):  # its end is a Now
-        out = k(d.end.value)
+    if isinstance(d, Step):
+        out = k(d.value)
         return DIVERGE if out is DIVERGE else _fill(_new(Step), d.steps, out)
     return DIVERGE if d is DIVERGE else k(d.value)
 
@@ -145,14 +154,14 @@ def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:
 def dmap(d: Delay, f: Callable[[Any], Any]) -> Delay:
     """``f`` applied to the final value; the step count is kept."""
     if isinstance(d, Step):
-        return _fill(_new(Step), d.steps, Now(f(d.end.value)))
+        return _steps(d.steps, f(d.value))
     return DIVERGE if d is DIVERGE else Now(f(d.value))
 
 
 def join(dd: Delay) -> Delay:
     """Flatten a delayed delayed value; steps of both layers add up."""
-    if isinstance(dd, Step):  # its end is a Now
-        inner = dd.end.value
+    if isinstance(dd, Step):
+        inner = dd.value
         return DIVERGE if inner is DIVERGE else _fill(_new(Step), dd.steps, inner)
     return DIVERGE if dd is DIVERGE else dd.value
 
@@ -191,16 +200,17 @@ def force(d: Delay, fuel: int):
     Returns ``Terminated(value, steps)``, ``KNOWN_DIVERGENT`` for
     divergence, or ``EXHAUSTED``.
     """
-    n, end = peel(d)
+    n = d.steps if isinstance(d, Step) else 0
     if n > fuel:
         return EXHAUSTED
-    return Terminated(end.value, n) if isinstance(end, Now) else KNOWN_DIVERGENT
+    return KNOWN_DIVERGENT if d is DIVERGE else Terminated(d.value, n)
 
 
 def step_count(d: Delay) -> Optional[int]:
     """Number of steps before Now, or None for divergence."""
-    n, end = peel(d)
-    return None if end is DIVERGE else n
+    if isinstance(d, Step):
+        return d.steps
+    return None if d is DIVERGE else 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +279,8 @@ def strong_equal(x: Delay, y: Delay, fuel: int, value_eq: Optional[ValueRel] = N
     first depth where one side has finished; Unknown when fuel runs out
     first.
     """
-    nx = ny = 0
-    if isinstance(x, Step):
-        nx, x = x.steps, x.end
-    if isinstance(y, Step):
-        ny, y = y.steps, y.end
+    nx = x.steps if isinstance(x, Step) else 0
+    ny = y.steps if isinstance(y, Step) else 0
     # NO where the first side finishes, the other still stepping there
     if x is DIVERGE:
         return YES if y is DIVERGE else NO if ny <= fuel else unknown(fuel)
@@ -295,11 +302,8 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     divergence.  Both sides advance together, so the verdict falls once
     the longer one has ended; Unknown when that is beyond ``fuel``.
     """
-    nx = ny = 0
-    if isinstance(x, Step):
-        nx, x = x.steps, x.end
-    if isinstance(y, Step):
-        ny, y = y.steps, y.end
+    nx = x.steps if isinstance(x, Step) else 0
+    ny = y.steps if isinstance(y, Step) else 0
     if nx > fuel or ny > fuel:
         return unknown(fuel)
     if x is DIVERGE or y is DIVERGE:
@@ -313,7 +317,7 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
 
 def render_delay(d: Delay, value_render: Callable[[Any], str] = str) -> str:
     """``step^n(now v)`` prints as ``n·step ▸ v``; divergence as ``⊥``."""
-    n, end = peel(d)
-    if end is DIVERGE:
+    if d is DIVERGE:
         return "⊥"
-    return f"{n}·step ▸ {value_render(end.value)}"
+    n = d.steps if isinstance(d, Step) else 0
+    return f"{n}·step ▸ {value_render(d.value)}"

@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .delay import DIVERGE, Delay, Verdict, YES, NO, unknown, peel, render_delay
+from .delay import DIVERGE, Delay, Step, Verdict, YES, NO, unknown, render_delay
 from .theory import (App, Equation, Operation, Signature, Term, Theory, TheorySemanticError,
                      Var, free_vars, make_equation, validate_theory)
 
@@ -78,10 +78,9 @@ def canon_key(v: Any):
             _set_key(v, key)
         return key
     if isinstance(v, Delay):
-        n, end = peel(v)
-        if end is DIVERGE:
+        if v is DIVERGE:
             return _DIVERGE_KEY
-        return ("d", n, canon_key(end.value))
+        return ("d", v.steps if isinstance(v, Step) else 0, canon_key(v.value))
     if isinstance(v, tuple):
         return ("t", tuple([canon_key(x) for x in v]))
     if isinstance(v, bool):
@@ -391,9 +390,15 @@ class TreeCarrier(Carrier):
         fix = self.normalise
 
         def graft(p):
-            if p[0] == "leaf":
+            op = p[0]
+            if op == "leaf":
                 return k(p[1]).payload
-            out = (p[0], *[graft(a) for a in p[1:]])
+            if len(p) == 3:
+                out = (op, graft(p[1]), graft(p[2]))
+            elif len(p) == 2:
+                out = (op, graft(p[1]))
+            else:
+                out = (op, *[graft(a) for a in p[1:]])
             # grafted subtrees are normal, so fixing each node on the way
             # up keeps the whole payload normal
             return fix(out) if fix else out
@@ -404,9 +409,15 @@ class TreeCarrier(Carrier):
         fix = self.normalise
 
         def relabel(p):
-            if p[0] == "leaf":
+            op = p[0]
+            if op == "leaf":
                 return ("leaf", f(p[1]))
-            out = (p[0], *[relabel(a) for a in p[1:]])
+            if len(p) == 3:
+                out = (op, relabel(p[1]), relabel(p[2]))
+            elif len(p) == 2:
+                out = (op, relabel(p[1]))
+            else:
+                out = (op, *[relabel(a) for a in p[1:]])
             # as in free_bind: a merged pair of leaves may make a redex
             return fix(out) if fix else out
 

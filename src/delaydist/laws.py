@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, bind, conjoin, delay_n, dmap, join,
-                    now, peel, render_delay, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Step, Verdict, YES, NO, bind, conjoin, delay_n, dmap,
+                    join, now, render_delay, strong_equal, weak_bisim)
 from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
 from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
                      predict_composability, var_counts)
@@ -539,9 +539,9 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
     keys: Dict[fm.ModelElement, int] = {}
     ends: List[Optional[tuple]] = []
     for d in env_pool:
-        n, end = peel(d)
-        ends.append(None if end is DIVERGE else
-                    (n, keys.setdefault(end.value, len(keys)), end.value))
+        ends.append(None if d is DIVERGE else
+                    (d.steps if isinstance(d, Step) else 0,
+                     keys.setdefault(d.value, len(keys)), d.value))
 
     details: List[Tuple[str, Verdict]] = []
     witness: Optional[Witness] = None
@@ -767,6 +767,16 @@ def composite_bind(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]
     return bnd
 
 
+def check_kleisli_space(u: TestUniverse, what: str, elements: int, continuations: int) -> None:
+    """Refuse a monad-law scan over ``elements`` elements and
+    ``continuations`` continuation tables, whose associativity law alone
+    has ``elements · continuations²`` cases, when that is over the case
+    budget."""
+    estimate = elements * continuations ** 2
+    if estimate > u.case_budget:
+        raise UniverseBudgetError(what, estimate, u.case_budget)
+
+
 def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEntry:
     """Monad laws of the composite delayed-model monad on enumerated
     inputs.  Continuation tables draw from a reduced value pool (one step,
@@ -788,9 +798,7 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
     k_values = [delay_n(s, m) for s in (0, 1) for m in small_models]
     k_pool = [dict(zip(vals, combo))
               for combo in itertools.product(k_values, repeat=len(vals))]
-    estimate = len(elements) * len(k_pool) ** 2
-    if estimate > u.case_budget:
-        raise UniverseBudgetError("composite monad laws", estimate, u.case_budget)
+    check_kleisli_space(u, "composite monad laws", len(elements), len(k_pool))
 
     with _memoised(cand.apply) as z:
         return check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand, z),

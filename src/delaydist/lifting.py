@@ -55,8 +55,7 @@ def _eager_ends(args, total: Callable[[Sequence[int]], int]):
             diverges = True
             continue
         else:
-            n, end = (a.steps, a.end) if isinstance(a, Step) else (0, a)
-            v = end.value
+            n, v = (a.steps if isinstance(a, Step) else 0), a.value
         counts.append(n)
         values.append(v)
     return DIVERGE if diverges else (total(counts), values)
@@ -134,34 +133,53 @@ def _leaf_delay(x) -> Delay:
 
 def _end(d: Delay):
     """The final value of a delay that finishes."""
-    return (d.end if isinstance(d, Step) else d).value
+    return d.value
 
 
 def _walk(node, carrier: fm.TreeCarrier, total: Callable[[Sequence[int]], int]):
     """``(steps, payload)`` for a representative term over delays, or
-    DIVERGE, in the tree carrier ``carrier``.  Leaves give their step
-    count and a leaf over their value, nodes combine their children's
-    counts by ``total`` and build the model operation's payload over
-    theirs; a divergent child makes the node divergent without applying
-    it.  Errors come from the same leaf or node, in the same order, as
-    on the per-node path."""
-    if node[0] == "leaf":
+    DIVERGE, in the tree carrier ``carrier``, the theory's own.  Leaves
+    give their step count and a leaf over their value, nodes combine
+    their children's counts by ``total`` and build the model operation's
+    payload over theirs; a divergent child makes the node divergent
+    without applying it.  Errors come from the same leaf or node, in the
+    same order, as on the per-node path: the children, the argument
+    count, divergence, then an undeclared operation.  Unary and binary
+    nodes take that order without building an argument list."""
+    op = node[0]
+    if op == "leaf":
         d = _leaf_delay(node[1])
         if d is DIVERGE:
             return DIVERGE
-        n, end = (d.steps, d.end) if isinstance(d, Step) else (0, d)
-        return n, ("leaf", end.value)
-    op = node[0]
-    args = [_walk(child, carrier, total) for child in node[1:]]
-    _check_arity(op, args, carrier.theory)
-    ends = _eager_ends(args, total)
-    if ends is DIVERGE:
-        return DIVERGE
-    if op not in carrier.arities:
+        return (d.steps if isinstance(d, Step) else 0), ("leaf", d.value)
+    declared = carrier.arities.get(op)
+    arity = len(node) - 1
+    if arity == 2:
+        a = _walk(node[1], carrier, total)
+        b = _walk(node[2], carrier, total)
+        if declared != 2:
+            _check_arity(op, (a, b), carrier.theory)
+        if a is DIVERGE or b is DIVERGE:
+            return DIVERGE
+        n, payload = total((a[0], b[0])), (op, a[1], b[1])
+    elif arity == 1:
+        a = _walk(node[1], carrier, total)
+        if declared != 1:
+            _check_arity(op, (a,), carrier.theory)
+        if a is DIVERGE:
+            return DIVERGE
+        n, payload = a[0], (op, a[1])
+    else:
+        args = [_walk(child, carrier, total) for child in node[1:]]
+        _check_arity(op, args, carrier.theory)
+        ends = _eager_ends(args, total)
+        if ends is DIVERGE:
+            return DIVERGE
+        n, payloads = ends
+        payload = (op, *payloads)
+    if declared is None:
         # an undeclared operation fails where it would be applied
         raise carrier.unknown_operation(op)
-    n, payloads = ends
-    payload = (op, *payloads)
     # the children are normal, so fixing the node keeps the payload normal
     return n, carrier.normalise(payload) if carrier.normalise else payload
 

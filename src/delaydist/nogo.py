@@ -41,8 +41,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Step, dmap, join, peel, prepend_steps,
-                    render_delay, step_count, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Step, delay_n, dmap, join, render_delay,
+                    step_count, strong_equal, weak_bisim)
 from .laws import (LawEntry, LawReport, TestUniverse, Witness, prediction_for_failure,
                    run_suite)
 from .lifting import custom_candidate, induced_candidate
@@ -688,17 +688,15 @@ def idempotent_unary_theory() -> Theory:
 
 
 def _bang(d: Delay, th: Theory) -> Delay:
-    n, end = peel(d)
-    if n:
-        return prepend_steps(n - 1, end)
-    return end if end is DIVERGE else Now(fm.apply_op(th, "bang", [end.value]))
+    if isinstance(d, Step):
+        return delay_n(d.steps - 1, d.value)
+    return d if d is DIVERGE else Now(fm.apply_op(th, "bang", [d.value]))
 
 
-def _after(n: int, end: Now, t: int, th: Theory) -> Any:
-    """The value of a finished factor of a product after ``t`` ≥ ``n``
+def _after(n: int, v: Any, t: int, th: Theory) -> Any:
+    """The value ``v`` of a finished factor of a product after ``t`` ≥ ``n``
     lockstep steps: its own ``n`` steps go first, then ``bang`` absorbs
     each further one."""
-    v = end.value
     for _ in range(t - n):
         v = fm.apply_op(th, "bang", [v])
     return v
@@ -709,10 +707,11 @@ def _mul(a: Delay, b: Delay, th: Theory) -> Delay:
     # until both have finished; a divergent side makes the product diverge.
     if a is DIVERGE or b is DIVERGE:
         return DIVERGE
-    (na, ea), (nb, eb) = peel(a), peel(b)
+    na = a.steps if isinstance(a, Step) else 0
+    nb = b.steps if isinstance(b, Step) else 0
     t = max(na, nb)
-    values = [_after(na, ea, t, th), _after(nb, eb, t, th)]
-    return prepend_steps(t, Now(fm.apply_op(th, "mul", values)))
+    values = [_after(na, a.value, t, th), _after(nb, b.value, t, th)]
+    return delay_n(t, fm.apply_op(th, "mul", values))
 
 
 def step_absorbing_lift(op: str, args, th: Theory) -> Delay:

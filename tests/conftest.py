@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from delaydist import combos, laws
+from delaydist import combos, laws, lifting
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, Terminated, as_verdict, bind,
                              conjoin, dmap, force, peel, render_delay, strong_equal, unknown,
@@ -148,6 +148,29 @@ def reference_weak_bisim(x, y, rel, fuel):
     if isinstance(x, Now) and isinstance(y, Now):
         return as_verdict(rel(x.value, y.value))
     return as_verdict(x is DIVERGE and y is DIVERGE)
+
+
+def reference_walk(node, carrier, total):
+    """The induced candidates' payload walk as it was written before unary
+    and binary nodes were handled directly: every node's children through
+    a list, a slice and a star-unpack."""
+    if node[0] == "leaf":
+        d = lifting._leaf_delay(node[1])
+        if d is DIVERGE:
+            return DIVERGE
+        n, end = peel(d)
+        return n, ("leaf", end.value)
+    op = node[0]
+    args = [reference_walk(child, carrier, total) for child in node[1:]]
+    lifting._check_arity(op, args, carrier.theory)
+    ends = lifting._eager_ends(args, total)
+    if ends is DIVERGE:
+        return DIVERGE
+    if op not in carrier.arities:
+        raise carrier.unknown_operation(op)
+    n, payloads = ends
+    payload = (op, *payloads)
+    return n, carrier.normalise(payload) if carrier.normalise else payload
 
 
 def reference_tabulate(domain, f):

@@ -222,9 +222,10 @@ class TestCombo:
 
 
 class TestComboBudget:
-    """Table spaces past the case budget are refused before they are
-    built; each command runs as a process with a timeout, so one that
-    builds its space again fails here instead of exhausting memory."""
+    """Table and monad-law spaces past the case budget are refused before
+    they are built or scanned; each command runs as a process with a
+    timeout, so one that builds its space again fails here instead of
+    exhausting memory."""
 
     @staticmethod
     def combo(name, size):
@@ -241,6 +242,14 @@ class TestComboBudget:
         done = self.combo(name, size)
         assert done.returncode == 3, done.stderr
         assert done.stderr == (f"error: {space} table space: about {count} cases exceeds "
+                               f"budget 1000000\n")
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("name,count", [("state", 12440502369), ("sum", 19921875)])
+    def test_over_budget_monad_law_space_exits_three(self, name, count):
+        done = self.combo(name, "4")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (f"error: {name} monad laws: about {count} cases exceeds "
                                f"budget 1000000\n")
         assert done.stdout == ""
 

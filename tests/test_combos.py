@@ -736,6 +736,53 @@ def test_over_budget_table_space_is_refused_before_any_scan(monkeypatch, name, s
         combos.combo_report(name, Universe(carrier_size=size, max_steps=1, max_depth=1))
 
 
+class _Scanned(Exception):
+    """Raised in place of a monad-law scan, with what it would scan."""
+
+
+def _stop_at_the_monad_laws(monkeypatch):
+    def stop(unit, bind, elements, xs, k_pool, *rest):
+        raise _Scanned(len(elements), len(k_pool))
+
+    monkeypatch.setattr(combos, "check_monad_laws_kleisli", stop)
+
+
+@pytest.mark.parametrize("name,size,count", [
+    ("state", 3, 13 ** 2 * (7 ** 3) ** 2),
+    ("state", 4, 17 ** 2 * (9 ** 4) ** 2),
+    ("sum", 4, 51 * (5 ** 4) ** 2),
+])
+def test_over_budget_monad_law_space_is_refused_before_its_scan(monkeypatch, name, size,
+                                                                count):
+    _stop_at_the_monad_laws(monkeypatch)
+    monkeypatch.setattr(combos, "_scan", lambda *a, **k: pytest.fail("scanned"))
+    with pytest.raises(combos.UniverseBudgetError) as err:
+        combos.combo_report(name, Universe(carrier_size=size, max_steps=1, max_depth=1))
+    assert str(err.value) == (f"{name} monad laws: about {count} cases exceeds "
+                              f"budget 1000000")
+
+
+@pytest.mark.parametrize("name,size,steps", [
+    ("state", 1, 1), ("state", 1, 2), ("state", 2, 3), ("sum", 1, 1), ("sum", 3, 1)])
+def test_monad_law_space_count_is_what_the_scan_gets(monkeypatch, name, size, steps):
+    # spaces in budget reach their scan, and the count the budget was
+    # checked against is that scan's elements · continuations²
+    counted = []
+    check = combos.check_kleisli_space
+
+    def spy(u, what, elements, continuations):
+        counted.append((elements, continuations))
+        return check(u, what, elements, continuations)
+
+    monkeypatch.setattr(combos, "check_kleisli_space", spy)
+    _stop_at_the_monad_laws(monkeypatch)
+    with pytest.raises(_Scanned) as scanned:
+        combos.combo_report(name, Universe(carrier_size=size, max_steps=steps, max_depth=1))
+    assert counted == [scanned.value.args]
+    elements, continuations = counted[0]
+    assert elements * continuations ** 2 <= 10 ** 6
+
+
 # Tables and bounded predicates against their definitions, kept in conftest:
 # the checking constructor over a mapped domain, and force.
 

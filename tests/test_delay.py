@@ -4,20 +4,23 @@ Each derived behavior gets an oracle computed without the library: step
 counts are integers added by hand, weak bisimilarity over finite chains
 is "same value, divergence only matches divergence"."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Now, Step,
-                             Terminated, bind, delay_n, diverge, dmap, force, join, now,
+from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Delay, Now, Step,
+                             Terminated, bind, delay_n, diverge, dmap, force, join, now, peel,
                              prepend_steps, render_delay, resolve, step, step_count,
                              strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
-from conftest import (reference_dmap, reference_join, reference_strong_equal,
-                      reference_weak_bisim)
+from conftest import (reference_canon_key, reference_dmap, reference_join,
+                      reference_strong_equal, reference_weak_bisim)
 
 VALUES = ("a", "b", "c")
 
@@ -251,7 +254,7 @@ class TestFlatNormalForm:
     def test_step_chains_are_one_node(self):
         d = Step(Step(Now("a")))
         assert isinstance(d, Step)
-        assert (d.steps, d.end) == (2, Now("a"))
+        assert (d.steps, d.value) == (2, "a")
         assert Step(d) == delay_n(3, "a")
         assert d.tail == delay_n(1, "a")
         assert hash(d) == hash(delay_n(2, "a"))
@@ -422,3 +425,146 @@ def test_kernel_comparisons_cover_each_verdict():
              for fuel in range(6) for x, y in itertools.product(KERNEL_CHAINS, repeat=2)
              for v in (strong_equal(x, y, fuel), weak_bisim(x, y, VALUE_RELS[2], fuel))}
     assert {("yes", 0), ("no", 0), ("unknown", 0), ("unknown", 3), ("unknown", 9)} <= kinds
+
+
+# A finished delay is one node: a Step holds its step count and the final
+# value, never a Now or another Step.  Chains are built by every
+# constructor and kernel in turn, each result checked against the
+# references and against step arithmetic by hand.
+
+def _assert_flat(d):
+    """``d`` is one node: a Now or DIVERGE, or a Step of at least one
+    step whose value, over these chains, is not a delay."""
+    if isinstance(d, Step):
+        assert d.steps >= 1 and not isinstance(d.value, Delay)
+    else:
+        assert isinstance(d, Now) or d is DIVERGE
+        assert d is DIVERGE or not isinstance(d.value, Delay)
+
+
+def test_step_is_its_count_and_its_value():
+    assert [f.name for f in dataclasses.fields(Step)] == ["steps", "value"]
+    assert Step.__slots__ == ("steps", "value")
+    d = delay_n(3, "a")
+    assert not hasattr(d, "end")
+    assert (d.steps, d.value) == (3, "a")
+    assert Step(Now(Now("a"))).value == Now("a")  # a delayed delay keeps its inner delay
+    assert delay_n(1, delay_n(2, "a")).value == delay_n(2, "a")
+
+
+_chain_ops = st.one_of(
+    st.just(("step",)),
+    st.tuples(st.just("prepend"), st.integers(0, 3)),
+    st.tuples(st.just("delay_n"), st.integers(0, 3)),  # nested n deep, then joined
+    st.tuples(st.just("bind"), st.integers(0, 3), st.sampled_from(VALUES + (None,))),
+    st.tuples(st.just("dmap"), st.sampled_from(["upper", "pair"])),
+)
+_FS = {"upper": str.upper, "pair": lambda v: f"({v},{v})"}
+
+
+@given(st.one_of(st.sampled_from(VALUES), st.none()), st.lists(_chain_ops, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_built_chains_are_one_node(start, ops):
+    # shape: (steps, value) by hand, or None for divergence
+    d, shape = (DIVERGE, None) if start is None else (Now(start), (0, start))
+    for op in ops:
+        kind = op[0]
+        if kind == "step":
+            d = step(d)
+            shape = shape and (shape[0] + 1, shape[1])
+        elif kind == "prepend":
+            d = prepend_steps(op[1], d)
+            shape = shape and (shape[0] + op[1], shape[1])
+        elif kind == "delay_n":
+            nested = delay_n(op[1], d)
+            d = join(nested)
+            assert d == reference_join(nested)
+            shape = shape and (shape[0] + op[1], shape[1])
+        elif kind == "bind":
+            n, v = op[1], op[2]
+            k = (lambda _: DIVERGE) if v is None else (lambda _: delay_n(n, v))
+            d = bind(d, k)
+            shape = None if v is None else shape and (shape[0] + n, v)
+        else:
+            f = _FS[op[1]]
+            out = dmap(d, f)
+            assert out == reference_dmap(d, f)
+            assert type(out) is type(reference_dmap(d, f))
+            d = out
+            shape = shape and (shape[0], f(shape[1]))
+        _assert_flat(d)
+        if shape is None:
+            assert d is DIVERGE
+        else:
+            assert step_count(d) == shape[0] and d.value == shape[1]
+            assert type(d) is (Step if shape[0] else Now)
+            assert d == delay_n(*shape)
+        assert canon_key(d) == reference_canon_key(d)
+        for e in (d, Step(d), Now(start) if start is not None else DIVERGE):
+            assert strong_equal(d, e, 8) == reference_strong_equal(d, e, 8)
+
+
+ROUND_TRIP_DELAYS = chains(max_steps=3, with_diverge=False) + [
+    Now(Now("a")), Step(Now(Now("a"))), delay_n(2, delay_n(1, "b")), Now(DIVERGE),
+    delay_n(1, DIVERGE)]
+
+
+@pytest.mark.parametrize("d", ROUND_TRIP_DELAYS, ids=repr)
+def test_copies_and_pickles_keep_equality_and_hash(d):
+    copies = [copy.copy(d), copy.deepcopy(d)]
+    copies += [pickle.loads(pickle.dumps(d, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is type(d)
+        assert c == d and hash(c) == hash(d)
+        assert canon_key(c) == canon_key(d) and render_delay(c) == render_delay(d)
+        if isinstance(d, Step):
+            assert (c.steps, c.value) == (d.steps, d.value)
+
+
+def test_divergence_keeps_its_identity_through_copies():
+    assert copy.copy(DIVERGE) is DIVERGE
+    assert copy.deepcopy(DIVERGE) is DIVERGE
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(DIVERGE, protocol)) is DIVERGE
+    # inside a pickled delay too
+    assert pickle.loads(pickle.dumps(Now(DIVERGE))).value is DIVERGE
+
+
+class TestNodeContracts:
+    """``peel``, ``Step(tail)``, ``Step.tail`` and ``resolve``, which
+    callers outside the kernels step through delays with."""
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_peel_splits_off_an_end(self, n):
+        d = delay_n(n, "a")
+        count, end = peel(d)
+        assert (count, end) == (n, Now("a"))
+        assert type(end) is Now
+        if n == 0:
+            assert end is d  # a Now is its own end
+        assert peel(DIVERGE) == (0, DIVERGE) and peel(DIVERGE)[1] is DIVERGE
+        # a delayed delay's end holds the inner delay
+        assert peel(delay_n(n, delay_n(2, "b"))) == (n, Now(delay_n(2, "b")))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_step_of_a_tail_adds_one_step(self, n):
+        d = delay_n(n, "a")
+        assert Step(d) == delay_n(n + 1, "a")
+        assert type(Step(d)) is Step
+        assert Step(DIVERGE) is DIVERGE
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_tail_removes_one_step(self, n):
+        d = delay_n(n, "a")
+        assert d.tail == delay_n(n - 1, "a")
+        assert type(d.tail) is (Step if n > 1 else Now)
+        # stepping through with resolve and tail reaches the end in n steps
+        cur, seen = resolve(d), 0
+        while isinstance(cur, Step):
+            cur, seen = resolve(cur.tail), seen + 1
+        assert (seen, cur) == (n, Now("a"))
+
+    def test_resolve_is_the_identity(self):
+        for d in ROUND_TRIP_DELAYS + [DIVERGE]:
+            assert resolve(d) is d

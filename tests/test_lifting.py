@@ -24,9 +24,11 @@ from delaydist.delay import (DIVERGE, Now, Step, delay_n, dmap, now, prepend_ste
 from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candidate,
                                lift_term, par_lift_op, seq_lift_op)
 from delaydist.nogo import idempotent_unary_theory
-from delaydist.theory import App, TheorySemanticError, Var, parse_theory
+from delaydist.theory import (App, Operation, Signature, Theory, TheorySemanticError, Var,
+                              make_equation, parse_theory, validate_theory)
 
-from conftest import reference_fmap
+from conftest import (reference_apply_op, reference_fmap, reference_free_bind, reference_unit,
+                      reference_walk)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
@@ -345,7 +347,147 @@ def _element(th, t):
     return fm.apply_op(th, t[0], [_element(th, c) for c in t[1:]])
 
 
+def _involution():
+    """A rewrite-complete theory with a rule rooted at a unary node, so
+    that fixing a unary node can change it."""
+    x = Var("x")
+    th = Theory(Signature("involution", (Operation("mul", 2), Operation("neg", 1))),
+                (make_equation("invol", App("neg", (App("neg", (x,)),)), x),
+                 make_equation("idem", App("mul", (x, x)), x)),
+                rewrite_complete=True)
+    validate_theory(th)
+    return th
+
+
+TREE_CARRIERS = {name: CARRIERS[name] for name in ("quotient", "quotient-complete", "tree")}
+TREE_CARRIERS["quotient-unary-rule"] = _involution()
+
+
+# Representatives the public constructors refuse, built as payloads of the
+# theory's own carrier: nodes of the wrong arity, undeclared mix[p/q] and
+# other operations, and leaves over values that are not delays.  The tree
+# walks handle unary and binary nodes apart from the rest, so these must
+# fail, or not, as the n-ary walk does.
+_ODD_OPS = ["mix[1/3]", "zzz"]
+
+
+def _odd_terms(th):
+    names = [o.name for o in th.signature.ops if o.arity > 0] + _ODD_OPS
+    leaf = st.one_of(st.tuples(st.just("leaf"), _leaf_specs),
+                     st.tuples(st.just("raw"), _values),
+                     st.sampled_from([(name,) for name in names]))
+
+    def extend(kids):
+        return st.builds(lambda op, cs: (op, *cs), st.sampled_from(names),
+                         st.lists(kids, min_size=1, max_size=3))
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+def _payload(t):
+    if t[0] == "leaf":
+        return ("leaf", _delay(t[1]))
+    if t[0] == "raw":
+        return ("leaf", t[1])
+    return (t[0], *[_payload(c) for c in t[1:]])
+
+
+def _odd_element(th, t):
+    return fm._carrier_of(th).element(_payload(t))
+
+
+_A, _B, _D = ("leaf", ("now", "a")), ("leaf", ("steps", 2, "b")), ("leaf", ("div",))
+ODD_CASES = {
+    "binary op given one argument": ("mul", _A),
+    "binary op given three arguments": ("mul", _A, _B, _A),
+    "unary op given two arguments": ("bang", _A, _B),
+    "undeclared mix with two arguments": ("mix[1/3]", _A, _B),
+    "undeclared mix with one argument": ("mix[1/3]", _A),
+    "undeclared binary op": ("zzz", _A, _B),
+    "undeclared unary op": ("zzz", _A),
+    "leaf that is not a delay": ("mul", _A, ("raw", "a")),
+    "leaf that is not a delay under an undeclared op": ("zzz", ("raw", "a")),
+    "divergent child beside an undeclared op": ("zzz", _D, _A),
+    "divergent child of an undeclared unary op": ("zzz", _D),
+    "undeclared op beside a divergent child": ("mul", _D, ("zzz", _A)),
+    "divergent child of a node of the wrong arity": ("mul", _D),
+    "redex on the fast path": ("mul", _A, _A),
+    "redex under a unary node": ("bang", ("mul", _B, _B)),
+    "unary redex": ("neg", ("neg", _B)),
+}
+
+
+def _odd_outcomes(th, mode, t):
+    """The induced candidate's and the walk's outcomes next to the
+    per-node path's and the n-ary walk's."""
+    m, carrier, total = _odd_element(th, t), fm._carrier_of(th), lifting._TOTAL[mode]
+    return ((_outcome(lambda: induced_candidate(th, mode).apply(m)),
+             _outcome(lambda: lifting._walk(m.payload, carrier, total))),
+            (_outcome(lambda: _per_node(th, mode, m)),
+             _outcome(lambda: reference_walk(m.payload, carrier, total))))
+
+
 class TestOnePass:
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("case", sorted(ODD_CASES))
+    @pytest.mark.parametrize("carrier", sorted(TREE_CARRIERS))
+    def test_odd_nodes_match_the_n_ary_walk(self, carrier, case, mode):
+        got, want = _odd_outcomes(TREE_CARRIERS[carrier], mode, ODD_CASES[case])
+        assert got == want
+
+    def test_odd_nodes_fail_where_the_n_ary_walk_fails(self):
+        # the outcomes the cases above agree on, pinned on the
+        # rewrite-complete carrier, which declares mul : 2 and bang : 1
+        th = CARRIERS["quotient-complete"]
+        arity = lambda op, k, n: ("TheorySemanticError",
+                                  f"operation '{op}' expects {k} arguments, got {n}")
+        unknown = lambda op: ("TheorySemanticError",
+                              f"unknown operation '{op}' in theory 'idempotent-unary'")
+        not_delay = ("TypeError", "distribution input must hold Delay values, found str")
+        a = th._carrier.element(("leaf", "a"))
+        pinned = {
+            "binary op given one argument": arity("mul", 2, 1),
+            "binary op given three arguments": arity("mul", 2, 3),
+            "unary op given two arguments": arity("bang", 1, 2),
+            "undeclared mix with two arguments": unknown("mix[1/3]"),
+            "undeclared mix with one argument": arity("mix[1/3]", 2, 1),
+            "undeclared binary op": unknown("zzz"),
+            "undeclared unary op": unknown("zzz"),
+            "leaf that is not a delay": not_delay,
+            "leaf that is not a delay under an undeclared op": not_delay,
+            "divergent child beside an undeclared op": DIVERGE,
+            "divergent child of an undeclared unary op": DIVERGE,
+            "undeclared op beside a divergent child": unknown("zzz"),
+            "divergent child of a node of the wrong arity": arity("mul", 2, 1),
+            # mul(x, x) = x contracts on the way up
+            "redex on the fast path": now(a),
+        }
+        for case, want in pinned.items():
+            for mode in ("seq", "par"):
+                (got, _), _ = _odd_outcomes(th, mode, ODD_CASES[case])
+                assert got == want, case
+        # neg(neg(x)) = x contracts at the unary root
+        th = TREE_CARRIERS["quotient-unary-rule"]
+        for mode in ("seq", "par"):
+            (got, _), _ = _odd_outcomes(th, mode, ODD_CASES["unary redex"])
+            assert got == delay_n(2, fm.unit(th, "b"))
+        th = CARRIERS["quotient-complete"]
+        # the contracted mul(b, b) keeps both arguments' steps under seq
+        bang_b = fm.apply_op(th, "bang", [fm.unit(th, "b")])
+        for mode, steps in (("seq", 4), ("par", 2)):
+            (got, _), _ = _odd_outcomes(th, mode, ODD_CASES["redex under a unary node"])
+            assert got == delay_n(steps, bang_b)
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("carrier", sorted(TREE_CARRIERS))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_odd_trees_match_the_n_ary_walk(self, carrier, mode, data):
+        th = TREE_CARRIERS[carrier]
+        got, want = _odd_outcomes(th, mode, data.draw(_odd_terms(th)))
+        assert got == want
+
+
     @pytest.mark.parametrize("mode", ["seq", "par"])
     @pytest.mark.parametrize("carrier", sorted(CARRIERS))
     @given(data=st.data())
@@ -472,6 +614,30 @@ class TestFmap:
         assert got.payload == want.payload
         assert fm.canon_key(got) == fm.canon_key(want)
         assert fm.render_element(got) == fm.render_element(want)
+
+    @pytest.mark.parametrize("f", ["constant", "steps", "tagged"])
+    @pytest.mark.parametrize("carrier", sorted(TREE_CARRIERS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_odd_trees_match_the_n_ary_graft(self, carrier, f, data):
+        # relabel and graft handle unary and binary nodes apart from the
+        # rest; on odd trees both must build what the n-ary graft builds
+        th = TREE_CARRIERS[carrier]
+        m = _odd_element(th, data.draw(st.one_of(_odd_terms(th),
+                                                 st.sampled_from(list(ODD_CASES.values())))))
+        fn = _MAPS[f]
+        pairs = [
+            (lambda: fm.fmap(th, fn, m),
+             lambda: reference_free_bind(th, m, lambda v: reference_unit(th, fn(v)))),
+            (lambda: fm.free_bind(th, m, lambda v: fm.apply_op(
+                th, "mul", [fm.unit(th, fn(v)), fm.unit(th, "b")])),
+             lambda: reference_free_bind(th, m, lambda v: reference_apply_op(
+                 th, "mul", [reference_unit(th, fn(v)), reference_unit(th, "b")]))),
+        ]
+        for fast, ref in pairs:
+            got, want = fast(), ref()
+            assert (got.kind, repr(got.payload)) == (want.kind, repr(want.payload))
+            assert fm.canon_key(got) == fm.canon_key(want)
 
     def test_merging_values_renormalises(self):
         # mapping both leaves of mul(a, b) to one value makes a redex of
