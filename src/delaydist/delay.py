@@ -53,7 +53,7 @@ class Step(Delay):
         return DIVERGE if tail is DIVERGE else _new(cls)
 
     def __init__(self, tail: Delay):
-        _fill(self, 1, tail)
+        _fill(self, 1, _checked(tail, "Step"))
 
     @property
     def tail(self) -> Delay:
@@ -85,6 +85,12 @@ def _fill(s: Step, n: int, d: Delay) -> Step:
     return s
 
 
+def _checked(d: Delay, what: str) -> Delay:
+    if not isinstance(d, Delay):
+        raise TypeError(f"{what} needs a Delay tail, got {type(d).__name__}")
+    return d
+
+
 class _Diverge(Delay):
     __slots__ = ()
 
@@ -105,9 +111,7 @@ def now(value: Any) -> Delay:
 
 
 def step(tail: Delay) -> Delay:
-    if not isinstance(tail, Delay):
-        raise TypeError(f"step needs a Delay tail, got {type(tail).__name__}")
-    return Step(tail)
+    return Step(_checked(tail, "step"))
 
 
 def diverge() -> Delay:
@@ -130,6 +134,7 @@ def resolve(d: Delay) -> Delay:
 
 def prepend_steps(n: int, d: Delay) -> Delay:
     """stepⁿ(d), as one node; ``DIVERGE`` when ``d`` diverges."""
+    _checked(d, "prepend_steps")
     return _fill(_new(Step), n, d) if n > 0 and d is not DIVERGE else d
 
 
@@ -144,7 +149,10 @@ def peel(d: Delay) -> Tuple[int, Delay]:
 
 def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:
     """Substitute into the final value, keeping every step of ``d``;
-    divergence, of ``d`` or of ``k``'s result, absorbs them."""
+    divergence, of ``d`` or of ``k``'s result, absorbs them.  ``k`` must
+    return a ``Delay``: this kernel does not check it, since it runs on
+    every bind of every scan, and a plain value fails later, or not at
+    all when ``d`` is a ``Now``."""
     if isinstance(d, Step):
         out = k(d.value)
         return DIVERGE if out is DIVERGE else _fill(_new(Step), d.steps, out)
@@ -309,6 +317,26 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     if x is DIVERGE or y is DIVERGE:
         return YES if x is y else NO
     return as_verdict(rel(x.value, y.value))
+
+
+def _verdict_from_steps(nx: Optional[int], ny: Optional[int], strict: bool,
+                        fuel: int) -> Optional[Verdict]:
+    """What :func:`strong_equal` (``strict``) or :func:`weak_bisim` says
+    of two delays from their step counts alone, None standing for
+    divergence as in :func:`step_count`; None when their values decide."""
+    if strict:
+        if nx is None:
+            return YES if ny is None else NO if ny <= fuel else unknown(fuel)
+        if ny is None:
+            return NO if nx <= fuel else unknown(fuel)
+        if nx != ny:
+            return NO if min(nx, ny) <= fuel else unknown(fuel)
+        return unknown(fuel) if nx > fuel else None
+    if (nx or 0) > fuel or (ny or 0) > fuel:
+        return unknown(fuel)
+    if nx is None or ny is None:
+        return YES if nx is ny else NO
+    return None
 
 
 # ---------------------------------------------------------------------------

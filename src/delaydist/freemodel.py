@@ -844,8 +844,34 @@ def _reach(th: Theory, p, bound: int) -> set:
 
 def _joinable(th: Theory, p1, p2, bound: int) -> bool:
     """Whether the two terms rewrite to a common term, each in at most
-    ``bound`` steps."""
-    return not _reach(th, p1, bound).isdisjoint(_reach(th, p2, bound))
+    ``bound`` steps.
+
+    Both sides grow breadth-first in lockstep, one rewrite level of the
+    first and then one of the second, and the answer is True at the
+    first term that one side reaches and the other has already seen.
+    Every common term of the two ``bound``-step reach sets is found
+    when the later side reaches it, so the answer is that of
+    intersecting the full reach sets; False comes only after both sides
+    have run out of levels or of new terms."""
+    if p1 == p2:
+        return True
+    seen = ({p1}, {p2})
+    frontiers = [[p1], [p2]]
+    for _ in range(bound):
+        for side in (0, 1):
+            mine, other = seen[side], seen[1 - side]
+            nxt = []
+            for t in frontiers[side]:
+                for r in _rewrite_positions(th, t):
+                    if r not in mine:
+                        if r in other:
+                            return True
+                        mine.add(r)
+                        nxt.append(r)
+            frontiers[side] = nxt
+        if not (frontiers[0] or frontiers[1]):
+            break
+    return False
 
 
 @dataclass(frozen=True)
@@ -903,7 +929,10 @@ def model_equal(th: Theory, a: ModelElement, b: ModelElement,
     Canonical carriers answer decisively by payload.  Quotient carriers
     try bounded joinability (Yes), then registered finite models (No),
     and otherwise return Unknown; rewrite-complete theories answer No
-    from distinct normal forms.
+    from distinct normal forms.  Joinability grows both payloads' rewrite
+    closures in lockstep and stops at their first common term, so a pair
+    that joins in a few steps costs a few rewrite levels, however large
+    its ``join_bound``-step closures are (:func:`_joinable`).
     """
     if a.carrier.__class__ is not b.carrier.__class__:
         raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")

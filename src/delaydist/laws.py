@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Step, Verdict, YES, NO, bind, conjoin, delay_n, dmap,
-                    join, now, render_delay, strong_equal, weak_bisim)
+from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, _verdict_from_steps, as_verdict, bind,
+                    conjoin, delay_n, dmap, join, now, render_delay, step_count, strong_equal,
+                    weak_bisim)
 from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
 from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
                      predict_composability, var_counts)
@@ -519,13 +520,18 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
 
     ``lift_op`` is what :func:`lift_term` takes: "seq", "par" or an
     op-lifting callable.  A callable lifts both sides node by node for
-    every case.  Under "seq" or "par" each side is evaluated in two parts
-    (see :func:`_induced_side`): its step count by arithmetic on the
-    variables' step counts, and its value by one free-model evaluation
-    per assignment of values to its variables.  Both routes give the same
-    verdicts, case counts, details and witnesses.  The environment and
-    witness are built only on a No, and a witness's replay lifts both
-    sides again with :func:`lift_term`.
+    every case and compares them with ``strong_equal`` or ``weak_bisim``.
+    Under "seq" or "par" each side of a case is a step count, or
+    divergence, and a value (see :class:`_InducedSide`), so a case's
+    verdict is read from two tables that fill as the scan reaches them.
+    One is indexed by the variables' step counts and holds what the
+    comparison says from the two sides' counts alone, or that the values
+    decide.  The other is indexed by the variables' value keys and holds
+    the verdict of ``model_equal`` on the two sides' values, which runs
+    at most once per distinct pair of values.  Both routes visit the
+    cases in the same order and give the same verdicts, case counts,
+    details and witnesses.  The witness of a No holds the case's two
+    delays, and its replay lifts both sides again with :func:`lift_term`.
     """
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
@@ -533,67 +539,131 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
                                    "equation preservation universe")
     env_pool = delay_values(model_pool, u.max_steps, u.include_diverge)
     rel = _element_rel(th)
+    strict = u.relation == "strict"
     induced = lift_op if isinstance(lift_op, str) and lift_op in ("seq", "par") else None
-    # each pool delay as (steps, value key, value), or None for DIVERGE;
-    # equal values share a key
+    # each pool delay's step count (None for DIVERGE) and value key (None
+    # for DIVERGE); equal values share a key
     keys: Dict[fm.ModelElement, int] = {}
-    ends: List[Optional[tuple]] = []
-    for d in env_pool:
-        ends.append(None if d is DIVERGE else
-                    (d.steps if isinstance(d, Step) else 0,
-                     keys.setdefault(d.value, len(keys)), d.value))
+    pool_steps = [step_count(d) for d in env_pool]
+    pool_keys = [None if d is DIVERGE else keys.setdefault(d.value, len(keys))
+                 for d in env_pool]
+    values = list(keys)
+    pair_verdicts: Dict[Tuple[fm.ModelElement, fm.ModelElement], Verdict] = {}
+
+    def compare_values(a: fm.ModelElement, b: fm.ModelElement) -> Verdict:
+        v = pair_verdicts.get((a, b))
+        if v is None:
+            v = pair_verdicts[a, b] = as_verdict(rel(a, b))
+        return v
+
+    def compare_delays(lhs: Delay, rhs: Delay) -> Verdict:
+        if strict:
+            return strong_equal(lhs, rhs, fuel, value_eq=rel)
+        return weak_bisim(lhs, rhs, rel, fuel)
 
     details: List[Tuple[str, Verdict]] = []
     witness: Optional[Witness] = None
     total = 0
     for eq in th.equations:
-        estimate = len(env_pool) ** len(eq.context)
+        n = len(eq.context)
+        estimate = len(env_pool) ** n
         if estimate > u.case_budget:
             raise UniverseBudgetError(f"equation '{eq.name}'", estimate, u.case_budget)
-        sides = None
-        if induced is not None:
-            sides = [_induced_side(t, eq.context, induced, th, ends) for t in (eq.lhs, eq.rhs)]
-            if None in sides:
-                sides = None
-        eq_verdicts = []
-        for idx in itertools.product(range(len(env_pool)), repeat=len(eq.context)):
-            total += 1
-            if sides is not None:
-                lhs, rhs = sides[0](idx), sides[1](idx)
-            else:
-                env = {k: env_pool[i] for k, i in zip(eq.context, idx)}
-                lhs = lift_term(eq.lhs, env, lift_op, th)
-                rhs = lift_term(eq.rhs, env, lift_op, th)
-            if u.relation == "strict":
-                v = strong_equal(lhs, rhs, fuel, value_eq=rel)
-            else:
-                v = weak_bisim(lhs, rhs, rel, fuel)
-            if v.is_no and witness is None:
-                env = {k: env_pool[i] for k, i in zip(eq.context, idx)}
-                env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
+        cases = itertools.product(env_pool, repeat=n)
+        if induced is not None and all(_liftable(t, set(eq.context), th)
+                                       for t in (eq.lhs, eq.rhs)):
+            sides = [_InducedSide(t, eq.context, induced, th, values) for t in (eq.lhs, eq.rhs)]
+            verdict, count, no = _table_scan(
+                sides, cases, itertools.product(pool_steps, repeat=n),
+                itertools.product(pool_keys, repeat=n), strict, fuel, compare_values)
+        else:
+            verdict, count, no = _node_scan(eq, cases, lift_op, th, compare_delays)
+        total += count
+        if no is not None and witness is None:
+            env = dict(zip(eq.context, no[0]))
+            env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
 
-                def replay(eq=eq, env=env):
-                    return (_render_dt(lift_term(eq.lhs, env, lift_op, th)),
-                            _render_dt(lift_term(eq.rhs, env, lift_op, th)))
+            def replay(eq=eq, env=env):
+                return (_render_dt(lift_term(eq.lhs, env, lift_op, th)),
+                        _render_dt(lift_term(eq.rhs, env, lift_op, th)))
 
-                witness = Witness(f"{eq.name} with {env_r}", _render_dt(lhs), _render_dt(rhs),
-                                  note=f"equation '{eq.name}' not preserved", replay=replay)
-            eq_verdicts.append(v)
-            if v.is_no:
-                break
-        details.append((eq.name, conjoin(eq_verdicts)))
+            witness = Witness(f"{eq.name} with {env_r}", _render_dt(no[1]), _render_dt(no[2]),
+                              note=f"equation '{eq.name}' not preserved", replay=replay)
+        details.append((eq.name, verdict))
     overall = conjoin(v for _, v in details)
     return LawEntry("EquationPreservation", overall, total, witness, details=details)
 
 
-def _induced_side(t: Term, context: Sequence[str], mode: str, th: Theory,
-                  ends: Sequence[Optional[tuple]]) -> Optional[Callable[[tuple], Delay]]:
+# an equation scan's outcome: its verdict, its case count, and on a No the
+# case's delays for the variables in context order and its two sides
+_EquationOutcome = Tuple[Verdict, int, Optional[Tuple[tuple, Delay, Delay]]]
+
+
+def _node_scan(eq, cases: Iterable[tuple], lift_op, th: Theory,
+               compare: Callable[[Delay, Delay], Verdict]) -> _EquationOutcome:
+    """Both sides of ``eq`` lifted node by node with :func:`lift_term`
+    and compared, case by case, up to the first No."""
+    first_unknown = None
+    count = 0
+    for case in cases:
+        count += 1
+        env = dict(zip(eq.context, case))
+        lhs = lift_term(eq.lhs, env, lift_op, th)
+        rhs = lift_term(eq.rhs, env, lift_op, th)
+        v = compare(lhs, rhs)
+        if v.is_no:
+            return NO, count, (case, lhs, rhs)
+        if v.is_unknown and first_unknown is None:
+            first_unknown = v
+    return first_unknown or YES, count, None
+
+
+# a step-table entry: the step counts leave the verdict to the values
+_VALUES_DECIDE = object()
+
+
+def _table_scan(sides: Sequence["_InducedSide"], cases: Iterable[tuple],
+                step_cases: Iterable[tuple], key_cases: Iterable[tuple], strict: bool,
+                fuel: int, compare_values: Callable[[Any, Any], Verdict]) -> _EquationOutcome:
+    """The cases of one equation under an induced lifting, each read from
+    two tables: one indexed by the variables' step counts, one by their
+    value keys.  ``cases``, ``step_cases`` and ``key_cases`` run in step,
+    one tuple per case each.
+
+    The first case gives every variable the pool's first delay, which has
+    no steps, so its values decide and both sides are evaluated there,
+    left then right: every error that evaluation can raise is raised at
+    the first case, as on the node path.  A No's two delays reuse the
+    sides' values."""
+    lhs, rhs = sides
+    step_table: Dict[tuple, Any] = {}
+    value_table: Dict[tuple, Verdict] = {}
+    first_unknown = None
+    count = 0
+    for case, steps, keys in zip(cases, step_cases, key_cases):
+        count += 1
+        v = step_table.get(steps)
+        if v is None:
+            v = _verdict_from_steps(lhs.steps(steps), rhs.steps(steps), strict, fuel)
+            v = step_table[steps] = _VALUES_DECIDE if v is None else v
+        if v is _VALUES_DECIDE:
+            v = value_table.get(keys)
+            if v is None:
+                v = value_table[keys] = compare_values(lhs.value(keys), rhs.value(keys))
+        if v is YES:
+            continue
+        if v.is_no:
+            return NO, count, (case, lhs.delay(steps, keys), rhs.delay(steps, keys))
+        if v.is_unknown and first_unknown is None:
+            first_unknown = v
+    return first_unknown or YES, count, None
+
+
+class _InducedSide:
     """The side ``t`` of an equation over ``context``, lifted by the
-    induced lifting ``mode``, as a function of a case: the positions in
-    the delay pool of the context's variables, in order.  ``ends`` holds
-    each pool delay as ``(steps, value key, value)``, or None for
-    DIVERGE.  None comes back when ``t`` has an unbound variable or an
-    operation whose argument count the lifting refuses.
+    induced lifting ``mode``, read off a case: the step counts (None for
+    DIVERGE) and the value keys (indices into ``values``) of the
+    context's variables, in order.  ``t`` must pass :func:`_liftable`.
 
     Every delay is in normal form, so lifting ``t`` node by node gives
     DIVERGE when a variable on it diverges, and otherwise
@@ -602,41 +672,45 @@ def _induced_side(t: Term, context: Sequence[str], mode: str, th: Theory,
     on ``t`` of occurrences times steps; the parallel lifting takes their
     max, so ``steps`` is the largest step count of a variable on ``t``
     (0 on a ground side).  The value depends only on the values of the
-    variables on ``t``, so it is evaluated once per assignment of them,
-    in a dict local to the function returned.
-
-    Errors stay where the node-by-node lifting raises them.  A side the
-    lifting refuses is left to :func:`lift_term`.  On any other side the
-    only errors come from ``apply_op``, which ``eval_term`` calls in the
-    same order, and the first case, where no variable diverges, raises
-    them.
+    variables on ``t``, so it is evaluated once per assignment of them
+    and kept for the life of the side.  Its only errors come from
+    ``apply_op``, which ``eval_term`` calls in the node-by-node order.
     """
-    if not _liftable(t, set(context), th):
-        return None
-    # a repeated context name is bound at its last position, as by dict(zip(...))
-    position = {name: i for i, name in enumerate(context)}
-    occurrences = var_counts(t)
-    names = list(occurrences)
-    slots = [position[n] for n in names]
-    counts = [occurrences[n] for n in names]
-    seq = mode == "seq"
-    memo: Dict[tuple, fm.ModelElement] = {}
 
-    def side(idx: tuple) -> Delay:
-        picked = [ends[idx[i]] for i in slots]
+    def __init__(self, t: Term, context: Sequence[str], mode: str, th: Theory,
+                 values: Sequence[fm.ModelElement]):
+        # a repeated context name is bound at its last position, as by dict(zip(...))
+        position = {name: i for i, name in enumerate(context)}
+        occurrences = var_counts(t)
+        self._term, self._theory, self._values = t, th, values
+        self._names = list(occurrences)
+        self._slots = [position[n] for n in self._names]
+        self._counts = [occurrences[n] for n in self._names]
+        self._seq = mode == "seq"
+        self._memo: Dict[tuple, fm.ModelElement] = {}
+
+    def steps(self, steps: tuple) -> Optional[int]:
+        """The side's step count, or None when it diverges."""
+        picked = [steps[i] for i in self._slots]
         if None in picked:
-            return DIVERGE
-        if seq:
-            steps = sum([c * e[0] for c, e in zip(counts, picked)])
-        else:
-            steps = max([e[0] for e in picked], default=0)
-        key = tuple([e[1] for e in picked])
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fm.eval_term(th, t, {n: e[2] for n, e in zip(names, picked)})
-        return delay_n(steps, value)
+            return None
+        if self._seq:
+            return sum([c * n for c, n in zip(self._counts, picked)])
+        return max(picked, default=0)
 
-    return side
+    def value(self, keys: tuple) -> fm.ModelElement:
+        """The side's value, for a case where none of its variables diverges."""
+        key = tuple([keys[i] for i in self._slots])
+        value = self._memo.get(key)
+        if value is None:
+            env = {n: self._values[k] for n, k in zip(self._names, key)}
+            value = self._memo[key] = fm.eval_term(self._theory, self._term, env)
+        return value
+
+    def delay(self, steps: tuple, keys: tuple) -> Delay:
+        """The side lifted at the case, as :func:`lift_term` gives it."""
+        n = self.steps(steps)
+        return DIVERGE if n is None else delay_n(n, self.value(keys))
 
 
 def _liftable(t: Term, bound: set, th: Theory) -> bool:

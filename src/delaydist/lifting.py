@@ -104,15 +104,27 @@ def lift_term(t: Term, env: Dict[str, Delay], mode, th: Theory) -> Delay:
     value independently.
     """
     lifter = _lifter(mode)
+    # a custom lifting's results are checked where they are used
+    name = None if isinstance(mode, str) else getattr(mode, "__name__", repr(mode))
 
     def go(t: Term) -> Delay:
         if isinstance(t, Var):
             if t.name not in env:
                 raise TheorySemanticError(f"unbound variable '{t.name}'", t.name)
             return env[t.name]
-        return lifter(t.op, [go(a) for a in t.args], th)
+        out = lifter(t.op, [go(a) for a in t.args], th)
+        return out if name is None else _lifted(out, name, t.op)
 
     return go(t)
+
+
+def _lifted(out, lifting: str, op: str) -> Delay:
+    """``out``, the result of lifting ``op`` with a custom lifting, once
+    it is known to be a Delay."""
+    if not isinstance(out, Delay):
+        raise TypeError(f"lifting {lifting!r} returned {type(out).__name__} for "
+                        f"operation '{op}', not a Delay")
+    return out
 
 
 def _lifter(mode) -> OpLifter:
@@ -193,7 +205,9 @@ class DistLawCandidate:
     op-level lifting, with which a custom candidate's equation
     preservation check interprets terms.  A custom ``lift_op`` must
     return delays in normal form, built from ``Now``, ``step``,
-    ``prepend_steps``, ``delay_n`` and ``DIVERGE``.
+    ``prepend_steps``, ``delay_n`` and ``DIVERGE``; a result that is not
+    a ``Delay`` raises a ``TypeError`` naming the lifting and the
+    operation, in :meth:`apply` and in :func:`lift_term`.
 
     ``induced`` names the structural lifting ("seq" or "par") that an
     induced candidate comes from, and is None for a custom one.  An
@@ -210,8 +224,10 @@ class DistLawCandidate:
     another carrier kind than its theory's, sends every node through
     ``lift_op``.  For an induced candidate both routes give the same
     result and raise the same errors.  Its equation preservation check
-    counts steps and evaluates values the same way, once per value
-    assignment (:func:`delaydist.laws.check_equation_preservation`).
+    counts steps the same way and evaluates each side's value once per
+    value assignment, reading each case's verdict from a table of step
+    outcomes and a table of value comparisons
+    (:func:`delaydist.laws.check_equation_preservation`).
     """
 
     theory: Theory
@@ -237,7 +253,7 @@ class DistLawCandidate:
             if node[0] == "leaf":
                 return dmap(_leaf_delay(node[1]), lambda v: fm.unit(th, v))
             args = [go(child) for child in node[1:]]
-            return self.lift_op(node[0], args, th)
+            return _lifted(self.lift_op(node[0], args, th), self.name, node[0])
 
         return go(fm.representative(m))
 

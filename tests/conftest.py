@@ -462,6 +462,22 @@ def reference_representative(m):
     raise ValueError(f"unknown carrier kind {kind!r}")
 
 
+def reference_joinable(th, p1, p2, bound):
+    """Whether the two terms rewrite to a common term, each in at most
+    ``bound`` steps: both full reach sets, then their intersection.  The
+    reference that :func:`fm._joinable`, which grows the two sides in
+    lockstep and stops at the first common term, must agree with."""
+    def reach(p):
+        seen = {p}
+        frontier = {p}
+        for _ in range(bound):
+            frontier = {r for t in frontier for r in fm._rewrite_positions(th, t)} - seen
+            seen |= frontier
+        return seen
+
+    return not reach(p1).isdisjoint(reach(p2))
+
+
 def reference_model_equal(th, a, b, join_bound=fm.JOINABILITY_BOUND):
     if a.kind != b.kind:
         raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Delay, Now, Step,
-                             Terminated, bind, delay_n, diverge, dmap, force, join, now, peel,
-                             prepend_steps, render_delay, resolve, step, step_count,
-                             strong_equal, unknown, weak_bisim)
+                             Terminated, _verdict_from_steps, bind, delay_n, diverge, dmap, force,
+                             join, now, peel, prepend_steps, render_delay, resolve, step,
+                             step_count, strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
 from conftest import (reference_canon_key, reference_dmap, reference_join,
@@ -44,6 +44,14 @@ class TestConstructors:
     def test_step_requires_delay(self):
         with pytest.raises(TypeError):
             step("a")
+
+    def test_every_step_constructor_names_a_non_delay_tail(self):
+        # not an AttributeError from deep inside the node layout
+        for build, name in ((lambda: step("a"), "step"), (lambda: Step("a"), "Step"),
+                            (lambda: prepend_steps(1, "a"), "prepend_steps"),
+                            (lambda: prepend_steps(0, 3), "prepend_steps")):
+            with pytest.raises(TypeError, match=rf"^{name} needs a Delay tail, got (str|int)$"):
+                build()
 
     def test_diverge_is_the_marker(self):
         assert diverge() is DIVERGE
@@ -418,6 +426,27 @@ def test_weak_bisim_matches_the_peel_form(fuel):
     for x, y in itertools.product(KERNEL_CHAINS, repeat=2):
         for rel in VALUE_RELS:
             assert weak_bisim(x, y, rel, fuel) == reference_weak_bisim(x, y, rel, fuel)
+
+
+@pytest.mark.parametrize("fuel", range(6))
+def test_the_step_verdict_is_the_comparison_up_to_its_values(fuel):
+    # from the step counts alone, either the comparison's verdict without
+    # asking the value relation, or None where the comparison asks it
+    for x, y in itertools.product(KERNEL_CHAINS, repeat=2):
+        for strict in (True, False):
+            asked = []
+
+            def rel(u, v):
+                asked.append((u, v))
+                return unknown(7)
+
+            got = (strong_equal(x, y, fuel, value_eq=rel) if strict
+                   else weak_bisim(x, y, rel, fuel))
+            v = _verdict_from_steps(step_count(x), step_count(y), strict, fuel)
+            if v is None:
+                assert asked == [(x.value, y.value)] and got == unknown(7)
+            else:
+                assert not asked and got == v
 
 
 def test_kernel_comparisons_cover_each_verdict():

@@ -217,6 +217,83 @@ class TestModelEqual:
                               join_bound=bound + 1).is_yes
 
 
+GROW = "theory grow\nop f : 2\nop g : 1\neq grow : g(y) = f(g(y), g(y))\n"
+JOIN_THEORIES = {**{name: (THEORIES / name).read_text(encoding="utf-8")
+                    for name in ("band.th", "idempotent_unary.th", "leftzero.th")},
+                 "grow": GROW}
+
+
+def _payloads(th):
+    """Ground payload terms over the leaves a and b and the theory's
+    operations."""
+    ops = th.signature.ops
+    base = st.sampled_from([("leaf", "a"), ("leaf", "b")]
+                           + [(op.name,) for op in ops if op.arity == 0])
+    return st.recursive(base, lambda kids: st.one_of(
+        [st.tuples(st.just(op.name), *[kids] * op.arity) for op in ops if op.arity > 0]),
+        max_leaves=5)
+
+
+def _rewrite_walk(th, p, choices):
+    """``p`` rewritten one step per choice, each choice picking among the
+    term's one-step rewrites, until a term has none."""
+    for c in choices:
+        rewrites = fm._rewrite_positions(th, p)
+        if not rewrites:
+            break
+        p = rewrites[c % len(rewrites)]
+    return p
+
+
+class TestLockstepJoinability:
+    """``_joinable`` grows both sides a level at a time and stops at the
+    first common term; its answers are those of the two full reach sets."""
+
+    @pytest.mark.parametrize("name", sorted(JOIN_THEORIES))
+    def test_agrees_with_the_full_reach_sets(self, name):
+        th = parse_theory(JOIN_THEORIES[name])
+        terms = _payloads(th)
+        steps = st.lists(st.integers(0, 7), max_size=4)
+        # unrelated terms, and two rewrite walks from one term, which
+        # often join within the bound or just past it
+        walks = st.builds(lambda p, w1, w2: (_rewrite_walk(th, p, w1), _rewrite_walk(th, p, w2)),
+                          terms, steps, steps)
+        pairs = st.one_of(st.tuples(terms, terms), walks)
+
+        @settings(max_examples=120, deadline=None)
+        @given(pair=pairs, bound=st.integers(0, 3))
+        def agree(pair, bound):
+            p1, p2 = pair
+            assert fm._joinable(th, p1, p2, bound) == ref.reference_joinable(th, p1, p2, bound)
+
+        agree()
+
+    def test_each_side_joins_itself_and_its_reducts(self):
+        th = parse_theory(GROW)
+        g = ("g", ("leaf", "a"))
+        for bound in range(4):
+            assert fm._joinable(th, g, g, bound)
+            assert fm._joinable(th, ("f", g, g), g, bound) == (bound > 0)
+
+    def test_a_one_step_join_stops_after_one_level(self, monkeypatch):
+        # the full 8-step closures of both sides hold thousands of terms
+        th = parse_theory(GROW)
+        a = fm.unit(th, "a")
+        g = fm.apply_op(th, "g", [a])
+        fgg = fm.apply_op(th, "f", [g, g])
+        calls = 0
+        rewrite_positions = fm._rewrite_positions
+
+        def counting(th, p):
+            nonlocal calls
+            calls += 1
+            return rewrite_positions(th, p)
+
+        monkeypatch.setattr(fm, "_rewrite_positions", counting)
+        assert fm.model_equal(th, g, fgg).is_yes
+        assert 0 < calls <= 3
+
+
 # freestanding innermost rewriter used as the quotient-normalization oracle
 def _oracle_normalize(th, p):
     if p[0] == "leaf":

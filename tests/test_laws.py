@@ -616,14 +616,19 @@ class TestInducedEquationPreservation:
         th = EQUATION_THEORIES[name]()
         models = fm.enumerate_elements(th, laws.base_values(2), 1)
         pool = [delay_n(n, m) for n in range(3) for m in models] + [DIVERGE]
-        # (steps, value key, value) as the check reads them off the pool
-        ends = [(n, j, m) for n in range(3) for j, m in enumerate(models)] + [None]
+        # each pool delay's step count and value key, as the check reads
+        # them off the pool
+        steps = [n for n in range(3) for _ in models] + [None]
+        keys = [j for _ in range(3) for j in range(len(models))] + [None]
         for eq in th.equations:
             for t in (eq.lhs, eq.rhs):
-                side = laws._induced_side(t, eq.context, mode, th, ends)
+                side = laws._InducedSide(t, eq.context, mode, th, models)
                 for idx in itertools.product(range(len(pool)), repeat=len(eq.context)):
                     env = {k: pool[i] for k, i in zip(eq.context, idx)}
-                    assert side(idx) == lifting.lift_term(t, env, mode, th)
+                    case_steps = tuple(steps[i] for i in idx)
+                    case_keys = tuple(keys[i] for i in idx)
+                    assert side.delay(case_steps, case_keys) == lifting.lift_term(t, env, mode,
+                                                                                  th)
 
     def test_known_refutations_keep_their_witnesses(self):
         # the scans of the documented Nos, each with its first No
@@ -680,6 +685,79 @@ class TestInducedEquationPreservation:
         for th, entry in entries:
             _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
 
+    def test_a_value_unknown_and_a_fuel_unknown_keep_their_order(self, monkeypatch):
+        # held to joinability in zero steps, the quotient carrier's
+        # model_equal says unknown() of any two different terms, so under
+        # par idem's sides are unknown() from the first case while comm's
+        # sides have equal values and only run out of fuel
+        model_equal = fm.model_equal
+        monkeypatch.setattr(fm, "model_equal",
+                            lambda th, a, b: model_equal(th, a, b, join_bound=0))
+        comm = "eq comm : mul(x, y) = mul(y, x)\n"
+        idem = "eq idem : mul(x, x) = x\n"
+        u = Universe(carrier_size=1, max_steps=2, max_depth=0, include_diverge=True, fuel=1)
+        for first, second in ((comm, idem), (idem, comm)):
+            th = parse_theory("theory mixed\nop mul : 2\n" + first + second)
+            entry = laws.check_equation_preservation(th, "par", u)
+            assert dict(entry.details) == {"comm": unknown(1), "idem": unknown(0)}
+            assert entry.verdict == entry.details[0][1]
+            _assert_same_entry(entry, reference_equation_preservation(th, "par", u))
+        # and on the theory files, whose first cases already differ in
+        # value, with fuel Unknowns further on in their scans
+        seen = set()
+        for p in THEORY_FILES:
+            th = parse_theory(p.read_text(encoding="utf-8"))
+            for mode, relation, fuel in itertools.product(("seq", "par"), ("strict", "weak"),
+                                                          (None, 1, 2)):
+                u = Universe(carrier_size=2, max_steps=3, max_depth=1, relation=relation,
+                             include_diverge=True, fuel=fuel)
+                entry = laws.check_equation_preservation(th, mode, u)
+                _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
+                seen.update(v for _, v in entry.details if v.is_unknown)
+        assert unknown(0) in seen
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("relation", ["strict", "weak"])
+    def test_a_value_no_falls_at_the_reference_case(self, monkeypatch, mode, relation):
+        # held to joinability in zero steps, comm's two sides are refuted
+        # by a finite model where mul is the left projection whenever their
+        # values differ, so the first No is the first case whose values
+        # differ, wherever the step counts put it
+        model_equal = fm.model_equal
+        monkeypatch.setattr(fm, "model_equal",
+                            lambda th, a, b: model_equal(th, a, b, join_bound=0))
+        left = fm.finite_model("left", (0, 1), {"mul": {(i, j): i for i in (0, 1)
+                                                        for j in (0, 1)}})
+        comm = parse_theory("theory comm\nop mul : 2\neq comm : mul(x, y) = mul(y, x)\n")
+        th = dataclasses.replace(comm, finite_models=(left,))
+        for size, steps in ((2, 2), (3, 1)):
+            u = Universe(carrier_size=size, max_steps=steps, max_depth=0, relation=relation,
+                         include_diverge=True)
+            entry = laws.check_equation_preservation(th, mode, u)
+            assert entry.verdict.is_no
+            _assert_same_entry(entry, reference_equation_preservation(th, mode, u))
+
+    @pytest.mark.parametrize("name", ["semilattice", "cmonoid", "band.th", "leftzero.th",
+                                      "idempotent_unary.th"])
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_model_equal_runs_once_per_pair_of_side_values(self, monkeypatch, name, mode):
+        th = EQUATION_THEORIES[name]()
+        u = Universe(carrier_size=2, max_steps=2, max_depth=1, include_diverge=True)
+        want = reference_equation_preservation(th, mode, u)
+        pairs = collections.Counter()
+        model_equal = fm.model_equal
+
+        def counting(th, a, b, *rest):
+            pairs[a, b] += 1
+            return model_equal(th, a, b, *rest)
+
+        monkeypatch.setattr(fm, "model_equal", counting)
+        entry = laws.check_equation_preservation(th, mode, u)
+        monkeypatch.undo()
+        assert pairs and set(pairs.values()) == {1}
+        assert sum(pairs.values()) < entry.cases
+        _assert_same_entry(entry, want)
+
     def test_a_callable_lifting_goes_node_by_node(self, monkeypatch):
         calls = collections.Counter()
 
@@ -717,21 +795,38 @@ class TestInducedEquationPreservation:
         same = App("mul", (x, App("mul", (y, z))))
         th = _with_equations(fm.magma(), Equation("refl", ("x", "y", "z"), same, same), bad)
         u = Universe(carrier_size=1, max_steps=1, max_depth=1, include_diverge=True)
-        compared = []
-        for module in (laws, conftest):
-            strong_equal = module.strong_equal
+        # the check: the cases each equation's scan pulls, node by node or
+        # from the tables
+        visited = []
+        for name in ("_node_scan", "_table_scan"):
+            def counting(first, cases, *rest, scan=getattr(laws, name)):
+                visited.append(0)
 
-            def counting(*args, strong_equal=strong_equal, **kwargs):
-                compared[-1] += 1
-                return strong_equal(*args, **kwargs)
+                def pulled():
+                    for case in cases:
+                        visited[-1] += 1
+                        yield case
 
-            monkeypatch.setattr(module, "strong_equal", counting)
-        for check in (laws.check_equation_preservation, reference_equation_preservation):
-            compared.append(0)
-            with pytest.raises(TheorySemanticError, match=message):
-                check(th, mode, u)
-        # every case of the good equation first, then the raise
-        assert compared[0] == compared[1] == 5 ** 3
+                return scan(first, pulled(), *rest)
+
+            monkeypatch.setattr(laws, name, counting)
+        with pytest.raises(TheorySemanticError, match=message):
+            laws.check_equation_preservation(th, mode, u)
+        # the reference: its comparisons
+        compared = 0
+        strong_equal = conftest.strong_equal
+
+        def comparing(*args, **kwargs):
+            nonlocal compared
+            compared += 1
+            return strong_equal(*args, **kwargs)
+
+        monkeypatch.setattr(conftest, "strong_equal", comparing)
+        with pytest.raises(TheorySemanticError, match=message):
+            reference_equation_preservation(th, mode, u)
+        # every case of the good equation first, then the raise at the
+        # first case of the bad one
+        assert visited == [5 ** 3, 1] and compared == 5 ** 3
 
     def test_a_dist_arity_error_keeps_the_lifting_message(self):
         convex = fm.convex()

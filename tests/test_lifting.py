@@ -283,6 +283,20 @@ class TestCandidates:
                                     fm.unit(th, delay_n(1, "b"))])
         assert step_count(cand.apply(m)) == 2
 
+    def test_a_custom_lifting_must_return_a_delay(self):
+        th = fm.magma()
+
+        def plain(op, args, th):
+            return fm.apply_op(th, op, [a.value for a in args])
+
+        m = fm.apply_op(th, "mul", [fm.unit(th, now("a")), fm.unit(th, now("b"))])
+        message = r"^lifting '{}' returned ModelElement for operation 'mul', not a Delay$"
+        with pytest.raises(TypeError, match=message.format("mine")):
+            custom_candidate(th, "mine", plain).apply(m)
+        t = App("mul", (Var("x"), Var("y")))
+        with pytest.raises(TypeError, match=message.format("plain")):
+            lift_term(t, {"x": now(fm.unit(th, "a")), "y": now(fm.unit(th, "b"))}, plain, th)
+
     def test_diverging_leaf_diverges(self):
         th = fm.magma()
         m = fm.apply_op(th, "mul", [fm.unit(th, DIVERGE), fm.unit(th, now("b"))])
