@@ -12,14 +12,15 @@ carriers, and selection-style higher-order values are compared pointwise
 over a declared finite predicate family, since their full function
 space is unenumerable.
 
-Every scan here turns its comparisons into a verdict as
-:func:`delaydist.laws._scan` does: the first No wins and its witness
-replays both sides; the first Unknown is kept and the scan goes on past
-it, so an Unknown entry counts every case and carries no witness.  A
-check whose cases come in several kinds chains them into one stream
-(:func:`_scan_kinds`).  RetractIdentity keeps its own row loop under the
-same policy.  Uniqueness is a search rather than a scan: it is Yes when
-it finds an element that separates the extension from a guard-blind map.
+Every scan here turns its comparisons into a verdict by
+:func:`delaydist.delay._fold`: the first No wins and its witness replays
+both sides; the first Unknown is kept and the scan goes on past it, so
+an Unknown entry counts every case and carries no witness.  A check
+whose cases come in several kinds chains them into one stream
+(:func:`_scan_kinds`).  Uniqueness is a search rather than a scan: it is
+Yes when it finds an element that separates the extension from a
+guard-blind map.  Every pairing's report is made by
+:func:`delaydist.laws._run`, which times the pairing's entries.
 
 A selector built from a table by :func:`sel_from_table` answers a
 predicate from its table: its answers to the predicate tables over its
@@ -35,18 +36,17 @@ they are built.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
 from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
-                    YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join,
+                    YES, NO, _fold, as_verdict, bind, conjoin, delay_n, dmap, force, join,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
                    UniverseBudgetError, Witness, base_values, beck_scan, check_kleisli_space,
                    check_monad_laws_kleisli, delay_pack, delay_values, double_delay_values,
-                   _memoised, _scan)
+                   _memoised, _run, _scan, _suite)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
@@ -88,13 +88,6 @@ def _beck_entries(S: MonadPack, T: MonadPack, z, inputs: Dict[str, Sequence],
     return [beck_scan(axiom, S, T, z, inputs[axiom], _eq,
                       _nat_render if axiom == "Naturality" else _short, render_result)
             for axiom in BECK_AXIOMS]
-
-
-def _report(theory: str, mode: str, u: TestUniverse, entries: List[LawEntry],
-            t0: float) -> LawReport:
-    """One pairing's entries as a report, timed from ``t0``."""
-    return LawReport(theory, mode, u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,10 @@ def reader_pack(domain: Sequence[Any]) -> MonadPack:
 def check_reader(u: TestUniverse, r_domain: Sequence[Any] = (0, 1)) -> LawReport:
     """Beck axioms for the delayed-reader transformation, exhaustively
     over tabulated environments."""
-    t0 = time.perf_counter()
+    return _run("reader", "custom:reader", u, lambda: _reader_entries(u, r_domain))
+
+
+def _reader_entries(u: TestUniverse, r_domain: Sequence[Any]) -> List[LawEntry]:
     xs = base_values(u.carrier_size)
     S = delay_pack(u.relation, u.derived_fuel())
     T = reader_pack(r_domain)
@@ -252,8 +248,7 @@ def check_reader(u: TestUniverse, r_domain: Sequence[Any] = (0, 1)) -> LawReport
         "Naturality": [(f, d) for f in fun_space(xs, xs)
                        for d in delay_values(tables, u.max_steps, u.include_diverge)],
     }
-    entries = _beck_entries(S, T, lambda d: reader_dist(d, r_domain), inputs, str)
-    return _report("reader", "custom:reader", u, entries, t0)
+    return _beck_entries(S, T, lambda d: reader_dist(d, r_domain), inputs, str)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,10 @@ def writer_pack(monoid: FiniteMonoid) -> MonadPack:
 def check_writer(u: TestUniverse, monoid: Optional[FiniteMonoid] = None) -> LawReport:
     """Beck axioms for the delayed-writer transformation over a finite
     monoid of outputs."""
-    t0 = time.perf_counter()
+    return _run("writer", "custom:writer", u, lambda: _writer_entries(u, monoid))
+
+
+def _writer_entries(u: TestUniverse, monoid: Optional[FiniteMonoid]) -> List[LawEntry]:
     monoid = monoid or bool_and_monoid()
     ms = monoid.elements
     xs = base_values(u.carrier_size)
@@ -317,21 +315,8 @@ def check_writer(u: TestUniverse, monoid: Optional[FiniteMonoid] = None) -> LawR
                   for dd in double_delay_values(xs, u.max_steps, u.include_diverge)],
         "Naturality": [(f, (m, d)) for f in fun_space(xs, xs) for m in ms for d in delays],
     }
-    entries = _beck_entries(S, T, lambda mx: writer_dist(mx[0], mx[1], monoid), inputs,
-                            lambda d: render_delay(d, _short))
-    return _report("writer", "custom:writer", u, entries, t0)
-
-
-def writer_steps_preserved(monoid: FiniteMonoid, xs: Sequence[Any], max_steps: int) -> Verdict:
-    """Output through the writer transformation takes exactly as many
-    steps as the delayed value it waited for."""
-    for m in monoid.elements:
-        for n in range(max_steps + 1):
-            for x in xs:
-                out = force(writer_dist(m, delay_n(n, x), monoid), max_steps + 1)
-                if not isinstance(out, Terminated) or out.steps != n or out.value != (m, x):
-                    return NO
-    return YES
+    return _beck_entries(S, T, lambda mx: writer_dist(mx[0], mx[1], monoid), inputs,
+                         lambda d: render_delay(d, _short))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +358,7 @@ def yang_baxter_check(u: TestUniverse, monoid: Optional[FiniteMonoid] = None,
 
 def check_yang_baxter(u: TestUniverse) -> LawReport:
     """The hexagon of :func:`yang_baxter_check` as a report."""
-    t0 = time.perf_counter()
-    return _report("yang-baxter", "custom:yang-baxter", u, [yang_baxter_check(u)], t0)
+    return _run("yang-baxter", "custom:yang-baxter", u, lambda: [yang_baxter_check(u)])
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +425,10 @@ def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     """Monad laws of the delayed-state monad plus per-state step
     additivity of its bind.  A monad-law space over the case budget is
     refused before it is built."""
-    t0 = time.perf_counter()
+    return _run("state", "custom:state", u, lambda: _state_entries(u, states))
+
+
+def _state_entries(u: TestUniverse, states: Sequence[Any]) -> List[LawEntry]:
     ops = state_monad(states)
     xs = base_values(u.carrier_size)
     fuel = u.derived_fuel()
@@ -494,8 +481,7 @@ def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
                               for s in ops.states),
                              lambda c: force(bound(c[0]).run(c[1]), fuel), stages, additive,
                              lambda c: f"m={ms[c[0][0]]}, s={c[1]}"))
-    entries.extend(check_gsd(u, states).entries)
-    return _report("state", "custom:state", u, entries, t0)
+    return entries + _gsd_entries(u, states)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +614,10 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
     """Algebra laws of the canonical delayed-state algebra, the
     generator equation of the extension, identity extension, and
     homomorphism behaviour on sampled inputs."""
-    t0 = time.perf_counter()
+    return _run("gsd", "custom:state", u, lambda: _gsd_entries(u, states))
+
+
+def _gsd_entries(u: TestUniverse, states: Sequence[Any]) -> List[LawEntry]:
     ops = state_monad(states)
     fuel = u.derived_fuel()
     xs = ("x0",)  # one generator keeps the identity extension readable
@@ -669,7 +658,7 @@ def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
         "step": (lambda m: f"step {m}", lambda m: ext(ops.step(m)),
                  lambda m: ops.step(ext(m))),
     }, equal)
-    return _report("gsd", "custom:state", u, [algebra, extension, homomorphism], t0)
+    return [algebra, extension, homomorphism]
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +776,10 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
     """Beck axioms for the delayed-selection transformation; selector
     tables are exhaustive, two-level selectors are sampled from constants
     and single-probe branches."""
-    t0 = time.perf_counter()
+    return _run("selection", "custom:selection", u, lambda: _selection_entries(u, rs, pred_fuel))
+
+
+def _selection_entries(u: TestUniverse, rs: Sequence[Any], pred_fuel: int) -> List[LawEntry]:
     xs = base_values(u.carrier_size)
     p_tables = fun_space(xs, rs)
     _check_space(u, "selector", p_tables, xs)
@@ -815,9 +807,8 @@ def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int 
         "Naturality": [(f, d) for f in fun_space(xs, xs)
                        for d in delay_values(sel_tables[:6], max_steps, u.include_diverge)],
     }
-    entries = _beck_entries(S, T, selection_dist, inputs,
-                            lambda d: render_delay(d, _short) if isinstance(d, Delay) else str(d))
-    return _report("selection", "custom:selection", u, entries, t0)
+    return _beck_entries(S, T, selection_dist, inputs,
+                         lambda d: render_delay(d, _short) if isinstance(d, Delay) else str(d))
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +853,10 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     """Delay-algebra structure on continuations: unit and step-erasure
     laws, flattening agreement, and recovery of the carrier's algebra by
     instantiating at the identity continuation."""
-    t0 = time.perf_counter()
+    return _run("continuation", "custom:continuation", u, lambda: _continuation_entries(u, rs))
+
+
+def _continuation_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
     _retract_spaces(u, rs)  # the retraction's budget, before the first scan here
     xs = base_values(u.carrier_size)
     ralg = DelayAlgebra(tuple(rs), rs[0])
@@ -901,8 +895,7 @@ def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport
     recovery = _scan("CarrierRecovery", delay_values(rs, min(u.max_steps, 3), True),
                      lambda d: alg_cr(dmap(d, eval_at))(ident), ralg.alg,
                      _same, render_delay)
-    return _report("continuation", "custom:continuation", u,
-                   [algebra, recovery] + retract_check(u, rs).entries, t0)
+    return [algebra, recovery] + _retract_entries(u, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,43 +1017,37 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
     so those answers fix every other.  The right side applies its
     predicate to joined delays and takes the lambda path.  A table space
     over the case budget is refused before it is built."""
-    t0 = time.perf_counter()
+    return _run("retract", "custom:continuation", u, lambda: _retract_entries(u, rs))
+
+
+def _retract_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
     xs, p_tables, d_pool = _retract_spaces(u, rs)
     ralg = DelayAlgebra(tuple(rs), rs[0])
     fuel = u.derived_fuel()
     index = pred_index(p_tables, xs)
 
     # psi . phi = id over every table (X -> R) -> D X, read through the
-    # row map; a witness replays through psi and phi.  The policy is
-    # _scan's, inlined: this is the hottest combo scan
-    def retract_witness(table: FinFun, i: int, j: int) -> Witness:
-        p = table.domain[i]
-        return _replayable(f"{table} at {p}",
-                           lambda: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
-                                                _short),
-                           lambda: render_delay(sel_from_table(table, xs)(p), _short),
-                           seen=(render_delay(table.values[j], _short),
-                                 render_delay(table.values[i], _short)))
+    # row map; a witness replays through psi and phi
+    rows = tuple(enumerate(_row_map(p_tables, xs, ralg, index)))
+    table = i = j = None
 
-    def retract_identity() -> LawEntry:
-        rows = tuple(enumerate(_row_map(p_tables, xs, ralg, index)))
-        cases = 0
-        first_unknown: Optional[Verdict] = None
+    def verdicts():
+        nonlocal table, i, j
         for table in fun_space(p_tables, d_pool):
             values = table.values
             for i, j in rows:
-                cases += 1
-                v = strong_equal(values[j], values[i], fuel)
-                if v.is_yes:
-                    continue
-                if v.is_no:
-                    return LawEntry("RetractIdentity", NO, cases, retract_witness(table, i, j))
-                if first_unknown is None:
-                    first_unknown = v
-        return LawEntry("RetractIdentity", YES if first_unknown is None else first_unknown,
-                        cases)
+                yield strong_equal(values[j], values[i], fuel)
 
-    identity = retract_identity()
+    verdict, cases = _fold(verdicts())
+    identity = LawEntry("RetractIdentity", verdict, cases)
+    if verdict.is_no:
+        p = table.domain[i]
+        identity.witness = _replayable(
+            f"{table} at {p}",
+            lambda table=table, p=p: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
+                                                  _short),
+            lambda table=table, p=p: render_delay(sel_from_table(table, xs)(p), _short),
+            seen=(render_delay(table.values[j], _short), render_delay(table.values[i], _short)))
 
     # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
     preds = predicate_family(xs, rs, (0, 1, 2))
@@ -1080,7 +1067,7 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
         square.predicted = True
         square.prediction_note = ("the two delayed selection monads multiply differently; "
                                   "a failure witness is the expected outcome")
-    return _report("retract", "custom:continuation", u, [identity, square], t0)
+    return [identity, square]
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1195,10 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
     operator with direct evaluation, failure of a guard-blind alternative
     homomorphism, and guard preservation under bind.  A monad-law space
     over the case budget is refused before its scan."""
-    t0 = time.perf_counter()
+    return _run("sum", "custom:sum", u, lambda: _sum_entries(u, th))
+
+
+def _sum_entries(u: TestUniverse, th: Optional[Theory]) -> List[LawEntry]:
     ops = sum_monad(th or fm.semilattice())
     th = ops.theory
     xs = base_values(u.carrier_size)
@@ -1300,7 +1290,7 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
                              lambda ek: ops.guard_depths(ops.bind(ek[0], ek[1].__getitem__)),
                              lambda ek: base_depths(ek[0]), keeps_guards,
                              lambda ek: fm.value_str(ek[0])))
-    return _report("sum", "custom:sum", u, entries, t0)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -1310,12 +1300,9 @@ def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
 def check_exceptions(u: TestUniverse, n_exceptions: int = 2) -> LawReport:
     """The exception transformation as a candidate over its free theory;
     the whole suite applies since the theory is plain constants."""
-    from .laws import run_suite
     th = fm.exceptions(n_exceptions)
     cand = custom_candidate(th, "custom:exceptions", seq_lift_op)
-    report = run_suite(th, cand, u)
-    return LawReport("exceptions", "custom:exceptions", report.relation, report.bounds,
-                     report.entries, report.elapsed_ms, report.guaranteed)
+    return _run("exceptions", cand.name, u, lambda: _suite(th, cand, u))
 
 
 # each pairing's checker, by the name the CLI and combo_report take

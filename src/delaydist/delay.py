@@ -263,14 +263,27 @@ def as_verdict(x) -> Verdict:
 
 
 def conjoin(verdicts: Iterable[Verdict]) -> Verdict:
-    """No dominates, then Unknown, else Yes."""
-    saw_unknown = None
+    """No dominates, then Unknown, else Yes: :func:`_fold` without its count."""
+    return _fold(verdicts)[0]
+
+
+def _fold(verdicts: Iterable[Verdict]) -> Tuple[Verdict, int]:
+    """The policy of every scan: the verdict of a stream of case verdicts,
+    and how many of them it pulled.  The first No wins and nothing past it
+    is pulled, so the generator of the stream stands at the No's case,
+    where the scan builds its witness.  Otherwise the first Unknown is
+    kept and the stream runs to its end; all Yes is Yes."""
+    cases = 0
+    first_unknown = None
     for v in verdicts:
+        cases += 1
+        if v is YES:
+            continue
         if v.is_no:
-            return v
-        if v.is_unknown and saw_unknown is None:
-            saw_unknown = v
-    return saw_unknown if saw_unknown is not None else YES
+            return v, cases
+        if first_unknown is None and v.is_unknown:
+            first_unknown = v
+    return first_unknown or YES, cases
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Verdict, YES, NO, _verdict_from_steps, as_verdict, bind,
-                    conjoin, delay_n, dmap, join, now, render_delay, step_count, strong_equal,
+from .delay import (DIVERGE, Delay, Now, Verdict, NO, _fold, _verdict_from_steps, as_verdict,
+                    bind, conjoin, delay_n, dmap, join, now, render_delay, step_count, strong_equal,
                     weak_bisim)
 from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
 from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
@@ -253,30 +253,24 @@ def _scan(axiom: str,
           compare: Callable[[Any, Any], Verdict],
           render_input: Callable[[Any], str] = str,
           render_result: Callable[[Any], str] = str) -> LawEntry:
-    """Evaluate both sides on every input and compare them.
+    """Evaluate both sides on every input and compare them, under the
+    policy of :func:`_fold`.  A No's witness holds the sides the scan
+    computed, and its replay computes them again."""
+    x = lhs = rhs = None
 
-    The first No wins: the scan stops there, and its witness replays both
-    sides.  The first Unknown is kept and the scan goes on past it, so an
-    Unknown entry counts every case and carries no witness.
-    """
-    cases = 0
-    first_unknown: Optional[Verdict] = None
-    for x in inputs:
-        cases += 1
-        lhs = lhs_fn(x)
-        rhs = rhs_fn(x)
-        v = compare(lhs, rhs)
-        if v is YES:
-            continue
-        if v.is_no:
-            def replay(x=x):
-                return render_result(lhs_fn(x)), render_result(rhs_fn(x))
+    def verdicts():
+        nonlocal x, lhs, rhs
+        for x in inputs:
+            lhs = lhs_fn(x)
+            rhs = rhs_fn(x)
+            yield compare(lhs, rhs)
 
-            w = Witness(render_input(x), render_result(lhs), render_result(rhs), replay=replay)
-            return LawEntry(axiom, NO, cases, w)
-        if v.is_unknown and first_unknown is None:
-            first_unknown = v
-    return LawEntry(axiom, YES if first_unknown is None else first_unknown, cases)
+    verdict, cases = _fold(verdicts())
+    w = None
+    if verdict.is_no:
+        w = Witness(render_input(x), render_result(lhs), render_result(rhs),
+                    replay=lambda x=x: (render_result(lhs_fn(x)), render_result(rhs_fn(x))))
+    return LawEntry(axiom, verdict, cases, w)
 
 
 BECK_AXIOMS = ("UnitS", "UnitT", "MultS", "MultT", "Naturality")
@@ -602,20 +596,19 @@ _EquationOutcome = Tuple[Verdict, int, Optional[Tuple[tuple, Delay, Delay]]]
 def _node_scan(eq, cases: Iterable[tuple], lift_op, th: Theory,
                compare: Callable[[Delay, Delay], Verdict]) -> _EquationOutcome:
     """Both sides of ``eq`` lifted node by node with :func:`lift_term`
-    and compared, case by case, up to the first No."""
-    first_unknown = None
-    count = 0
-    for case in cases:
-        count += 1
-        env = dict(zip(eq.context, case))
-        lhs = lift_term(eq.lhs, env, lift_op, th)
-        rhs = lift_term(eq.rhs, env, lift_op, th)
-        v = compare(lhs, rhs)
-        if v.is_no:
-            return NO, count, (case, lhs, rhs)
-        if v.is_unknown and first_unknown is None:
-            first_unknown = v
-    return first_unknown or YES, count, None
+    and compared, case by case, under the policy of :func:`_fold`."""
+    case = lhs = rhs = None
+
+    def verdicts():
+        nonlocal case, lhs, rhs
+        for case in cases:
+            env = dict(zip(eq.context, case))
+            lhs = lift_term(eq.lhs, env, lift_op, th)
+            rhs = lift_term(eq.rhs, env, lift_op, th)
+            yield compare(lhs, rhs)
+
+    verdict, count = _fold(verdicts())
+    return verdict, count, (case, lhs, rhs) if verdict.is_no else None
 
 
 # a step-table entry: the step counts leave the verdict to the values
@@ -633,30 +626,29 @@ def _table_scan(sides: Sequence["_InducedSide"], cases: Iterable[tuple],
     The first case gives every variable the pool's first delay, which has
     no steps, so its values decide and both sides are evaluated there,
     left then right: every error that evaluation can raise is raised at
-    the first case, as on the node path.  A No's two delays reuse the
-    sides' values."""
+    the first case, as on the node path.  The verdicts go through
+    :func:`_fold`, and a No's two delays reuse the sides' values."""
     lhs, rhs = sides
     step_table: Dict[tuple, Any] = {}
     value_table: Dict[tuple, Verdict] = {}
-    first_unknown = None
-    count = 0
-    for case, steps, keys in zip(cases, step_cases, key_cases):
-        count += 1
-        v = step_table.get(steps)
-        if v is None:
-            v = _verdict_from_steps(lhs.steps(steps), rhs.steps(steps), strict, fuel)
-            v = step_table[steps] = _VALUES_DECIDE if v is None else v
-        if v is _VALUES_DECIDE:
-            v = value_table.get(keys)
+    case = steps = keys = None
+
+    def verdicts():
+        nonlocal case, steps, keys
+        for case, steps, keys in zip(cases, step_cases, key_cases):
+            v = step_table.get(steps)
             if v is None:
-                v = value_table[keys] = compare_values(lhs.value(keys), rhs.value(keys))
-        if v is YES:
-            continue
-        if v.is_no:
-            return NO, count, (case, lhs.delay(steps, keys), rhs.delay(steps, keys))
-        if v.is_unknown and first_unknown is None:
-            first_unknown = v
-    return first_unknown or YES, count, None
+                v = _verdict_from_steps(lhs.steps(steps), rhs.steps(steps), strict, fuel)
+                v = step_table[steps] = _VALUES_DECIDE if v is None else v
+            if v is _VALUES_DECIDE:
+                v = value_table.get(keys)
+                if v is None:
+                    v = value_table[keys] = compare_values(lhs.value(keys), rhs.value(keys))
+            yield v
+
+    verdict, count = _fold(verdicts())
+    no = (case, lhs.delay(steps, keys), rhs.delay(steps, keys)) if verdict.is_no else None
+    return verdict, count, no
 
 
 class _InducedSide:
@@ -732,7 +724,8 @@ def _liftable(t: Term, bound: set, th: Theory) -> bool:
 def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, compare,
                              render=str) -> LawEntry:
     """Left unit, right unit and associativity in Kleisli form, as one
-    MonadLaws entry under the policy of :func:`_scan`.
+    MonadLaws entry: one stream of cases under the policy of
+    :func:`_fold`.
 
     ``k_pool`` is a list of dicts mapping each value to a monadic result;
     associativity quantifies over every (m, k, h) with k and h from the
@@ -747,55 +740,51 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
     only because ``bind_fn`` must be pure: the same arguments give equal
     results, and a result may be used again.  Verdicts, case counts, the
     first Unknown and the first No's witness are then those of computing
-    both sides afresh for every case.  A witness is built only on a No,
-    and its replay recomputes both sides by the plain, unshared formula.
+    both sides afresh for every case.  A No's witness holds the sides the
+    scan computed; its replay recomputes both by the plain formula.
     """
-    cases = 0
-    first_unknown: Optional[Verdict] = None
-    for k in k_pool:
-        for x in value_set:
-            cases += 1
-            lhs = bind_fn(unit_fn(x), k.__getitem__)
-            rhs = k[x]
-            v = compare(lhs, rhs)
-            if v.is_no:
-                return LawEntry("MonadLaws", NO, cases, Witness(
-                    f"left unit at {x!r}", render(lhs), render(rhs),
-                    replay=lambda: (render(bind_fn(unit_fn(x), k.__getitem__)), render(k[x]))))
-            if v.is_unknown and first_unknown is None:
-                first_unknown = v
-    for m in elements:
-        cases += 1
-        lhs = bind_fn(m, unit_fn)
-        v = compare(lhs, m)
-        if v.is_no:
-            return LawEntry("MonadLaws", NO, cases, Witness(
-                f"right unit at {render(m)}", render(lhs), render(m),
-                replay=lambda: (render(bind_fn(m, unit_fn)), render(m))))
-        if v.is_unknown and first_unknown is None:
-            first_unknown = v
     # rows[i][j]: the (k_i, h_j) continuation, built when first needed
     rows: List[List[Optional[Callable[[Any], Any]]]] = [[None] * len(k_pool) for _ in k_pool]
-    for m in elements:
-        for k, row in zip(k_pool, rows):
-            mk = bind_fn(m, k.__getitem__)
-            for j, h in enumerate(k_pool):
-                cases += 1
-                lhs = bind_fn(mk, h.__getitem__)
-                kh = row[j]
-                if kh is None:
-                    kh = row[j] = _tabled_continuation(bind_fn, k, h)
-                rhs = bind_fn(m, kh)
-                v = compare(lhs, rhs)
-                if v is YES:
-                    continue
-                if v.is_no:
-                    return LawEntry("MonadLaws", NO, cases, Witness(
-                        f"associativity at {render(m)}", render(lhs), render(rhs),
-                        replay=lambda: _plain_associativity(bind_fn, m, k, h, render)))
-                if v.is_unknown and first_unknown is None:
-                    first_unknown = v
-    return LawEntry("MonadLaws", YES if first_unknown is None else first_unknown, cases)
+    law = m = k = h = x = lhs = rhs = None
+
+    def verdicts():
+        nonlocal law, m, k, h, x, lhs, rhs
+        law = "left unit"
+        for k in k_pool:
+            for x in value_set:
+                lhs = bind_fn(unit_fn(x), k.__getitem__)
+                rhs = k[x]
+                yield compare(lhs, rhs)
+        law = "right unit"
+        for m in elements:
+            lhs, rhs = bind_fn(m, unit_fn), m
+            yield compare(lhs, rhs)
+        law = "associativity"
+        for m in elements:
+            for k, row in zip(k_pool, rows):
+                mk = bind_fn(m, k.__getitem__)
+                for j, h in enumerate(k_pool):
+                    lhs = bind_fn(mk, h.__getitem__)
+                    kh = row[j]
+                    if kh is None:
+                        kh = row[j] = _tabled_continuation(bind_fn, k, h)
+                    rhs = bind_fn(m, kh)
+                    yield compare(lhs, rhs)
+
+    verdict, cases = _fold(verdicts())
+    if not verdict.is_no:
+        return LawEntry("MonadLaws", verdict, cases)
+    if law == "left unit":
+        where = f"left unit at {x!r}"
+        replay = lambda x=x, k=k: (render(bind_fn(unit_fn(x), k.__getitem__)), render(k[x]))
+    elif law == "right unit":
+        where = f"right unit at {render(m)}"
+        replay = lambda m=m: (render(bind_fn(m, unit_fn)), render(m))
+    else:
+        where = f"associativity at {render(m)}"
+        replay = lambda m=m, k=k, h=h: _plain_associativity(bind_fn, m, k, h, render)
+    return LawEntry("MonadLaws", NO, cases, Witness(where, render(lhs), render(rhs),
+                                                    replay=replay))
 
 
 def _tabled_continuation(bind_fn, k: dict, h: dict) -> Callable[[Any], Any]:
@@ -927,11 +916,13 @@ def prediction_for_failure(th: Theory, mode: str, relation: str, axiom: str) -> 
 def run_suite(th: Theory, mode, u: TestUniverse) -> LawReport:
     """Naturality, the four axioms, equation preservation and composite
     monad laws for one candidate, in a fixed order."""
-    t0 = time.perf_counter()
-    if isinstance(mode, DistLawCandidate):
-        cand = mode
-    else:
-        cand = induced_candidate(th, mode)
+    cand = mode if isinstance(mode, DistLawCandidate) else induced_candidate(th, mode)
+    return _run(th.name, cand.name, u, lambda: _suite(th, cand, u),
+                guaranteed_configuration(th, cand.name, u.relation))
+
+
+def _suite(th: Theory, cand: DistLawCandidate, u: TestUniverse) -> List[LawEntry]:
+    """The entries of :func:`run_suite`, each No marked predicted or not."""
     if u.relation == "weak":
         _validate_weak_relation(th, u)
     entries: List[LawEntry] = []
@@ -942,29 +933,38 @@ def run_suite(th: Theory, mode, u: TestUniverse) -> LawReport:
             entry.predicted = bool(note) and not guaranteed_configuration(th, cand.name, u.relation)
             entry.prediction_note = note
         entries.append(entry)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return LawReport(th.name, cand.name, u.relation, u.bounds_dict(), entries, elapsed,
-                     guaranteed=guaranteed_configuration(th, cand.name, u.relation))
+    return entries
+
+
+def _run(theory: str, mode: str, u: TestUniverse, check: Callable[[], List[LawEntry]],
+         guaranteed: bool = False) -> LawReport:
+    """The report of every suite and pairing: the entries ``check()``
+    returns under ``theory`` and ``mode``, timed from before the call."""
+    t0 = time.perf_counter()
+    entries = check()
+    return LawReport(theory, mode, u.relation, u.bounds_dict(), entries,
+                     (time.perf_counter() - t0) * 1000.0, guaranteed=guaranteed)
 
 
 def _validate_weak_relation(th: Theory, u: TestUniverse) -> None:
     """Spot-check that bounded weak bisimilarity behaves like an
-    equivalence on a small sample before trusting it in a suite."""
+    equivalence on a small sample before trusting it in a suite.  Only
+    definite answers can fail it: a comparison that runs out of fuel says
+    nothing about the relation."""
     fuel = u.derived_fuel(th)
     rel = _element_rel(th)
     sample_vals = [fm.unit(th, v) for v in base_values(u.carrier_size)]
     sample = [delay_n(s, m) for s in (0, 1, 2) for m in sample_vals] + [DIVERGE]
     for d in sample:
-        if not weak_bisim(d, d, rel, fuel).is_yes:
+        if weak_bisim(d, d, rel, fuel).is_no:
             raise AssertionError("weak bisimilarity failed reflexivity on a sample")
     for d1, d2 in itertools.product(sample, repeat=2):
-        v12 = weak_bisim(d1, d2, rel, fuel)
-        v21 = weak_bisim(d2, d1, rel, fuel)
-        if v12.kind != v21.kind:
+        kinds = {weak_bisim(d1, d2, rel, fuel).kind, weak_bisim(d2, d1, rel, fuel).kind}
+        if kinds == {"yes", "no"}:
             raise AssertionError("weak bisimilarity failed symmetry on a sample")
     for d1, d2, d3 in itertools.islice(itertools.product(sample, repeat=3), 2000):
         if weak_bisim(d1, d2, rel, fuel).is_yes and weak_bisim(d2, d3, rel, fuel).is_yes:
-            if not weak_bisim(d1, d3, rel, fuel).is_yes:
+            if weak_bisim(d1, d3, rel, fuel).is_no:
                 raise AssertionError("weak bisimilarity failed transitivity on a sample")
 
 

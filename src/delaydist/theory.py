@@ -153,9 +153,6 @@ class Signature:
     def arity(self, op: str) -> Optional[int]:
         return self._arities.get(op)
 
-    def has_op(self, op: str) -> bool:
-        return self.arity(op) is not None
-
 
 @dataclass(frozen=True, slots=True)
 class Equation:

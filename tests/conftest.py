@@ -9,8 +9,8 @@ import pytest
 from delaydist import combos, laws, lifting
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, Terminated, as_verdict, bind,
-                             conjoin, dmap, force, peel, render_delay, strong_equal, unknown,
-                             weak_bisim)
+                             conjoin, delay_n, dmap, force, peel, render_delay, strong_equal,
+                             unknown, weak_bisim)
 from delaydist.laws import LawEntry, Witness
 from delaydist.lifting import lift_term
 from delaydist.theory import TheorySemanticError, Var
@@ -171,6 +171,18 @@ def reference_walk(node, carrier, total):
     n, payloads = ends
     payload = (op, *payloads)
     return n, carrier.normalise(payload) if carrier.normalise else payload
+
+
+def writer_steps_preserved(monoid, xs, max_steps):
+    """Output through the writer transformation takes exactly as many
+    steps as the delayed value it waited for."""
+    for m in monoid.elements:
+        for n in range(max_steps + 1):
+            for x in xs:
+                out = force(combos.writer_dist(m, delay_n(n, x), monoid), max_steps + 1)
+                if not isinstance(out, Terminated) or out.steps != n or out.value != (m, x):
+                    return NO
+    return YES
 
 
 def reference_tabulate(domain, f):

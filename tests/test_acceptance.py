@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import writer_steps_preserved
 from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist import nogo
@@ -169,7 +170,7 @@ def test_criterion_8_other_monad_pairings():
     assert r.all_yes
     r = combos.combo_report("writer", u)
     assert r.all_yes
-    assert combos.writer_steps_preserved(combos.bool_and_monoid(), ("a", "b"), 3).is_yes
+    assert writer_steps_preserved(combos.bool_and_monoid(), ("a", "b"), 3).is_yes
     r = combos.combo_report("selection", u)
     assert r.all_yes
     e = combos.yang_baxter_check(u)

@@ -352,6 +352,18 @@ class TestParserPlumbing:
         th = cli.resolve_theory("monoid")
         assert th.signature.arity("mul") == 2
 
+    def test_weak_check_out_of_fuel_exits_two(self):
+        # at fuel 1 the spot check of weak bisimilarity cannot compare its
+        # two-step sample delay with itself: no answer, so no failure
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "delaydist", "check", "monoid",
+                               "--lift", "seq", "--upto", "weak", "--fuel", "1",
+                               "--carrier-size", "1", "--max-steps", "1", "--max-depth", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == ""
+        assert "MonadLaws              unknown(fuel_spent=1)" in done.stdout
+
     def test_runs_as_module(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run([sys.executable, "-m", "delaydist", "classify", "monoid"],

@@ -6,6 +6,7 @@ fails) and everything else passes at the default bounds."""
 
 import dataclasses
 import itertools
+import json
 import pickle
 
 import pytest
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 from conftest import (reference_phi, reference_pred_call, reference_psi,
                       reference_retract_identity, reference_sel, reference_sel_query,
-                      reference_tabulate)
+                      reference_tabulate, writer_steps_preserved)
 from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
                              strong_equal)
-from delaydist.laws import LawEntry, Witness
+from delaydist import laws
+from delaydist.laws import LawEntry, Witness, report_from_json_dict
 from delaydist.laws import TestUniverse as Universe
 
 SMALL = Universe(carrier_size=2, max_steps=2, max_depth=2)
@@ -93,8 +95,53 @@ def test_unknown_name_rejected():
         combos.combo_report("frobnitz", Universe())
 
 
+BECK = ["UnitS", "UnitT", "MultS", "MultT", "Naturality"]
+REPORT_SHAPES = {
+    "exceptions": ("exceptions", "custom:exceptions", BECK + ["EquationPreservation",
+                                                              "MonadLaws"]),
+    "reader": ("reader", "custom:reader", BECK),
+    "writer": ("writer", "custom:writer", BECK),
+    "yang-baxter": ("yang-baxter", "custom:yang-baxter", ["YangBaxter"]),
+    "state": ("state", "custom:state", ["MonadLaws", "StepAdditivity", "GsdAlgebraLaws",
+                                        "GsdExtension", "GsdHomomorphism"]),
+    "selection": ("selection", "custom:selection", BECK),
+    "continuation": ("continuation", "custom:continuation",
+                     ["AlgebraLaws", "CarrierRecovery", "RetractIdentity", "MuSquare"]),
+    "sum": ("sum", "custom:sum", ["MonadLaws", "FreeExtension", "Uniqueness", "GuardInvariant"]),
+}
+
+
+@pytest.mark.parametrize("name", combos.COMBO_NAMES)
+def test_report_shape(name):
+    u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+    r = combos.combo_report(name, u)
+    assert (r.theory, r.mode, [e.axiom for e in r.entries]) == REPORT_SHAPES[name]
+    assert (r.relation, r.bounds) == ("strict", u.bounds_dict())
+    assert report_from_json_dict(json.loads(r.to_json())) == r
+
+
+def test_the_parts_of_a_pairing_report_alone():
+    u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+    for r, shape in [(combos.retract_check(u), ("retract", ["RetractIdentity", "MuSquare"])),
+                     (combos.check_gsd(u), ("gsd", ["GsdAlgebraLaws", "GsdExtension",
+                                                    "GsdHomomorphism"]))]:
+        assert (r.theory, [e.axiom for e in r.entries]) == shape
+
+
+def test_exceptions_is_the_suite_under_its_own_name():
+    u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+    r = combos.check_exceptions(u)
+    th = fm.exceptions(2)
+    suite = laws.run_suite(th, combos.custom_candidate(th, "custom:exceptions",
+                                                       combos.seq_lift_op), u)
+    assert (r.theory, suite.theory) == ("exceptions", th.name)
+    assert r.guaranteed == suite.guaranteed
+    assert r.entries == suite.entries and (r.mode, r.relation, r.bounds) == (
+        suite.mode, suite.relation, suite.bounds)
+
+
 def test_writer_steps_preserved_exact():
-    v = combos.writer_steps_preserved(combos.bool_and_monoid(), ("a", "b"), 4)
+    v = writer_steps_preserved(combos.bool_and_monoid(), ("a", "b"), 4)
     assert v.is_yes
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import conftest
 from delaydist import freemodel as fm
 from delaydist import laws, lifting
-from delaydist.delay import (DIVERGE, NO, YES, delay_n, now, peel, prepend_steps, strong_equal,
-                             unknown)
+from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, conjoin, delay_n, now, peel,
+                             prepend_steps, strong_equal, unknown)
 from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
@@ -75,6 +75,45 @@ class TestScanPolicy:
 
     def test_all_yes(self):
         assert self._scan([YES, YES]) == LawEntry("X", YES, 2)
+
+    @staticmethod
+    def _reference_fold(verdicts):
+        """The count through the first No, and the first Unknown, else Yes."""
+        kinds = [v.kind for v in verdicts]
+        if "no" in kinds:
+            return NO, kinds.index("no") + 1
+        unknowns = [v for v in verdicts if v.is_unknown]
+        return (unknowns[0] if unknowns else YES), len(verdicts)
+
+    # each verdict built afresh, so that no scan can tell them apart by identity
+    FRESH_VERDICTS = st.lists(st.one_of(st.builds(lambda: Verdict("yes")),
+                                        st.builds(unknown, st.integers(0, 5)),
+                                        st.builds(lambda: Verdict("no"))), max_size=12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FRESH_VERDICTS)
+    def test_the_fold_is_the_reference(self, verdicts):
+        def stream():
+            for v in verdicts:
+                yield v
+                if v.is_no:
+                    raise AssertionError("pulled past the first No")
+
+        expected = self._reference_fold(verdicts)
+        got = _fold(stream())
+        assert got == expected
+        assert got[0] is expected[0] or not got[0].is_unknown  # the first Unknown itself
+        assert conjoin(stream()) == expected[0]
+
+    def test_the_fold_pulls_nothing_past_the_first_no(self):
+        def stream():
+            yield Verdict("yes")
+            yield unknown(2)
+            yield NO
+            raise AssertionError("pulled past the first No")
+
+        assert _fold(stream()) == (NO, 3)
+        assert _fold(iter([])) == (YES, 0)
 
     def test_beck_scan_rejects_an_unknown_axiom(self):
         pack = laws.delay_pack("strict", 8)
@@ -187,6 +226,31 @@ class TestUnknowns:
         with pytest.raises(UniverseBudgetError):
             _suite(fm.monoid(), "seq", carrier_size=2, max_steps=3, max_depth=2,
                    case_budget=5000)
+
+
+class TestWeakSpotCheck:
+    """The spot check of weak bisimilarity fails only on definite answers;
+    each test stands in a relation on the sample's step counts."""
+
+    @staticmethod
+    def _validate(monkeypatch, answer):
+        steps = lambda d: 9 if d is DIVERGE else laws.step_count(d)
+        monkeypatch.setattr(laws, "weak_bisim", lambda d1, d2, rel, fuel: answer(steps(d1),
+                                                                                  steps(d2)))
+        laws._validate_weak_relation(fm.monoid(), Universe(carrier_size=1, relation="weak"))
+
+    def test_unknowns_fail_nothing(self, monkeypatch):
+        # Unknown on the diagonal and one way round, Yes the other way
+        self._validate(monkeypatch, lambda a, b: unknown(1) if a <= b else YES)
+
+    @pytest.mark.parametrize("answer,law", [
+        (lambda a, b: NO, "reflexivity"),
+        (lambda a, b: YES if a <= b else NO, "symmetry"),
+        (lambda a, b: YES if abs(a - b) <= 1 else NO, "transitivity"),
+    ], ids=["reflexivity", "symmetry", "transitivity"])
+    def test_a_definite_failure_is_refused(self, monkeypatch, answer, law):
+        with pytest.raises(AssertionError, match=f"failed {law} on a sample"):
+            self._validate(monkeypatch, answer)
 
 
 def _eager_universe(th, u, shape):

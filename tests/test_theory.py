@@ -38,7 +38,7 @@ class TestSignature:
     def test_arity_reads_the_first_declaration(self):
         sig = Signature("t", (Operation("f", 1), Operation("g", 0), Operation("f", 2)))
         assert (sig.arity("f"), sig.arity("g"), sig.arity("h")) == (1, 0, None)
-        assert sig.has_op("g") and not sig.has_op("h")
+        assert sig.arity("g") is not None and sig.arity("h") is None
 
     def test_lookup_index_stays_out_of_equality(self):
         a = Signature("t", (Operation("mul", 2),))
