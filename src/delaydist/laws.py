@@ -376,12 +376,6 @@ def iter_universe(th: Theory, u: TestUniverse, shape: str) -> Iterator[Any]:
         raise ValueError(f"unknown universe shape {shape!r}")
 
 
-def enumerate_universe(th: Theory, u: TestUniverse, shape: str) -> List[Any]:
-    """The inputs of :func:`iter_universe`, as a list.  Raises
-    UniverseBudgetError when the universe is larger than the case budget."""
-    return list(iter_universe(th, u, shape))
-
-
 def _bounded_elements(th: Theory, generators, depth: int, u: TestUniverse,
                       what: str) -> List[fm.ModelElement]:
     try:
@@ -812,20 +806,27 @@ def composite_unit(cand: DistLawCandidate):
     return lambda x: Now(fm.unit(th, x))
 
 
-def composite_bind(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]):
-    """Kleisli extension of the composite delayed-model monad built from
-    the candidate: distribute with ``z``, then flatten both layers.  ``z``
-    is ``cand.apply``, which the monad-law check passes memoised for the
-    length of that check (see :func:`_memoised`)."""
+def composite_extension(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]):
+    """The Kleisli extension of the composite delayed-model monad at one
+    element: ``(k, t) ↦ dmap(z(T(k)(t)), μ)``, distribute the element of
+    delayed elements with ``z``, then flatten the model layer.  Taking
+    the pair as one argument lets the monad-law check memoise it."""
     th = cand.theory
 
-    def bnd(m: Delay, k: Callable[[Any], Delay]) -> Delay:
-        def on_element(t: fm.ModelElement) -> Delay:
-            mapped = fm.fmap(th, k, t)  # element whose values are delayed elements
-            dd = z(mapped)
-            return dmap(dd, lambda tt: fm.mu(th, tt))
+    def ext(kt: Tuple[Callable[[Any], Delay], fm.ModelElement]) -> Delay:
+        k, t = kt
+        return dmap(z(fm.fmap(th, k, t)), lambda tt: fm.mu(th, tt))
 
-        return bind(m, on_element)
+    return ext
+
+
+def composite_bind(ext: Callable[[tuple], Delay]):
+    """Bind of the composite monad: the steps of ``m``, then the
+    extension ``ext`` of :func:`composite_extension` at ``k`` and the
+    element ``m`` ends in."""
+
+    def bnd(m: Delay, k: Callable[[Any], Delay]) -> Delay:
+        return bind(m, lambda t: ext((k, t)))
 
     return bnd
 
@@ -843,7 +844,19 @@ def check_kleisli_space(u: TestUniverse, what: str, elements: int, continuations
 def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEntry:
     """Monad laws of the composite delayed-model monad on enumerated
     inputs.  Continuation tables draw from a reduced value pool (one step,
-    depth one, first few elements) to keep the product space finite."""
+    depth one, first few elements) to keep the product space finite.
+
+    Every scanned element ends in one of a few model elements, and the
+    scan binds the same continuations again and again, so both ``z`` and
+    the extension (k, t) ↦ bind's result at t are memoised for the
+    length of this check (see :func:`_memoised`).  The extension's key is
+    exact: the scan's continuations are the pool's ``k.__getitem__``,
+    which hashes and compares by its dict's identity, and its own row
+    closures and unit, which hash by theirs; the key holds them, so no
+    identity is reused while the table lives.  A fresh lambda (a replay,
+    the reference scan) only misses.  So each continuation is extended
+    at an element once per check, not once per bind, and verdicts, case
+    counts and witnesses are those of extending afresh."""
     th = cand.theory
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
@@ -863,8 +876,8 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
               for combo in itertools.product(k_values, repeat=len(vals))]
     check_kleisli_space(u, "composite monad laws", len(elements), len(k_pool))
 
-    with _memoised(cand.apply) as z:
-        return check_monad_laws_kleisli(composite_unit(cand), composite_bind(cand, z),
+    with _memoised(cand.apply) as z, _memoised(composite_extension(cand, z)) as ext:
+        return check_monad_laws_kleisli(composite_unit(cand), composite_bind(ext),
                                         elements, vals, k_pool, compare, _render_dt)
 
 

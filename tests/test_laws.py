@@ -22,12 +22,13 @@ from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetErro
                             run_suite)
 from delaydist.laws import TestUniverse as Universe
 from delaydist.lifting import DistLawCandidate, induced_candidate, par_lift_op, seq_lift_op
-from delaydist.nogo import idempotent_unary_theory
+from delaydist.nogo import idempotent_unary_theory, step_absorbing_lift
 from delaydist.theory import App, Equation, TheorySemanticError, Var, free_vars, parse_theory
 
 from conftest import reference_equation_preservation, reference_monad_laws_kleisli
 
-THEORY_FILES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
+THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+THEORY_FILES = sorted(THEORY_DIR.glob("*.th"))
 
 
 def _suite(th, mode, **bounds):
@@ -286,7 +287,6 @@ class TestStreamedUniverses:
         u = Universe(carrier_size=2, max_steps=1, max_depth=2, include_diverge=True)
         want = _eager_universe(th, u, shape)
         assert list(laws.iter_universe(th, u, shape)) == want
-        assert laws.enumerate_universe(th, u, shape) == want
 
     @pytest.mark.parametrize("shape,size", [("TDD", 22621), ("TTD", 6149)])
     def test_refutation_stops_building_inputs(self, monkeypatch, shape, size):
@@ -303,7 +303,7 @@ class TestStreamedUniverses:
         head = list(itertools.islice(laws.iter_universe(th, u, shape), 50))
         lazy = calls[0]
         calls[0] = 0
-        full = laws.enumerate_universe(th, u, shape)
+        full = list(laws.iter_universe(th, u, shape))
         assert head == full[:50]
         assert len(full) == size
         assert lazy * 100 < calls[0]
@@ -320,7 +320,7 @@ class TestStreamedUniverses:
     def test_over_budget_universe_list_raises(self):
         u = Universe(carrier_size=2, max_steps=2, max_depth=2, case_budget=1000)
         with pytest.raises(UniverseBudgetError, match="TDD universe"):
-            laws.enumerate_universe(fm.monoid(), u, "TDD")
+            list(laws.iter_universe(fm.monoid(), u, "TDD"))
 
     def test_naturality_budget_is_the_exact_pair_count(self):
         th = fm.monoid()
@@ -523,6 +523,73 @@ class TestSharedKleisliScan:
         assert run() == out
         assert calls[1]["binds"] == plain
 
+    # composite MonadLaws: extensions computed, one per (continuation,
+    # element) the scan reaches, against the binds of PINNED_BINDS
+    PINNED_EXTENSIONS = [
+        ("monoid seq c1s2d2", fm.monoid, Universe(carrier_size=1, max_steps=2, max_depth=2),
+         135),
+        ("leftzero seq c1s2d1", lambda: parse_theory(THEORY_DIR.joinpath("leftzero.th")
+                                                     .read_text(encoding="utf-8")),
+         Universe(carrier_size=1, max_steps=2, max_depth=1), 190),
+    ]
+
+    @pytest.mark.parametrize("name,theory,u,extensions", PINNED_EXTENSIONS,
+                             ids=[p[0] for p in PINNED_EXTENSIONS])
+    def test_extension_counts(self, monkeypatch, name, theory, u, extensions):
+        cand = induced_candidate(theory(), "seq")
+        calls = collections.Counter()
+        extension = laws.composite_extension
+
+        def counting(c, z):
+            ext = extension(c, z)
+
+            def counted(kt):
+                calls[kt] += 1
+                return ext(kt)
+
+            return counted
+
+        monkeypatch.setattr(laws, "composite_extension", counting)
+        entry = laws.check_axiom(cand, "MonadLaws", u)
+        assert entry.verdict.is_yes
+        assert sum(calls.values()) == extensions
+        assert set(calls.values()) == {1}
+
+    def test_a_raising_extension_is_not_tabled(self):
+        th = fm.monoid()
+        cand = induced_candidate(th, "seq")
+        ts = fm.enumerate_elements(th, ("a", "b"), 1)
+        ks = [{"a": delay_n(1, ts[0]), "b": now(ts[1])}, {"a": now(ts[1]), "b": now(ts[0])}]
+        poison = fm.fmap(th, ks[1].__getitem__, ts[4])  # a·b under ks[1]
+
+        def z(mapped):
+            if mapped == poison:
+                raise RuntimeError("no distribution here")
+            return cand.apply(mapped)
+
+        plain = laws.composite_bind(laws.composite_extension(cand, cand.apply))
+        calls = collections.Counter()
+        with laws._memoised(z) as zm:
+            extension = laws.composite_extension(cand, zm)
+
+            def counted(kt):
+                calls[ks.index(kt[0].__self__), kt[1]] += 1
+                return extension(kt)
+
+            with laws._memoised(counted) as ext:
+                bnd = laws.composite_bind(ext)
+                for _ in range(2):
+                    for m in [delay_n(s, t) for s in (0, 1) for t in ts]:
+                        for k in ks:
+                            if k is ks[1] and m.value == ts[4]:
+                                with pytest.raises(RuntimeError, match="no distribution"):
+                                    bnd(m, k.__getitem__)
+                            else:
+                                assert bnd(m, k.__getitem__) == plain(m, k.__getitem__)
+        bad = (1, ts[4])
+        assert calls.pop(bad) == 4  # asked at two step counts, twice each
+        assert len(calls) == 2 * len(ts) - 1 and set(calls.values()) == {1}
+
     @pytest.mark.parametrize("steps", [2, 3])
     @pytest.mark.parametrize("fuel", [64, 1])
     def test_delay_laws_match_the_reference(self, use_reference_kleisli, steps, fuel):
@@ -638,6 +705,45 @@ def _assert_same_entry(got, want):
         g, w = got.witness, want.witness
         assert g.to_json_dict() == w.to_json_dict()
         assert g.replay() == w.replay() == (w.lhs_render, w.rhs_render)
+
+
+# the composite monad-law checks of the quotient-rewrite theories: each
+# under seq, under par up to weak bisimilarity (leftzero with divergence,
+# as the benchmark runs it), and under the step-absorbing lifting where the
+# signature is that lifting's
+QUOTIENT_MONAD_LAWS = [
+    (name, mode, relation, name == "leftzero.th" and mode == "par")
+    for name in ("band.th", "leftzero.th", "idempotent_unary.th", "idempotent-unary")
+    for mode, relation in (("seq", "strict"), ("par", "weak"),
+                           ("custom:step-absorbing", "strict"))
+    if mode != "custom:step-absorbing" or name.startswith("idempotent")
+]
+
+
+class TestCompositeMonadLawsOffCanonicalCarriers:
+    """On the quotient carrier and under a custom lifting, the composite
+    monad laws with their memos give the entry of the reference scan and
+    of the scan that memoises nothing."""
+
+    @pytest.mark.parametrize("bounds", [(1, 1, 2), (1, 2, 1)], ids=["c1s1d2", "c1s2d1"])
+    @pytest.mark.parametrize("name,mode,relation,diverge", QUOTIENT_MONAD_LAWS,
+                             ids=["-".join(c[:3]) for c in QUOTIENT_MONAD_LAWS])
+    def test_matches_the_reference_and_the_unmemoised_scan(
+            self, monkeypatch, use_reference_kleisli, name, mode, relation, diverge, bounds):
+        th = EQUATION_THEORIES[name]()
+        if mode == "custom:step-absorbing":
+            cand = lifting.custom_candidate(th, mode, step_absorbing_lift)
+        else:
+            cand = induced_candidate(th, mode)
+        c, s, d = bounds
+        u = Universe(carrier_size=c, max_steps=s, max_depth=d, relation=relation,
+                     include_diverge=diverge)
+        entry = laws.check_axiom(cand, "MonadLaws", u)
+        with monkeypatch.context() as patch:
+            patch.setattr(laws, "_memoised", _unmemoised)
+            _assert_same_entry(laws.check_axiom(cand, "MonadLaws", u), entry)
+        use_reference_kleisli()
+        _assert_same_entry(laws.check_axiom(cand, "MonadLaws", u), entry)
 
 
 def _with_equations(th, *equations):
