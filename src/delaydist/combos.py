@@ -50,6 +50,18 @@ from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
+# Each pairing is checked at one choice of its parameters: the
+# environments a reader reads, the states of delayed state, the results
+# of a selection predicate (also the carrier of the continuation
+# algebra), the fuel within which such a predicate or a delay algebra
+# observes a delayed value, and how many samples probe a GSD algebra.
+R_DOMAIN = (0, 1)
+STATES = (0, 1)
+RESULTS = (0, 1)
+PRED_FUEL = 2
+ALGEBRA_FUEL = 4096
+GSD_PROBES = 40
+
 
 def _eq(u, v) -> bool:
     return u == v
@@ -60,7 +72,7 @@ def _same(u, v) -> Verdict:
 
 
 def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any],
-                note: str = "", seen: Optional[Tuple[str, str]] = None) -> Witness:
+                seen: Optional[Tuple[str, str]] = None) -> Witness:
     """A witness whose two sides are the renders of ``lhs()`` and
     ``rhs()``; its replay computes both sides again.  ``seen`` gives the
     renders the scan itself produced instead, so that a replay by another
@@ -68,17 +80,17 @@ def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any
     def replay() -> Tuple[str, str]:
         return str(lhs()), str(rhs())
 
-    return Witness(input_render, *(seen or replay()), note=note, replay=replay)
+    return Witness(input_render, *(seen or replay()), replay=replay)
 
 
 def _scan_kinds(axiom: str, cases: Iterable[Tuple[str, Any]],
                 kinds: Dict[str, Tuple[Callable, Callable, Callable]],
-                compare: Callable[[Any, Any], Verdict], render_result=str) -> LawEntry:
+                compare: Callable[[Any, Any], Verdict]) -> LawEntry:
     """:func:`_scan` over ``(kind, input)`` cases, where ``kinds`` maps
     each kind to its input render and its two sides."""
     return _scan(axiom, cases,
                  lambda c: kinds[c[0]][1](c[1]), lambda c: kinds[c[0]][2](c[1]), compare,
-                 lambda c: kinds[c[0]][0](c[1]), render_result)
+                 lambda c: kinds[c[0]][0](c[1]))
 
 
 def _beck_entries(S: MonadPack, T: MonadPack, z, inputs: Dict[str, Sequence],
@@ -229,26 +241,26 @@ def reader_pack(domain: Sequence[Any]) -> MonadPack:
     return MonadPack("reader", unit, mu, fmap, equal)
 
 
-def check_reader(u: TestUniverse, r_domain: Sequence[Any] = (0, 1)) -> LawReport:
+def check_reader(u: TestUniverse) -> LawReport:
     """Beck axioms for the delayed-reader transformation, exhaustively
     over tabulated environments."""
-    return _run("reader", "custom:reader", u, lambda: _reader_entries(u, r_domain))
+    return _run("reader", "custom:reader", u, lambda: _reader_entries(u))
 
 
-def _reader_entries(u: TestUniverse, r_domain: Sequence[Any]) -> List[LawEntry]:
+def _reader_entries(u: TestUniverse) -> List[LawEntry]:
     xs = base_values(u.carrier_size)
     S = delay_pack(u.relation, u.derived_fuel())
-    T = reader_pack(r_domain)
-    tables = fun_space(r_domain, xs)
+    T = reader_pack(R_DOMAIN)
+    tables = fun_space(R_DOMAIN, xs)
     inputs = {
         "UnitS": tables,
         "UnitT": delay_values(xs, u.max_steps, u.include_diverge),
         "MultS": double_delay_values(tables, u.max_steps, u.include_diverge),
-        "MultT": delay_values(fun_space(r_domain, tables), u.max_steps, u.include_diverge),
+        "MultT": delay_values(fun_space(R_DOMAIN, tables), u.max_steps, u.include_diverge),
         "Naturality": [(f, d) for f in fun_space(xs, xs)
                        for d in delay_values(tables, u.max_steps, u.include_diverge)],
     }
-    return _beck_entries(S, T, lambda d: reader_dist(d, r_domain), inputs, str)
+    return _beck_entries(S, T, lambda d: reader_dist(d, R_DOMAIN), inputs, str)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +306,14 @@ def writer_pack(monoid: FiniteMonoid) -> MonadPack:
     return MonadPack("writer", unit, mu, fmap, equal)
 
 
-def check_writer(u: TestUniverse, monoid: Optional[FiniteMonoid] = None) -> LawReport:
-    """Beck axioms for the delayed-writer transformation over a finite
+def check_writer(u: TestUniverse) -> LawReport:
+    """Beck axioms for the delayed-writer transformation over the boolean
     monoid of outputs."""
-    return _run("writer", "custom:writer", u, lambda: _writer_entries(u, monoid))
+    return _run("writer", "custom:writer", u, lambda: _writer_entries(u))
 
 
-def _writer_entries(u: TestUniverse, monoid: Optional[FiniteMonoid]) -> List[LawEntry]:
-    monoid = monoid or bool_and_monoid()
+def _writer_entries(u: TestUniverse) -> List[LawEntry]:
+    monoid = bool_and_monoid()
     ms = monoid.elements
     xs = base_values(u.carrier_size)
     S = writer_pack(monoid)
@@ -323,33 +335,32 @@ def _writer_entries(u: TestUniverse, monoid: Optional[FiniteMonoid]) -> List[Law
 # Yang-Baxter for reader, writer and delay
 
 
-def yang_baxter_check(u: TestUniverse, monoid: Optional[FiniteMonoid] = None,
-                      r_domain: Sequence[Any] = (0, 1)) -> LawEntry:
+def yang_baxter_check(u: TestUniverse) -> LawEntry:
     """Hexagon equality of the two composite rearrangements of
     output-delayed-reader triples; both must land on the same
     reader-of-delayed-writer value."""
-    monoid = monoid or bool_and_monoid()
+    monoid = bool_and_monoid()
     xs = base_values(u.carrier_size)
     fuel = u.derived_fuel()
-    tables = fun_space(r_domain, xs)
+    tables = fun_space(R_DOMAIN, xs)
     delays = delay_values(tables, u.max_steps, True)
 
     def rw(m, F: FinFun) -> FinFun:
         # writer over reader: emit the output pointwise
-        return FinFun.tabulate(r_domain, lambda r: (m, F(r)))
+        return FinFun.tabulate(R_DOMAIN, lambda r: (m, F(r)))
 
     def path_read_first(m, d: Delay) -> FinFun:
-        f1 = reader_dist(d, r_domain)              # reader of delayed tables
+        f1 = reader_dist(d, R_DOMAIN)            # reader of delayed tables
         f2 = rw(m, f1)                             # pair the output pointwise
-        return FinFun.tabulate(r_domain, lambda r: writer_dist(f2(r)[0], f2(r)[1], monoid))
+        return FinFun.tabulate(R_DOMAIN, lambda r: writer_dist(f2(r)[0], f2(r)[1], monoid))
 
     def path_write_first(m, d: Delay) -> FinFun:
         d1 = writer_dist(m, d, monoid)             # delay of (m, table)
         d2 = dmap(d1, lambda mf: rw(mf[0], mf[1]))  # delay of reader-of-pairs
-        return reader_dist(d2, r_domain)
+        return reader_dist(d2, R_DOMAIN)
 
     def compare(F: FinFun, G: FinFun) -> Verdict:
-        return conjoin(strong_equal(F(r), G(r), fuel) for r in r_domain)
+        return conjoin(strong_equal(F(r), G(r), fuel) for r in R_DOMAIN)
 
     return _scan("YangBaxter", [(m, d) for m in monoid.elements for d in delays],
                  lambda p: path_read_first(*p), lambda p: path_write_first(*p), compare,
@@ -395,10 +406,6 @@ class StateOps:
         return DelayedState(FinFun.tabulate(self.states, lambda s: step(m.run(s))))
 
 
-def state_monad(states: Sequence[Any]) -> StateOps:
-    return StateOps(tuple(states))
-
-
 @dataclass(frozen=True)
 class _Stages:
     """The two stages of a state bind at one state, each forced; the
@@ -421,15 +428,15 @@ class _Stages:
         return f"expected {self.first.steps}+{self.second.steps} steps"
 
 
-def check_state(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
+def check_state(u: TestUniverse) -> LawReport:
     """Monad laws of the delayed-state monad plus per-state step
     additivity of its bind.  A monad-law space over the case budget is
     refused before it is built."""
-    return _run("state", "custom:state", u, lambda: _state_entries(u, states))
+    return _run("state", "custom:state", u, lambda: _state_entries(u))
 
 
-def _state_entries(u: TestUniverse, states: Sequence[Any]) -> List[LawEntry]:
-    ops = state_monad(states)
+def _state_entries(u: TestUniverse) -> List[LawEntry]:
+    ops = StateOps(STATES)
     xs = base_values(u.carrier_size)
     fuel = u.derived_fuel()
     pairs = [(s, x) for s in ops.states for x in xs]
@@ -481,7 +488,7 @@ def _state_entries(u: TestUniverse, states: Sequence[Any]) -> List[LawEntry]:
                               for s in ops.states),
                              lambda c: force(bound(c[0]).run(c[1]), fuel), stages, additive,
                              lambda c: f"m={ms[c[0][0]]}, s={c[1]}"))
-    return entries + _gsd_entries(u, states)
+    return entries + _gsd_entries(u)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +526,15 @@ GSD_LAWS = ("lookup-lookup", "lookup-update", "update-lookup",
             "update-update", "step-lookup", "step-update")
 
 
-def validate_gsd(alg: GsdAlgebra, g_budget: int = 40) -> Dict[str, Verdict]:
+def validate_gsd(alg: GsdAlgebra) -> Dict[str, Verdict]:
     """Each equation's verdict on the algebra's probe set, by name in
     :data:`GSD_LAWS` order: No at its first failing probe, else Unknown
     if a probe could not be decided, else Yes."""
     eq = lambda a, b: as_verdict(alg.equal(a, b))
     gs = [FinFun(alg.states, combo)
           for combo in itertools.islice(itertools.product(alg.samples,
-                                                          repeat=len(alg.states)), g_budget)]
-    fs = list(itertools.islice(itertools.product(gs, repeat=len(alg.states)), g_budget))
+                                                          repeat=len(alg.states)), GSD_PROBES)]
+    fs = list(itertools.islice(itertools.product(gs, repeat=len(alg.states)), GSD_PROBES))
     probes = {
         "lookup-lookup": (eq(alg.lookup(lambda s, f=f: alg.lookup(dict(zip(alg.states, f))[s])),
                              alg.lookup(lambda s, f=f: dict(zip(alg.states, f))[s](s)))
@@ -585,7 +592,7 @@ def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], A
 
 def canonical_gsd(states: Sequence[Any], xs: Sequence[Any], fuel: int) -> GsdAlgebra:
     """The delayed-state carrier as an algebra over itself."""
-    ops = state_monad(states)
+    ops = StateOps(tuple(states))
 
     def lookup(g):
         return DelayedState(FinFun.tabulate(ops.states, lambda s: g(s).run(s)))
@@ -610,18 +617,18 @@ def canonical_gsd(states: Sequence[Any], xs: Sequence[Any], fuel: int) -> GsdAlg
     )
 
 
-def check_gsd(u: TestUniverse, states: Sequence[Any] = (0, 1)) -> LawReport:
+def check_gsd(u: TestUniverse) -> LawReport:
     """Algebra laws of the canonical delayed-state algebra, the
     generator equation of the extension, identity extension, and
     homomorphism behaviour on sampled inputs."""
-    return _run("gsd", "custom:state", u, lambda: _gsd_entries(u, states))
+    return _run("gsd", "custom:state", u, lambda: _gsd_entries(u))
 
 
-def _gsd_entries(u: TestUniverse, states: Sequence[Any]) -> List[LawEntry]:
-    ops = state_monad(states)
+def _gsd_entries(u: TestUniverse) -> List[LawEntry]:
+    ops = StateOps(STATES)
     fuel = u.derived_fuel()
     xs = ("x0",)  # one generator keeps the identity extension readable
-    alg = canonical_gsd(states, xs, fuel)
+    alg = canonical_gsd(STATES, xs, fuel)
     equal = lambda a, b: ops.equal(a, b, fuel)
 
     verdicts = _laws(alg)
@@ -750,9 +757,8 @@ def predicate_family(xs: Sequence[Any], rs: Sequence[Any], fuels: Sequence[int])
     return [PredFn(t, r0, k) for t in fun_space(xs, rs) for r0 in rs for k in fuels]
 
 
-def selection_pack(xs: Sequence[Any], rs: Sequence[Any], pred_fuel: int,
-                   delay_fuel: int) -> MonadPack:
-    preds = predicate_family(xs, rs, (pred_fuel,))
+def selection_pack(xs: Sequence[Any], rs: Sequence[Any]) -> MonadPack:
+    preds = predicate_family(xs, rs, (PRED_FUEL,))
 
     def unit(x):
         return Sel(lambda p: x, lambda: f"always {_short(x)}")
@@ -772,20 +778,20 @@ def selection_pack(xs: Sequence[Any], rs: Sequence[Any], pred_fuel: int,
     return MonadPack("selection", unit, mu, fmap, equal)
 
 
-def check_selection(u: TestUniverse, rs: Sequence[Any] = (0, 1), pred_fuel: int = 2) -> LawReport:
+def check_selection(u: TestUniverse) -> LawReport:
     """Beck axioms for the delayed-selection transformation; selector
     tables are exhaustive, two-level selectors are sampled from constants
     and single-probe branches."""
-    return _run("selection", "custom:selection", u, lambda: _selection_entries(u, rs, pred_fuel))
+    return _run("selection", "custom:selection", u, lambda: _selection_entries(u))
 
 
-def _selection_entries(u: TestUniverse, rs: Sequence[Any], pred_fuel: int) -> List[LawEntry]:
+def _selection_entries(u: TestUniverse) -> List[LawEntry]:
     xs = base_values(u.carrier_size)
-    p_tables = fun_space(xs, rs)
+    p_tables = fun_space(xs, RESULTS)
     _check_space(u, "selector", p_tables, xs)
     fuel = u.derived_fuel()
     S = delay_pack(u.relation, fuel)
-    T = selection_pack(xs, rs, pred_fuel, fuel)
+    T = selection_pack(xs, RESULTS)
     index = pred_index(p_tables, xs)
     sel_tables = [sel_from_table(t, xs, index) for t in fun_space(p_tables, xs)]
     max_steps = min(u.max_steps, 2)
@@ -793,7 +799,7 @@ def _selection_entries(u: TestUniverse, rs: Sequence[Any], pred_fuel: int) -> Li
     two_level = [Sel(lambda q, f=f: f, lambda f=f: f"always {f}") for f in sel_tables[:6]]
     probes = []
     for f0 in sel_tables[:3]:
-        for r0 in rs:
+        for r0 in RESULTS:
             for f1, f2 in itertools.islice(itertools.combinations(sel_tables[:5], 2), 4):
                 probes.append(Sel(lambda q, f0=f0, r0=r0, f1=f1, f2=f2:
                                   f1 if q(f0) == r0 else f2,
@@ -824,10 +830,9 @@ class DelayAlgebra:
 
     carrier: Tuple[Any, ...]
     default: Any
-    fuel: int = 4096
 
     def alg(self, d: Delay):
-        out = force(d, self.fuel)
+        out = force(d, ALGEBRA_FUEL)
         if isinstance(out, Terminated):
             return out.value
         return self.default
@@ -849,17 +854,17 @@ def continuation_step_lift(ralg: DelayAlgebra, xs: Sequence[Any]) -> Callable[[D
     return alg_cx
 
 
-def check_continuation(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
+def check_continuation(u: TestUniverse) -> LawReport:
     """Delay-algebra structure on continuations: unit and step-erasure
     laws, flattening agreement, and recovery of the carrier's algebra by
     instantiating at the identity continuation."""
-    return _run("continuation", "custom:continuation", u, lambda: _continuation_entries(u, rs))
+    return _run("continuation", "custom:continuation", u, lambda: _continuation_entries(u))
 
 
-def _continuation_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
-    _retract_spaces(u, rs)  # the retraction's budget, before the first scan here
+def _continuation_entries(u: TestUniverse) -> List[LawEntry]:
+    _retract_spaces(u)  # the retraction's budget, before the first scan here
     xs = base_values(u.carrier_size)
-    ralg = DelayAlgebra(tuple(rs), rs[0])
+    ralg = DelayAlgebra(RESULTS, RESULTS[0])
     alg_cx = continuation_step_lift(ralg, xs)
     g_tables = fun_space(xs, ralg.carrier)
     c_tables = fun_space(g_tables, ralg.carrier)
@@ -885,17 +890,17 @@ def _continuation_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
 
     # extracting the carrier algebra back out: send each result to the
     # evaluate-here continuation, then apply at the identity table
-    gr_tables = fun_space(rs, ralg.carrier)
-    ident = FinFun.tabulate(rs, lambda r: r)
-    alg_cr = continuation_step_lift(ralg, rs)
+    gr_tables = fun_space(RESULTS, ralg.carrier)
+    ident = FinFun.tabulate(RESULTS, lambda r: r)
+    alg_cr = continuation_step_lift(ralg, RESULTS)
 
     def eval_at(r) -> FinFun:
         return FinFun.tabulate(gr_tables, lambda g: g(r))
 
-    recovery = _scan("CarrierRecovery", delay_values(rs, min(u.max_steps, 3), True),
+    recovery = _scan("CarrierRecovery", delay_values(RESULTS, min(u.max_steps, 3), True),
                      lambda d: alg_cr(dmap(d, eval_at))(ident), ralg.alg,
                      _same, render_delay)
-    return [algebra, recovery] + _retract_entries(u, rs)
+    return [algebra, recovery] + _retract_entries(u)
 
 
 # ---------------------------------------------------------------------------
@@ -950,12 +955,12 @@ def mu_composite(G) -> Sel:
     return Sel(at, lambda: f"muJ∘D({G})")
 
 
-def _retract_spaces(u: TestUniverse, rs: Sequence[Any]):
+def _retract_spaces(u: TestUniverse):
     """The retraction's value domain, predicate tables and delay pool,
     once its table space (every predicate table to a pooled delay) is
     known to fit the case budget."""
     xs = base_values(u.carrier_size)
-    p_tables = tuple(fun_space(xs, rs))
+    p_tables = tuple(fun_space(xs, RESULTS))
     d_pool = delay_values(xs, 2, True)
     _check_space(u, "retraction", p_tables, d_pool)
     return xs, p_tables, d_pool
@@ -1002,7 +1007,7 @@ def mu_square_lhs(ff, ralg: DelayAlgebra, p_tables: Tuple[FinFun, ...], xs: Sequ
     return phi(sel_from_table(FinFun.tabulate(p_tables, mu_delayed_result(ff, ralg)), xs, index))
 
 
-def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
+def retract_check(u: TestUniverse) -> LawReport:
     """The delayed-result selection monad sits inside selection-over-
     delay: one direction after the other is the identity, exhaustively
     over selector tables.  Neither embedding commutes with the two
@@ -1017,12 +1022,12 @@ def retract_check(u: TestUniverse, rs: Sequence[Any] = (0, 1)) -> LawReport:
     so those answers fix every other.  The right side applies its
     predicate to joined delays and takes the lambda path.  A table space
     over the case budget is refused before it is built."""
-    return _run("retract", "custom:continuation", u, lambda: _retract_entries(u, rs))
+    return _run("retract", "custom:continuation", u, lambda: _retract_entries(u))
 
 
-def _retract_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
-    xs, p_tables, d_pool = _retract_spaces(u, rs)
-    ralg = DelayAlgebra(tuple(rs), rs[0])
+def _retract_entries(u: TestUniverse) -> List[LawEntry]:
+    xs, p_tables, d_pool = _retract_spaces(u)
+    ralg = DelayAlgebra(RESULTS, RESULTS[0])
     fuel = u.derived_fuel()
     index = pred_index(p_tables, xs)
 
@@ -1050,8 +1055,8 @@ def _retract_entries(u: TestUniverse, rs: Sequence[Any]) -> List[LawEntry]:
             seen=(render_delay(table.values[j], _short), render_delay(table.values[i], _short)))
 
     # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
-    preds = predicate_family(xs, rs, (0, 1, 2))
-    ffs = mu_square_inputs(xs, rs)
+    preds = predicate_family(xs, RESULTS, (0, 1, 2))
+    ffs = mu_square_inputs(xs, RESULTS)
 
     # both sides of the square as selectors: a case is (i, g) for FF =
     # ffs[i]; the scan builds each side once per FF and asks it every
@@ -1152,55 +1157,38 @@ class SumOps:
         return out
 
 
-def sum_monad(th: Theory) -> SumOps:
-    return SumOps(th)
-
-
-def sum_free_extension(ops: SumOps, model: fm.FiniteModel, step_y: Callable[[Any], Any],
-                       div_y: Any, f: Dict[Any, Any]) -> Callable[[fm.ModelElement], Any]:
+def sum_free_extension(model: fm.FiniteModel, step_y: Callable[[Any], Any], div_y: Any,
+                       f: Dict[Any, Any]) -> Callable[[fm.ModelElement], Any]:
     """Evaluate a guarded tree into any carrier with both structures:
     interpret nodes in the finite model, finished leaves through ``f``,
     guards through ``step_y``."""
-    def ext(e: fm.ModelElement):
-        def leaf_val(leaf):
-            if isinstance(leaf, PureLeaf):
-                return f[leaf.value]
-            if isinstance(leaf, LaterLeaf):
-                return step_y(ext(leaf.tail))
-            return div_y
+    def leaf_val(leaf):
+        if isinstance(leaf, PureLeaf):
+            return f[leaf.value]
+        if isinstance(leaf, LaterLeaf):
+            return step_y(ext(leaf.tail))
+        return div_y
 
-        return _eval_into_model(ops.theory, model, e, leaf_val)
+    def ext(e: fm.ModelElement):
+        return model.eval_payload(fm.representative(e), leaf_val)
 
     return ext
-
-
-def _eval_into_model(th: Theory, model: fm.FiniteModel, e: fm.ModelElement,
-                     leaf_val: Callable[[Any], Any]):
-    rep = fm.representative(e)
-
-    def go(node):
-        if node[0] == "leaf":
-            return leaf_val(node[1])
-        return model.op(node[0], tuple(go(c) for c in node[1:]))
-
-    return go(rep)
 
 
 def _op_rows(elements: Sequence[Any], arity: int, f: Callable) -> Dict[tuple, Any]:
     return {args: f(*args) for args in itertools.product(elements, repeat=arity)}
 
 
-def check_sum(u: TestUniverse, th: Optional[Theory] = None) -> LawReport:
+def check_sum(u: TestUniverse) -> LawReport:
     """Monad laws of the free combination, agreement of the extension
     operator with direct evaluation, failure of a guard-blind alternative
     homomorphism, and guard preservation under bind.  A monad-law space
     over the case budget is refused before its scan."""
-    return _run("sum", "custom:sum", u, lambda: _sum_entries(u, th))
+    return _run("sum", "custom:sum", u, lambda: _sum_entries(u))
 
 
-def _sum_entries(u: TestUniverse, th: Optional[Theory]) -> List[LawEntry]:
-    ops = sum_monad(th or fm.semilattice())
-    th = ops.theory
+def _sum_entries(u: TestUniverse) -> List[LawEntry]:
+    ops = SumOps(fm.semilattice())
     xs = base_values(u.carrier_size)
 
     base = [ops.pure(x) for x in xs]
@@ -1232,13 +1220,18 @@ def _sum_entries(u: TestUniverse, th: Optional[Theory]) -> List[LawEntry]:
         return v  # step-blind carrier; guards observed separately below
 
     f = {x: i + 1 for i, x in enumerate(xs)}
-    ext = sum_free_extension(ops, diamond, step_y, 0, f)
+    ext = sum_free_extension(diamond, step_y, 0, f)
 
     def direct(e: fm.ModelElement):
-        return _eval_into_model(th, diamond, e,
-                                lambda leaf: (f[leaf.value] if isinstance(leaf, PureLeaf)
-                                              else step_y(ext(leaf.tail))
-                                              if isinstance(leaf, LaterLeaf) else 0))
+        # union is bitwise or and empty is 0: the or of f over the finished
+        # leaves reachable through any number of guards
+        out = 0
+        for leaf in fm.values_of(e):
+            if isinstance(leaf, PureLeaf):
+                out |= f[leaf.value]
+            elif isinstance(leaf, LaterLeaf):
+                out |= direct(leaf.tail)
+        return out
 
     entries.append(_scan_kinds("FreeExtension", itertools.chain(
         (("element", e) for e in elements), (("generator", x) for x in xs)), {
@@ -1255,17 +1248,17 @@ def _sum_entries(u: TestUniverse, th: Optional[Theory]) -> List[LawEntry]:
     ct_elems = tuple(range(64))
     counting = fm.finite_model("counting", ct_elems,
                                {"union": _op_rows(ct_elems, 2, max), "empty": {(): 0}})
-    ext_c = sum_free_extension(ops, counting, step_count, 0, fc)
+    ext_c = sum_free_extension(counting, step_count, 0, fc)
+
+    def blind_leaf(leaf):
+        if isinstance(leaf, PureLeaf):
+            return fc[leaf.value]
+        if isinstance(leaf, LaterLeaf):
+            return blind(leaf.tail)  # drops the guard
+        return 0
 
     def blind(e: fm.ModelElement):
-        def leaf_val(leaf):
-            if isinstance(leaf, PureLeaf):
-                return fc[leaf.value]
-            if isinstance(leaf, LaterLeaf):
-                return blind(leaf.tail)  # drops the guard
-            return 0
-
-        return _eval_into_model(th, counting, e, leaf_val)
+        return counting.eval_payload(fm.representative(e), blind_leaf)
 
     uniq_cases = 0
     sep_witness = None
@@ -1297,10 +1290,11 @@ def _sum_entries(u: TestUniverse, th: Optional[Theory]) -> List[LawEntry]:
 # exceptions as a full suite, and the combo dispatcher
 
 
-def check_exceptions(u: TestUniverse, n_exceptions: int = 2) -> LawReport:
-    """The exception transformation as a candidate over its free theory;
-    the whole suite applies since the theory is plain constants."""
-    th = fm.exceptions(n_exceptions)
+def check_exceptions(u: TestUniverse) -> LawReport:
+    """The exception transformation as a candidate over its free theory
+    of two exceptions; the whole suite applies since the theory is plain
+    constants."""
+    th = fm.exceptions(2)
     cand = custom_candidate(th, "custom:exceptions", seq_lift_op)
     return _run("exceptions", cand.name, u, lambda: _suite(th, cand, u))
 

@@ -12,11 +12,12 @@ terms share a representation:
 
 User theories fall back to a term carrier compared by bounded rewriting
 (left-to-right orientation, joinability search), with registered finite
-models available to refute equalities the rewriter cannot join.
-Enumeration deduplicates such a carrier through one index of bounded
-rewrite closures rather than a joinability search per pair.  Only
-theories flagged ``rewrite_complete`` get decisive No answers from
-distinct normal forms.
+models available to refute equalities the rewriter cannot join.  This
+quotient carrier indexes its rules by head operation.  Enumeration
+deduplicates it through one index of bounded rewrite closures rather
+than a joinability search per pair.  A theory flagged
+``rewrite_complete`` makes it canonical: distinct normal forms are
+decisive Nos.  ``leaf`` is reserved: it tags the leaves of term payloads.
 
 Each kind of carrier is one :class:`Carrier` subclass, and ``CARRIERS``
 maps each kind's name to it.  A theory's carrier is built on first use
@@ -32,7 +33,6 @@ its hash and :func:`canon_key` once, when first asked.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -322,10 +322,10 @@ class Carrier:
 
     A carrier is built once per theory and resolves then what is fixed
     per theory: the arity of each operation, and in subclasses the mix
-    weights or whether terms are kept normal.  It builds, combines, walks
-    and prints the payloads of its elements.  ``canonical`` says that
-    distinct payloads are provably distinct, so that equality is decided
-    by payload alone.
+    weights or the rewrite rules.  It builds, combines, walks and prints
+    the payloads of its elements.  ``canonical`` says that distinct
+    payloads are provably distinct, so that equality is decided by payload
+    alone.  Only the quotient carrier has ``rules``.
 
     Each kind implements ``unit(x)``, ``apply_op(op, args)`` (or
     ``_apply(op, arity, args)`` behind the arity check here),
@@ -337,6 +337,7 @@ class Carrier:
 
     kind = ""
     canonical = True
+    rules: Dict[str, Tuple[Tuple[App, Term], ...]] = {}
 
     def __init__(self, th: Theory):
         self.theory = th
@@ -371,12 +372,20 @@ class Carrier:
 
 
 class TreeCarrier(Carrier):
-    """Syntax trees: nodes ``(op, child, ...)``, leaves ``("leaf", value)``."""
+    """Syntax trees: nodes ``(op, child, ...)``, leaves ``("leaf", value)``,
+    so a theory declaring an operation ``leaf`` is refused."""
 
     kind = "tree"
     # brings a node whose children are normal into normal form; None keeps
     # terms as built
     normalise: Optional[Callable[[Any], Any]] = None
+
+    def __init__(self, th: Theory):
+        super().__init__(th)
+        if "leaf" in self.arities:
+            raise TheorySemanticError(
+                f"operation 'leaf' in theory '{th.name}' cannot be a term node: 'leaf' "
+                "tags the values at a term's leaves", "leaf")
 
     def unit(self, x: Any) -> ModelElement:
         return self.element(("leaf", x))
@@ -424,17 +433,7 @@ class TreeCarrier(Carrier):
         return self.element(relabel(m.payload))
 
     def values_of(self, m: ModelElement) -> List[Any]:
-        out: List[Any] = []
-
-        def walk(p):
-            if p[0] == "leaf":
-                out.append(p[1])
-            else:
-                for a in p[1:]:
-                    walk(a)
-
-        walk(m.payload)
-        return out
+        return _leaves(m.payload, [])
 
     def representative(self, m: ModelElement):
         return m.payload
@@ -443,18 +442,30 @@ class TreeCarrier(Carrier):
         return _term_payload_str(m.payload)
 
 
+def _leaves(p, out: List[Any]) -> List[Any]:
+    """``out`` extended by ``p``'s leaf values, left to right, with repeats."""
+    if p[0] == "leaf":
+        out.append(p[1])
+    else:
+        for a in p[1:]:
+            _leaves(a, out)
+    return out
+
+
 class QuotientCarrier(TreeCarrier):
-    """Terms modulo the equations oriented left to right.  A
-    rewrite-complete theory keeps every payload in normal form; otherwise
-    equality is three valued (:func:`model_equal`).  Each equation must
-    be usable as a rule: its left side is not a variable, and its right
-    side uses no variable the left side lacks."""
+    """Terms modulo the equations oriented left to right.  Each equation
+    must be usable as a rule: its left side is not a variable, and its
+    right side uses no variable the left side lacks.  ``rules`` indexes
+    them by the head of their left side, in declaration order.  A
+    ``rewrite_complete`` theory makes the carrier ``canonical``: every
+    payload is kept in normal form.  Otherwise equality is three valued
+    (:func:`model_equal`)."""
 
     kind = "quotient"
-    canonical = False
 
     def __init__(self, th: Theory):
         super().__init__(th)
+        rules: Dict[str, List[Tuple[App, Term]]] = {}
         for eq in th.equations:
             if isinstance(eq.lhs, Var):
                 raise TheorySemanticError(
@@ -466,29 +477,25 @@ class QuotientCarrier(TreeCarrier):
                     raise TheorySemanticError(
                         f"equation '{eq.name}' cannot be rewritten left to right: its "
                         f"right side uses '{v}', which its left side lacks", v)
-        if th.rewrite_complete:
-            self.normalise = functools.partial(_root_fix, th)
+            rules.setdefault(eq.lhs.op, []).append((eq.lhs, eq.rhs))
+        self.rules = {op: tuple(rs) for op, rs in rules.items()}
+        self.canonical = th.rewrite_complete
+        if self.canonical:
+            self.normalise = self._normal_at_root
 
-
-def _root_fix(th: Theory, t):
-    """Rewrite at the root until no rule applies.  Argument payloads must
-    already be in normal form, so rule instantiation rebuilds only the
-    right-hand-side skeleton instead of renormalizing whole terms."""
-    while t[0] != "leaf":
-        for eq in th.equations:
-            b = _match_payload(eq.lhs, t, {})
-            if b is not None:
-                t = _build_normal(th, eq.rhs, b)
-                break
-        else:
-            return t
-    return t
-
-
-def _build_normal(th: Theory, t: Term, binding: dict):
-    if isinstance(t, Var):
-        return binding[t.name]
-    return _root_fix(th, (t.op,) + tuple(_build_normal(th, a, binding) for a in t.args))
+    def _normal_at_root(self, t):
+        """Rewrite at the root until no rule applies.  Argument payloads
+        must already be in normal form, so instantiation normalises only
+        the right-hand-side skeleton instead of whole terms."""
+        rules = self.rules
+        while True:
+            for lhs, rhs in rules.get(t[0], ()):
+                b = _match_payload(lhs, t, {})
+                if b is not None:
+                    t = _instantiate_payload(rhs, b, self.normalise)
+                    break
+            else:
+                return t
 
 
 class ListCarrier(Carrier):
@@ -784,44 +791,61 @@ def representative(m: ModelElement):
 # equality
 
 
-def _match_payload(pattern: Term, p, binding: Optional[dict]) -> Optional[dict]:
-    """Match an equation side against a ground payload term."""
-    if binding is None:
-        return None
+def _match_payload(pattern: Term, p, binding: dict) -> Optional[dict]:
+    """Match an equation side against a ground payload term, extending
+    ``binding`` in place as :func:`delaydist.theory.match` does: the
+    binding, or None.  No pattern is headed ``leaf``."""
     if isinstance(pattern, Var):
-        b = dict(binding)
-        if pattern.name in b:
-            return b if b[pattern.name] == p else None
-        b[pattern.name] = p
-        return b
-    if p[0] == "leaf" or p[0] != pattern.op or len(p) - 1 != len(pattern.args):
+        prev = binding.get(pattern.name)
+        if prev is None:
+            binding[pattern.name] = p
+            return binding
+        return binding if prev == p else None
+    if p[0] != pattern.op or len(p) - 1 != len(pattern.args):
         return None
-    b = binding
     for sub_pattern, sub_p in zip(pattern.args, p[1:]):
-        b = _match_payload(sub_pattern, sub_p, b)
-        if b is None:
+        if _match_payload(sub_pattern, sub_p, binding) is None:
             return None
-    return b
+    return binding
 
 
-def _instantiate_payload(t: Term, binding: dict):
+def _instantiate_payload(t: Term, binding: dict, fix: Optional[Callable[[Any], Any]] = None):
+    """``t`` instantiated by ``binding``, each node built passed through ``fix``."""
     if isinstance(t, Var):
         return binding[t.name]
-    return (t.op,) + tuple(_instantiate_payload(a, binding) for a in t.args)
+    node = (t.op,) + tuple([_instantiate_payload(a, binding, fix) for a in t.args])
+    return fix(node) if fix else node
 
 
 def _rewrite_positions(th: Theory, p) -> List[Any]:
-    """All one-step left-to-right rewrites of a ground payload term."""
+    """All one-step left-to-right rewrites of a ground payload term: at
+    the root by each of the carrier's rules for its operation, in
+    declaration order, then inside each argument, left to right."""
     results = []
-    for eq in th.equations:
-        b = _match_payload(eq.lhs, p, {})
+    if p[0] == "leaf":
+        return results
+    for lhs, rhs in _carrier_of(th).rules.get(p[0], ()):
+        b = _match_payload(lhs, p, {})
         if b is not None:
-            results.append(_instantiate_payload(eq.rhs, b))
-    if p[0] != "leaf":
-        for i, child in enumerate(p[1:]):
-            for r in _rewrite_positions(th, child):
-                results.append(p[:i + 1] + (r,) + p[i + 2:])
+            results.append(_instantiate_payload(rhs, b))
+    for i, child in enumerate(p[1:]):
+        for r in _rewrite_positions(th, child):
+            results.append(p[:i + 1] + (r,) + p[i + 2:])
     return results
+
+
+def _grow(th: Theory, frontier: List[Any], seen: set, stop) -> Optional[List[Any]]:
+    """One breadth-first rewrite level: the new terms one step from
+    ``frontier``, added to ``seen``; None at the first one in ``stop``."""
+    nxt = []
+    for t in frontier:
+        for r in _rewrite_positions(th, t):
+            if r not in seen:
+                if r in stop:
+                    return None
+                seen.add(r)
+                nxt.append(r)
+    return nxt
 
 
 def _reach(th: Theory, p, bound: int) -> set:
@@ -830,15 +854,9 @@ def _reach(th: Theory, p, bound: int) -> set:
     seen = {p}
     frontier = [p]
     for _ in range(bound):
-        nxt = []
-        for t in frontier:
-            for r in _rewrite_positions(th, t):
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        if not nxt:
+        frontier = _grow(th, frontier, seen, ())
+        if not frontier:
             break
-        frontier = nxt
     return seen
 
 
@@ -859,15 +877,9 @@ def _joinable(th: Theory, p1, p2, bound: int) -> bool:
     frontiers = [[p1], [p2]]
     for _ in range(bound):
         for side in (0, 1):
-            mine, other = seen[side], seen[1 - side]
-            nxt = []
-            for t in frontiers[side]:
-                for r in _rewrite_positions(th, t):
-                    if r not in mine:
-                        if r in other:
-                            return True
-                        mine.add(r)
-                        nxt.append(r)
+            nxt = _grow(th, frontiers[side], seen[side], seen[1 - side])
+            if nxt is None:
+                return True
             frontiers[side] = nxt
         if not (frontiers[0] or frontiers[1]):
             break
@@ -891,10 +903,11 @@ class FiniteModel:
                 raise KeyError(f"{name}{args} not in table of model {self.name}")
         raise KeyError(f"model {self.name} has no operation {name}")
 
-    def eval_payload(self, p, valuation: dict):
+    def eval_payload(self, p, leaf: Callable[[Any], Any]):
+        """``p``'s value in this model, each leaf's value given by ``leaf``."""
         if p[0] == "leaf":
-            return valuation[p[1]]
-        return self.op(p[0], tuple(self.eval_payload(a, valuation) for a in p[1:]))
+            return leaf(p[1])
+        return self.op(p[0], tuple([self.eval_payload(a, leaf) for a in p[1:]]))
 
 
 def finite_model(name: str, elements: Sequence[Any], tables: Dict[str, Dict[tuple, Any]]) -> FiniteModel:
@@ -902,21 +915,10 @@ def finite_model(name: str, elements: Sequence[Any], tables: Dict[str, Dict[tupl
     return FiniteModel(name, tuple(elements), packed)
 
 
-def _leaf_values(p, acc: List[Any]):
-    if p[0] == "leaf":
-        if p[1] not in acc:
-            acc.append(p[1])
-    else:
-        for a in p[1:]:
-            _leaf_values(a, acc)
-
-
 def _model_refutes(model: FiniteModel, p1, p2) -> bool:
-    leaves: List[Any] = []
-    _leaf_values(p1, leaves)
-    _leaf_values(p2, leaves)
+    leaves = list(dict.fromkeys(_leaves(p2, _leaves(p1, []))))
     for assignment in itertools.product(model.elements, repeat=len(leaves)):
-        valuation = dict(zip(leaves, assignment))
+        valuation = dict(zip(leaves, assignment)).__getitem__
         if model.eval_payload(p1, valuation) != model.eval_payload(p2, valuation):
             return True
     return False
@@ -926,10 +928,10 @@ def model_equal(th: Theory, a: ModelElement, b: ModelElement,
                 join_bound: int = JOINABILITY_BOUND) -> Verdict:
     """Provable equality in the free model.
 
-    Canonical carriers answer decisively by payload.  Quotient carriers
+    Canonical carriers, the quotient carrier of a rewrite-complete theory
+    among them, answer decisively by payload.  Other quotient carriers
     try bounded joinability (Yes), then registered finite models (No),
-    and otherwise return Unknown; rewrite-complete theories answer No
-    from distinct normal forms.  Joinability grows both payloads' rewrite
+    and otherwise return Unknown.  Joinability grows both payloads' rewrite
     closures in lockstep and stops at their first common term, so a pair
     that joins in a few steps costs a few rewrite levels, however large
     its ``join_bound``-step closures are (:func:`_joinable`).
@@ -938,7 +940,7 @@ def model_equal(th: Theory, a: ModelElement, b: ModelElement,
         raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")
     if a.payload == b.payload:
         return YES
-    if a.carrier.canonical or th.rewrite_complete:
+    if a.carrier.canonical:
         return NO
     if _joinable(th, a.payload, b.payload, join_bound):
         return YES
@@ -975,7 +977,7 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
     # element keeps the hash its membership test computes, for later lookups
     seen: set = set()
     carrier = _carrier_of(th)
-    slow_dedup = not (carrier.canonical or th.rewrite_complete)
+    slow_dedup = not carrier.canonical
     # with no equations every application builds a fresh tree, so the
     # dedup set would only burn time hashing deep tuples
     free_tree = carrier.__class__ is TreeCarrier and not th.equations

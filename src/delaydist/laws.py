@@ -186,8 +186,8 @@ class LawReport:
             "elapsedMs": self.elapsed_ms,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, ensure_ascii=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False)
 
 
 def report_from_json_dict(d: dict) -> LawReport:

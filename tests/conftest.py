@@ -306,10 +306,53 @@ def _reference_dist_merge(parts):
     return tuple(items)
 
 
+def _reference_match(pattern, p, binding):
+    """Match an equation side against a ground payload term, copying the
+    binding at each variable: the new binding, or None."""
+    if binding is None:
+        return None
+    if isinstance(pattern, Var):
+        b = dict(binding)
+        if pattern.name in b:
+            return b if b[pattern.name] == p else None
+        b[pattern.name] = p
+        return b
+    if p[0] == "leaf" or p[0] != pattern.op or len(p) - 1 != len(pattern.args):
+        return None
+    b = binding
+    for sub_pattern, sub_p in zip(pattern.args, p[1:]):
+        b = _reference_match(sub_pattern, sub_p, b)
+        if b is None:
+            return None
+    return b
+
+
+def _reference_instantiate(t, binding):
+    if isinstance(t, Var):
+        return binding[t.name]
+    return (t.op,) + tuple(_reference_instantiate(a, binding) for a in t.args)
+
+
+def reference_rewrite_positions(th, p):
+    """All one-step left-to-right rewrites of a ground payload term: at
+    the root by every equation of the theory, in declaration order, then
+    inside each argument, left to right."""
+    results = []
+    for eq in th.equations:
+        b = _reference_match(eq.lhs, p, {})
+        if b is not None:
+            results.append(_reference_instantiate(eq.rhs, b))
+    if p[0] != "leaf":
+        for i, child in enumerate(p[1:]):
+            for r in reference_rewrite_positions(th, child):
+                results.append(p[:i + 1] + (r,) + p[i + 2:])
+    return results
+
+
 def _reference_root_fix(th, t):
     while t[0] != "leaf":
         for eq in th.equations:
-            b = fm._match_payload(eq.lhs, t, {})
+            b = _reference_match(eq.lhs, t, {})
             if b is not None:
                 t = _reference_build_normal(th, eq.rhs, b)
                 break

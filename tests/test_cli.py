@@ -364,6 +364,23 @@ class TestParserPlumbing:
         assert done.stderr == ""
         assert "MonadLaws              unknown(fuel_spent=1)" in done.stdout
 
+    def test_operation_named_leaf_exits_three(self, tmp_path):
+        # 'leaf' tags the leaves of term payloads, so it cannot also be a
+        # node; classify builds no carrier and still reports the theory
+        f = tmp_path / "leaf.th"
+        f.write_text("op leaf : 1\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "delaydist", "check", str(f),
+                               "--lift", "seq", *FAST_BOUNDS],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: operation 'leaf' in theory 'leaf'")
+        done = subprocess.run([sys.executable, "-m", "delaydist", "classify", str(f)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "op leaf : 1" in done.stdout
+
     def test_runs_as_module(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run([sys.executable, "-m", "delaydist", "classify", "monoid"],

@@ -157,7 +157,7 @@ def test_continuation_scan_stops_at_its_first_failure(monkeypatch):
     # first fails on the first table after one step: 16 tables finished
     # at once pass, then case 17 (no steps) passes and case 18 fails
     def wrong_alg(self, d):
-        out = force(d, self.fuel)
+        out = force(d, combos.ALGEBRA_FUEL)
         if isinstance(out, Terminated):
             return out.value if out.steps == 0 else self.carrier[-1]
         return self.default
@@ -361,7 +361,7 @@ def test_gsd_validation_keeps_unknowns_apart_from_failures():
     assert {law for law, v in verdicts.items() if not v.is_yes} == {"step-lookup",
                                                                     "step-update"}
     assert not any(v.is_no for v in verdicts.values())
-    combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)  # does not raise
+    combos.gsd_extend({"x0": combos.StateOps((0, 1)).unit("x0")}, alg)  # does not raise
 
 
 def test_check_gsd_validates_its_algebra_once(monkeypatch):
@@ -378,7 +378,7 @@ def test_check_gsd_validates_its_algebra_once(monkeypatch):
     alg = combos.canonical_gsd((0, 1), ("x0",), 4)
     calls.clear()
     for _ in range(2):
-        combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)
+        combos.gsd_extend({"x0": combos.StateOps((0, 1)).unit("x0")}, alg)
     assert len(calls) == 1
 
 
@@ -387,7 +387,7 @@ def test_wrong_gsd_algebra_raises():
     alg = dataclasses.replace(combos.canonical_gsd((0, 1), ("x0",), 64),
                               update=lambda y, s: y)
     with pytest.raises(combos.GsdAlgebraError) as err:
-        combos.gsd_extend({"x0": combos.state_monad((0, 1)).unit("x0")}, alg)
+        combos.gsd_extend({"x0": combos.StateOps((0, 1)).unit("x0")}, alg)
     assert "update-lookup" in err.value.failed
     assert all(combos.validate_gsd(alg)[law].is_no for law in err.value.failed)
 
@@ -563,12 +563,12 @@ def test_retract_identity_computes_one_row_map_per_check(monkeypatch):
 
 
 def _to_last(self, d):
-    out = force(d, self.fuel)
+    out = force(d, combos.ALGEBRA_FUEL)
     return self.carrier[-1] if isinstance(out, Terminated) else self.default
 
 
 def _swapped(self, d):
-    out = force(d, self.fuel)
+    out = force(d, combos.ALGEBRA_FUEL)
     return self.carrier[1 - out.value] if isinstance(out, Terminated) else self.default
 
 

@@ -294,6 +294,47 @@ class TestLockstepJoinability:
         assert 0 < calls <= 3
 
 
+class TestRuleIndex:
+    """The quotient carrier tries at each node only the rules headed by
+    its operation; the rewrites and their order are those of trying every
+    equation in declaration order."""
+
+    @pytest.mark.parametrize("name", sorted(JOIN_THEORIES) + ["comm_only"])
+    def test_rewrites_are_the_equation_scan(self, name):
+        th = _comm_only() if name == "comm_only" else parse_theory(JOIN_THEORIES[name])
+        terms = _payloads(th)
+        # a node whose arguments coincide, where a rule like mul(x, x) = x
+        # and another rule for the same operation both apply at the root
+        twins = terms.flatmap(lambda t: st.sampled_from(
+            [(op.name,) + (t,) * op.arity for op in th.signature.ops if op.arity]))
+
+        @settings(max_examples=150, deadline=None)
+        @given(p=st.one_of(terms, twins))
+        def agree(p):
+            assert fm._rewrite_positions(th, p) == ref.reference_rewrite_positions(th, p)
+
+        agree()
+
+    def test_band_tries_its_rules_in_declaration_order(self):
+        th = parse_theory(JOIN_THEORIES["band.th"])
+        ab = ("mul", ("leaf", "a"), ("leaf", "b"))
+        # assoc, then idem, at the root
+        assert fm._rewrite_positions(th, ("mul", ab, ab))[:2] == [
+            ("mul", ("leaf", "a"), ("mul", ("leaf", "b"), ab)), ab]
+
+
+class TestReservedLeaf:
+    """Term payloads tag their leaves ``leaf``, so an operation of that
+    name would build nodes that read as leaves."""
+
+    @pytest.mark.parametrize("oracle", [None, "tree"])
+    def test_an_operation_named_leaf_is_refused(self, oracle):
+        th = dataclasses.replace(parse_theory("theory tagged\nop leaf : 1\n"), oracle=oracle)
+        with pytest.raises(TheorySemanticError, match="operation 'leaf'") as err:
+            fm.unit(th, "a")
+        assert err.value.name == "leaf"
+
+
 # freestanding innermost rewriter used as the quotient-normalization oracle
 def _oracle_normalize(th, p):
     if p[0] == "leaf":
