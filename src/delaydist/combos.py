@@ -26,11 +26,13 @@ A selector built from a table by :func:`sel_from_table` answers a
 predicate from its table: its answers to the predicate tables over its
 value domain, found by the predicate's values on that domain.  ``phi``
 and ``psi`` are plain predicate transformers (the lambda path).  The
-retraction check reads ``psi . phi`` as one row map per check, and
-tabulates the left side of its multiplication square on the predicate
-tables; the multiplications and the witness replays take the lambda
-path.  Table spaces that can outgrow the case budget are counted before
-they are built.
+retraction check reads ``psi . phi`` as one row map per check and each
+of its cases from a table of verdicts on pairs of pooled delays.  Its
+multiplication square tabulates the left side on the predicate tables
+and computes the right side in one bind (:func:`mu_square_rhs`); the
+witness replays and ``check_selection``'s multiplications take the
+lambda path.  Table spaces that can outgrow the case budget are counted
+before they are built.
 """
 
 from __future__ import annotations
@@ -1007,6 +1009,33 @@ def mu_square_lhs(ff, ralg: DelayAlgebra, p_tables: Tuple[FinFun, ...], xs: Sequ
     return phi(sel_from_table(FinFun.tabulate(p_tables, mu_delayed_result(ff, ralg)), xs, index))
 
 
+def mu_square_rhs(ff, p) -> Delay:
+    """MuSquare's right side ``mu_composite(phi(jd_fmap(phi, ff)))``
+    asked ``p``, as one bind: ``bind(ff(λx. p(x(q))), λx. x(q))`` with
+    ``q = probe_now(p)``.
+
+    Write ``G = phi(jd_fmap(phi, ff))``, ``p_dd = p ∘ join``, ``sd`` for
+    :func:`selection_dist` and ``Q(f) = p_dd(f(p_dd))``, so that
+    ``mu_composite(G)(p) = join(sd(G(Q ∘ sd))(p_dd))``.  Using only
+    ``join(Now d) = d`` and the functor laws of ``dmap``:
+
+    1. For a delayed-result selector ``x``, ``phi(x)(p_dd ∘ Now) =
+       x(λz. p(join(Now(Now z)))) = x(q)``.
+    2. ``sd(Now(phi(x)))(p_dd) = Now(phi(x)(p_dd ∘ Now)) = Now(x(q))``, so
+       ``Q(sd(Now(phi(x)))) = p(join(Now(x(q)))) = p(x(q))``.  Hence
+       ``G(Q ∘ sd) = jd_fmap(phi, ff)(λx. Q(sd(Now(x))))`` is
+       ``dmap(ff(λx. p(x(q))), phi)``.
+    3. ``sd`` of that, asked ``p_dd``, maps each ``phi(x)`` to
+       ``phi(x)(p_dd ∘ Now)``: by composition of maps and step 1 it is
+       ``dmap(ff(λx. p(x(q))), λx. x(q))``.
+    4. ``join`` of a ``dmap`` is a ``bind``.
+
+    A MuSquare witness replays through ``mu_composite`` instead, so a
+    replay cross-checks this form."""
+    q = probe_now(p)
+    return bind(ff(lambda x: p(x(q))), lambda x: x(q))
+
+
 def retract_check(u: TestUniverse) -> LawReport:
     """The delayed-result selection monad sits inside selection-over-
     delay: one direction after the other is the identity, exhaustively
@@ -1015,13 +1044,17 @@ def retract_check(u: TestUniverse) -> LawReport:
 
     RetractIdentity computes ``psi . phi``'s row map once
     (:func:`_row_map`) and compares row ``row[i]`` of each table with row
-    ``i``; a No's replay recomputes both sides through ``psi`` and
+    ``i``.  A table picks one pooled delay per predicate table, so each
+    case is read from the verdicts on ordered pairs of pooled delays,
+    computed once per check; the table itself is built only for a No's
+    witness, whose replay recomputes both sides through ``psi`` and
     ``phi``.  MuSquare's left side is tabulated on the predicate tables
     (:func:`mu_square_lhs`): ``phi`` probes a predicate only at
     ``Now(x)`` and ``mu_delayed_result(FF)`` calls it only on the values,
-    so those answers fix every other.  The right side applies its
-    predicate to joined delays and takes the lambda path.  A table space
-    over the case budget is refused before it is built."""
+    so those answers fix every other.  Its right side is one bind
+    (:func:`mu_square_rhs`); a No's replay computes it through
+    ``mu_composite`` instead.  A table space over the case budget is
+    refused before it is built."""
     return _run("retract", "custom:continuation", u, lambda: _retract_entries(u))
 
 
@@ -1032,21 +1065,25 @@ def _retract_entries(u: TestUniverse) -> List[LawEntry]:
     index = pred_index(p_tables, xs)
 
     # psi . phi = id over every table (X -> R) -> D X, read through the
-    # row map; a witness replays through psi and phi
+    # row map: a table is a choice of pooled delay per predicate table,
+    # and its case i compares the delays picked at rows row[i] and i,
+    # decided once per ordered pair of pooled delays.  A witness builds
+    # its table and replays through psi and phi
     rows = tuple(enumerate(_row_map(p_tables, xs, ralg, index)))
-    table = i = j = None
+    same = [[strong_equal(a, b, fuel) for b in d_pool] for a in d_pool]
+    picks = i = j = None
 
     def verdicts():
-        nonlocal table, i, j
-        for table in fun_space(p_tables, d_pool):
-            values = table.values
+        nonlocal picks, i, j
+        for picks in itertools.product(range(len(d_pool)), repeat=len(p_tables)):
             for i, j in rows:
-                yield strong_equal(values[j], values[i], fuel)
+                yield same[picks[j]][picks[i]]
 
     verdict, cases = _fold(verdicts())
     identity = LawEntry("RetractIdentity", verdict, cases)
     if verdict.is_no:
-        p = table.domain[i]
+        table = _table(p_tables, tuple(d_pool[k] for k in picks))
+        p = p_tables[i]
         identity.witness = _replayable(
             f"{table} at {p}",
             lambda table=table, p=p: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
@@ -1054,20 +1091,32 @@ def _retract_entries(u: TestUniverse) -> List[LawEntry]:
             lambda table=table, p=p: render_delay(sel_from_table(table, xs)(p), _short),
             seen=(render_delay(table.values[j], _short), render_delay(table.values[i], _short)))
 
-    # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF)
+    # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF),
+    # over the cases (FF, g) in FF-major order.  The scan builds each
+    # left side once per FF and computes the right side in one bind
+    # (mu_square_rhs); a witness's replay rebuilds both sides from FF,
+    # the right one through mu_composite, so it cross-checks the bind
     preds = predicate_family(xs, RESULTS, (0, 1, 2))
     ffs = mu_square_inputs(xs, RESULTS)
+    ff = g = lhs = rhs = None
 
-    # both sides of the square as selectors: a case is (i, g) for FF =
-    # ffs[i]; the scan builds each side once per FF and asks it every
-    # predicate, and a witness's replay rebuilds both from FF
-    with _memoised(lambda i: mu_square_lhs(ffs[i], ralg, p_tables, xs, index)) as lhs, \
-            _memoised(lambda i: mu_composite(phi(jd_fmap(phi, ffs[i])))) as rhs:
-        square = _scan("MuSquare", itertools.product(range(len(ffs)), preds),
-                       lambda c: lhs(c[0])(c[1]), lambda c: rhs(c[0])(c[1]),
-                       lambda a, b: strong_equal(a, b, fuel),
-                       lambda c: f"{ffs[c[0]]} under {c[1]}", lambda d: render_delay(d, _short))
-    if square.verdict.is_no:
+    def square_verdicts():
+        nonlocal ff, g, lhs, rhs
+        for ff in ffs:
+            left = mu_square_lhs(ff, ralg, p_tables, xs, index)
+            for g in preds:
+                lhs, rhs = left(g), mu_square_rhs(ff, g)
+                yield strong_equal(lhs, rhs, fuel)
+
+    verdict, cases = _fold(square_verdicts())
+    square = LawEntry("MuSquare", verdict, cases)
+    if verdict.is_no:
+        square.witness = _replayable(
+            f"{ff} under {g}",
+            lambda ff=ff, g=g: render_delay(mu_square_lhs(ff, ralg, p_tables, xs, index)(g),
+                                            _short),
+            lambda ff=ff, g=g: render_delay(mu_composite(phi(jd_fmap(phi, ff)))(g), _short),
+            seen=(render_delay(lhs, _short), render_delay(rhs, _short)))
         square.witness.note = "the embedding is not a monad map"
         square.predicted = True
         square.prediction_note = ("the two delayed selection monads multiply differently; "

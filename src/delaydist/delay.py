@@ -114,10 +114,6 @@ def step(tail: Delay) -> Delay:
     return Step(_checked(tail, "step"))
 
 
-def diverge() -> Delay:
-    return DIVERGE
-
-
 def delay_n(n: int, value: Any) -> Delay:
     """step^n(now value)."""
     if n < 0:

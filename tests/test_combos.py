@@ -18,8 +18,8 @@ from conftest import (reference_phi, reference_pred_call, reference_psi,
                       reference_tabulate, writer_steps_preserved)
 from delaydist import combos
 from delaydist import freemodel as fm
-from delaydist.delay import (DIVERGE, YES, Now, Terminated, delay_n, dmap, force, peel,
-                             strong_equal)
+from delaydist.delay import (DIVERGE, NO, YES, Now, Terminated, delay_n, dmap, force, peel,
+                             step_count, strong_equal)
 from delaydist import laws
 from delaydist.laws import LawEntry, Witness, report_from_json_dict
 from delaydist.laws import TestUniverse as Universe
@@ -443,9 +443,11 @@ def test_guard_invariant_walks_each_original_once(monkeypatch):
 def test_mu_square_unknowns_are_not_a_yes(monkeypatch):
     # both multiplications answer every predicate after 2 steps, so under
     # fuel 1 no case is decided: the square is Unknown over all 40 x 24
-    # cases, not a yes
+    # cases, not a yes.  The scan's right side is mu_square_rhs, the
+    # replay's is mu_composite: both answer the same two steps
     constant = lambda *args: combos.Sel(lambda p: delay_n(2, "a"), lambda: "two steps")
     monkeypatch.setattr(combos, "mu_composite", constant)
+    monkeypatch.setattr(combos, "mu_square_rhs", lambda ff, p: delay_n(2, "a"))
     monkeypatch.setattr(combos, "mu_delayed_result", constant)
     e = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1, fuel=1)).entry(
         "MuSquare")
@@ -534,6 +536,51 @@ def test_retract_transformer_runs_once_per_predicate_table(monkeypatch):
     r = combos.retract_check(Universe(carrier_size=2, max_steps=1, max_depth=1))
     assert r.entry("RetractIdentity").cases == 9604
     assert calls[0] == 4  # the 4 predicate tables, not 9,604 cases
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_retract_identity_compares_once_per_pair_of_pooled_delays(monkeypatch, carrier_size):
+    calls = [0]
+    before_square = []
+    compare, inputs = combos.strong_equal, combos.mu_square_inputs
+
+    def counting(*args):
+        calls[0] += 1
+        return compare(*args)
+
+    def square_starts(*args):
+        before_square.append(calls[0])
+        return inputs(*args)
+
+    monkeypatch.setattr(combos, "strong_equal", counting)
+    monkeypatch.setattr(combos, "mu_square_inputs", square_starts)
+    u = Universe(carrier_size=carrier_size, max_steps=1, max_depth=1)
+    r = combos.retract_check(u)
+    assert r.entry("RetractIdentity").cases == (32, 9604)[carrier_size - 1]
+    pool = len(combos.delay_values(combos.base_values(carrier_size), 2, True))
+    assert before_square == [pool ** 2] == [(16, 49)[carrier_size - 1]]  # not one per case
+
+
+def _ordered(x, y, fuel):
+    # an order, not an equality: it tells the two sides of a case apart
+    def rank(d):
+        n = step_count(d)
+        return (float("inf") if n is None else n, str(getattr(d, "value", "")))
+    return YES if rank(x) <= rank(y) else NO
+
+
+def test_retract_identity_puts_the_psi_phi_side_first(monkeypatch):
+    # under a wrong algebra the rows move, so a case compares two different
+    # picks; an order-sensitive comparison shows that the scan compares
+    # psi . phi's delay with the table's, as the reference does
+    import conftest
+    monkeypatch.setattr(combos.DelayAlgebra, "alg", _to_last)
+    monkeypatch.setattr(combos, "strong_equal", _ordered)
+    monkeypatch.setattr(conftest, "strong_equal", _ordered)
+    u = Universe(carrier_size=2, max_steps=1, max_depth=1)
+    e = combos.retract_check(u).entry("RetractIdentity")
+    assert e.verdict.is_no and e.cases == 5
+    assert e == reference_retract_identity(u)
 
 
 def test_phi_and_psi_are_the_plain_transformers():
@@ -751,6 +798,33 @@ def test_mu_square_left_side_matches_the_lambda_path(carrier_size):
         lam = reference_phi(combos.mu_delayed_result(ff, ralg))
         for g in preds:
             assert tabulated(g) == lam(g), (str(ff), str(g))
+
+
+def _outer_shapes(xs, rs):
+    """Two-level selectors answering divergence, two steps, and two-step
+    probing branches, over selector tables that answer different
+    predicates differently: outer shapes MuSquare's inputs lack."""
+    p_tables = combos.fun_space(xs, rs)
+    tables = combos.fun_space(p_tables, combos.delay_values(xs, 2, True))
+    sels = [combos.sel_from_table(t, xs) for t in tables[::max(1, len(tables) // 12)]]
+    ffs = [combos.Sel(lambda q: DIVERGE, lambda: "never")]
+    for f0 in sels:
+        ffs.append(combos.Sel(lambda q, f0=f0: delay_n(2, f0), lambda f0=f0: f"2·step({f0})"))
+    for f0, f1 in zip(sels, sels[1:]):
+        ffs.append(combos.Sel(lambda q, f0=f0, f1=f1: delay_n(2, f1 if q(f0) == rs[0] else f0),
+                              lambda f0=f0, f1=f1: f"2·step(if q({f0}) then {f1} else {f0})"))
+    return ffs
+
+
+@pytest.mark.parametrize("carrier_size", [1, 2])
+def test_mu_square_right_side_matches_the_lambda_path(carrier_size):
+    xs = combos.base_values(carrier_size)
+    rs = (0, 1)
+    preds = combos.predicate_family(xs, rs, (0, 1, 2))
+    for ff in combos.mu_square_inputs(xs, rs) + _outer_shapes(xs, rs):
+        lam = combos.mu_composite(reference_phi(combos.jd_fmap(reference_phi, ff)))
+        for g in preds:
+            assert combos.mu_square_rhs(ff, g) == lam(g), (str(ff), str(g))
 
 
 def test_mu_square_scan_matches_the_lambda_left_side(monkeypatch):
