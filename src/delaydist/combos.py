@@ -30,9 +30,13 @@ retraction check reads ``psi . phi`` as one row map per check and each
 of its cases from a table of verdicts on pairs of pooled delays.  Its
 multiplication square tabulates the left side on the predicate tables
 and computes the right side in one bind (:func:`mu_square_rhs`); the
-witness replays and ``check_selection``'s multiplications take the
-lambda path.  Table spaces that can outgrow the case budget are counted
-before they are built.
+witness replays take the lambda path.  ``check_selection`` reads each
+side of each Beck axiom as an answer vector, its answers to the
+predicates that ``selection_pack``'s ``equal`` asks, from the
+candidate's answers tabulated once per delayed selector table
+(:func:`selection_scans`); a No's witness builds both sides on the
+lambda path.  Table spaces that can outgrow the case budget are
+counted before they are built.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Termi
                     YES, NO, _fold, as_verdict, bind, conjoin, delay_n, dmap, force, join,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
-                   UniverseBudgetError, Witness, base_values, beck_scan, check_kleisli_space,
-                   check_monad_laws_kleisli, delay_pack, delay_values, double_delay_values,
-                   _memoised, _run, _scan, _suite)
+                   UniverseBudgetError, Witness, base_values, beck_scan, beck_sides,
+                   check_kleisli_space, check_monad_laws_kleisli, delay_pack, delay_values,
+                   double_delay_values, _memoised, _run, _scan, _suite)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
@@ -783,19 +787,64 @@ def selection_pack(xs: Sequence[Any], rs: Sequence[Any]) -> MonadPack:
 def check_selection(u: TestUniverse) -> LawReport:
     """Beck axioms for the delayed-selection transformation; selector
     tables are exhaustive, two-level selectors are sampled from constants
-    and single-probe branches."""
+    and single-probe branches.  Each side of each axiom is read as its
+    answer vector (:func:`selection_scans`); a No's witness computes both
+    sides again as selectors (:func:`delaydist.laws.beck_sides`).
+
+    The delays in its inputs take at most ``min(u.max_steps, 2)`` steps,
+    whatever ``u.max_steps`` is: a report at carrier 2 that says
+    ``maxSteps 3`` has 6 UnitT cases, two values at 0, 1 and 2 steps."""
     return _run("selection", "custom:selection", u, lambda: _selection_entries(u))
 
 
+def _render_selection_side(v) -> str:
+    return render_delay(v, _short) if isinstance(v, Delay) else str(v)
+
+
 def _selection_entries(u: TestUniverse) -> List[LawEntry]:
+    scans = selection_scans(u)
+    S = delay_pack(u.relation, u.derived_fuel())
+    T = selection_pack(base_values(u.carrier_size), RESULTS)
+
+    def same(a, b) -> Verdict:
+        # T.equal on two answer vectors: entry by entry, compared in S
+        return conjoin(S.equal(x, y, _eq) for x, y in zip(a, b))
+
+    return [_scan(axiom, inputs, lhs, rhs, same,
+                  _nat_render if axiom == "Naturality" else _short, _render_selection_side,
+                  beck_sides(axiom, S, T, selection_dist))
+            for axiom, (inputs, lhs, rhs) in scans.items()]
+
+
+def selection_scans(u: TestUniverse) -> Dict[str, Tuple[List[Any], Callable, Callable]]:
+    """Each Beck axiom of :func:`selection_dist`: its inputs, and its two
+    sides as functions from an input to an answer vector, the side's
+    answers to the predicates that ``selection_pack``'s ``equal`` asks,
+    in that order.
+
+    A J X value is read as the selector table that answers each predicate
+    table as it does, and a D(J X) value is keyed by its step count
+    (None when it diverges) and that table's position.  The candidate is
+    only ever called, through this module's name: once per key met, on
+    that key's delayed table selector, whose answers to the predicates
+    are tabulated.  MultS's ``z(dmap(M, z))`` and MultT's ``z(M)`` apply
+    it at a nested type, once per case: the inner selectors of the first
+    are the keyed ones, and the predicates that MultT's right side hands
+    the second read the tabulated answers.  Everything else follows from
+    the definitions:
+
+    - a predicate asked at ``Now(x)`` reads its table at ``x``;
+    - ``λy. g(dmap(y, f))`` is the predicate with table ``g.table ∘ f``
+      and ``g``'s default and fuel;
+    - J's ``unit``, ``mu`` and ``fmap`` are computed on tables.
+    """
     xs = base_values(u.carrier_size)
     p_tables = fun_space(xs, RESULTS)
     _check_space(u, "selector", p_tables, xs)
-    fuel = u.derived_fuel()
-    S = delay_pack(u.relation, fuel)
-    T = selection_pack(xs, RESULTS)
-    index = pred_index(p_tables, xs)
-    sel_tables = [sel_from_table(t, xs, index) for t in fun_space(p_tables, xs)]
+    row = pred_index(p_tables, xs)
+    space = fun_space(p_tables, xs)
+    sel_tables = [sel_from_table(t, xs, row) for t in space]
+    preds = predicate_family(xs, RESULTS, (PRED_FUEL,))
     max_steps = min(u.max_steps, 2)
 
     two_level = [Sel(lambda q, f=f: f, lambda f=f: f"always {f}") for f in sel_tables[:6]]
@@ -807,16 +856,107 @@ def _selection_entries(u: TestUniverse) -> List[LawEntry]:
                                   f1 if q(f0) == r0 else f2,
                                   lambda f0=f0, r0=r0, f1=f1, f2=f2:
                                   f"if q({f0})={r0} then {f1} else {f2}"))
-    inputs = {
-        "UnitS": sel_tables,
-        "UnitT": delay_values(xs, max_steps, u.include_diverge),
-        "MultS": double_delay_values(sel_tables[:8], max_steps, u.include_diverge),
-        "MultT": delay_values(two_level + probes, max_steps, u.include_diverge),
-        "Naturality": [(f, d) for f in fun_space(xs, xs)
-                       for d in delay_values(sel_tables[:6], max_steps, u.include_diverge)],
+
+    # selector table i answers predicate table r with vals[i][r]; the
+    # scan's own table selectors are known by identity, any other is
+    # asked the predicate tables
+    vals = [t.values for t in space]
+    table_at = {v: i for i, v in enumerate(vals)}
+    built = {id(s): i for i, s in enumerate(sel_tables)}
+
+    def table_of(s) -> int:
+        i = built.get(id(s))
+        return table_at[tuple([s(t) for t in p_tables])] if i is None else i
+
+    def key(d, table=table_of):
+        if d is DIVERGE:
+            return None
+        return d.steps if isinstance(d, Step) else 0, table(d.value)
+
+    sels: Dict[Any, Sel] = {}
+    answers: Dict[Any, Tuple[Delay, ...]] = {}
+
+    def candidate(k) -> Sel:
+        z = sels.get(k)
+        if z is None:
+            d = DIVERGE if k is None else delay_n(k[0], sel_tables[k[1]])
+            z = sels[k] = selection_dist(d)
+        return z
+
+    def answer(k) -> Tuple[Delay, ...]:
+        a = answers.get(k)
+        if a is None:
+            z = candidate(k)
+            a = answers[k] = tuple([z(g) for g in preds])
+        return a
+
+    # UnitS: fmap(now, t) asks t each predicate at Now(x), its table
+    probe = [row[g.table.values] for g in preds]
+
+    def unit_s_rhs(t):
+        v = vals[table_of(t)]
+        return tuple([Now(v[r]) for r in probe])
+
+    # UnitT: unit(x) is the constant table
+    unit = {x: table_at[(x,) * len(p_tables)] for x in xs}
+
+    def mult_s_rhs(M):
+        G = selection_dist(dmap(M, lambda d: candidate(key(d))))
+        return tuple([join(G(lambda dd, g=g: g(join(dd)))) for g in preds])
+
+    def mu(FF) -> int:
+        def at(r, t):  # J's mu(FF) asked predicate table t: FF(λf. t(f(t)))(t)
+            return vals[table_of(FF(lambda f: t(vals[table_of(f)][r])))][r]
+
+        return table_at[tuple([at(r, t) for r, t in enumerate(p_tables)])]
+
+    def mult_t_rhs(M):
+        # mu(fmap(z, z(M))) asked g: z(z(M)(λy. g(z(y)(g))))(g)
+        zM = selection_dist(M)
+        return tuple([answer(key(zM(lambda y, j=j, g=g: g(answer(key(y))[j]))))[j]
+                      for j, g in enumerate(preds)])
+
+    # Naturality, once per f: the position of λy. g(dmap(y, f)) for each
+    # predicate g, and the row of t ∘ f for each predicate table t, which
+    # fmap(f, s) asks s for t
+    pred_at = {(g.table.values, g.default, g.fuel): j for j, g in enumerate(preds)}
+    precomposed: Dict[FinFun, Tuple[List[int], List[int]]] = {}
+
+    def precompose(f):
+        got = precomposed.get(f)
+        if got is None:
+            got = precomposed[f] = (
+                [pred_at[tuple([g.table(f(x)) for x in xs]), g.default, g.fuel] for g in preds],
+                [row[tuple([t(f(x)) for x in xs])] for t in p_tables])
+        return got
+
+    def nat_lhs(c):
+        f, d = c
+        a = answer(key(d))
+        return tuple([dmap(a[j], f) for j in precompose(f)[0]])
+
+    def nat_rhs(c):
+        f, d = c
+        rows_of = precompose(f)[1]
+
+        def mapped(s) -> int:  # fmap(f, s)
+            v = vals[table_of(s)]
+            return table_at[tuple([f(v[r]) for r in rows_of])]
+
+        return answer(key(d, mapped))
+
+    return {
+        "UnitS": (sel_tables, lambda t: answer((0, table_of(t))), unit_s_rhs),
+        "UnitT": (delay_values(xs, max_steps, u.include_diverge),
+                  lambda s: answer(key(s, unit.__getitem__)), lambda s: (s,) * len(preds)),
+        "MultS": (double_delay_values(sel_tables[:8], max_steps, u.include_diverge),
+                  lambda M: answer(key(join(M))), mult_s_rhs),
+        "MultT": (delay_values(two_level + probes, max_steps, u.include_diverge),
+                  lambda M: answer(key(M, mu)), mult_t_rhs),
+        "Naturality": ([(f, d) for f in fun_space(xs, xs)
+                        for d in delay_values(sel_tables[:6], max_steps, u.include_diverge)],
+                       nat_lhs, nat_rhs),
     }
-    return _beck_entries(S, T, selection_dist, inputs,
-                         lambda d: render_delay(d, _short) if isinstance(d, Delay) else str(d))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ and :func:`bind` all return ``DIVERGE`` for stepⁿ(⊥).  A checker that
 observes delays up to fuel needs nothing lazier than this form.
 
 :func:`dmap`, :func:`join` and the comparisons are direct on this form:
-they read the step count and the value in place, with no closure or peel.
+they read the step count and the value in place, with no closure.
 
 All observations are fuel bounded.  Comparisons are three valued
 (:class:`Verdict`): strong equality counts steps exactly, weak
@@ -132,15 +132,6 @@ def prepend_steps(n: int, d: Delay) -> Delay:
     """stepⁿ(d), as one node; ``DIVERGE`` when ``d`` diverges."""
     _checked(d, "prepend_steps")
     return _fill(_new(Step), n, d) if n > 0 and d is not DIVERGE else d
-
-
-def peel(d: Delay) -> Tuple[int, Delay]:
-    """Split ``d`` into its count of visible steps and its end, a ``Now``
-    or ``DIVERGE``.  It builds a ``Now`` for a ``Step``; the kernels read
-    ``steps`` and ``value`` in place instead."""
-    if isinstance(d, Step):
-        return d.steps, Now(d.value)
-    return 0, d
 
 
 def bind(d: Delay, k: Callable[[Any], Delay]) -> Delay:

@@ -252,10 +252,14 @@ def _scan(axiom: str,
           rhs_fn: Callable[[Any], Any],
           compare: Callable[[Any, Any], Verdict],
           render_input: Callable[[Any], str] = str,
-          render_result: Callable[[Any], str] = str) -> LawEntry:
+          render_result: Callable[[Any], str] = str,
+          witness_sides: Optional[Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = None
+          ) -> LawEntry:
     """Evaluate both sides on every input and compare them, under the
     policy of :func:`_fold`.  A No's witness holds the sides the scan
-    computed, and its replay computes them again."""
+    computed, and its replay computes them again.  ``witness_sides``,
+    where the scan compares another form of the two sides, computes the
+    ones a No's witness holds and replays instead."""
     x = lhs = rhs = None
 
     def verdicts():
@@ -268,6 +272,9 @@ def _scan(axiom: str,
     verdict, cases = _fold(verdicts())
     w = None
     if verdict.is_no:
+        if witness_sides is not None:
+            lhs_fn, rhs_fn = witness_sides
+            lhs, rhs = lhs_fn(x), rhs_fn(x)
         w = Witness(render_input(x), render_result(lhs), render_result(rhs),
                     replay=lambda x=x: (render_result(lhs_fn(x)), render_result(rhs_fn(x))))
     return LawEntry(axiom, verdict, cases, w)
@@ -290,9 +297,17 @@ def beck_scan(axiom: str, S: MonadPack, T: MonadPack, z, inputs, inner_rel,
     Both sides are compared in T, with S values compared inside under
     ``inner_rel``.
     """
+    return _scan(axiom, inputs, *beck_sides(axiom, S, T, z),
+                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
+                 render_input, render_result)
+
+
+def beck_sides(axiom: str, S: MonadPack, T: MonadPack, z) -> Tuple[Callable, Callable]:
+    """The two sides of the Beck axiom named ``axiom`` (see
+    :func:`beck_scan`), each a function of the axiom's input."""
     if axiom not in BECK_AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    lhs, rhs = {
+    return {
         "UnitS": (lambda t: z(S.unit(t)), lambda t: T.fmap(S.unit, t)),
         "UnitT": (lambda s: z(S.fmap(T.unit, s)), lambda s: T.unit(s)),
         "MultS": (lambda M: z(S.mu(M)), lambda M: T.fmap(S.mu, z(S.fmap(z, M)))),
@@ -300,9 +315,6 @@ def beck_scan(axiom: str, S: MonadPack, T: MonadPack, z, inputs, inner_rel,
         "Naturality": (lambda p: T.fmap(lambda s: S.fmap(p[0], s), z(p[1])),
                        lambda p: z(S.fmap(lambda t: T.fmap(p[0], t), p[1]))),
     }[axiom]
-    return _scan(axiom, inputs, lhs, rhs,
-                 lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
-                 render_input, render_result)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_phi, reference_pred_call, reference_psi,
+from conftest import (peel, reference_phi, reference_pred_call, reference_psi,
                       reference_retract_identity, reference_sel, reference_sel_query,
                       reference_tabulate, writer_steps_preserved)
 from delaydist import combos
 from delaydist import freemodel as fm
-from delaydist.delay import (DIVERGE, NO, YES, Now, Terminated, delay_n, dmap, force, peel,
+from delaydist.delay import (DIVERGE, NO, YES, Now, Step, Terminated, delay_n, dmap, force,
                              step_count, strong_equal)
 from delaydist import laws
 from delaydist.laws import LawEntry, Witness, report_from_json_dict
@@ -968,3 +968,117 @@ def test_pred_fn_matches_force(fuel):
     assert p(delay_n(fuel, "b")) == 1
     assert p(delay_n(fuel + 1, "b")) == "other"
     assert p(DIVERGE) == "other"
+
+
+# ---------------------------------------------------------------------------
+# selection's Beck axioms, read as answer vectors, against the lambda path
+# of beck_scan over selection_pack
+
+
+SELECTION_UNIVERSES = [Universe(carrier_size=c, max_steps=2, max_depth=1, relation=rel,
+                                include_diverge=div)
+                       for c in (1, 2) for rel in ("strict", "weak") for div in (False, True)]
+
+
+def _selection_packs(u):
+    xs = combos.base_values(u.carrier_size)
+    return (laws.delay_pack(u.relation, u.derived_fuel()),
+            combos.selection_pack(xs, combos.RESULTS),
+            combos.predicate_family(xs, combos.RESULTS, (combos.PRED_FUEL,)))
+
+
+def _lambda_selection_entries(u, z):
+    """Plain beck_scan over selection_pack, with ``z`` for the candidate,
+    on the inputs the table scans read."""
+    S, T, _ = _selection_packs(u)
+    return [laws.beck_scan(axiom, S, T, z, inputs, combos._eq,
+                           combos._nat_render if axiom == "Naturality" else combos._short,
+                           combos._render_selection_side)
+            for axiom, (inputs, _, _) in combos.selection_scans(u).items()]
+
+
+@pytest.mark.parametrize("u", SELECTION_UNIVERSES,
+                         ids=lambda u: f"c{u.carrier_size}-{u.relation}-div{u.include_diverge:d}")
+def test_selection_answer_vectors_match_the_lambda_path(u):
+    S, T, preds = _selection_packs(u)
+    scans = combos.selection_scans(u)
+    assert tuple(scans) == laws.BECK_AXIOMS
+    for axiom, (inputs, lhs, rhs) in scans.items():
+        lam_lhs, lam_rhs = laws.beck_sides(axiom, S, T, combos.selection_dist)
+        for x in inputs:
+            assert lhs(x) == tuple(map(lam_lhs(x), preds)), (axiom, combos._short(x))
+            assert rhs(x) == tuple(map(lam_rhs(x), preds)), (axiom, combos._short(x))
+    assert combos.check_selection(u).entries == _lambda_selection_entries(u, combos.selection_dist)
+
+
+def _drop_steps(d):
+    """Forces the delay and drops its steps."""
+    return combos.Sel(lambda g: d if d is DIVERGE else Now(d.value(lambda x: g(Now(x)))),
+                      lambda: f"drop({d})")
+
+
+def _add_step(d):
+    """Adds a step in front of the right answer."""
+    return combos.Sel(lambda g: Step(dmap(d, lambda f: f(lambda x: g(Now(x))))),
+                      lambda: f"add({d})")
+
+
+def _late_probe(d):
+    """Probes with ``delay_n(3, x)`` instead of ``Now(x)``."""
+    return combos.Sel(lambda g: dmap(d, lambda f: f(lambda x: g(delay_n(3, x)))),
+                      lambda: f"late({d})")
+
+
+def _rewrapped(d):
+    """The right answer, with each selector it picks wrapped in a new one:
+    the scans then find those selectors' tables by asking them."""
+    def wrap(v):
+        return combos.Sel(lambda p: v(p), lambda: f"wrap({v})") if isinstance(v, combos.Sel) else v
+
+    return combos.Sel(lambda g: dmap(d, lambda f: wrap(f(lambda x: g(Now(x))))),
+                      lambda: f"rewrapped({d})")
+
+
+@pytest.mark.parametrize("wrong,nos", [
+    (_drop_steps, {"UnitT": 3}),
+    (_add_step, {"UnitS": 1, "UnitT": 1, "MultS": 1, "MultT": 1}),
+    (_late_probe, {"UnitS": 2}),
+    (_rewrapped, {}),
+])
+def test_selection_under_a_wrong_candidate_matches_a_plain_beck_scan(monkeypatch, wrong, nos):
+    # the scans reach the candidate only by calling it: a patched one
+    # gives the lambda path's entries, witnesses and replays included
+    u = Universe()
+    monkeypatch.setattr(combos, "selection_dist", wrong)
+    got = combos.check_selection(u).entries
+    ref = _lambda_selection_entries(u, wrong)
+    assert got == ref
+    assert {e.axiom: e.cases for e in got if e.verdict.is_no} == nos
+    for e, r in zip(got, ref):
+        if e.witness is not None:
+            assert e.witness.replay() == r.witness.replay() == (e.witness.lhs_render,
+                                                                e.witness.rhs_render)
+
+
+@pytest.mark.parametrize("include_diverge", [False, True])
+def test_selection_calls_the_candidate_once_per_key_and_nested_case(monkeypatch,
+                                                                     include_diverge):
+    # a delayed selector table is a key, and so is divergence; MultS and
+    # MultT apply the candidate at a nested type, to delayed candidate
+    # answers and to delayed two-level selectors, once per case (their
+    # divergent inputs included)
+    u = Universe(include_diverge=include_diverge)
+    calls = []
+    real = combos.selection_dist
+
+    def spy(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(combos, "selection_dist", spy)
+    r = combos.check_selection(u)
+    keyed = [combos._short(d) for d in calls
+             if d is not DIVERGE and str(d.value).startswith("[[")]
+    assert len(keyed) == len(set(keyed))
+    assert (len(calls) - len(keyed)
+            == r.entry("MultS").cases + r.entry("MultT").cases + include_diverge)

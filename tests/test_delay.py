@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Delay, Now, Step,
                              Terminated, _verdict_from_steps, bind, delay_n, dmap, force,
-                             join, now, peel, prepend_steps, render_delay, resolve, step,
+                             join, now, prepend_steps, render_delay, resolve, step,
                              step_count, strong_equal, unknown, weak_bisim)
 from delaydist.freemodel import canon_key
 
-from conftest import (reference_canon_key, reference_dmap, reference_join,
+from conftest import (peel, reference_canon_key, reference_dmap, reference_join,
                       reference_strong_equal, reference_weak_bisim)
 
 VALUES = ("a", "b", "c")
@@ -561,8 +561,8 @@ def test_divergence_keeps_its_identity_through_copies():
 
 
 class TestNodeContracts:
-    """``peel``, ``Step(tail)``, ``Step.tail`` and ``resolve``, which
-    callers outside the kernels step through delays with."""
+    """``Step(tail)``, ``Step.tail`` and ``resolve``, which callers
+    outside the kernels step through delays with, and the tests' ``peel``."""
 
     @pytest.mark.parametrize("n", range(4))
     def test_peel_splits_off_an_end(self, n):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import conftest
 from delaydist import freemodel as fm
 from delaydist import laws, lifting
-from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, conjoin, delay_n, now, peel,
+from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, conjoin, delay_n, now,
                              prepend_steps, strong_equal, unknown)
 from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
@@ -25,7 +25,7 @@ from delaydist.lifting import DistLawCandidate, induced_candidate, par_lift_op, 
 from delaydist.nogo import idempotent_unary_theory, step_absorbing_lift
 from delaydist.theory import App, Equation, TheorySemanticError, Var, free_vars, parse_theory
 
-from conftest import reference_equation_preservation, reference_monad_laws_kleisli
+from conftest import peel, reference_equation_preservation, reference_monad_laws_kleisli
 
 THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
 THEORY_FILES = sorted(THEORY_DIR.glob("*.th"))

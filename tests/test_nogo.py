@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ReferencePathError, reference_at, reference_instantiate, reference_match,
-                      reference_replace, tuple_term)
+from conftest import (ReferencePathError, peel, reference_at, reference_instantiate,
+                      reference_match, reference_replace, tuple_term)
 from delaydist import nogo
-from delaydist.delay import (DIVERGE, Now, Step, peel, prepend_steps, step_count, strong_equal,
+from delaydist.delay import (DIVERGE, Now, Step, prepend_steps, step_count, strong_equal,
                              weak_bisim)
 from delaydist.laws import TestUniverse as Universe
 from delaydist import freemodel as fm
