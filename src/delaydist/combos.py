@@ -1333,17 +1333,18 @@ class SumOps:
 
     def guard_depths(self, e: fm.ModelElement) -> List[int]:
         """Number of guards above each finished or divergent leaf."""
-        out: List[int] = []
+        return _guard_depths(e, 0, [])
 
-        def walk(m: fm.ModelElement, depth: int):
-            for leaf in fm.values_of(m):
-                if isinstance(leaf, LaterLeaf):
-                    walk(leaf.tail, depth + 1)
-                else:
-                    out.append(depth)
 
-        walk(e, 0)
-        return out
+def _guard_depths(m: fm.ModelElement, depth: int, out: List[int]) -> List[int]:
+    """``out`` extended by the guard count above each finished or divergent
+    leaf of ``m``, which sits under ``depth`` guards, left to right."""
+    for leaf in fm.values_of(m):
+        if isinstance(leaf, LaterLeaf):
+            _guard_depths(leaf.tail, depth + 1, out)
+        else:
+            out.append(depth)
+    return out
 
 
 def sum_free_extension(model: fm.FiniteModel, step_y: Callable[[Any], Any], div_y: Any,
@@ -1351,17 +1352,40 @@ def sum_free_extension(model: fm.FiniteModel, step_y: Callable[[Any], Any], div_
     """Evaluate a guarded tree into any carrier with both structures:
     interpret nodes in the finite model, finished leaves through ``f``,
     guards through ``step_y``."""
-    def leaf_val(leaf):
+    return _SumExtension(model, step_y, div_y, f)
+
+
+@dataclass(frozen=True, eq=False)
+class _SumExtension:
+    """The extension of :func:`sum_free_extension`, as a callable."""
+
+    model: fm.FiniteModel
+    step_y: Callable[[Any], Any]
+    div_y: Any
+    f: Dict[Any, Any]
+
+    def __call__(self, e: fm.ModelElement):
+        return self.model.eval_payload(fm.representative(e), self._leaf)
+
+    def _leaf(self, leaf):
         if isinstance(leaf, PureLeaf):
-            return f[leaf.value]
+            return self.f[leaf.value]
         if isinstance(leaf, LaterLeaf):
-            return step_y(ext(leaf.tail))
-        return div_y
+            return self.step_y(self(leaf.tail))
+        return self.div_y
 
-    def ext(e: fm.ModelElement):
-        return model.eval_payload(fm.representative(e), leaf_val)
 
-    return ext
+def _or_of_finished(e: fm.ModelElement, f: Dict[Any, int]) -> int:
+    """The bitwise or of ``f`` over the finished leaves of ``e`` reachable
+    through any number of guards: ``e`` evaluated directly in the diamond
+    join model, whose union is bitwise or and whose empty is 0."""
+    out = 0
+    for leaf in fm.values_of(e):
+        if isinstance(leaf, PureLeaf):
+            out |= f[leaf.value]
+        elif isinstance(leaf, LaterLeaf):
+            out |= _or_of_finished(leaf.tail, f)
+    return out
 
 
 def _op_rows(elements: Sequence[Any], arity: int, f: Callable) -> Dict[tuple, Any]:
@@ -1411,20 +1435,9 @@ def _sum_entries(u: TestUniverse) -> List[LawEntry]:
     f = {x: i + 1 for i, x in enumerate(xs)}
     ext = sum_free_extension(diamond, step_y, 0, f)
 
-    def direct(e: fm.ModelElement):
-        # union is bitwise or and empty is 0: the or of f over the finished
-        # leaves reachable through any number of guards
-        out = 0
-        for leaf in fm.values_of(e):
-            if isinstance(leaf, PureLeaf):
-                out |= f[leaf.value]
-            elif isinstance(leaf, LaterLeaf):
-                out |= direct(leaf.tail)
-        return out
-
     entries.append(_scan_kinds("FreeExtension", itertools.chain(
         (("element", e) for e in elements), (("generator", x) for x in xs)), {
-        "element": (fm.value_str, ext, direct),
+        "element": (fm.value_str, ext, lambda e: _or_of_finished(e, f)),
         "generator": (lambda x: f"generator {x}", lambda x: ext(ops.pure(x)), f.__getitem__),
     }, _same))
 
@@ -1438,16 +1451,8 @@ def _sum_entries(u: TestUniverse) -> List[LawEntry]:
     counting = fm.finite_model("counting", ct_elems,
                                {"union": _op_rows(ct_elems, 2, max), "empty": {(): 0}})
     ext_c = sum_free_extension(counting, step_count, 0, fc)
-
-    def blind_leaf(leaf):
-        if isinstance(leaf, PureLeaf):
-            return fc[leaf.value]
-        if isinstance(leaf, LaterLeaf):
-            return blind(leaf.tail)  # drops the guard
-        return 0
-
-    def blind(e: fm.ModelElement):
-        return counting.eval_payload(fm.representative(e), blind_leaf)
+    # the same evaluation with every guard dropped
+    blind = _SumExtension(counting, step_y, 0, fc)
 
     uniq_cases = 0
     sep_witness = None

@@ -396,41 +396,10 @@ class TreeCarrier(Carrier):
         return self.element(self.normalise(payload) if self.normalise else payload)
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
-        fix = self.normalise
-
-        def graft(p):
-            op = p[0]
-            if op == "leaf":
-                return k(p[1]).payload
-            if len(p) == 3:
-                out = (op, graft(p[1]), graft(p[2]))
-            elif len(p) == 2:
-                out = (op, graft(p[1]))
-            else:
-                out = (op, *[graft(a) for a in p[1:]])
-            # grafted subtrees are normal, so fixing each node on the way
-            # up keeps the whole payload normal
-            return fix(out) if fix else out
-
-        return self.element(graft(m.payload))
+        return self.element(_graft(m.payload, k, self.normalise))
 
     def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
-        fix = self.normalise
-
-        def relabel(p):
-            op = p[0]
-            if op == "leaf":
-                return ("leaf", f(p[1]))
-            if len(p) == 3:
-                out = (op, relabel(p[1]), relabel(p[2]))
-            elif len(p) == 2:
-                out = (op, relabel(p[1]))
-            else:
-                out = (op, *[relabel(a) for a in p[1:]])
-            # as in free_bind: a merged pair of leaves may make a redex
-            return fix(out) if fix else out
-
-        return self.element(relabel(m.payload))
+        return self.element(_relabel(m.payload, f, self.normalise))
 
     def values_of(self, m: ModelElement) -> List[Any]:
         return _leaves(m.payload, [])
@@ -440,6 +409,39 @@ class TreeCarrier(Carrier):
 
     def render(self, m: ModelElement) -> str:
         return _term_payload_str(m.payload)
+
+
+def _graft(p, k: Callable[[Any], ModelElement], fix: Optional[Callable[[Any], Any]]):
+    """The payload ``p`` with each leaf replaced by the payload of ``k``
+    at its value, each node built passed through ``fix`` (when given)."""
+    op = p[0]
+    if op == "leaf":
+        return k(p[1]).payload
+    if len(p) == 3:
+        out = (op, _graft(p[1], k, fix), _graft(p[2], k, fix))
+    elif len(p) == 2:
+        out = (op, _graft(p[1], k, fix))
+    else:
+        out = (op, *[_graft(a, k, fix) for a in p[1:]])
+    # grafted subtrees are normal, so fixing each node on the way up keeps
+    # the whole payload normal
+    return fix(out) if fix else out
+
+
+def _relabel(p, f: Callable[[Any], Any], fix: Optional[Callable[[Any], Any]]):
+    """The payload ``p`` with ``f`` applied to each leaf's value, each node
+    built passed through ``fix`` (when given)."""
+    op = p[0]
+    if op == "leaf":
+        return ("leaf", f(p[1]))
+    if len(p) == 3:
+        out = (op, _relabel(p[1], f, fix), _relabel(p[2], f, fix))
+    elif len(p) == 2:
+        out = (op, _relabel(p[1], f, fix))
+    else:
+        out = (op, *[_relabel(a, f, fix) for a in p[1:]])
+    # as in _graft: a merged pair of leaves may make a redex
+    return fix(out) if fix else out
 
 
 def _leaves(p, out: List[Any]) -> List[Any]:
@@ -1016,15 +1018,25 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
         for op in th.signature.ops:
             if op.arity == 0:
                 continue
-            for idxs in itertools.product(range(len(snapshot)), repeat=op.arity):
-                if all(i < stale for i in idxs):
-                    continue
+            for idxs in _fresh_index_tuples(len(snapshot), stale, op.arity):
                 m = apply_op(th, op.name, [snapshot[i] for i in idxs])
                 if add(m):
                     yield m
         stale = len(snapshot)
         if len(elems) == before:
             break
+
+
+def _fresh_index_tuples(n: int, stale: int, arity: int) -> Iterator[tuple]:
+    """The ``arity``-tuples over ``range(n)`` with some index at least
+    ``stale``, in ``itertools.product`` order: first those whose head is
+    below ``stale``, followed by a fresh tail, then every tuple whose head
+    is ``stale`` or more.  ``arity`` is positive."""
+    if arity == 1:
+        return zip(range(stale, n))
+    older = ((i, *tail) for i in range(stale)
+             for tail in _fresh_index_tuples(n, stale, arity - 1))
+    return itertools.chain(older, itertools.product(range(stale, n), *[range(n)] * (arity - 1)))
 
 
 def enumerate_elements(th: Theory, generators: Sequence[Any], max_depth: int,

@@ -284,7 +284,7 @@ BECK_AXIOMS = ("UnitS", "UnitT", "MultS", "MultT", "Naturality")
 
 
 def beck_scan(axiom: str, S: MonadPack, T: MonadPack, z, inputs, inner_rel,
-              render_input=str, render_result=str) -> LawEntry:
+              render_input=str, render_result=str, apply=None) -> LawEntry:
     """One Beck axiom for ``z : S(T X) -> T(S X)``, chosen by name:
 
     - UnitS: ``z(unit_S(t)) = fmap_T(unit_S)(t)`` for t in T X;
@@ -295,23 +295,32 @@ def beck_scan(axiom: str, S: MonadPack, T: MonadPack, z, inputs, inner_rel,
       after ``z`` and the one taken before.
 
     Both sides are compared in T, with S values compared inside under
-    ``inner_rel``.
+    ``inner_rel``.  ``apply`` is the candidate MultT's right side applies
+    to the input itself (see :func:`beck_sides`).
     """
-    return _scan(axiom, inputs, *beck_sides(axiom, S, T, z),
+    return _scan(axiom, inputs, *beck_sides(axiom, S, T, z, apply),
                  lambda a, b: T.equal(a, b, lambda s1, s2: S.equal(s1, s2, inner_rel)),
                  render_input, render_result)
 
 
-def beck_sides(axiom: str, S: MonadPack, T: MonadPack, z) -> Tuple[Callable, Callable]:
+def beck_sides(axiom: str, S: MonadPack, T: MonadPack, z,
+               apply=None) -> Tuple[Callable, Callable]:
     """The two sides of the Beck axiom named ``axiom`` (see
-    :func:`beck_scan`), each a function of the axiom's input."""
+    :func:`beck_scan`), each a function of the axiom's input.
+
+    MultT's right side applies ``apply`` (by default ``z``) to the input
+    ``M`` and ``z`` to what that gives.  ``apply`` must be the same
+    candidate as ``z``; it lets a memoised ``z`` skip the inputs of the
+    scan itself, each of which it would see once."""
     if axiom not in BECK_AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
+    if apply is None:
+        apply = z
     return {
         "UnitS": (lambda t: z(S.unit(t)), lambda t: T.fmap(S.unit, t)),
         "UnitT": (lambda s: z(S.fmap(T.unit, s)), lambda s: T.unit(s)),
         "MultS": (lambda M: z(S.mu(M)), lambda M: T.fmap(S.mu, z(S.fmap(z, M)))),
-        "MultT": (lambda M: z(S.fmap(T.mu, M)), lambda M: T.mu(T.fmap(z, z(M)))),
+        "MultT": (lambda M: z(S.fmap(T.mu, M)), lambda M: T.mu(T.fmap(z, apply(M)))),
         "Naturality": (lambda p: T.fmap(lambda s: S.fmap(p[0], s), z(p[1])),
                        lambda p: z(S.fmap(lambda t: T.fmap(p[0], t), p[1]))),
     }[axiom]
@@ -412,6 +421,8 @@ def _render_dt(d: Delay) -> str:
 def _memoised(apply: Callable[[Any], Any]) -> Iterator[Callable[[Any], Any]]:
     """``apply`` memoised by (hashable) input while the ``with`` block runs.
 
+    Every call stores its input, so a memo pays off only on inputs that
+    recur; a lookup of a freshly built element hashes its payload once.
     An input whose ``apply`` raises is not stored, so it raises again.
     On leaving the block the cache is emptied, and later calls go to
     ``apply`` without storing anything.
@@ -448,9 +459,14 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
     :func:`check_composite_monad_laws`.  The key is exact: an element's
     equality and hash are its carrier kind and canonical payload, which is
     all that a distribution reads, and its theory is the candidate's own.
-    So verdicts, case counts and witnesses are those of calling
-    ``cand.apply`` every time, and a witness's replay recomputes through
-    ``cand.apply`` rather than reading cached results.
+    MultT's right side ``μ(D(z)(z(M)))`` calls ``cand.apply`` on the
+    input ``M`` itself, bypassing the memo: the universe holds each input
+    once, so storing them would only hold memory.  Only an input whose
+    values all diverge, or that has none, is also a left-side input, and
+    it is then distributed once more.  So verdicts, case counts and
+    witnesses are those of calling ``cand.apply`` every time, and a
+    witness's replay recomputes through ``cand.apply`` rather than reading
+    cached results.
 
     EquationPreservation gets the lifting the way :func:`lift_term` takes
     it: an induced candidate's "seq" or "par", a custom candidate's
@@ -471,7 +487,7 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
         # the universe is built lazily, so beck_scan rejects an unknown
         # axiom before any input is enumerated
         return beck_scan(axiom, S, T, z, iter_universe(th, u, BECK_SHAPES.get(axiom)), None,
-                         fm.value_str, _render_dt)
+                         fm.value_str, _render_dt, cand.apply)
 
 
 

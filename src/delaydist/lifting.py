@@ -106,16 +106,19 @@ def lift_term(t: Term, env: Dict[str, Delay], mode, th: Theory) -> Delay:
     lifter = _lifter(mode)
     # a custom lifting's results are checked where they are used
     name = None if isinstance(mode, str) else getattr(mode, "__name__", repr(mode))
+    return _lift_term(t, env, lifter, name, th)
 
-    def go(t: Term) -> Delay:
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise TheorySemanticError(f"unbound variable '{t.name}'", t.name)
-            return env[t.name]
-        out = lifter(t.op, [go(a) for a in t.args], th)
-        return out if name is None else _lifted(out, name, t.op)
 
-    return go(t)
+def _lift_term(t: Term, env: Dict[str, Delay], lifter: OpLifter, name: Optional[str],
+               th: Theory) -> Delay:
+    """:func:`lift_term` with the lifting resolved: ``lifter`` at every
+    node, its result checked to be a Delay when ``name`` is given."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise TheorySemanticError(f"unbound variable '{t.name}'", t.name)
+        return env[t.name]
+    out = lifter(t.op, [_lift_term(a, env, lifter, name, th) for a in t.args], th)
+    return out if name is None else _lifted(out, name, t.op)
 
 
 def _lifted(out, lifting: str, op: str) -> Delay:
@@ -248,14 +251,17 @@ class DistLawCandidate:
                 return DIVERGE if out is DIVERGE else delay_n(out[0], carrier.element(out[1]))
             if m.carrier.__class__ is carrier.__class__:
                 return _distribute_values(m, carrier, total)
+        return _lift_representative(fm.representative(m), self.lift_op, self.name, th)
 
-        def go(node) -> Delay:
-            if node[0] == "leaf":
-                return dmap(_leaf_delay(node[1]), lambda v: fm.unit(th, v))
-            args = [go(child) for child in node[1:]]
-            return _lifted(self.lift_op(node[0], args, th), self.name, node[0])
 
-        return go(fm.representative(m))
+def _lift_representative(node, lift_op: OpLifter, name: str, th: Theory) -> Delay:
+    """A representative term over delays interpreted with ``lift_op`` at
+    every node, each result checked to be a Delay; a leaf gives its delay
+    of the unit element."""
+    if node[0] == "leaf":
+        return dmap(_leaf_delay(node[1]), lambda v: fm.unit(th, v))
+    args = [_lift_representative(child, lift_op, name, th) for child in node[1:]]
+    return _lifted(lift_op(node[0], args, th), name, node[0])
 
 
 def _distribute_values(m: fm.ModelElement, carrier: fm.Carrier,

@@ -54,33 +54,33 @@ def term_str(t: Term) -> str:
 
 def free_vars(t: Term) -> List[str]:
     """Variable names in order of first occurrence."""
-    out: List[str] = []
-    seen = set()
+    return _first_occurrences(t, set(), [])
 
-    def walk(u: Term):
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                out.append(u.name)
-        else:
-            for a in u.args:
-                walk(a)
 
-    walk(t)
+def _first_occurrences(t: Term, seen: set, out: List[str]) -> List[str]:
+    """``out`` extended by the variable names of ``t`` not in ``seen``, in
+    order of first occurrence; ``seen`` is extended by them too."""
+    if isinstance(t, Var):
+        if t.name not in seen:
+            seen.add(t.name)
+            out.append(t.name)
+    else:
+        for a in t.args:
+            _first_occurrences(a, seen, out)
     return out
 
 
 def var_counts(t: Term) -> Counter:
-    c: Counter = Counter()
+    return _count_vars(t, Counter())
 
-    def walk(u: Term):
-        if isinstance(u, Var):
-            c[u.name] += 1
-        else:
-            for a in u.args:
-                walk(a)
 
-    walk(t)
+def _count_vars(t: Term, c: Counter) -> Counter:
+    """``c`` with each variable occurrence of ``t`` counted."""
+    if isinstance(t, Var):
+        c[t.name] += 1
+    else:
+        for a in t.args:
+            _count_vars(a, c)
     return c
 
 
@@ -210,6 +210,24 @@ class Theory:
         return self.signature.name
 
 
+def _check_term(sig: Signature, t: Term, eq_name: str) -> None:
+    """Refuse an operation of ``t`` that ``sig`` does not declare, or
+    applies to the wrong number of arguments, outermost and leftmost
+    first."""
+    if isinstance(t, Var):
+        return
+    arity = sig.arity(t.op)
+    if arity is None:
+        raise TheorySemanticError(
+            f"equation '{eq_name}' uses undeclared operation '{t.op}'", t.op)
+    if arity != len(t.args):
+        raise TheorySemanticError(
+            f"equation '{eq_name}': '{t.op}' expects {arity} arguments, got {len(t.args)}",
+            t.op)
+    for a in t.args:
+        _check_term(sig, a, eq_name)
+
+
 def make_equation(name: str, lhs: Term, rhs: Term) -> Equation:
     ctx = free_vars(lhs)
     for v in free_vars(rhs):
@@ -227,27 +245,13 @@ def validate_theory(th: Theory) -> None:
             raise TheorySemanticError(f"negative arity for '{op.name}'", op.name)
         seen.add(op.name)
 
-    def check_term(t: Term, eq_name: str):
-        if isinstance(t, Var):
-            return
-        arity = th.signature.arity(t.op)
-        if arity is None:
-            raise TheorySemanticError(
-                f"equation '{eq_name}' uses undeclared operation '{t.op}'", t.op)
-        if arity != len(t.args):
-            raise TheorySemanticError(
-                f"equation '{eq_name}': '{t.op}' expects {arity} arguments, got {len(t.args)}",
-                t.op)
-        for a in t.args:
-            check_term(a, eq_name)
-
     eq_names = set()
     for eq in th.equations:
         if eq.name in eq_names:
             raise TheorySemanticError(f"duplicate equation name '{eq.name}'", eq.name)
         eq_names.add(eq.name)
-        check_term(eq.lhs, eq.name)
-        check_term(eq.rhs, eq.name)
+        _check_term(th.signature, eq.lhs, eq.name)
+        _check_term(th.signature, eq.rhs, eq.name)
         used = set(free_vars(eq.lhs)) | set(free_vars(eq.rhs))
         if used - set(eq.context):
             missing = sorted(used - set(eq.context))[0]

@@ -5,6 +5,7 @@ pairing is the documented negative (its composite multiplication square
 fails) and everything else passes at the default bounds."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import pickle
@@ -438,6 +439,24 @@ def test_guard_invariant_walks_each_original_once(monkeypatch):
     assert e.verdict.is_yes
     # one walk of each bound tree, and one of each original for its 6 tables
     assert calls[0] == e.cases + e.cases // 6
+
+
+def test_sum_leaves_no_closure_in_cyclic_garbage():
+    # the pairing builds its own theory, which keeps its carrier, which
+    # refers back to it; no function or closure cell is part of a cycle
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        r = combos.check_sum(Universe(carrier_size=2, max_steps=1, max_depth=1))
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not r.unexpected_failures
+    assert kinds and not kinds & {"function", "cell"}
 
 
 def test_mu_square_unknowns_are_not_a_yes(monkeypatch):

@@ -566,6 +566,46 @@ class TestStreaming:
         budget = sum(closure_cost(m.payload) for m in candidates)
         assert 0 < spent <= budget
 
+    @settings(max_examples=200, deadline=None)
+    @given(arity=st.integers(1, 3), n=st.integers(0, 7), data=st.data())
+    def test_fresh_tuples_are_the_filtered_product(self, arity, n, data):
+        stale = data.draw(st.integers(0, n), label="stale")
+        want = [t for t in itertools.product(range(n), repeat=arity)
+                if any(i >= stale for i in t)]
+        assert list(fm._fresh_index_tuples(n, stale, arity)) == want
+
+    def test_a_ternary_theory_enumerates_as_the_filtered_product(self, monkeypatch):
+        # every round applies each operation to every tuple of the elements
+        # so far that uses one from the last round, in itertools.product
+        # order, and keeps what is new
+        th = parse_theory("theory ternary\nop k : 0\nop t : 3\nop u : 1")
+        calls = []
+        real_apply = fm.apply_op
+
+        def apply_op(th_, op, args):
+            calls.append((op, tuple(args)))
+            return real_apply(th_, op, args)
+
+        monkeypatch.setattr(fm, "apply_op", apply_op)
+        got = list(fm.iter_elements(th, ("a",), 2))
+        got_calls, calls[:] = list(calls), []
+        elems, seen, stale = [fm.unit(th, "a"), fm.apply_op(th, "k", [])], set(), 0
+        seen.update(elems)
+        for _ in range(2):
+            snapshot = list(elems)
+            for op, arity in (("t", 3), ("u", 1)):
+                for idxs in itertools.product(range(len(snapshot)), repeat=arity):
+                    if all(i < stale for i in idxs):
+                        continue
+                    m = fm.apply_op(th, op, [snapshot[i] for i in idxs])
+                    if m not in seen:
+                        seen.add(m)
+                        elems.append(m)
+            stale = len(snapshot)
+        assert [m.payload for m in got] == [m.payload for m in elems]
+        assert got_calls == calls
+        assert len(got) == 2 + (2 ** 3 + 2) + (12 ** 3 - 2 ** 3) + (12 - 2)
+
     def test_budget_fires_when_the_stream_crosses_it(self):
         th = fm.magma()
         head = list(itertools.islice(fm.iter_elements(th, ("a", "b", "c"), 3, 50), 50))

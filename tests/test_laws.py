@@ -4,8 +4,10 @@ bound monotonicity, and the composite monad-law checks."""
 import collections
 import contextlib
 import dataclasses
+import gc
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -364,6 +366,16 @@ CANONICAL_SUITES = [
 ]
 
 
+def _distributions(axiom, m):
+    """How often one memoised check distributes the element ``m``: once,
+    except under MultT, whose right side applies the candidate to its
+    input directly.  An input whose values all diverge, or that has none
+    (a constant), is also one of the left side's inputs there, so it is
+    distributed twice."""
+    twice = axiom == "MultT" and all(v is DIVERGE for v in fm.values_of(m))
+    return 2 if twice else 1
+
+
 class TestMemoisedDistribution:
     """Within one check the candidate is memoised by input element; the
     memo never outlives the check."""
@@ -375,6 +387,7 @@ class TestMemoisedDistribution:
     def test_each_distinct_input_distributes_once(self, apply_calls, monkeypatch, axiom):
         cand = induced_candidate(fm.magma(), "seq")
         memo_entry = laws.check_axiom(cand, axiom, self.U)
+        # the magma has no constants, so no input is distributed twice
         assert apply_calls and set(apply_calls.values()) == {1}
         distinct = dict(apply_calls)
         apply_calls.clear()
@@ -392,7 +405,24 @@ class TestMemoisedDistribution:
         once = sum(apply_calls.values())
         assert laws.check_axiom(cand, axiom, self.U) == first
         assert sum(apply_calls.values()) == 2 * once
-        assert set(apply_calls.values()) == {2}
+        assert apply_calls == {m: 2 * _distributions(axiom, m) for m in apply_calls}
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_multt_distributes_each_input_once_and_a_constant_twice(self, apply_calls,
+                                                                    monkeypatch, diverge):
+        cand = induced_candidate(fm.monoid(), "seq")
+        u = dataclasses.replace(self.U, include_diverge=diverge)
+        memo_entry = laws.check_axiom(cand, "MultT", u)
+        th = cand.theory
+        assert apply_calls[fm.apply_op(th, "unit", [])] == 2
+        assert apply_calls[fm.unit(th, DIVERGE)] == (2 if diverge else 0)
+        assert apply_calls == {m: _distributions("MultT", m) for m in apply_calls}
+        distinct = dict(apply_calls)
+        apply_calls.clear()
+        monkeypatch.setattr(laws, "_memoised", _unmemoised)
+        assert laws.check_axiom(cand, "MultT", u) == memo_entry
+        assert set(apply_calls) == set(distinct)
+        assert sum(apply_calls.values()) > sum(distinct.values())
 
     def test_replay_recomputes_from_the_candidate(self, apply_calls):
         cand = induced_candidate(fm.monoid(), "par")
@@ -488,6 +518,46 @@ BROKEN_BINDS = {
     "right unit": _steps_bind(lambda n, p: 2 * n + p),
     "associativity": _steps_bind(lambda n, p: abs(n - p)),
 }
+
+
+class TestScanFootprint:
+    """A scan frees what it builds by reference counting, and MultT keeps
+    no per-input memory."""
+
+    def test_a_scan_leaves_no_cyclic_garbage(self):
+        text = (THEORY_DIR / "idempotent_unary.th").read_text(encoding="utf-8")
+        gc.collect()
+        gc.disable()
+        try:
+            # the theories stay referenced to the end: each keeps its
+            # carrier, which refers back to it, and that cycle is freed
+            # with the theory, not left by a scan
+            theories = [fm.builtin_theory(name)
+                        for name in ("magma", "monoid", "cmonoid", "semilattice")]
+            idem = parse_theory(text)
+            absorbing = lifting.custom_candidate(idem, "custom:step-absorbing",
+                                                 step_absorbing_lift)
+            for th in theories:
+                for mode, relation in (("seq", "strict"), ("par", "weak")):
+                    report = _suite(th, mode, carrier_size=1, max_steps=2, max_depth=2,
+                                    relation=relation)
+                    assert not report.unexpected_failures
+            assert _suite(idem, absorbing, carrier_size=1, max_steps=1, max_depth=2).all_yes
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_multt_memory_peak(self):
+        cand = induced_candidate(fm.magma(), "seq")
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2)
+        tracemalloc.start()
+        try:
+            entry = laws.check_axiom(cand, "MultT", u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entry.verdict.is_yes and entry.cases == 24_348
+        assert peak < 8 * 2 ** 20
 
 
 class TestSharedKleisliScan:
