@@ -15,6 +15,7 @@ when stdout's consumer vanished mid-stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -340,10 +341,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """:func:`main`'s parser, built once per process: parsing leaves no
+    state on it, and every build leaves reference cycles behind."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         code = ns.func(ns)
         sys.stdout.flush()
         return code

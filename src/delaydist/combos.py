@@ -12,14 +12,19 @@ carriers, and selection-style higher-order values are compared pointwise
 over a declared finite predicate family, since their full function
 space is unenumerable.
 
-Every scan here turns its comparisons into a verdict by
-:func:`delaydist.delay._fold`: the first No wins and its witness replays
-both sides; the first Unknown is kept and the scan goes on past it, so
-an Unknown entry counts every case and carries no witness.  A check
-whose cases come in several kinds chains them into one stream
-(:func:`_scan_kinds`).  Uniqueness is a search rather than a scan: it is
-Yes when it finds an element that separates the extension from a
-guard-blind map.  Every pairing's report is made by
+Every scan here ends in :func:`delaydist.laws._entry`, which turns its
+comparisons into a verdict by :func:`delaydist.delay._fold`: the first
+No wins, and only then is its witness built; the first Unknown is kept
+and the scan goes on past it, so an Unknown entry counts every case and
+carries no witness.  Every witness is made by
+:func:`delaydist.laws._witness` and replays both sides; where a scan
+computed them by a faster route, the witness records the scan's sides
+and replays by the plain route.  A check whose cases come in several
+kinds chains them into one stream (:func:`_scan_kinds`).  Uniqueness is
+a search rather than a scan: it is Yes when it finds an element that
+separates the extension from a guard-blind map, and that element's
+witness replays the guard-blind map.  GsdAlgebraLaws conjoins its six
+laws' verdicts without a scan.  Every pairing's report is made by
 :func:`delaydist.laws._run`, which times the pairing's entries.
 
 A selector built from a table by :func:`sel_from_table` answers a
@@ -47,12 +52,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from . import freemodel as fm
 from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
-                    YES, NO, _fold, as_verdict, bind, conjoin, delay_n, dmap, force, join,
+                    YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
                    UniverseBudgetError, Witness, base_values, beck_scan, beck_sides,
                    check_kleisli_space, check_monad_laws_kleisli, delay_pack, delay_values,
-                   double_delay_values, _memoised, _run, _scan, _suite)
+                   double_delay_values, _entry, _memoised, _run, _scan, _suite, _witness)
 from .lifting import custom_candidate, seq_lift_op
 from .theory import Theory
 
@@ -75,18 +80,6 @@ def _eq(u, v) -> bool:
 
 def _same(u, v) -> Verdict:
     return as_verdict(u == v)
-
-
-def _replayable(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any],
-                seen: Optional[Tuple[str, str]] = None) -> Witness:
-    """A witness whose two sides are the renders of ``lhs()`` and
-    ``rhs()``; its replay computes both sides again.  ``seen`` gives the
-    renders the scan itself produced instead, so that a replay by another
-    route cross-checks them."""
-    def replay() -> Tuple[str, str]:
-        return str(lhs()), str(rhs())
-
-    return Witness(input_render, *(seen or replay()), replay=replay)
 
 
 def _scan_kinds(axiom: str, cases: Iterable[Tuple[str, Any]],
@@ -640,7 +633,7 @@ def _gsd_entries(u: TestUniverse) -> List[LawEntry]:
     verdicts = _laws(alg)
     algebra = LawEntry("GsdAlgebraLaws", conjoin(verdicts.values()), len(GSD_LAWS))
     if algebra.verdict.is_no:
-        algebra.witness = _replayable(
+        algebra.witness = _witness(
             "canonical algebra", lambda: ", ".join(_failed_laws(validate_gsd(alg))),
             lambda: "all laws", seen=(", ".join(_failed_laws(verdicts)), "all laws"))
 
@@ -1219,17 +1212,14 @@ def _retract_entries(u: TestUniverse) -> List[LawEntry]:
             for i, j in rows:
                 yield same[picks[j]][picks[i]]
 
-    verdict, cases = _fold(verdicts())
-    identity = LawEntry("RetractIdentity", verdict, cases)
-    if verdict.is_no:
+    def identity_witness() -> Witness:
         table = _table(p_tables, tuple(d_pool[k] for k in picks))
         p = p_tables[i]
-        identity.witness = _replayable(
-            f"{table} at {p}",
-            lambda table=table, p=p: render_delay(psi(phi(sel_from_table(table, xs)), ralg)(p),
-                                                  _short),
-            lambda table=table, p=p: render_delay(sel_from_table(table, xs)(p), _short),
-            seen=(render_delay(table.values[j], _short), render_delay(table.values[i], _short)))
+        return _witness(f"{table} at {p}", lambda: psi(phi(sel_from_table(table, xs)), ralg)(p),
+                        lambda: sel_from_table(table, xs)(p), _short,
+                        seen=(table.values[j], table.values[i]))
+
+    identity = _entry("RetractIdentity", verdicts(), identity_witness)
 
     # mu-square for the embedding: phi(mu(FF)) vs mu(phi-image of FF),
     # over the cases (FF, g) in FF-major order.  The scan builds each
@@ -1248,16 +1238,11 @@ def _retract_entries(u: TestUniverse) -> List[LawEntry]:
                 lhs, rhs = left(g), mu_square_rhs(ff, g)
                 yield strong_equal(lhs, rhs, fuel)
 
-    verdict, cases = _fold(square_verdicts())
-    square = LawEntry("MuSquare", verdict, cases)
-    if verdict.is_no:
-        square.witness = _replayable(
-            f"{ff} under {g}",
-            lambda ff=ff, g=g: render_delay(mu_square_lhs(ff, ralg, p_tables, xs, index)(g),
-                                            _short),
-            lambda ff=ff, g=g: render_delay(mu_composite(phi(jd_fmap(phi, ff)))(g), _short),
-            seen=(render_delay(lhs, _short), render_delay(rhs, _short)))
-        square.witness.note = "the embedding is not a monad map"
+    square = _entry("MuSquare", square_verdicts(), lambda: _witness(
+        f"{ff} under {g}", lambda: mu_square_lhs(ff, ralg, p_tables, xs, index)(g),
+        lambda: mu_composite(phi(jd_fmap(phi, ff)))(g), _short, seen=(lhs, rhs),
+        note="the embedding is not a monad map"))
+    if square.verdict.is_no:
         square.predicted = True
         square.prediction_note = ("the two delayed selection monads multiply differently; "
                                   "a failure witness is the expected outcome")
@@ -1388,6 +1373,13 @@ def _or_of_finished(e: fm.ModelElement, f: Dict[Any, int]) -> int:
     return out
 
 
+def _counting_model() -> fm.FiniteModel:
+    """The join model on 0..63 with max as union, which counts guards."""
+    ct_elems = tuple(range(64))
+    return fm.finite_model("counting", ct_elems,
+                           {"union": _op_rows(ct_elems, 2, max), "empty": {(): 0}})
+
+
 def _op_rows(elements: Sequence[Any], arity: int, f: Callable) -> Dict[tuple, Any]:
     return {args: f(*args) for args in itertools.product(elements, repeat=arity)}
 
@@ -1447,9 +1439,7 @@ def _sum_entries(u: TestUniverse) -> List[LawEntry]:
         return v + 10
 
     fc = {x: 1 for x in xs}
-    ct_elems = tuple(range(64))
-    counting = fm.finite_model("counting", ct_elems,
-                               {"union": _op_rows(ct_elems, 2, max), "empty": {(): 0}})
+    counting = _counting_model()
     ext_c = sum_free_extension(counting, step_count, 0, fc)
     # the same evaluation with every guard dropped
     blind = _SumExtension(counting, step_y, 0, fc)
@@ -1459,9 +1449,13 @@ def _sum_entries(u: TestUniverse) -> List[LawEntry]:
     for e in elements:
         uniq_cases += 1
         if blind(e) != ext_c(e) or blind(ops.later(e)) != step_count(blind(e)):
-            sep_witness = Witness(fm.value_str(e),
-                                  f"guard-blind gives {blind(ops.later(e))} on the guarded tree",
-                                  f"a guard-respecting map must give {step_count(blind(e))}")
+            # the replay drops the guards again in a fresh counting model,
+            # so that the report does not keep this one's 4,096-entry table
+            lhs = lambda b: f"guard-blind gives {b(ops.later(e))} on the guarded tree"
+            rhs = lambda b: f"a guard-respecting map must give {step_count(b(e))}"
+            again = lambda: _SumExtension(_counting_model(), step_y, 0, fc)
+            sep_witness = _witness(fm.value_str(e), lambda: lhs(again()), lambda: rhs(again()),
+                                   seen=(lhs(blind), rhs(blind)))
             break
     entries.append(LawEntry("Uniqueness", YES if sep_witness is not None else NO,
                             uniq_cases, sep_witness))

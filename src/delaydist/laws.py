@@ -23,10 +23,11 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Verdict, NO, _fold, _verdict_from_steps, as_verdict,
+from .delay import (DIVERGE, Delay, Now, Verdict, _fold, _verdict_from_steps, as_verdict,
                     bind, conjoin, delay_n, dmap, join, now, render_delay, step_count, strong_equal,
                     weak_bisim)
 from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
@@ -228,11 +229,12 @@ class MonadPack:
 
 
 def delay_pack(relation: str, fuel: int) -> MonadPack:
-    def equal(a, b, inner_rel):
-        if relation == "strict":
-            return strong_equal(a, b, fuel, value_eq=inner_rel)
-        return weak_bisim(a, b, inner_rel, fuel)
-
+    """The delay monad, its ``equal`` being ``strong_equal`` under the
+    "strict" relation and ``weak_bisim`` under any other, chosen here."""
+    if relation == "strict":
+        equal = lambda a, b, inner_rel: strong_equal(a, b, fuel, value_eq=inner_rel)
+    else:
+        equal = lambda a, b, inner_rel: weak_bisim(a, b, inner_rel, fuel)
     return MonadPack("delay", now, join, lambda f, d: dmap(d, f), equal)
 
 
@@ -246,6 +248,28 @@ def theory_pack(th: Theory) -> MonadPack:
                      lambda f, m: fm.fmap(th, f, m), equal)
 
 
+def _entry(axiom: str, verdicts: Iterable[Verdict], witness: Callable[[], Witness]) -> LawEntry:
+    """The entry of every scan: the stream ``verdicts`` folded by
+    :func:`_fold`, and on a No the witness ``witness()`` builds, called
+    while the stream stands at the No's case."""
+    verdict, cases = _fold(verdicts)
+    return LawEntry(axiom, verdict, cases, witness() if verdict.is_no else None)
+
+
+def _witness(input_render: str, lhs: Callable[[], Any], rhs: Callable[[], Any],
+             render: Callable[[Any], str] = str, seen: Optional[Tuple[Any, Any]] = None,
+             note: str = "") -> Witness:
+    """The one replayable witness: its replay renders ``lhs()`` and
+    ``rhs()`` afresh.  Its recorded sides are the renders of ``seen``,
+    the two sides the scan computed, so that a replay by another route
+    cross-checks them; without ``seen`` they are the replay's own."""
+    def replay() -> Tuple[str, str]:
+        return render(lhs()), render(rhs())
+
+    sides = replay() if seen is None else (render(seen[0]), render(seen[1]))
+    return Witness(input_render, *sides, note=note, replay=replay)
+
+
 def _scan(axiom: str,
           inputs: Iterable,
           lhs_fn: Callable[[Any], Any],
@@ -256,10 +280,11 @@ def _scan(axiom: str,
           witness_sides: Optional[Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = None
           ) -> LawEntry:
     """Evaluate both sides on every input and compare them, under the
-    policy of :func:`_fold`.  A No's witness holds the sides the scan
-    computed, and its replay computes them again.  ``witness_sides``,
-    where the scan compares another form of the two sides, computes the
-    ones a No's witness holds and replays instead."""
+    policy of :func:`_fold`.  A No's witness (:func:`_witness`) records
+    the sides the scan computed, and its replay computes them again.
+    ``witness_sides``, where the scan compares another form of the two
+    sides, gives the sides a No's witness computes, records and
+    replays instead."""
     x = lhs = rhs = None
 
     def verdicts():
@@ -269,15 +294,10 @@ def _scan(axiom: str,
             rhs = rhs_fn(x)
             yield compare(lhs, rhs)
 
-    verdict, cases = _fold(verdicts())
-    w = None
-    if verdict.is_no:
-        if witness_sides is not None:
-            lhs_fn, rhs_fn = witness_sides
-            lhs, rhs = lhs_fn(x), rhs_fn(x)
-        w = Witness(render_input(x), render_result(lhs), render_result(rhs),
-                    replay=lambda x=x: (render_result(lhs_fn(x)), render_result(rhs_fn(x))))
-    return LawEntry(axiom, verdict, cases, w)
+    lhs_w, rhs_w = witness_sides or (lhs_fn, rhs_fn)
+    return _entry(axiom, verdicts(), lambda: _witness(
+        render_input(x), partial(lhs_w, x), partial(rhs_w, x), render_result,
+        seen=None if witness_sides else (lhs, rhs)))
 
 
 BECK_AXIOMS = ("UnitS", "UnitT", "MultS", "MultT", "Naturality")
@@ -546,8 +566,10 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
     the verdict of ``model_equal`` on the two sides' values, which runs
     at most once per distinct pair of values.  Both routes visit the
     cases in the same order and give the same verdicts, case counts,
-    details and witnesses.  The witness of a No holds the case's two
-    delays, and its replay lifts both sides again with :func:`lift_term`.
+    details and witnesses.  Each equation's scan gives that equation's
+    entry; the check's details are their verdicts, its verdict their
+    conjunction, its case count their sum and its witness the first
+    equation's (:func:`_equation_witness`).
     """
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
@@ -572,14 +594,8 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
             v = pair_verdicts[a, b] = as_verdict(rel(a, b))
         return v
 
-    def compare_delays(lhs: Delay, rhs: Delay) -> Verdict:
-        if strict:
-            return strong_equal(lhs, rhs, fuel, value_eq=rel)
-        return weak_bisim(lhs, rhs, rel, fuel)
-
-    details: List[Tuple[str, Verdict]] = []
-    witness: Optional[Witness] = None
-    total = 0
+    compare_delays = partial(delay_pack(u.relation, fuel).equal, inner_rel=rel)
+    entries: List[LawEntry] = []
     for eq in th.equations:
         n = len(eq.context)
         estimate = len(env_pool) ** n
@@ -588,37 +604,35 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
         cases = itertools.product(env_pool, repeat=n)
         if induced is not None and all(_liftable(t, set(eq.context), th)
                                        for t in (eq.lhs, eq.rhs)):
-            sides = [_InducedSide(t, eq.context, induced, th, values) for t in (eq.lhs, eq.rhs)]
-            verdict, count, no = _table_scan(
-                sides, cases, itertools.product(pool_steps, repeat=n),
-                itertools.product(pool_keys, repeat=n), strict, fuel, compare_values)
+            entries.append(_table_scan(
+                eq, cases, itertools.product(pool_steps, repeat=n),
+                itertools.product(pool_keys, repeat=n), induced, th, values, strict, fuel,
+                compare_values))
         else:
-            verdict, count, no = _node_scan(eq, cases, lift_op, th, compare_delays)
-        total += count
-        if no is not None and witness is None:
-            env = dict(zip(eq.context, no[0]))
-            env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
-
-            def replay(eq=eq, env=env):
-                return (_render_dt(lift_term(eq.lhs, env, lift_op, th)),
-                        _render_dt(lift_term(eq.rhs, env, lift_op, th)))
-
-            witness = Witness(f"{eq.name} with {env_r}", _render_dt(no[1]), _render_dt(no[2]),
-                              note=f"equation '{eq.name}' not preserved", replay=replay)
-        details.append((eq.name, verdict))
-    overall = conjoin(v for _, v in details)
-    return LawEntry("EquationPreservation", overall, total, witness, details=details)
+            entries.append(_node_scan(eq, cases, lift_op, th, compare_delays))
+    details = [(e.axiom, e.verdict) for e in entries]
+    return LawEntry("EquationPreservation", conjoin(v for _, v in details),
+                    sum(e.cases for e in entries),
+                    next((e.witness for e in entries if e.witness is not None), None),
+                    details=details)
 
 
-# an equation scan's outcome: its verdict, its case count, and on a No the
-# case's delays for the variables in context order and its two sides
-_EquationOutcome = Tuple[Verdict, int, Optional[Tuple[tuple, Delay, Delay]]]
+def _equation_witness(eq, case: tuple, lhs: Delay, rhs: Delay, lift_op, th: Theory) -> Witness:
+    """The witness of a No of ``eq`` at ``case``, its variables' delays in
+    context order: it records the scan's sides ``lhs`` and ``rhs``, and
+    its replay lifts both again with :func:`lift_term`."""
+    env = dict(zip(eq.context, case))
+    env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
+    return _witness(f"{eq.name} with {env_r}", partial(lift_term, eq.lhs, env, lift_op, th),
+                    partial(lift_term, eq.rhs, env, lift_op, th), _render_dt, seen=(lhs, rhs),
+                    note=f"equation '{eq.name}' not preserved")
 
 
 def _node_scan(eq, cases: Iterable[tuple], lift_op, th: Theory,
-               compare: Callable[[Delay, Delay], Verdict]) -> _EquationOutcome:
-    """Both sides of ``eq`` lifted node by node with :func:`lift_term`
-    and compared, case by case, under the policy of :func:`_fold`."""
+               compare: Callable[[Delay, Delay], Verdict]) -> LawEntry:
+    """The entry of ``eq``: both sides lifted node by node with
+    :func:`lift_term` and compared, case by case, under the policy of
+    :func:`_fold`."""
     case = lhs = rhs = None
 
     def verdicts():
@@ -629,28 +643,29 @@ def _node_scan(eq, cases: Iterable[tuple], lift_op, th: Theory,
             rhs = lift_term(eq.rhs, env, lift_op, th)
             yield compare(lhs, rhs)
 
-    verdict, count = _fold(verdicts())
-    return verdict, count, (case, lhs, rhs) if verdict.is_no else None
+    return _entry(eq.name, verdicts(),
+                  lambda: _equation_witness(eq, case, lhs, rhs, lift_op, th))
 
 
 # a step-table entry: the step counts leave the verdict to the values
 _VALUES_DECIDE = object()
 
 
-def _table_scan(sides: Sequence["_InducedSide"], cases: Iterable[tuple],
-                step_cases: Iterable[tuple], key_cases: Iterable[tuple], strict: bool,
-                fuel: int, compare_values: Callable[[Any, Any], Verdict]) -> _EquationOutcome:
-    """The cases of one equation under an induced lifting, each read from
-    two tables: one indexed by the variables' step counts, one by their
-    value keys.  ``cases``, ``step_cases`` and ``key_cases`` run in step,
-    one tuple per case each.
+def _table_scan(eq, cases: Iterable[tuple], step_cases: Iterable[tuple],
+                key_cases: Iterable[tuple], mode: str, th: Theory,
+                values: Sequence[fm.ModelElement], strict: bool, fuel: int,
+                compare_values: Callable[[Any, Any], Verdict]) -> LawEntry:
+    """The entry of ``eq`` under the induced lifting ``mode``, each case
+    read from two tables: one indexed by the variables' step counts, one
+    by their value keys (indices into ``values``).  ``cases``,
+    ``step_cases`` and ``key_cases`` run in step, one tuple per case each.
 
     The first case gives every variable the pool's first delay, which has
     no steps, so its values decide and both sides are evaluated there,
     left then right: every error that evaluation can raise is raised at
     the first case, as on the node path.  The verdicts go through
     :func:`_fold`, and a No's two delays reuse the sides' values."""
-    lhs, rhs = sides
+    lhs, rhs = (_InducedSide(t, eq.context, mode, th, values) for t in (eq.lhs, eq.rhs))
     step_table: Dict[tuple, Any] = {}
     value_table: Dict[tuple, Verdict] = {}
     case = steps = keys = None
@@ -668,9 +683,8 @@ def _table_scan(sides: Sequence["_InducedSide"], cases: Iterable[tuple],
                     v = value_table[keys] = compare_values(lhs.value(keys), rhs.value(keys))
             yield v
 
-    verdict, count = _fold(verdicts())
-    no = (case, lhs.delay(steps, keys), rhs.delay(steps, keys)) if verdict.is_no else None
-    return verdict, count, no
+    return _entry(eq.name, verdicts(), lambda: _equation_witness(
+        eq, case, lhs.delay(steps, keys), rhs.delay(steps, keys), mode, th))
 
 
 class _InducedSide:
@@ -793,20 +807,19 @@ def check_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, comp
                     rhs = bind_fn(m, kh)
                     yield compare(lhs, rhs)
 
-    verdict, cases = _fold(verdicts())
-    if not verdict.is_no:
-        return LawEntry("MonadLaws", verdict, cases)
-    if law == "left unit":
-        where = f"left unit at {x!r}"
-        replay = lambda x=x, k=k: (render(bind_fn(unit_fn(x), k.__getitem__)), render(k[x]))
-    elif law == "right unit":
-        where = f"right unit at {render(m)}"
-        replay = lambda m=m: (render(bind_fn(m, unit_fn)), render(m))
-    else:
-        where = f"associativity at {render(m)}"
-        replay = lambda m=m, k=k, h=h: _plain_associativity(bind_fn, m, k, h, render)
-    return LawEntry("MonadLaws", NO, cases, Witness(where, render(lhs), render(rhs),
-                                                    replay=replay))
+    def witness() -> Witness:
+        if law == "left unit":
+            return _witness(f"left unit at {x!r}", lambda: bind_fn(unit_fn(x), k.__getitem__),
+                            lambda: k[x], render, seen=(lhs, rhs))
+        if law == "right unit":
+            return _witness(f"right unit at {render(m)}", lambda: bind_fn(m, unit_fn),
+                            lambda: m, render, seen=(lhs, rhs))
+        return _witness(f"associativity at {render(m)}",
+                        lambda: bind_fn(bind_fn(m, k.__getitem__), h.__getitem__),
+                        lambda: bind_fn(m, lambda v: bind_fn(k[v], h.__getitem__)),
+                        render, seen=(lhs, rhs))
+
+    return _entry("MonadLaws", verdicts(), witness)
 
 
 def _tabled_continuation(bind_fn, k: dict, h: dict) -> Callable[[Any], Any]:
@@ -820,13 +833,6 @@ def _tabled_continuation(bind_fn, k: dict, h: dict) -> Callable[[Any], Any]:
         return d
 
     return kh
-
-
-def _plain_associativity(bind_fn, m, k: dict, h: dict, render) -> Tuple[str, str]:
-    """Both sides of associativity at (m, k, h), computed from scratch."""
-    lhs = bind_fn(bind_fn(m, k.__getitem__), h.__getitem__)
-    rhs = bind_fn(m, lambda v: bind_fn(k[v], h.__getitem__))
-    return render(lhs), render(rhs)
 
 
 def composite_unit(cand: DistLawCandidate):
@@ -888,13 +894,7 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
     th = cand.theory
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
-    rel = _element_rel(th)
-
-    def compare(d1, d2):
-        if u.relation == "strict":
-            return strong_equal(d1, d2, fuel, value_eq=rel)
-        return weak_bisim(d1, d2, rel, fuel)
-
+    compare = partial(delay_pack(u.relation, fuel).equal, inner_rel=_element_rel(th))
     base_pool = _bounded_elements(th, vals, min(u.max_depth, 1), u,
                                   "composite monad-law universe")
     elements = [delay_n(s, m) for s in range(min(u.max_steps, 2) + 1) for m in base_pool]

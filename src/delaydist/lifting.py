@@ -239,9 +239,6 @@ class DistLawCandidate:
     induced: Optional[str] = None
 
     def apply(self, m: fm.ModelElement) -> Delay:
-        return self._distribute(m)
-
-    def _distribute(self, m: fm.ModelElement) -> Delay:
         th = self.theory
         if self.induced is not None:
             total = _TOTAL[self.induced]

@@ -38,14 +38,14 @@ import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import freemodel as fm
 from .delay import (DIVERGE, Delay, Now, Step, delay_n, dmap, join, render_delay,
                     step_count, strong_equal, weak_bisim)
-from .laws import (LawEntry, LawReport, TestUniverse, Witness, prediction_for_failure,
+from .laws import (LawEntry, LawReport, TestUniverse, _entry, _witness, prediction_for_failure,
                    run_suite)
-from .lifting import custom_candidate, induced_candidate
+from .lifting import DistLawCandidate, custom_candidate, induced_candidate
 from .theory import (App, Equation, Operation, Signature, Term, Theory, Var, free_vars,
                      make_equation, match, replace, substitute, subterm, term_str,
                      validate_theory)
@@ -641,35 +641,39 @@ class StepCountDemo:
     weak_entry: LawEntry
     elapsed_ms: float
 
-    def report(self) -> LawReport:
-        u = TestUniverse()
-        return LawReport("magma", "par", "strict", u.bounds_dict(),
-                         [self.entry], self.elapsed_ms)
+
+def _multiplication_paths(cand: DistLawCandidate
+                          ) -> Tuple[fm.ModelElement, Callable[[], Delay], Callable[[], Delay]]:
+    """The input ``mul(now(step(now x)), step(now(now y)))`` of MultT
+    and the axiom's two paths on it under ``cand``, each a function of
+    nothing: flatten then distribute, and distribute then flatten."""
+    th = cand.theory
+    inner = fm.apply_op(th, "mul", [fm.unit(th, Now(Step(Now("x")))),
+                                    fm.unit(th, Step(Now(Now("y"))))])
+    return (inner, lambda: cand.apply(fm.fmap(th, join, inner)),
+            lambda: join(dmap(cand.apply(inner), cand.apply)))
 
 
 def mogelberg_vezzosi_witness() -> StepCountDemo:
     """One binary operation over two nested delays where the parallel
     lifting sends the two multiplication paths to the same value at
-    depths 1 and 2: strictly distinct, weakly bisimilar."""
+    depths 1 and 2: strictly distinct, weakly bisimilar.  The MultT
+    witness replays both paths."""
     t0 = time.perf_counter()
     th = fm.magma()
-    cand = induced_candidate(th, "par")
-    inner = fm.apply_op(th, "mul", [fm.unit(th, Now(Step(Now("x")))),
-                                    fm.unit(th, Step(Now(Now("y"))))])
-    lhs = cand.apply(fm.fmap(th, join, inner))
-    rhs = join(dmap(cand.apply(inner), cand.apply))
+    inner, lhs_path, rhs_path = _multiplication_paths(induced_candidate(th, "par"))
+    lhs, rhs = lhs_path(), rhs_path()
     rel = lambda a, b: fm.model_equal(th, a, b)
     strict = strong_equal(lhs, rhs, 4096, value_eq=rel)
     weak = weak_bisim(lhs, rhs, rel, 4096)
-    render = lambda d: render_delay(d, fm.value_str)
     counts = (step_count(lhs), step_count(rhs))
-    entry = LawEntry(
-        "MultT", strict, 1,
-        Witness(fm.value_str(inner), render(lhs), render(rhs),
-                note=f"same value after {counts[0]} step vs {counts[1]} steps"),
-        predicted=True,
-        prediction_note=prediction_for_failure(th, "par", "strict", "MultT"))
-    weak_entry = LawEntry("MultT", weak, 1)
+    witness = lambda: _witness(fm.value_str(inner), lhs_path, rhs_path,
+                               lambda d: render_delay(d, fm.value_str), seen=(lhs, rhs),
+                               note=f"same value after {counts[0]} step vs {counts[1]} steps")
+    entry = _entry("MultT", [strict], witness)
+    entry.predicted = True
+    entry.prediction_note = prediction_for_failure(th, "par", "strict", "MultT")
+    weak_entry = _entry("MultT", [weak], witness)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return StepCountDemo(fm.value_str(inner), lhs, rhs, counts, entry, weak_entry, elapsed)
 
@@ -739,10 +743,6 @@ def idempotent_unary_demo(u: Optional[TestUniverse] = None) -> LawReport:
 def idempotent_unary_witness() -> Tuple[Delay, Delay]:
     """The same two multiplication paths that separate strict from weak
     for the parallel lifting, here landing on one step exactly."""
-    th = idempotent_unary_theory()
-    cand = custom_candidate(th, "custom:step-absorbing", step_absorbing_lift)
-    inner = fm.apply_op(th, "mul", [fm.unit(th, Now(Step(Now("x")))),
-                                    fm.unit(th, Step(Now(Now("y"))))])
-    lhs = cand.apply(fm.fmap(th, join, inner))
-    rhs = join(dmap(cand.apply(inner), cand.apply))
-    return lhs, rhs
+    _, lhs, rhs = _multiplication_paths(custom_candidate(
+        idempotent_unary_theory(), "custom:step-absorbing", step_absorbing_lift))
+    return lhs(), rhs()

@@ -1,5 +1,6 @@
 """Command-line surface: output golden files, JSON payloads, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -276,6 +277,16 @@ class TestDemo:
         assert d["strict"]["predicted"] is True
         assert d["weak"]["verdict"] == "yes"
 
+    def test_json_matches_golden(self, capsys):
+        # the golden file is the report with elapsedMs taken out
+        code, out, _ = run(capsys, "demo", "mogelberg-vezzosi", "--json")
+        assert code == 0
+        d = json.loads(out)
+        del d["elapsedMs"]
+        golden = GOLDEN / "demo_mogelberg_vezzosi.json"
+        assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == golden.read_text(
+            encoding="utf-8")
+
 
 class TestNogo:
     def test_powerset_summary(self, capsys):
@@ -340,6 +351,19 @@ class TestNogo:
 class TestParserPlumbing:
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 3
+
+    def test_a_later_call_leaves_no_cyclic_garbage(self, capsys):
+        # the parser is built once per process, so a call after the first
+        # builds nothing that only the cyclic collector could free
+        run(capsys, "classify", "magma")
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, "classify", "magma")
+            assert code == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "classify", "monoid", "--frob")

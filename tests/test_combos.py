@@ -91,6 +91,18 @@ def test_sum_free_extension(default_reports):
         assert r.entry(axiom).verdict.is_yes
 
 
+def test_the_uniqueness_witness_replays_the_separation(default_reports, monkeypatch):
+    w = default_reports["sum"].entry("Uniqueness").witness
+    recorded = ("guard-blind gives 1 on the guarded tree", "a guard-respecting map must give 11")
+    assert (w.lhs_render, w.rhs_render) == recorded
+    assert w.replay() == recorded
+    # the replay evaluates a guard-blind map again; the recorded sides stay
+    monkeypatch.setattr(combos, "_SumExtension", lambda *args: lambda e: 0)
+    assert w.replay() == ("guard-blind gives 0 on the guarded tree",
+                          "a guard-respecting map must give 10")
+    assert (w.lhs_render, w.rhs_render) == recorded
+
+
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         combos.combo_report("frobnitz", Universe())
@@ -443,19 +455,23 @@ def test_guard_invariant_walks_each_original_once(monkeypatch):
 
 def test_sum_leaves_no_closure_in_cyclic_garbage():
     # the pairing builds its own theory, which keeps its carrier, which
-    # refers back to it; no function or closure cell is part of a cycle
+    # refers back to it; no function or closure cell is part of a cycle.
+    # The report's Uniqueness witness replays through that theory, so the
+    # theory is garbage only once the report is dropped
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         r = combos.check_sum(Universe(carrier_size=2, max_steps=1, max_depth=1))
+        unexpected = [e.axiom for e in r.unexpected_failures]
+        del r
         gc.collect()
         kinds = {type(o).__name__ for o in gc.garbage}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert not r.unexpected_failures
+    assert not unexpected
     assert kinds and not kinds & {"function", "cell"}
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import conftest
 from delaydist import freemodel as fm
-from delaydist import laws, lifting
-from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, conjoin, delay_n, now,
-                             prepend_steps, strong_equal, unknown)
+from delaydist import combos, laws, lifting
+from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, bind, conjoin, delay_n, now,
+                             prepend_steps, render_delay, strong_equal, unknown)
 from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
                             check_delay_monad_laws, render_report, report_from_json_dict,
                             run_suite)
@@ -127,6 +127,118 @@ class TestScanPolicy:
         cand = induced_candidate(fm.semilattice(), "seq")
         with pytest.raises(ValueError, match="unknown axiom 'Frob'"):
             laws.check_axiom(cand, "Frob", Universe(carrier_size=1, max_steps=1, max_depth=1))
+
+
+class _Switch:
+    """Forces a No, and turns ``on`` when it does."""
+
+    def __init__(self):
+        self.on = False
+
+    def no(self, *args, **kwargs):
+        self.on = True
+        return NO
+
+    def diverge_once_on(self, real):
+        """``real``, giving DIVERGE in place of its result once the switch is on."""
+        return lambda *args, **kwargs: DIVERGE if self.on else real(*args, **kwargs)
+
+
+_SMALL = Universe(carrier_size=1, max_steps=1, max_depth=1)
+
+
+def _beck_witness(monkeypatch, switch, patch):
+    th = fm.monoid()
+    apply = induced_candidate(th, "seq").apply
+    monkeypatch.setattr(laws, "strong_equal", switch.no)
+    return laws.beck_scan("UnitS", laws.theory_pack(th), laws.delay_pack("strict", 64),
+                          switch.diverge_once_on(apply) if patch else apply,
+                          laws.delay_values(("a",), 1), None, str, laws._render_dt)
+
+
+def _kleisli_witness(law):
+    values, elements = ("a", "b"), [now("a"), delay_n(1, "b")]
+    k_pool = [{"a": now("b"), "b": delay_n(1, "a")}]
+    # the cases before the law's first: left unit's, then right unit's
+    forced_at = [0, len(k_pool) * len(values), len(k_pool) * len(values) + len(elements)][law]
+
+    def witness(monkeypatch, switch, patch):
+        cases = itertools.count()
+
+        def compare(a, b):
+            return switch.no() if next(cases) == forced_at else YES
+
+        bind_fn = switch.diverge_once_on(bind) if patch else bind
+        return laws.check_monad_laws_kleisli(now, bind_fn, elements, values, k_pool, compare,
+                                             render_delay)
+
+    return witness
+
+
+def _equation_witness(lift_op, forced):
+    def witness(monkeypatch, switch, patch):
+        monkeypatch.setattr(laws, forced, switch.no)
+        if patch:
+            monkeypatch.setattr(laws, "lift_term", switch.diverge_once_on(laws.lift_term))
+        return laws.check_equation_preservation(fm.monoid(), lift_op, _SMALL)
+
+    return witness
+
+
+def _retract_witness(axiom, route):
+    def witness(monkeypatch, switch, patch):
+        monkeypatch.setattr(combos, "strong_equal", switch.no)
+        if patch:
+            real = getattr(combos, route)
+            # a selector-valued route: its selectors answer DIVERGE once on
+            monkeypatch.setattr(combos, route, lambda *args: (
+                (lambda p: DIVERGE) if switch.on else real(*args)))
+        return combos.retract_check(_SMALL).entry(axiom)
+
+    return witness
+
+
+class TestWitnessCrossCheck:
+    """A witness built with the sides its scan computed records those
+    sides, and its replay computes them by its own route.  Each case
+    forces a No and, in a second run, makes the replay route give
+    DIVERGE once the No has fallen: the recorded sides stay those of the
+    first run, and the replay follows the patched route on the sides
+    that route computes."""
+
+    CASES = {
+        # name: (the witness's entry, as a function of (monkeypatch, switch,
+        # patch)), the sides the patched route computes, the side render
+        "beck": (_beck_witness, (True, False), laws._render_dt),
+        "kleisli-left-unit": (_kleisli_witness(0), (True, False), render_delay),
+        "kleisli-right-unit": (_kleisli_witness(1), (True, False), render_delay),
+        "kleisli-associativity": (_kleisli_witness(2), (True, True), render_delay),
+        "equation-node-path": (_equation_witness(seq_lift_op, "strong_equal"), (True, True),
+                               laws._render_dt),
+        "equation-table-path": (_equation_witness("seq", "_verdict_from_steps"),
+                                (True, True), laws._render_dt),
+        "retract-identity": (_retract_witness("RetractIdentity", "psi"), (True, False),
+                             combos._short),
+        "mu-square": (_retract_witness("MuSquare", "mu_composite"), (False, True),
+                      combos._short),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_recorded_sides_are_the_scans_and_the_replay_its_own(self, monkeypatch, name):
+        entry_of, patched, render = self.CASES[name]
+        with monkeypatch.context() as m:
+            own = entry_of(m, _Switch(), False)
+        assert own.verdict.is_no
+        recorded = (own.witness.lhs_render, own.witness.rhs_render)
+        assert own.witness.replay() == recorded
+
+        with monkeypatch.context() as m:
+            entry = entry_of(m, _Switch(), True)
+            want = tuple(render(DIVERGE) if p else r for p, r in zip(patched, recorded))
+            assert want != recorded
+            assert (entry.witness.lhs_render, entry.witness.rhs_render) == recorded
+            assert entry.witness.input_render == own.witness.input_render
+            assert entry.witness.replay() == want
 
 
 class TestReportShape:

@@ -19,6 +19,7 @@ from delaydist import nogo
 from delaydist.delay import (DIVERGE, Now, Step, prepend_steps, step_count, strong_equal,
                              weak_bisim)
 from delaydist.laws import TestUniverse as Universe
+from delaydist.lifting import DistLawCandidate
 from delaydist import freemodel as fm
 from delaydist.theory import App, Var, match, replace, substitute, subterm
 
@@ -189,10 +190,14 @@ class TestStepCountWitness:
         assert demo.entry.predicted
         assert demo.weak_entry.verdict.is_yes
 
-    def test_report_embeds_entry(self):
+    def test_the_multt_witness_replays_both_paths(self, monkeypatch):
         demo = nogo.mogelberg_vezzosi_witness()
-        r = demo.report()
-        assert r.entry("MultT").verdict.is_no
+        w = demo.entry.witness
+        assert (w.lhs_render, w.rhs_render) == ("1·step ▸ mul(x, y)", "2·step ▸ mul(x, y)")
+        assert w.replay() == (w.lhs_render, w.rhs_render)
+        # the replay runs the candidate again
+        monkeypatch.setattr(DistLawCandidate, "apply", lambda self, m: DIVERGE)
+        assert w.replay() == ("⊥", "⊥")
 
 
 class TestIdempotentUnary:
