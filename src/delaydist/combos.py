@@ -790,10 +790,6 @@ def check_selection(u: TestUniverse) -> LawReport:
     return _run("selection", "custom:selection", u, lambda: _selection_entries(u))
 
 
-def _render_selection_side(v) -> str:
-    return render_delay(v, _short) if isinstance(v, Delay) else str(v)
-
-
 def _selection_entries(u: TestUniverse) -> List[LawEntry]:
     scans = selection_scans(u)
     S = delay_pack(u.relation, u.derived_fuel())
@@ -804,7 +800,7 @@ def _selection_entries(u: TestUniverse) -> List[LawEntry]:
         return conjoin(S.equal(x, y, _eq) for x, y in zip(a, b))
 
     return [_scan(axiom, inputs, lhs, rhs, same,
-                  _nat_render if axiom == "Naturality" else _short, _render_selection_side,
+                  _nat_render if axiom == "Naturality" else _short, _short,
                   beck_sides(axiom, S, T, selection_dist))
             for axiom, (inputs, lhs, rhs) in scans.items()]
 

@@ -319,26 +319,6 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     return as_verdict(rel(x.value, y.value))
 
 
-def _verdict_from_steps(nx: Optional[int], ny: Optional[int], strict: bool,
-                        fuel: int) -> Optional[Verdict]:
-    """What :func:`strong_equal` (``strict``) or :func:`weak_bisim` says
-    of two delays from their step counts alone, None standing for
-    divergence as in :func:`step_count`; None when their values decide."""
-    if strict:
-        if nx is None:
-            return YES if ny is None else NO if ny <= fuel else unknown(fuel)
-        if ny is None:
-            return NO if nx <= fuel else unknown(fuel)
-        if nx != ny:
-            return NO if min(nx, ny) <= fuel else unknown(fuel)
-        return unknown(fuel) if nx > fuel else None
-    if (nx or 0) > fuel or (ny or 0) > fuel:
-        return unknown(fuel)
-    if nx is None or ny is None:
-        return YES if nx is ny else NO
-    return None
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

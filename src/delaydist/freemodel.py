@@ -108,7 +108,8 @@ class ModelElement:
     payloads is hashed and ordered once: the per-node cache of
     hash-consing (Filliâtre & Conchon 2006) without a global table.  The
     constructor, for outside input and unpickling, checks the payload
-    with ``Carrier.check_payload``; carriers build elements unchecked.
+    with ``Carrier.check_payload``, which also refuses a payload that a
+    canonical carrier would not build; carriers build elements unchecked.
     """
 
     __slots__ = ("carrier", "payload", "_hash", "_key")
@@ -357,6 +358,13 @@ class Carrier:
     def check_payload(self, payload: Any) -> None:
         """Raise ``ValueError`` for a payload this kind cannot work with."""
 
+    def _refuse_unless(self, payload: Any, canonical: Any) -> None:
+        """Refuse ``payload`` unless it is ``canonical``, its canonical
+        form: a canonical carrier decides equality by payload alone."""
+        if payload != canonical:
+            raise ValueError(f"{self.kind} payload {payload!r} is not in canonical form; "
+                             f"the carrier builds {canonical!r}")
+
     def unknown_operation(self, op: str) -> TheorySemanticError:
         """The error for applying ``op``, which the theory does not declare."""
         return TheorySemanticError(f"unknown operation '{op}' in theory '{self.theory.name}'", op)
@@ -389,6 +397,11 @@ class TreeCarrier(Carrier):
 
     def unit(self, x: Any) -> ModelElement:
         return self.element(("leaf", x))
+
+    def check_payload(self, payload: Any) -> None:
+        # terms kept normal must be given normal, as the carrier rebuilds them
+        if self.normalise is not None:
+            self._refuse_unless(payload, _relabel(payload, _identity, self.normalise))
 
     def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
         payload = (op, *[a.payload for a in args])
@@ -442,6 +455,10 @@ def _relabel(p, f: Callable[[Any], Any], fix: Optional[Callable[[Any], Any]]):
         out = (op, *[_relabel(a, f, fix) for a in p[1:]])
     # as in _graft: a merged pair of leaves may make a redex
     return fix(out) if fix else out
+
+
+def _identity(v: Any) -> Any:
+    return v
 
 
 def _leaves(p, out: List[Any]) -> List[Any]:
@@ -510,6 +527,9 @@ class ListCarrier(Carrier):
 
     def unit(self, x: Any) -> ModelElement:
         return self.element((x,))
+
+    def check_payload(self, payload: Any) -> None:
+        self._refuse_unless(payload, self._collect(payload))
 
     def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
         if arity == 0:
@@ -603,6 +623,7 @@ class DistCarrier(Carrier):
         weights = [w for _, w in payload]
         if not all(isinstance(w, Fraction) and w > 0 for w in weights) or sum(weights) != 1:
             raise ValueError(f"dist weights must be positive Fractions summing to 1: {payload!r}")
+        self._refuse_unless(payload, _dist_merge([(_ONE, payload)]))
 
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         weights = self.weights.get(op)

@@ -27,10 +27,9 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Verdict, _fold, _verdict_from_steps, as_verdict,
-                    bind, conjoin, delay_n, dmap, join, now, render_delay, step_count, strong_equal,
-                    weak_bisim)
-from .lifting import DistLawCandidate, _check_arity, induced_candidate, lift_term
+from .delay import (DIVERGE, Delay, Now, Verdict, _fold, as_verdict, bind, conjoin, delay_n,
+                    dmap, join, now, render_delay, step_count, strong_equal, weak_bisim)
+from .lifting import _TOTAL, DistLawCandidate, _check_arity, induced_candidate, lift_term
 from .theory import (Term, Theory, TheorySemanticError, Var, classify_equation,
                      predict_composability, var_counts)
 
@@ -380,10 +379,10 @@ def iter_universe(th: Theory, u: TestUniverse, shape: str) -> Iterator[Any]:
     in a fixed order as they are built.
 
     Shapes: ``D`` (delays over the base carrier), ``T`` (model elements),
-    ``TD`` (elements over delays), ``TTD`` and ``TDD`` (the nested
-    multiplication shapes).  Raises UniverseBudgetError when the stream
-    would pass the universe's case budget, so a consumer that stops
-    early never sees an over-budget universe reported.
+    ``TTD`` and ``TDD`` (the nested multiplication shapes).  Raises
+    UniverseBudgetError when the stream would pass the universe's case
+    budget, so a consumer that stops early never sees an over-budget
+    universe reported.
     """
     vals = base_values(u.carrier_size)
     budget = u.case_budget
@@ -398,8 +397,6 @@ def iter_universe(th: Theory, u: TestUniverse, shape: str) -> Iterator[Any]:
         yield from delay_values(vals, u.max_steps, u.include_diverge)
     elif shape == "T":
         yield from enum(vals, u.max_depth)
-    elif shape == "TD":
-        yield from enum(delay_values(vals, u.max_steps, u.include_diverge), u.max_depth)
     elif shape == "TDD":
         yield from enum(double_delay_values(vals, u.max_steps, u.include_diverge), u.max_depth)
     elif shape == "TTD":
@@ -556,20 +553,21 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
 
     ``lift_op`` is what :func:`lift_term` takes: "seq", "par" or an
     op-lifting callable.  A callable lifts both sides node by node for
-    every case and compares them with ``strong_equal`` or ``weak_bisim``.
-    Under "seq" or "par" each side of a case is a step count, or
-    divergence, and a value (see :class:`_InducedSide`), so a case's
-    verdict is read from two tables that fill as the scan reaches them.
-    One is indexed by the variables' step counts and holds what the
-    comparison says from the two sides' counts alone, or that the values
-    decide.  The other is indexed by the variables' value keys and holds
-    the verdict of ``model_equal`` on the two sides' values, which runs
-    at most once per distinct pair of values.  Both routes visit the
-    cases in the same order and give the same verdicts, case counts,
-    details and witnesses.  Each equation's scan gives that equation's
-    entry; the check's details are their verdicts, its verdict their
-    conjunction, its case count their sum and its witness the first
-    equation's (:func:`_equation_witness`).
+    every case and compares them with the relation's comparison, the
+    ``equal`` of :func:`delay_pack`.  Under "seq" or "par" each side of a
+    case is a step count, or divergence, and a value (see
+    :class:`_InducedSide`), so a case's verdict is read from two tables
+    that cache that same comparison as the scan reaches them.  One is
+    indexed by the variables' step counts and holds the comparison of the
+    two sides' bare delays, their values taken as equal, where a Yes on
+    finite sides means that the values decide.  The other is indexed by
+    the variables' value keys and holds the verdict of ``model_equal`` on
+    the two sides' values, which runs at most once per distinct pair of
+    values.  Both routes visit the cases in the same order and give the
+    same verdicts, case counts, details and witnesses.  Each equation's
+    scan gives that equation's entry; the check's details are their
+    verdicts, its verdict their conjunction, its case count their sum and
+    its witness the first equation's (:func:`_equation_witness`).
     """
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
@@ -577,7 +575,6 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
                                    "equation preservation universe")
     env_pool = delay_values(model_pool, u.max_steps, u.include_diverge)
     rel = _element_rel(th)
-    strict = u.relation == "strict"
     induced = lift_op if isinstance(lift_op, str) and lift_op in ("seq", "par") else None
     # each pool delay's step count (None for DIVERGE) and value key (None
     # for DIVERGE); equal values share a key
@@ -594,7 +591,9 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
             v = pair_verdicts[a, b] = as_verdict(rel(a, b))
         return v
 
-    compare_delays = partial(delay_pack(u.relation, fuel).equal, inner_rel=rel)
+    pack = delay_pack(u.relation, fuel)
+    compare_delays = partial(pack.equal, inner_rel=rel)
+    compare_steps = partial(pack.equal, inner_rel=lambda a, b: True)
     entries: List[LawEntry] = []
     for eq in th.equations:
         n = len(eq.context)
@@ -606,7 +605,7 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
                                        for t in (eq.lhs, eq.rhs)):
             entries.append(_table_scan(
                 eq, cases, itertools.product(pool_steps, repeat=n),
-                itertools.product(pool_keys, repeat=n), induced, th, values, strict, fuel,
+                itertools.product(pool_keys, repeat=n), induced, th, values, compare_steps,
                 compare_values))
         else:
             entries.append(_node_scan(eq, cases, lift_op, th, compare_delays))
@@ -653,12 +652,17 @@ _VALUES_DECIDE = object()
 
 def _table_scan(eq, cases: Iterable[tuple], step_cases: Iterable[tuple],
                 key_cases: Iterable[tuple], mode: str, th: Theory,
-                values: Sequence[fm.ModelElement], strict: bool, fuel: int,
+                values: Sequence[fm.ModelElement],
+                compare_steps: Callable[[Delay, Delay], Verdict],
                 compare_values: Callable[[Any, Any], Verdict]) -> LawEntry:
     """The entry of ``eq`` under the induced lifting ``mode``, each case
     read from two tables: one indexed by the variables' step counts, one
     by their value keys (indices into ``values``).  ``cases``,
     ``step_cases`` and ``key_cases`` run in step, one tuple per case each.
+    On a miss, the step table holds ``compare_steps``, the relation's
+    comparison with the values taken as equal, of the two sides' bare
+    delays; a Yes on finite sides leaves the verdict to
+    ``compare_values`` on the sides' values, which the value table holds.
 
     The first case gives every variable the pool's first delay, which has
     no steps, so its values decide and both sides are evaluated there,
@@ -675,8 +679,9 @@ def _table_scan(eq, cases: Iterable[tuple], step_cases: Iterable[tuple],
         for case, steps, keys in zip(cases, step_cases, key_cases):
             v = step_table.get(steps)
             if v is None:
-                v = _verdict_from_steps(lhs.steps(steps), rhs.steps(steps), strict, fuel)
-                v = step_table[steps] = _VALUES_DECIDE if v is None else v
+                bare = lhs.delay(steps)
+                v = compare_steps(bare, rhs.delay(steps))
+                v = step_table[steps] = _VALUES_DECIDE if v.is_yes and bare is not DIVERGE else v
             if v is _VALUES_DECIDE:
                 v = value_table.get(keys)
                 if v is None:
@@ -695,14 +700,13 @@ class _InducedSide:
 
     Every delay is in normal form, so lifting ``t`` node by node gives
     DIVERGE when a variable on it diverges, and otherwise
-    ``delay_n(steps, eval_term(t))``.  The sequential lifting adds the
-    steps of its arguments, so ``steps`` is the sum over the variables
-    on ``t`` of occurrences times steps; the parallel lifting takes their
-    max, so ``steps`` is the largest step count of a variable on ``t``
-    (0 on a ground side).  The value depends only on the values of the
-    variables on ``t``, so it is evaluated once per assignment of them
-    and kept for the life of the side.  Its only errors come from
-    ``apply_op``, which ``eval_term`` calls in the node-by-node order.
+    ``delay_n(steps, eval_term(t))``, where ``steps`` is the lifting's
+    own rule, ``lifting._TOTAL[mode]``, over the step counts of the
+    variable occurrences on ``t``, one per occurrence (0 on a ground
+    side).  The value depends only on the values of the variables on
+    ``t``, so it is evaluated once per assignment of them and kept for
+    the life of the side.  Its only errors come from ``apply_op``, which
+    ``eval_term`` calls in the node-by-node order.
     """
 
     def __init__(self, t: Term, context: Sequence[str], mode: str, th: Theory,
@@ -713,18 +717,9 @@ class _InducedSide:
         self._term, self._theory, self._values = t, th, values
         self._names = list(occurrences)
         self._slots = [position[n] for n in self._names]
-        self._counts = [occurrences[n] for n in self._names]
-        self._seq = mode == "seq"
+        self._occurrences = [position[n] for n in self._names for _ in range(occurrences[n])]
+        self._total = _TOTAL[mode]
         self._memo: Dict[tuple, fm.ModelElement] = {}
-
-    def steps(self, steps: tuple) -> Optional[int]:
-        """The side's step count, or None when it diverges."""
-        picked = [steps[i] for i in self._slots]
-        if None in picked:
-            return None
-        if self._seq:
-            return sum([c * n for c, n in zip(self._counts, picked)])
-        return max(picked, default=0)
 
     def value(self, keys: tuple) -> fm.ModelElement:
         """The side's value, for a case where none of its variables diverges."""
@@ -735,10 +730,13 @@ class _InducedSide:
             value = self._memo[key] = fm.eval_term(self._theory, self._term, env)
         return value
 
-    def delay(self, steps: tuple, keys: tuple) -> Delay:
-        """The side lifted at the case, as :func:`lift_term` gives it."""
-        n = self.steps(steps)
-        return DIVERGE if n is None else delay_n(n, self.value(keys))
+    def delay(self, steps: tuple, keys: Optional[tuple] = None) -> Delay:
+        """The side lifted at the case, as :func:`lift_term` gives it;
+        without ``keys``, its bare delay, whose value is None."""
+        picked = [steps[i] for i in self._occurrences]
+        if None in picked:
+            return DIVERGE
+        return delay_n(self._total(picked), None if keys is None else self.value(keys))
 
 
 def _liftable(t: Term, bound: set, th: Theory) -> bool:

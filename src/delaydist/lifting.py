@@ -227,10 +227,11 @@ class DistLawCandidate:
     another carrier kind than its theory's, sends every node through
     ``lift_op``.  For an induced candidate both routes give the same
     result and raise the same errors.  Its equation preservation check
-    counts steps the same way and evaluates each side's value once per
-    value assignment, reading each case's verdict from a table of step
-    outcomes and a table of value comparisons
-    (:func:`delaydist.laws.check_equation_preservation`).
+    counts each side's steps with the same rule, ``_TOTAL[induced]``,
+    and evaluates each side's value once per value assignment, reading
+    each case's verdict from two caches of the relation's comparison: a
+    table of the sides' bare delays by step counts and a table of value
+    comparisons (:func:`delaydist.laws.check_equation_preservation`).
     """
 
     theory: Theory

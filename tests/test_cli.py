@@ -221,6 +221,22 @@ class TestCombo:
         assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == golden.read_text(
             encoding="utf-8")
 
+    @pytest.mark.parametrize("argv,want,golden", [
+        # idempotence refuted through the step table, with a witness
+        (["semilattice", "--lift", "seq", "--upto", "strict", "--carrier-size", "2",
+          "--max-steps", "2", "--max-depth", "1"], 0, "check_semilattice_seq_strict_c2s2d1.json"),
+        # associativity out of fuel on the step table
+        (["monoid", "--lift", "seq", "--upto", "weak", "--fuel", "1", *FAST_BOUNDS,
+          "--include-diverge"], 2, "check_monoid_seq_weak_fuel1_c1s1d1div.json"),
+    ])
+    def test_law_suite_matches_golden(self, capsys, argv, want, golden):
+        code, out, _ = run(capsys, "check", *argv, "--json")
+        assert code == want
+        d = json.loads(out)
+        del d["elapsedMs"]
+        assert json.dumps(d, indent=2, ensure_ascii=False) + "\n" == (GOLDEN / golden).read_text(
+            encoding="utf-8")
+
 
 class TestComboBudget:
     """Table and monad-law spaces past the case budget are refused before

@@ -1028,7 +1028,7 @@ def _lambda_selection_entries(u, z):
     S, T, _ = _selection_packs(u)
     return [laws.beck_scan(axiom, S, T, z, inputs, combos._eq,
                            combos._nat_render if axiom == "Naturality" else combos._short,
-                           combos._render_selection_side)
+                           combos._short)
             for axiom, (inputs, _, _) in combos.selection_scans(u).items()]
 
 

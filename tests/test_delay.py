@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaydist.delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, NO, YES, Delay, Now, Step,
-                             Terminated, _verdict_from_steps, bind, delay_n, dmap, force,
-                             join, now, prepend_steps, render_delay, resolve, step,
-                             step_count, strong_equal, unknown, weak_bisim)
+                             Terminated, bind, delay_n, dmap, force, join, now, prepend_steps,
+                             render_delay, resolve, step, step_count, strong_equal, unknown,
+                             weak_bisim)
 from delaydist.freemodel import canon_key
 
 from conftest import (peel, reference_canon_key, reference_dmap, reference_join,
@@ -429,10 +429,12 @@ def test_weak_bisim_matches_the_peel_form(fuel):
 
 
 @pytest.mark.parametrize("fuel", range(6))
-def test_the_step_verdict_is_the_comparison_up_to_its_values(fuel):
-    # from the step counts alone, either the comparison's verdict without
-    # asking the value relation, or None where the comparison asks it
+def test_the_bare_comparison_is_the_comparison_up_to_its_values(fuel):
+    # the comparison of two bare delays, their values taken as equal: a
+    # Yes on finite delays where the comparison asks the value relation,
+    # and otherwise the comparison's verdict without asking it
     for x, y in itertools.product(KERNEL_CHAINS, repeat=2):
+        bare_x, bare_y = dmap(x, lambda v: None), dmap(y, lambda v: None)
         for strict in (True, False):
             asked = []
 
@@ -440,10 +442,13 @@ def test_the_step_verdict_is_the_comparison_up_to_its_values(fuel):
                 asked.append((u, v))
                 return unknown(7)
 
-            got = (strong_equal(x, y, fuel, value_eq=rel) if strict
-                   else weak_bisim(x, y, rel, fuel))
-            v = _verdict_from_steps(step_count(x), step_count(y), strict, fuel)
-            if v is None:
+            def compare(a, b, rel):
+                return strong_equal(a, b, fuel, value_eq=rel) if strict else weak_bisim(
+                    a, b, rel, fuel)
+
+            got = compare(x, y, rel)
+            v = compare(bare_x, bare_y, lambda u, v: True)
+            if v.is_yes and x is not DIVERGE:
                 assert asked == [(x.value, y.value)] and got == unknown(7)
             else:
                 assert not asked and got == v

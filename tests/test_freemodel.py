@@ -831,6 +831,41 @@ class TestModelElementContract:
         with pytest.raises(ValueError, match="either payload must be"):
             fm.ModelElement("either", payload, fm.exceptions(2))
 
+    # (theory, a payload out of canonical form, the element the carrier
+    # builds for it), one per kind whose carrier decides equality by payload
+    NON_CANONICAL = {
+        "finset-order": (fm.semilattice, ("b", "a"), lambda th: fm.apply_op(
+            th, "union", [fm.unit(th, "b"), fm.unit(th, "a")])),
+        "finset-repeat": (fm.semilattice, ("a", "a"), lambda th: fm.unit(th, "a")),
+        "multiset": (fm.cmonoid, ("b", "a"), lambda th: fm.apply_op(
+            th, "mul", [fm.unit(th, "b"), fm.unit(th, "a")])),
+        "dist": (fm.convex, (("b", Fraction(1, 2)), ("a", Fraction(1, 2))),
+                 lambda th: fm.apply_op(th, "mix[1/2]", [fm.unit(th, "b"), fm.unit(th, "a")])),
+        "quotient": (idempotent_unary_theory, ("mul", ("leaf", "a"), ("leaf", "a")),
+                     lambda th: fm.unit(th, "a")),
+    }
+
+    @pytest.mark.parametrize("name", NON_CANONICAL)
+    def test_non_canonical_payloads_are_refused_at_construction(self, name):
+        make_theory, scrambled, build = self.NON_CANONICAL[name]
+        th = make_theory()
+        built = build(th)
+        kind = fm._carrier_of(th).kind
+        with pytest.raises(ValueError, match="is not in canonical form"):
+            fm.ModelElement(kind, scrambled, th)
+        twin = fm.ModelElement(kind, built.payload, th)
+        assert twin == built and fm.model_equal(th, twin, built).is_yes
+        assert pickle.loads(pickle.dumps(built)) == built
+
+    def test_terms_kept_as_built_accept_any_payload(self):
+        # a tree carrier, and a quotient carrier that is not rewrite
+        # complete, compare terms by more than their payloads
+        file_theory = parse_theory((THEORIES / "idempotent_unary.th").read_text(encoding="utf-8"))
+        payload = ("mul", ("leaf", "a"), ("leaf", "a"))
+        for th in (fm.magma(), file_theory):
+            m = fm.ModelElement(fm._carrier_of(th).kind, payload, th)
+            assert m.payload == payload and pickle.loads(pickle.dumps(m)) == m
+
     def test_checked_constructor_accepts_what_carriers_build(self):
         cv, ex = fm.convex(), fm.exceptions(2)
         mixed = fm.apply_op(cv, "mix[1/3]", [fm.unit(cv, "a"), fm.unit(cv, now("b"))])
