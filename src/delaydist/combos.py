@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Step, Terminated, Verdict,
+from .delay import (DIVERGE, EXHAUSTED, KNOWN_DIVERGENT, Delay, Now, Terminated, Verdict,
                     YES, NO, as_verdict, bind, conjoin, delay_n, dmap, force, join,
                     render_delay, step, strong_equal, unknown)
 from .laws import (BECK_AXIOMS, LawEntry, LawReport, MonadPack, TestUniverse,
@@ -582,7 +582,7 @@ def gsd_extend(f: Dict[Any, Any], alg: GsdAlgebra) -> Callable[[DelayedState], A
             return alg.div
         s1, x1 = d.value
         out = alg.update(f[x1], s1)
-        for _ in range(d.steps if isinstance(d, Step) else 0):
+        for _ in range(d.steps):
             out = alg.step(out)
         return out
 
@@ -743,7 +743,7 @@ class PredFn:
     fuel: int
 
     def __call__(self, d: Delay):
-        n = d.steps if isinstance(d, Step) else 0
+        n = d.steps
         if n > self.fuel or d is DIVERGE:
             return self.default
         return self.table(d.value)
@@ -860,7 +860,7 @@ def selection_scans(u: TestUniverse) -> Dict[str, Tuple[List[Any], Callable, Cal
     def key(d, table=table_of):
         if d is DIVERGE:
             return None
-        return d.steps if isinstance(d, Step) else 0, table(d.value)
+        return d.steps, table(d.value)
 
     sels: Dict[Any, Sel] = {}
     answers: Dict[Any, Tuple[Delay, ...]] = {}

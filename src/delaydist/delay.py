@@ -28,6 +28,9 @@ from typing import Any, Callable, Iterable, Optional, Tuple
 
 class Delay:
     __slots__ = ()
+    # the visible steps before the value: 0 on Now and on DIVERGE, whose
+    # steps are absorbed; a Step's slot shadows it
+    steps = 0
 
     def __str__(self) -> str:
         return render_delay(self)
@@ -195,7 +198,7 @@ def force(d: Delay, fuel: int):
     Returns ``Terminated(value, steps)``, ``KNOWN_DIVERGENT`` for
     divergence, or ``EXHAUSTED``.
     """
-    n = d.steps if isinstance(d, Step) else 0
+    n = d.steps
     if n > fuel:
         return EXHAUSTED
     return KNOWN_DIVERGENT if d is DIVERGE else Terminated(d.value, n)
@@ -287,8 +290,8 @@ def strong_equal(x: Delay, y: Delay, fuel: int, value_eq: Optional[ValueRel] = N
     first depth where one side has finished; Unknown when fuel runs out
     first.
     """
-    nx = x.steps if isinstance(x, Step) else 0
-    ny = y.steps if isinstance(y, Step) else 0
+    nx = x.steps
+    ny = y.steps
     # NO where the first side finishes, the other still stepping there
     if x is DIVERGE:
         return YES if y is DIVERGE else NO if ny <= fuel else unknown(fuel)
@@ -310,8 +313,8 @@ def weak_bisim(x: Delay, y: Delay, rel: ValueRel, fuel: int) -> Verdict:
     divergence.  Both sides advance together, so the verdict falls once
     the longer one has ended; Unknown when that is beyond ``fuel``.
     """
-    nx = x.steps if isinstance(x, Step) else 0
-    ny = y.steps if isinstance(y, Step) else 0
+    nx = x.steps
+    ny = y.steps
     if nx > fuel or ny > fuel:
         return unknown(fuel)
     if x is DIVERGE or y is DIVERGE:
@@ -327,5 +330,5 @@ def render_delay(d: Delay, value_render: Callable[[Any], str] = str) -> str:
     """``step^n(now v)`` prints as ``n·step ▸ v``; divergence as ``⊥``."""
     if d is DIVERGE:
         return "⊥"
-    n = d.steps if isinstance(d, Step) else 0
+    n = d.steps
     return f"{n}·step ▸ {value_render(d.value)}"

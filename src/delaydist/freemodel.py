@@ -29,6 +29,12 @@ The module functions (:func:`unit`, :func:`apply_op`, :func:`free_bind`,
 values directly, without the unit element per value that binding would
 build.  A :class:`ModelElement` holds its carrier and computes
 its hash and :func:`canon_key` once, when first asked.
+
+Whether a payload is well formed for its theory is decided in one place:
+the :class:`ModelElement` constructor, which outside input and unpickling
+go through.  It takes only the theory's own carrier kind and refuses what
+that carrier would not build, so nothing downstream checks an element's
+operations again.  Carriers build their elements unchecked.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .delay import DIVERGE, Delay, Step, Verdict, YES, NO, unknown, render_delay
+from .delay import DIVERGE, Delay, Verdict, YES, NO, unknown, render_delay
 from .theory import (App, Equation, Operation, Signature, Term, Theory, TheorySemanticError,
                      Var, free_vars, make_equation, validate_theory)
 
@@ -80,7 +86,7 @@ def canon_key(v: Any):
     if isinstance(v, Delay):
         if v is DIVERGE:
             return _DIVERGE_KEY
-        return ("d", v.steps if isinstance(v, Step) else 0, canon_key(v.value))
+        return ("d", v.steps, canon_key(v.value))
     if isinstance(v, tuple):
         return ("t", tuple([canon_key(x) for x in v]))
     if isinstance(v, bool):
@@ -89,6 +95,10 @@ def canon_key(v: Any):
         return ("i", v)
     if isinstance(v, Fraction):
         return ("q", v.numerator, v.denominator)
+    if type(v).__repr__ is object.__repr__:
+        # that repr is the value's address, which differs from run to run
+        raise TypeError(f"values of type {type(v).__name__} have no canonical order: "
+                        "their repr is their memory address")
     return ("r", repr(v))
 
 
@@ -106,16 +116,23 @@ class ModelElement:
     immutable.  It computes its hash and its :func:`canon_key` the first
     time each is asked for and keeps them, so an element nested in many
     payloads is hashed and ordered once: the per-node cache of
-    hash-consing (Filliâtre & Conchon 2006) without a global table.  The
-    constructor, for outside input and unpickling, checks the payload
-    with ``Carrier.check_payload``, which also refuses a payload that a
-    canonical carrier would not build; carriers build elements unchecked.
+    hash-consing (Filliâtre & Conchon 2006) without a global table.
+
+    The constructor, for outside input and unpickling, refuses with
+    ``ValueError`` a ``kind`` other than the theory's own carrier kind,
+    and a payload that carrier would not build (``Carrier.check_payload``):
+    a term with an undeclared operation, a node with the wrong argument
+    count or a leaf that is not ``("leaf", value)``, an exception the
+    theory does not declare, a payload out of canonical form.  Carriers
+    build elements unchecked.
     """
 
     __slots__ = ("carrier", "payload", "_hash", "_key")
 
     def __new__(cls, kind: str, payload: Any, theory: Theory) -> "ModelElement":
-        c = _carrier_for(theory, kind)
+        c = _carrier_of(theory)
+        if _carrier_class(kind) is not c.__class__:
+            raise ValueError(f"theory '{theory.name}' has {c.kind!r} elements, not {kind!r}")
         c.check_payload(payload)
         return c.element(payload)
 
@@ -356,7 +373,7 @@ class Carrier:
         return e
 
     def check_payload(self, payload: Any) -> None:
-        """Raise ``ValueError`` for a payload this kind cannot work with."""
+        """Raise ``ValueError`` for a payload this carrier would not build."""
 
     def _refuse_unless(self, payload: Any, canonical: Any) -> None:
         """Refuse ``payload`` unless it is ``canonical``, its canonical
@@ -365,14 +382,11 @@ class Carrier:
             raise ValueError(f"{self.kind} payload {payload!r} is not in canonical form; "
                              f"the carrier builds {canonical!r}")
 
-    def unknown_operation(self, op: str) -> TheorySemanticError:
-        """The error for applying ``op``, which the theory does not declare."""
-        return TheorySemanticError(f"unknown operation '{op}' in theory '{self.theory.name}'", op)
-
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         declared = self.arities.get(op)
         if declared is None:
-            raise self.unknown_operation(op)
+            raise TheorySemanticError(
+                f"unknown operation '{op}' in theory '{self.theory.name}'", op)
         if declared != len(args):
             raise TheorySemanticError(
                 f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
@@ -399,9 +413,30 @@ class TreeCarrier(Carrier):
         return self.element(("leaf", x))
 
     def check_payload(self, payload: Any) -> None:
+        self._check_term(payload)
         # terms kept normal must be given normal, as the carrier rebuilds them
         if self.normalise is not None:
             self._refuse_unless(payload, _relabel(payload, _identity, self.normalise))
+
+    def _check_term(self, p: Any) -> None:
+        """Refuse ``p`` unless it is ``("leaf", value)`` or a declared
+        operation over as many such terms as its arity."""
+        if not (isinstance(p, tuple) and p and isinstance(p[0], str)):
+            raise ValueError(f"{self.kind} payload {p!r} is not a term")
+        op = p[0]
+        if op == "leaf":
+            if len(p) != 2:
+                raise ValueError(f"{self.kind} leaf {p!r} is not ('leaf', value)")
+            return
+        declared = self.arities.get(op)
+        if declared is None:
+            raise ValueError(f"{self.kind} payload applies '{op}', which theory "
+                             f"'{self.theory.name}' does not declare")
+        if declared != len(p) - 1:
+            raise ValueError(f"{self.kind} payload applies '{op}' to {len(p) - 1} "
+                             f"arguments; it takes {declared}")
+        for child in p[1:]:
+            self._check_term(child)
 
     def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
         payload = (op, *[a.payload for a in args])
@@ -691,6 +726,10 @@ class EitherCarrier(Carrier):
     def check_payload(self, payload: Any) -> None:
         if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] in ("val", "exc")):
             raise ValueError(f"either payload must be ('val', x) or ('exc', name): {payload!r}")
+        if payload[0] == "exc" and not (isinstance(payload[1], str)
+                                        and payload[1] in self.arities):
+            raise ValueError(f"either payload {payload!r} raises an exception that theory "
+                             f"'{self.theory.name}' does not declare")
 
     def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
         return self.element(("exc", op))
@@ -740,14 +779,6 @@ def _carrier_of(th: Theory) -> Carrier:
         c = _carrier_class(th.oracle if th.oracle is not None else "quotient")(th)
         object.__setattr__(th, "_carrier", c)
     return c
-
-
-def _carrier_for(th: Theory, kind: str) -> Carrier:
-    """The carrier of ``kind`` over ``th``: the theory's own when it has
-    that kind."""
-    cls = _carrier_class(kind)
-    c = _carrier_of(th)
-    return c if c.__class__ is cls else cls(th)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ is what the axiom checkers decide.
 
 Every delay is in the normal form D X ≅ ℕ × X + 1, so both liftings are
 plain arithmetic on step counts, and an induced candidate builds one
-element per distribution: the sequential lifting sums the leaves' step
-counts, the parallel lifting takes their max, and a divergent leaf makes
-the result divergent, absorbing the steps.  The value is the element
-with each leaf replaced by its end value.  On a tree carrier one
-post-order walk over the representative builds the counts and the
-payload together and makes the element at the root; on the other
-carriers the counts come from the element's values and the value from
-one :meth:`~delaydist.freemodel.Carrier.fmap`.  Custom liftings go
-through the lifted operation at every node.
+element per distribution, the same way on every carrier: the sequential
+lifting sums the step counts of the element's values, the parallel
+lifting takes their max, and a divergent value makes the result
+divergent, absorbing the steps.  The value is one
+:meth:`~delaydist.freemodel.Carrier.fmap` of the element to its values'
+ends.  No operation needs checking on the way: the checked constructor of
+:class:`~delaydist.freemodel.ModelElement` refuses a payload that the
+theory's carrier would not build.  Custom liftings go through the lifted
+operation at every node.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import freemodel as fm
-from .delay import DIVERGE, Delay, Step, delay_n, dmap
+from .delay import DIVERGE, Delay, delay_n, dmap
 from .theory import Term, Theory, TheorySemanticError, Var
 
 OpLifter = Callable[[str, List[Delay], Theory], Delay]
@@ -40,25 +40,6 @@ def _longest(counts: Sequence[int]) -> int:
 
 # how each structural lifting combines its arguments' step counts
 _TOTAL: Dict[str, Callable[[Sequence[int]], int]] = {"seq": sum, "par": _longest}
-
-
-def _eager_ends(args, total: Callable[[Sequence[int]], int]):
-    """The arguments' step counts, combined by ``total``, and final
-    values, or DIVERGE when one of them diverges.  An argument is a Delay
-    or, from the payload walk, a ``(steps, payload)`` pair already read
-    off one."""
-    counts, values, diverges = [], [], False
-    for a in args:
-        if isinstance(a, tuple):
-            n, v = a
-        elif a is DIVERGE:
-            diverges = True
-            continue
-        else:
-            n, v = (a.steps if isinstance(a, Step) else 0), a.value
-        counts.append(n)
-        values.append(v)
-    return DIVERGE if diverges else (total(counts), values)
 
 
 def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
@@ -74,12 +55,12 @@ def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
 
 def _lift_op(op: str, args: Sequence[Delay], th: Theory,
              total: Callable[[Sequence[int]], int]) -> Delay:
+    """``op`` applied to the arguments' final values after their step
+    counts combined by ``total``, or DIVERGE when an argument diverges."""
     _check_arity(op, args, th)
-    ends = _eager_ends(args, total)
-    if ends is DIVERGE:
+    if any(a is DIVERGE for a in args):
         return DIVERGE
-    n, values = ends
-    return delay_n(n, fm.apply_op(th, op, values))
+    return delay_n(total([a.steps for a in args]), fm.apply_op(th, op, [a.value for a in args]))
 
 
 def par_lift_op(op: str, args: Sequence[Delay], th: Theory) -> Delay:
@@ -151,54 +132,6 @@ def _end(d: Delay):
     return d.value
 
 
-def _walk(node, carrier: fm.TreeCarrier, total: Callable[[Sequence[int]], int]):
-    """``(steps, payload)`` for a representative term over delays, or
-    DIVERGE, in the tree carrier ``carrier``, the theory's own.  Leaves
-    give their step count and a leaf over their value, nodes combine
-    their children's counts by ``total`` and build the model operation's
-    payload over theirs; a divergent child makes the node divergent
-    without applying it.  Errors come from the same leaf or node, in the
-    same order, as on the per-node path: the children, the argument
-    count, divergence, then an undeclared operation.  Unary and binary
-    nodes take that order without building an argument list."""
-    op = node[0]
-    if op == "leaf":
-        d = _leaf_delay(node[1])
-        if d is DIVERGE:
-            return DIVERGE
-        return (d.steps if isinstance(d, Step) else 0), ("leaf", d.value)
-    declared = carrier.arities.get(op)
-    arity = len(node) - 1
-    if arity == 2:
-        a = _walk(node[1], carrier, total)
-        b = _walk(node[2], carrier, total)
-        if declared != 2:
-            _check_arity(op, (a, b), carrier.theory)
-        if a is DIVERGE or b is DIVERGE:
-            return DIVERGE
-        n, payload = total((a[0], b[0])), (op, a[1], b[1])
-    elif arity == 1:
-        a = _walk(node[1], carrier, total)
-        if declared != 1:
-            _check_arity(op, (a,), carrier.theory)
-        if a is DIVERGE:
-            return DIVERGE
-        n, payload = a[0], (op, a[1])
-    else:
-        args = [_walk(child, carrier, total) for child in node[1:]]
-        _check_arity(op, args, carrier.theory)
-        ends = _eager_ends(args, total)
-        if ends is DIVERGE:
-            return DIVERGE
-        n, payloads = ends
-        payload = (op, *payloads)
-    if declared is None:
-        # an undeclared operation fails where it would be applied
-        raise carrier.unknown_operation(op)
-    # the children are normal, so fixing the node keeps the payload normal
-    return n, carrier.normalise(payload) if carrier.normalise else payload
-
-
 @dataclass
 class DistLawCandidate:
     """A candidate transformation from model-over-delays to delayed-model.
@@ -215,23 +148,21 @@ class DistLawCandidate:
     ``induced`` names the structural lifting ("seq" or "par") that an
     induced candidate comes from, and is None for a custom one.  An
     induced candidate distributes an element without calling ``lift_op``
-    and makes one element per result: seq sums the leaves' step counts,
-    par takes their max, and a divergent leaf makes the result DIVERGE,
-    absorbing the steps.  On a tree or quotient carrier one post-order
-    walk over the representative builds ``(steps, payload)``, with the
-    checks of the per-node path in its order (argument count, divergence
-    before the operation is applied, an unknown operation where it is
-    applied, a non-Delay leaf); on the other carriers the counts come
-    from the element's values and the value is ``fmap`` of their end
-    values.  A custom candidate, and an induced one given an element of
-    another carrier kind than its theory's, sends every node through
-    ``lift_op``.  For an induced candidate both routes give the same
-    result and raise the same errors.  Its equation preservation check
-    counts each side's steps with the same rule, ``_TOTAL[induced]``,
-    and evaluates each side's value once per value assignment, reading
-    each case's verdict from two caches of the relation's comparison: a
-    table of the sides' bare delays by step counts and a table of value
-    comparisons (:func:`delaydist.laws.check_equation_preservation`).
+    and makes one element per result, on every carrier the same way: seq
+    sums the step counts of the element's values, par takes their max, a
+    divergent value makes the result DIVERGE, absorbing the steps, and the
+    value is ``fmap`` of their end values.  It gives the result of the
+    per-node path, and raises its ``TypeError`` for a value that is not a
+    Delay.  It refuses with ``ValueError`` an element of another carrier
+    kind than its theory's, as :func:`~delaydist.freemodel.model_equal`
+    does.  A custom candidate sends every node of the element's
+    representative through ``lift_op``.  An induced candidate's equation
+    preservation check counts each side's steps with the same rule,
+    ``_TOTAL[induced]``, and evaluates each side's value once per value
+    assignment, reading each case's verdict from two caches of the
+    relation's comparison: a table of the sides' bare delays by step
+    counts and a table of value comparisons
+    (:func:`delaydist.laws.check_equation_preservation`).
     """
 
     theory: Theory
@@ -241,15 +172,13 @@ class DistLawCandidate:
 
     def apply(self, m: fm.ModelElement) -> Delay:
         th = self.theory
-        if self.induced is not None:
-            total = _TOTAL[self.induced]
-            carrier = fm._carrier_of(th)
-            if isinstance(carrier, fm.TreeCarrier):
-                out = _walk(fm.representative(m), carrier, total)
-                return DIVERGE if out is DIVERGE else delay_n(out[0], carrier.element(out[1]))
-            if m.carrier.__class__ is carrier.__class__:
-                return _distribute_values(m, carrier, total)
-        return _lift_representative(fm.representative(m), self.lift_op, self.name, th)
+        if self.induced is None:
+            return _lift_representative(fm.representative(m), self.lift_op, self.name, th)
+        carrier = fm._carrier_of(th)
+        if m.carrier.__class__ is not carrier.__class__:
+            raise ValueError(f"cannot distribute a {m.kind!r} element over the "
+                             f"{carrier.kind!r} carrier of theory '{th.name}'")
+        return _distribute_values(m, carrier, _TOTAL[self.induced])
 
 
 def _lift_representative(node, lift_op: OpLifter, name: str, th: Theory) -> Delay:
@@ -264,26 +193,18 @@ def _lift_representative(node, lift_op: OpLifter, name: str, th: Theory) -> Dela
 
 def _distribute_values(m: fm.ModelElement, carrier: fm.Carrier,
                        total: Callable[[Sequence[int]], int]) -> Delay:
-    """An induced candidate on an element of a carrier that is not a tree:
-    the values' step counts combined by ``total``, over the element with
-    each value replaced by its end, or DIVERGE when a value diverges.
-    Every value is checked to be a delay, as every leaf of the
-    representative is.  An element without values is a constant: its
-    representative is one nullary operation, checked as the walk checks
-    a node."""
-    values = carrier.values_of(m)
-    if not values:
-        op = fm.representative(m)[0]
-        _check_arity(op, (), carrier.theory)
-        if op not in carrier.arities:
-            raise carrier.unknown_operation(op)
+    """An induced candidate on ``m``, an element of ``carrier``: the step
+    counts of its values combined by ``total``, over the element with each
+    value replaced by its end, or DIVERGE when a value diverges.  Every
+    value is checked to be a delay, as every leaf of the representative
+    is on the per-node path."""
     counts, diverges = [], False
-    for v in values:
+    for v in carrier.values_of(m):
         d = _leaf_delay(v)
         if d is DIVERGE:
             diverges = True
         else:
-            counts.append(d.steps if isinstance(d, Step) else 0)
+            counts.append(d.steps)
     if diverges:
         return DIVERGE
     return delay_n(total(counts), carrier.fmap(m, _end))

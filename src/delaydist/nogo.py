@@ -711,8 +711,8 @@ def _mul(a: Delay, b: Delay, th: Theory) -> Delay:
     # until both have finished; a divergent side makes the product diverge.
     if a is DIVERGE or b is DIVERGE:
         return DIVERGE
-    na = a.steps if isinstance(a, Step) else 0
-    nb = b.steps if isinstance(b, Step) else 0
+    na = a.steps
+    nb = b.steps
     t = max(na, nb)
     values = [_after(na, a.value, t, th), _after(nb, b.value, t, th)]
     return delay_n(t, fm.apply_op(th, "mul", values))

@@ -3,17 +3,34 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from delaydist import combos, laws, lifting
+from delaydist import combos, laws
 from delaydist import freemodel as fm
 from delaydist.delay import (DIVERGE, NO, YES, Delay, Now, Step, Terminated, as_verdict, bind,
                              conjoin, delay_n, dmap, force, render_delay, strong_equal, unknown,
                              weak_bisim)
 from delaydist.laws import LawEntry, Witness
 from delaydist.lifting import lift_term
-from delaydist.theory import TheorySemanticError, Var
+from delaydist.nogo import idempotent_unary_theory
+from delaydist.theory import TheorySemanticError, Var, parse_theory
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
+
+# one theory per carrier kind, the quotient carrier both with a complete
+# rewrite system and without one
+CARRIERS = {
+    "tree": fm.magma(),
+    "list": fm.monoid(),
+    "multiset": fm.cmonoid(),
+    "finset": fm.semilattice(),
+    "dist": fm.convex([Fraction(1, 3), Fraction(1, 2)]),
+    "either": fm.exceptions(2),
+    "quotient-complete": idempotent_unary_theory(),
+    "quotient": parse_theory((THEORIES / "band.th").read_text(encoding="utf-8")),
+}
 
 
 def reference_monad_laws_kleisli(unit_fn, bind_fn, elements, value_set, k_pool, compare,
@@ -156,29 +173,6 @@ def reference_weak_bisim(x, y, rel, fuel):
     if isinstance(x, Now) and isinstance(y, Now):
         return as_verdict(rel(x.value, y.value))
     return as_verdict(x is DIVERGE and y is DIVERGE)
-
-
-def reference_walk(node, carrier, total):
-    """The induced candidates' payload walk as it was written before unary
-    and binary nodes were handled directly: every node's children through
-    a list, a slice and a star-unpack."""
-    if node[0] == "leaf":
-        d = lifting._leaf_delay(node[1])
-        if d is DIVERGE:
-            return DIVERGE
-        n, end = peel(d)
-        return n, ("leaf", end.value)
-    op = node[0]
-    args = [reference_walk(child, carrier, total) for child in node[1:]]
-    lifting._check_arity(op, args, carrier.theory)
-    ends = lifting._eager_ends(args, total)
-    if ends is DIVERGE:
-        return DIVERGE
-    if op not in carrier.arities:
-        raise carrier.unknown_operation(op)
-    n, payloads = ends
-    payload = (op, *payloads)
-    return n, carrier.normalise(payload) if carrier.normalise else payload
 
 
 def writer_steps_preserved(monoid, xs, max_steps):
@@ -357,7 +351,7 @@ def reference_rewrite_positions(th, p):
     return results
 
 
-def _reference_root_fix(th, t):
+def reference_root_fix(th, t):
     while t[0] != "leaf":
         for eq in th.equations:
             b = _reference_match(eq.lhs, t, {})
@@ -372,7 +366,7 @@ def _reference_root_fix(th, t):
 def _reference_build_normal(th, t, binding):
     if isinstance(t, Var):
         return binding[t.name]
-    return _reference_root_fix(
+    return reference_root_fix(
         th, (t.op,) + tuple(_reference_build_normal(th, a, binding) for a in t.args))
 
 
@@ -395,7 +389,7 @@ def reference_apply_op(th, op, args):
     if k == "tree" or k == "quotient":
         payload = (op,) + tuple(a.payload for a in args)
         if k == "quotient" and th.rewrite_complete:
-            payload = _reference_root_fix(th, payload)
+            payload = reference_root_fix(th, payload)
         return fm.ModelElement(k, payload, th)
     if k == "list":
         if declared == 0:
@@ -450,7 +444,7 @@ def reference_free_bind(th, m, k):
             if p[0] == "leaf":
                 return k(p[1]).payload
             out = (p[0],) + tuple(graft(a) for a in p[1:])
-            return _reference_root_fix(th, out) if renorm else out
+            return reference_root_fix(th, out) if renorm else out
 
         return fm.ModelElement(kind, graft(m.payload), th)
     raise ValueError(f"unknown carrier kind {kind!r}")

@@ -267,6 +267,15 @@ class TestFlatNormalForm:
         assert d.tail == delay_n(1, "a")
         assert hash(d) == hash(delay_n(2, "a"))
 
+    @pytest.mark.parametrize("d,steps", [(now("a"), 0), (DIVERGE, 0), (Step(DIVERGE), 0),
+                                         (delay_n(1, "a"), 1), (Step(delay_n(2, "b")), 3)])
+    def test_steps_reads_the_visible_steps(self, d, steps):
+        # every delay answers .steps: Step's slot shadows Delay's 0, which
+        # Now and DIVERGE read
+        assert d.steps == steps
+        assert pickle.loads(pickle.dumps(d)).steps == steps
+        assert d.steps == (step_count(d) or 0)
+
     def test_steps_in_front_of_divergence_are_absorbed(self):
         # never = step(never): stepⁿ(⊥) is ⊥ itself, however it is built
         assert Step(Step(DIVERGE)) is DIVERGE

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as ref
+from delaydist import combos
 from delaydist import freemodel as fm
 from delaydist.delay import DIVERGE, delay_n, now
 from delaydist.nogo import idempotent_unary_theory
@@ -69,6 +70,23 @@ class TestUnitAndOps:
         th = fm.convex()
         a = fm.unit(th, "a")
         assert fm.apply_op(th, "mix[1/2]", [a, a]).payload == ((("a", Fraction(1))),)
+
+    def test_values_ordered_by_address_are_refused(self):
+        # the repr of a class that keeps object's is its memory address,
+        # which would order a finset or multiset differently in each run
+        class Plain:
+            pass
+
+        for th, op in ((fm.semilattice(), "union"), (fm.cmonoid(), "mul")):
+            with pytest.raises(TypeError, match="^values of type Plain have no canonical order"):
+                fm.apply_op(th, op, [fm.unit(th, Plain()), fm.unit(th, Plain())])
+        # the combination leaves have reprs of their own, so they are ordered
+        leaves = [combos.DIV_LEAF, combos.PureLeaf("a"),
+                  combos.LaterLeaf(fm.unit(fm.monoid(), "b"))]
+        th = fm.semilattice()
+        m = fm.apply_op(th, "union", [fm.unit(th, leaves[0]), fm.unit(th, leaves[1])])
+        m = fm.apply_op(th, "union", [m, fm.unit(th, leaves[2])])
+        assert m.payload == tuple(sorted(leaves, key=repr))
 
     def test_magma_keeps_shape(self):
         th = fm.magma()
@@ -792,17 +810,18 @@ class TestModelElementContract:
         assert (m.kind, m.payload, m.theory) == ("multiset", ("a", "b"), th)
 
     def test_the_theory_takes_no_part_in_equality_or_hash(self):
-        a = fm.ModelElement("list", ("x", "y"), fm.monoid())
-        b = fm.ModelElement("list", ("x", "y"), fm.monoid())
-        c = fm.ModelElement("list", ("x", "y"), fm.semilattice())
+        payload = (("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
+        a = fm.ModelElement("dist", payload, fm.convex())
+        b = fm.ModelElement("dist", payload, fm.convex())
+        c = fm.ModelElement("dist", payload, fm.convex([Fraction(1, 3), Fraction(1, 2)]))
         assert a.theory is not b.theory and a.theory != c.theory
         assert a == b == c
         assert hash(a) == hash(b) == hash(c)
         assert fm.canon_key(a) == fm.canon_key(c)
 
     def test_equal_payloads_of_different_kinds_differ(self):
-        th = fm.monoid()
-        elems = [fm.ModelElement(kind, ("x",), th) for kind in ("list", "multiset", "finset")]
+        elems = [fm.ModelElement(kind, ("x",), th) for kind, th in (
+            ("list", fm.monoid()), ("multiset", fm.cmonoid()), ("finset", fm.semilattice()))]
         for e1, e2 in itertools.combinations(elems, 2):
             assert e1 != e2
         assert len(set(elems)) == 3
@@ -811,6 +830,13 @@ class TestModelElementContract:
     def test_unknown_kind_is_refused_at_construction(self):
         with pytest.raises(ValueError, match="unknown carrier kind 'bogus'"):
             fm.ModelElement("bogus", (), fm.monoid())
+
+    def test_only_the_theorys_own_kind_is_constructed(self):
+        for kind, th in (("multiset", fm.monoid()), ("list", fm.cmonoid()),
+                         ("tree", ref.CARRIERS["quotient"]), ("quotient", fm.magma())):
+            own = fm._carrier_of(th).kind
+            with pytest.raises(ValueError, match=f"has '{own}' elements, not '{kind}'$"):
+                fm.ModelElement(kind, ("leaf", "x") if own == "tree" else ("x",), th)
 
     @pytest.mark.parametrize("weights", [
         (Fraction(1), Fraction(1, 2)),     # sums past 1
@@ -826,10 +852,19 @@ class TestModelElementContract:
         with pytest.raises(ValueError, match="positive Fractions summing to 1"):
             fm.ModelElement("dist", payload, th)
 
-    @pytest.mark.parametrize("payload", [("foo", "e0"), ("val",), "val", ("val", "a", "b")])
+    @pytest.mark.parametrize("payload", [("foo", "e0"), ("val",), "val", ("val", "a", "b"),
+                                         # exceptions the theory does not declare
+                                         ("exc", "zzz"), ("exc", "e2"), ("exc", ("e0",))])
     def test_either_payloads_are_checked_at_construction(self, payload):
-        with pytest.raises(ValueError, match="either payload must be"):
+        with pytest.raises(ValueError, match="^either payload (must be|.* does not declare$)"):
             fm.ModelElement("either", payload, fm.exceptions(2))
+
+    @pytest.mark.parametrize("payload", [
+        (), "leaf", ("leaf",), ("leaf", "a", "b"), (("leaf", "a"),), ("mul", ("leaf", "a"), "b"),
+    ])
+    def test_terms_must_be_leaves_or_nodes(self, payload):
+        with pytest.raises(ValueError, match="is not"):
+            fm.ModelElement("tree", payload, fm.magma())
 
     # (theory, a payload out of canonical form, the element the carrier
     # builds for it), one per kind whose carrier decides equality by payload
@@ -870,15 +905,27 @@ class TestModelElementContract:
         cv, ex = fm.convex(), fm.exceptions(2)
         mixed = fm.apply_op(cv, "mix[1/3]", [fm.unit(cv, "a"), fm.unit(cv, now("b"))])
         raised = fm.apply_op(ex, "e1", [])
-        # undeclared exception names still construct, and fail where used
-        for m in (mixed, fm.unit(cv, "a"), raised, fm.unit(ex, "a"),
-                  fm.ModelElement("either", ("exc", "zzz"), ex)):
+        for m in (mixed, fm.unit(cv, "a"), raised, fm.unit(ex, "a")):
             twin = fm.ModelElement(m.kind, m.payload, m.theory)
             assert twin == m and str(twin) == str(m)
             assert pickle.loads(pickle.dumps(m)) == m
         # the carriers' own elements are not checked on the way
         assert fm._carrier_of(cv).element(((now("a"), Fraction(1, 2)),)).payload[0][1] == \
             Fraction(1, 2)
+
+    @pytest.mark.parametrize("carrier", sorted(ref.CARRIERS))
+    @given(generators=st.lists(st.sampled_from(
+        [now("a"), now("b"), delay_n(1, "a"), delay_n(2, "b"), DIVERGE]), min_size=1, max_size=3,
+        unique=True))
+    @settings(max_examples=10, deadline=None)
+    def test_the_checked_constructor_admits_every_element_built(self, carrier, generators):
+        # every element enumeration builds passes the checks, whose twin
+        # is equal, and survives a pickle round trip
+        th = ref.CARRIERS[carrier]
+        for m in fm.iter_elements(th, generators, 2):
+            twin = fm.ModelElement(m.kind, m.payload, th)
+            assert twin == m and fm.canon_key(twin) == fm.canon_key(m)
+            assert pickle.loads(pickle.dumps(m)) == m
 
     def test_copies_are_equal(self):
         th = fm.semilattice()

@@ -3,15 +3,16 @@
 The sequential lifting must take the sum of its arguments' step counts,
 the parallel lifting the max; both facts are checked exhaustively for
 binary operations at up to three steps per argument.  Induced candidates
-build one element per distribution: a payload walk over tree
-representatives, the values' step counts and one ``fmap`` on the other
-carriers.  The per-node interpretation through the lifted operations,
-which custom candidates take, is their reference, and ``fmap`` is
-checked against its definition by binding."""
+build one element per distribution, on every carrier from the values'
+step counts and one ``fmap``.  The per-node interpretation through the
+lifted operations, which custom candidates take, is their reference, and
+``fmap`` is checked against its definition by binding.  What reaches a
+candidate is what the checked constructor admits: a tree carrier refuses
+undeclared operations and wrong argument counts there."""
 
 import itertools
+import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,20 +24,13 @@ from delaydist.delay import (DIVERGE, Now, Step, delay_n, dmap, now, prepend_ste
                              strong_equal, weak_bisim)
 from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candidate,
                                lift_term, par_lift_op, seq_lift_op)
-from delaydist.nogo import idempotent_unary_theory
 from delaydist.theory import (App, Operation, Signature, Theory, TheorySemanticError, Var,
-                              make_equation, parse_theory, validate_theory)
+                              make_equation, validate_theory)
 
-from conftest import (reference_apply_op, reference_fmap, reference_free_bind, reference_unit,
-                      reference_walk)
-
-THEORIES = Path(__file__).resolve().parent.parent / "theories"
+from conftest import (CARRIERS, reference_apply_op, reference_fmap, reference_free_bind,
+                      reference_root_fix, reference_unit)
 
 STEPS = range(4)
-
-
-def _band():
-    return parse_theory((THEORIES / "band.th").read_text(encoding="utf-8"))
 
 
 def _per_node(th, mode, m):
@@ -119,51 +113,6 @@ class TestStepArithmetic:
         assert lift("frob", [DIVERGE], th) is DIVERGE
         with pytest.raises(TheorySemanticError, match="unknown operation 'frob'"):
             lift("frob", [delay_n(1, a)], th)
-
-        # through a candidate, one pass or per node, the same messages come
-        # from the same node as through the lifted operation
-        mode = {seq_lift_op: "seq", par_lift_op: "par"}[lift]
-        cases = [(fm.ModelElement("tree", ("mul", ("leaf", arg)), th),
-                  r"^operation 'mul' expects 2 arguments, got 1$")
-                 for arg in (now(a), DIVERGE, delay_n(1, a))]
-        # the first faulty node or leaf in post-order raises
-        cases.append((fm.ModelElement("tree", ("mul", ("mul", ("leaf", now(a))),
-                                               ("leaf", "bare")), th),
-                      r"^operation 'mul' expects 2 arguments, got 1$"))
-        cases.append((fm.ModelElement("tree", ("mul", ("leaf", "bare"),
-                                               ("mul", ("leaf", now(a)))), th),
-                      r"^distribution input must hold Delay values, found str$"))
-        cases.append((fm.ModelElement("tree", ("mul", ("leaf", delay_n(1, a)),
-                                               ("mul", ("leaf", now(a)))), th),
-                      r"^operation 'mul' expects 2 arguments, got 1$"))
-        # an unknown operation on a quotient payload fails where it is applied
-        q = _band()
-        frob = lambda d: ("frob", ("leaf", d))
-        cases += [
-            (fm.ModelElement("quotient", frob(now(a)), q),
-             r"^unknown operation 'frob' in theory 'band'$"),
-            (fm.ModelElement("quotient", frob(delay_n(1, a)), q),
-             r"^unknown operation 'frob' in theory 'band'$"),
-            (fm.ModelElement("quotient", ("mul", frob(DIVERGE), frob(delay_n(2, a))), q),
-             r"^unknown operation 'frob' in theory 'band'$"),
-            (fm.ModelElement("quotient", ("mul", frob(now(a)), ("leaf", "bare")), q),
-             r"^unknown operation 'frob' in theory 'band'$"),
-        ]
-        # over a stepping leaf the operation applies at once, so it raises
-        # before the bare leaf after it
-        cases.append((fm.ModelElement("quotient", ("mul", frob(delay_n(1, a)), ("leaf", "bare")),
-                                      q),
-                      r"^unknown operation 'frob' in theory 'band'$"))
-        for m, message in cases:
-            for cand in (induced_candidate(m.theory, mode),
-                         custom_candidate(m.theory, "mine", lift)):
-                with pytest.raises((TheorySemanticError, TypeError), match=message):
-                    cand.apply(m)
-            assert _outcome(lambda: induced_candidate(m.theory, mode).apply(m)) \
-                == _outcome(lambda: _per_node(m.theory, mode, m))
-        # a divergent argument makes the node divergent before it is applied
-        m = fm.ModelElement("quotient", frob(DIVERGE), q)
-        assert induced_candidate(q, mode).apply(m) is DIVERGE
 
 
 class TestSeqOrderInsensitivity:
@@ -297,6 +246,18 @@ class TestCandidates:
         with pytest.raises(TypeError, match=message.format("plain")):
             lift_term(t, {"x": now(fm.unit(th, "a")), "y": now(fm.unit(th, "b"))}, plain, th)
 
+    def test_an_element_of_another_kind_is_refused(self):
+        # as model_equal refuses one
+        m = fm.apply_op(fm.monoid(), "mul", [fm.unit(fm.monoid(), now("a")),
+                                             fm.unit(fm.monoid(), delay_n(1, "b"))])
+        th = fm.semilattice()
+        for mode in ("seq", "par"):
+            with pytest.raises(ValueError, match=r"^cannot distribute a 'list' element over the "
+                                                 r"'finset' carrier of theory 'semilattice'$"):
+                induced_candidate(th, mode).apply(m)
+        with pytest.raises(ValueError, match="^cannot compare carriers 'list' and 'finset'$"):
+            fm.model_equal(th, m, fm.unit(th, now("a")))
+
     def test_diverging_leaf_diverges(self):
         th = fm.magma()
         m = fm.apply_op(th, "mul", [fm.unit(th, DIVERGE), fm.unit(th, now("b"))])
@@ -306,17 +267,6 @@ class TestCandidates:
 
 # ---------------------------------------------------------------------------
 # one-pass distribution against the per-node reference
-
-CARRIERS = {
-    "tree": fm.magma(),
-    "list": fm.monoid(),
-    "multiset": fm.cmonoid(),
-    "finset": fm.semilattice(),
-    "dist": fm.convex([Fraction(1, 3), Fraction(1, 2)]),
-    "either": fm.exceptions(2),
-    "quotient-complete": idempotent_unary_theory(),
-    "quotient": _band(),
-}
 
 _values = st.sampled_from(["a", "b"])
 # leaf specs: finished, stepping, divergent, and divergent built with steps
@@ -339,10 +289,14 @@ def _delay(spec):
     return Step(DIVERGE) if spec[1] == 1 else prepend_steps(spec[1], DIVERGE)
 
 
-def _terms(th):
+def _terms(th, raw=False):
+    """Well-formed term specs over the theory's operations; with ``raw``,
+    leaves may also hold values other than delays."""
     ops = [(o.name, o.arity) for o in th.signature.ops]
-    base = st.one_of(st.tuples(st.just("leaf"), _leaf_specs),
-                     *[st.just((name,)) for name, arity in ops if arity == 0])
+    leaves = [st.tuples(st.just("leaf"), _leaf_specs)]
+    if raw:
+        leaves.append(st.tuples(st.just("raw"), _values))
+    base = st.one_of(*leaves, *[st.just((name,)) for name, arity in ops if arity == 0])
     applied = [name for name, arity in ops if arity > 0]
     if not applied:
         return base
@@ -377,16 +331,26 @@ TREE_CARRIERS = {name: CARRIERS[name] for name in ("quotient", "quotient-complet
 TREE_CARRIERS["quotient-unary-rule"] = _involution()
 
 
-# Representatives the public constructors refuse, built as payloads of the
-# theory's own carrier: nodes of the wrong arity, undeclared mix[p/q] and
-# other operations, and leaves over values that are not delays.  The tree
-# walks handle unary and binary nodes apart from the rest, so these must
-# fail, or not, as the n-ary walk does.
+def _ternary():
+    """A tree carrier with a constant and a ternary operation, so that
+    terms have nodes of every argument count from 0 to 3."""
+    ops = (Operation("mul", 2), Operation("neg", 1), Operation("if3", 3), Operation("zero", 0))
+    th = Theory(Signature("ternary", ops), (), oracle="tree")
+    validate_theory(th)
+    return th
+
+
+TREE_CARRIERS["tree-ternary"] = _ternary()
+
+
+# Terms that also apply undeclared operations, mix[p/q] among them, and
+# give operations any argument count, over leaves that may hold values
+# other than delays ("raw").
 _ODD_OPS = ["mix[1/3]", "zzz"]
 
 
 def _odd_terms(th):
-    names = [o.name for o in th.signature.ops if o.arity > 0] + _ODD_OPS
+    names = [o.name for o in th.signature.ops] + _ODD_OPS
     leaf = st.one_of(st.tuples(st.just("leaf"), _leaf_specs),
                      st.tuples(st.just("raw"), _values),
                      st.sampled_from([(name,) for name in names]))
@@ -398,6 +362,21 @@ def _odd_terms(th):
     return st.recursive(leaf, extend, max_leaves=6)
 
 
+def _fault(th, t):
+    """How the checked constructor should refuse the term spec ``t``: the
+    message for its first node, in pre-order, that applies an undeclared
+    operation or gives an operation the wrong argument count; None when
+    there is none."""
+    if t[0] in ("leaf", "raw"):
+        return None
+    declared = th.signature.arity(t[0])
+    if declared is None:
+        return f"applies '{t[0]}', which theory '{th.name}' does not declare"
+    if declared != len(t) - 1:
+        return f"applies '{t[0]}' to {len(t) - 1} arguments; it takes {declared}"
+    return next(filter(None, (_fault(th, c) for c in t[1:])), None)
+
+
 def _payload(t):
     if t[0] == "leaf":
         return ("leaf", _delay(t[1]))
@@ -406,101 +385,132 @@ def _payload(t):
     return (t[0], *[_payload(c) for c in t[1:]])
 
 
+def _normal(th, p):
+    """``p`` rewritten bottom-up to normal form, by the reference root fix."""
+    if p[0] == "leaf":
+        return p
+    return reference_root_fix(th, (p[0], *[_normal(th, c) for c in p[1:]]))
+
+
+def _odd_payload(th, t):
+    """The payload for the term spec ``t``, in normal form where the
+    theory's carrier keeps terms normal."""
+    p = _payload(t)
+    return _normal(th, p) if fm._carrier_of(th).normalise else p
+
+
 def _odd_element(th, t):
-    return fm._carrier_of(th).element(_payload(t))
+    """The element for a well-formed term spec ``t``, through the checked
+    constructor."""
+    return fm.ModelElement(fm._carrier_of(th).kind, _odd_payload(th, t), th)
 
 
 _A, _B, _D = ("leaf", ("now", "a")), ("leaf", ("steps", 2, "b")), ("leaf", ("div",))
-ODD_CASES = {
+# terms no tree carrier builds, each refused at the checked constructor
+MALFORMED = {
     "binary op given one argument": ("mul", _A),
     "binary op given three arguments": ("mul", _A, _B, _A),
     "unary op given two arguments": ("bang", _A, _B),
+    "other unary op given two arguments": ("neg", _A, _B),
     "undeclared mix with two arguments": ("mix[1/3]", _A, _B),
     "undeclared mix with one argument": ("mix[1/3]", _A),
     "undeclared binary op": ("zzz", _A, _B),
     "undeclared unary op": ("zzz", _A),
-    "leaf that is not a delay": ("mul", _A, ("raw", "a")),
     "leaf that is not a delay under an undeclared op": ("zzz", ("raw", "a")),
     "divergent child beside an undeclared op": ("zzz", _D, _A),
     "divergent child of an undeclared unary op": ("zzz", _D),
     "undeclared op beside a divergent child": ("mul", _D, ("zzz", _A)),
     "divergent child of a node of the wrong arity": ("mul", _D),
-    "redex on the fast path": ("mul", _A, _A),
-    "redex under a unary node": ("bang", ("mul", _B, _B)),
-    "unary redex": ("neg", ("neg", _B)),
+    "binary op as a constant": ("mul",),
 }
 
-
-def _odd_outcomes(th, mode, t):
-    """The induced candidate's and the walk's outcomes next to the
-    per-node path's and the n-ary walk's."""
-    m, carrier, total = _odd_element(th, t), fm._carrier_of(th), lifting._TOTAL[mode]
-    return ((_outcome(lambda: induced_candidate(th, mode).apply(m)),
-             _outcome(lambda: lifting._walk(m.payload, carrier, total))),
-            (_outcome(lambda: _per_node(th, mode, m)),
-             _outcome(lambda: reference_walk(m.payload, carrier, total))))
+_A1, _B1 = ("leaf", ("steps", 1, "a")), ("leaf", ("steps", 1, "b"))
+# terms the checked constructor admits on the carriers that declare their
+# operations: leaves that are not delays, divergent children, redexes in
+# the payload and redexes that only form once the leaves' steps are taken
+WELL_FORMED = {
+    "leaf that is not a delay": ("mul", _A, ("raw", "a")),
+    "leaf that is not a delay before a divergent one": ("mul", ("raw", "a"), _D),
+    "divergent child of a binary node": ("mul", _D, _B),
+    "redex on the fast path": ("mul", _A, _A),
+    "redex formed by distribution": ("mul", _A, _A1),
+    "redex under a unary node": ("bang", ("mul", _B, _B)),
+    "redex formed under a unary node": ("bang", ("mul", _B1, _B)),
+    "unary redex": ("neg", ("neg", _B)),
+    "ternary node over every kind of leaf": ("if3", _A, _B, _D),
+    "constant beside a stepping leaf": ("mul", ("zero",), _B),
+}
+# each case on every tree carrier whose theory declares its operations
+WELL_FORMED_ON = [(carrier, case) for carrier in sorted(TREE_CARRIERS)
+                  for case in sorted(WELL_FORMED)
+                  if _fault(TREE_CARRIERS[carrier], WELL_FORMED[case]) is None]
 
 
 class TestOnePass:
-    @pytest.mark.parametrize("mode", ["seq", "par"])
-    @pytest.mark.parametrize("case", sorted(ODD_CASES))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
     @pytest.mark.parametrize("carrier", sorted(TREE_CARRIERS))
-    def test_odd_nodes_match_the_n_ary_walk(self, carrier, case, mode):
-        got, want = _odd_outcomes(TREE_CARRIERS[carrier], mode, ODD_CASES[case])
-        assert got == want
+    def test_malformed_terms_are_refused_at_construction(self, carrier, case):
+        th = TREE_CARRIERS[carrier]
+        fault = _fault(th, MALFORMED[case])
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            fm.ModelElement(fm._carrier_of(th).kind, _payload(MALFORMED[case]), th)
 
-    def test_odd_nodes_fail_where_the_n_ary_walk_fails(self):
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("carrier,case", WELL_FORMED_ON)
+    def test_well_formed_terms_distribute_as_per_node(self, carrier, case, mode):
+        th = TREE_CARRIERS[carrier]
+        m = _odd_element(th, WELL_FORMED[case])
+        assert _outcome(lambda: induced_candidate(th, mode).apply(m)) \
+            == _outcome(lambda: _per_node(th, mode, m))
+
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    def test_well_formed_outcomes_are_pinned(self, mode):
         # the outcomes the cases above agree on, pinned on the
-        # rewrite-complete carrier, which declares mul : 2 and bang : 1
+        # rewrite-complete carriers
         th = CARRIERS["quotient-complete"]
-        arity = lambda op, k, n: ("TheorySemanticError",
-                                  f"operation '{op}' expects {k} arguments, got {n}")
-        unknown = lambda op: ("TheorySemanticError",
-                              f"unknown operation '{op}' in theory 'idempotent-unary'")
-        not_delay = ("TypeError", "distribution input must hold Delay values, found str")
-        a = th._carrier.element(("leaf", "a"))
-        pinned = {
-            "binary op given one argument": arity("mul", 2, 1),
-            "binary op given three arguments": arity("mul", 2, 3),
-            "unary op given two arguments": arity("bang", 1, 2),
-            "undeclared mix with two arguments": unknown("mix[1/3]"),
-            "undeclared mix with one argument": arity("mix[1/3]", 2, 1),
-            "undeclared binary op": unknown("zzz"),
-            "undeclared unary op": unknown("zzz"),
-            "leaf that is not a delay": not_delay,
-            "leaf that is not a delay under an undeclared op": not_delay,
-            "divergent child beside an undeclared op": DIVERGE,
-            "divergent child of an undeclared unary op": DIVERGE,
-            "undeclared op beside a divergent child": unknown("zzz"),
-            "divergent child of a node of the wrong arity": arity("mul", 2, 1),
-            # mul(x, x) = x contracts on the way up
-            "redex on the fast path": now(a),
-        }
-        for case, want in pinned.items():
-            for mode in ("seq", "par"):
-                (got, _), _ = _odd_outcomes(th, mode, ODD_CASES[case])
-                assert got == want, case
+        a, b = fm.unit(th, "a"), fm.unit(th, "b")
+        bang_b = fm.apply_op(th, "bang", [b])
+        apply = lambda th, case: induced_candidate(th, mode).apply(
+            _odd_element(th, WELL_FORMED[case]))
+        # mul(x, x) = x contracts in the payload, and again once the
+        # leaves' steps are taken: 0 + 1 steps under seq, max(0, 1) under par
+        assert apply(th, "redex on the fast path") == now(a)
+        assert apply(th, "redex formed by distribution") == delay_n(1, a)
+        assert apply(th, "redex under a unary node") == delay_n(2, bang_b)
+        assert apply(th, "redex formed under a unary node") \
+            == delay_n({"seq": 3, "par": 2}[mode], bang_b)
+        assert apply(th, "divergent child of a binary node") is DIVERGE
         # neg(neg(x)) = x contracts at the unary root
         th = TREE_CARRIERS["quotient-unary-rule"]
-        for mode in ("seq", "par"):
-            (got, _), _ = _odd_outcomes(th, mode, ODD_CASES["unary redex"])
-            assert got == delay_n(2, fm.unit(th, "b"))
+        assert apply(th, "unary redex") == delay_n(2, fm.unit(th, "b"))
+        # a leaf that is not a delay fails the same way on both paths
         th = CARRIERS["quotient-complete"]
-        # the contracted mul(b, b) keeps both arguments' steps under seq
-        bang_b = fm.apply_op(th, "bang", [fm.unit(th, "b")])
-        for mode, steps in (("seq", 4), ("par", 2)):
-            (got, _), _ = _odd_outcomes(th, mode, ODD_CASES["redex under a unary node"])
-            assert got == delay_n(steps, bang_b)
+        m = _odd_element(th, WELL_FORMED["leaf that is not a delay"])
+        lift = {"seq": seq_lift_op, "par": par_lift_op}[mode]
+        for cand in (induced_candidate(th, mode), custom_candidate(th, "mine", lift)):
+            with pytest.raises(TypeError,
+                               match=r"^distribution input must hold Delay values, found str$"):
+                cand.apply(m)
 
     @pytest.mark.parametrize("mode", ["seq", "par"])
     @pytest.mark.parametrize("carrier", sorted(TREE_CARRIERS))
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_odd_trees_match_the_n_ary_walk(self, carrier, mode, data):
+    def test_what_enters_distributes_as_per_node(self, carrier, mode, data):
+        # the checked constructor refuses a term exactly when it applies an
+        # undeclared operation or a wrong argument count; on every term it
+        # accepts, the induced candidate raises or returns what the
+        # per-node path does
         th = TREE_CARRIERS[carrier]
-        got, want = _odd_outcomes(th, mode, data.draw(_odd_terms(th)))
-        assert got == want
-
+        t = data.draw(st.one_of(_odd_terms(th), _terms(th, raw=True)))
+        fault = _fault(th, t)
+        if fault is not None:
+            with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+                _odd_element(th, t)
+            return
+        m = _odd_element(th, t)
+        assert _outcome(lambda: induced_candidate(th, mode).apply(m)) \
+            == _outcome(lambda: _per_node(th, mode, m))
 
     @pytest.mark.parametrize("mode", ["seq", "par"])
     @pytest.mark.parametrize("carrier", sorted(CARRIERS))
@@ -556,20 +566,6 @@ class TestOnePass:
             cand = lifting.custom_candidate(th, name, lifting.seq_lift_op)
             assert step_count(cand.apply(inputs[0])) == 3
             assert calls == ["mul"]
-
-    @pytest.mark.parametrize("mode", ["seq", "par"])
-    def test_undeclared_exception_raises(self, mode):
-        # an exception the theory does not declare has no values to map,
-        # yet it fails where the per-node path applies it
-        th = fm.exceptions(2)
-        m = fm.ModelElement("either", ("exc", "zzz"), th)
-        lift = {"seq": seq_lift_op, "par": par_lift_op}[mode]
-        for cand in (induced_candidate(th, mode), custom_candidate(th, "mine", lift)):
-            with pytest.raises(TheorySemanticError,
-                               match=r"^unknown operation 'zzz' in theory 'exceptions2'$"):
-                cand.apply(m)
-        declared = fm.ModelElement("either", ("exc", "e1"), th)
-        assert induced_candidate(th, mode).apply(declared) == _per_node(th, mode, declared)
 
     @pytest.mark.parametrize("carrier", sorted(CARRIERS))
     def test_one_element_per_distribution(self, carrier, monkeypatch):
@@ -635,10 +631,11 @@ class TestFmap:
     @settings(max_examples=60, deadline=None)
     def test_odd_trees_match_the_n_ary_graft(self, carrier, f, data):
         # relabel and graft handle unary and binary nodes apart from the
-        # rest; on odd trees both must build what the n-ary graft builds
+        # rest; on trees with nodes of every argument count the theory
+        # declares, over any leaf values, both must build what the n-ary
+        # graft builds
         th = TREE_CARRIERS[carrier]
-        m = _odd_element(th, data.draw(st.one_of(_odd_terms(th),
-                                                 st.sampled_from(list(ODD_CASES.values())))))
+        m = _odd_element(th, data.draw(_terms(th, raw=True)))
         fn = _MAPS[f]
         pairs = [
             (lambda: fm.fmap(th, fn, m),
