@@ -83,8 +83,11 @@ def resolve_theory(spec: str):
     if spec in NAMED_THEORIES:
         return NAMED_THEORIES[spec]()
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise InputError(f"cannot read theory file '{spec}': {err.strerror}") from err
         default = os.path.splitext(os.path.basename(spec))[0]
         return parse_theory(text, default_name=default)
     raise InputError(f"unknown theory '{spec}' (not a built-in, not a file)")

@@ -180,19 +180,6 @@ def _nat_render(p) -> str:
 # the hand-written transformations
 
 
-def exceptions_dist(m: fm.ModelElement) -> Delay:
-    """Exception element over a delayed value, pushed inside the delay.
-
-    Plain values keep their steps; raised exceptions need none.
-    """
-    if not isinstance(m.carrier, fm.EitherCarrier):
-        raise ValueError("exceptions_dist expects an exception-monad element")
-    if m.payload[0] == "exc":
-        return Now(m)
-    d = m.payload[1]
-    return dmap(d, lambda x: fm.unit(m.theory, x))
-
-
 def reader_dist(d: Delay, domain: Sequence[Any]) -> FinFun:
     """Delayed environment-reader to pointwise-delayed reader: the number
     of steps is replicated at every environment."""
@@ -1307,10 +1294,10 @@ class SumOps:
                 return self.later(self.bind(leaf.tail, k))
             return self.div()
 
-        return fm.mu(self.theory, fm.fmap(self.theory, at_leaf, e))
+        return fm.mu(fm.fmap(at_leaf, e))
 
     def equal(self, a: fm.ModelElement, b: fm.ModelElement) -> Verdict:
-        return fm.model_equal(self.theory, a, b)
+        return fm.model_equal(a, b)
 
     def guard_depths(self, e: fm.ModelElement) -> List[int]:
         """Number of guards above each finished or divergent leaf."""

@@ -23,12 +23,19 @@ Each kind of carrier is one :class:`Carrier` subclass, and ``CARRIERS``
 maps each kind's name to it.  A theory's carrier is built on first use
 and resolves once what is fixed per theory: operation arities, the
 weights of the ``mix[p/q]`` operations, whether terms are kept normal.
-The module functions (:func:`unit`, :func:`apply_op`, :func:`free_bind`,
-:func:`fmap`, :func:`values_of`, :func:`representative`,
-:func:`render_element`) delegate to it.  A carrier maps an element's
-values directly, without the unit element per value that binding would
-build.  A :class:`ModelElement` holds its carrier and computes
+The module functions delegate to it.  A carrier maps an element's values
+directly, without the unit element per value that binding would build.  A
+:class:`ModelElement` holds its carrier, and so its theory, and computes
 its hash and :func:`canon_key` once, when first asked.
+
+Build from values, take the theory; read an element, take only the
+element.  :func:`unit`, :func:`apply_op`, :func:`eval_term` and
+:func:`iter_elements` build elements and take the theory they build in.
+:func:`model_equal`, :func:`fmap`, :func:`free_bind`, :func:`mu`,
+:func:`values_of`, :func:`representative` and :func:`render_element` read
+the theory from the element.  Where an element meets a theory or another
+element, one rule (:func:`_shared_carrier`) accepts the same theory, built
+once or again, and refuses any other with ``ValueError``.
 
 Whether a payload is well formed for its theory is decided in one place:
 the :class:`ModelElement` constructor, which outside input and unpickling
@@ -771,13 +778,23 @@ def _carrier_class(kind: str) -> type:
 def _carrier_of(th: Theory) -> Carrier:
     """The theory's carrier: ``th.oracle``, or the quotient carrier.  It is
     built on first use and kept on the theory, which is immutable, so what
-    it resolves is resolved once per theory.  ``unit``, ``apply_op`` and
-    ``free_bind`` read the kept carrier directly and call this only the
-    first time."""
+    it resolves is resolved once per theory.  ``unit`` and ``apply_op``
+    read the kept carrier directly and call this only the first time."""
     c = getattr(th, "_carrier", None)
     if c is None:
         c = _carrier_class(th.oracle if th.oracle is not None else "quotient")(th)
         object.__setattr__(th, "_carrier", c)
+    return c
+
+
+def _shared_carrier(m: ModelElement, th: Theory) -> Carrier:
+    """``m``'s carrier, once ``th`` is known to be its theory: the same
+    object or an equal ``Theory`` value (a second build, a pickle round
+    trip).  Any other theory raises ``ValueError`` naming both."""
+    c = m.carrier
+    if c.theory is not th and c.theory != th:
+        raise ValueError(f"an element of theory '{c.theory.name}' is not an element of "
+                         f"theory '{th.name}'")
     return c
 
 
@@ -804,21 +821,21 @@ def eval_term(th: Theory, t: Term, env: Dict[str, Any]) -> ModelElement:
     return apply_op(th, t.op, [eval_term(th, a, env) for a in t.args])
 
 
-def free_bind(th: Theory, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+def free_bind(m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
     """Homomorphic extension of ``k`` over the element's values."""
-    return (getattr(th, "_carrier", None) or _carrier_of(th)).free_bind(m, k)
+    return m.carrier.free_bind(m, k)
 
 
-def fmap(th: Theory, f: Callable[[Any], Any], m: ModelElement) -> ModelElement:
+def fmap(f: Callable[[Any], Any], m: ModelElement) -> ModelElement:
     """The element with ``f`` applied to each value: the payload of
-    ``free_bind(th, m, λv. unit(th, f(v)))``, without a unit element per
+    ``free_bind(m, λv. unit(m.theory, f(v)))``, without a unit element per
     value."""
-    return (getattr(th, "_carrier", None) or _carrier_of(th)).fmap(m, f)
+    return m.carrier.fmap(m, f)
 
 
-def mu(th: Theory, mm: ModelElement) -> ModelElement:
+def mu(mm: ModelElement) -> ModelElement:
     """Flatten an element whose values are themselves elements."""
-    return free_bind(th, mm, lambda inner: inner)
+    return free_bind(mm, _identity)
 
 
 def values_of(m: ModelElement) -> List[Any]:
@@ -871,29 +888,29 @@ def _instantiate_payload(t: Term, binding: dict, fix: Optional[Callable[[Any], A
     return fix(node) if fix else node
 
 
-def _rewrite_positions(th: Theory, p) -> List[Any]:
+def _rewrite_positions(c: Carrier, p) -> List[Any]:
     """All one-step left-to-right rewrites of a ground payload term: at
-    the root by each of the carrier's rules for its operation, in
+    the root by each of the carrier ``c``'s rules for its operation, in
     declaration order, then inside each argument, left to right."""
     results = []
     if p[0] == "leaf":
         return results
-    for lhs, rhs in _carrier_of(th).rules.get(p[0], ()):
+    for lhs, rhs in c.rules.get(p[0], ()):
         b = _match_payload(lhs, p, {})
         if b is not None:
             results.append(_instantiate_payload(rhs, b))
     for i, child in enumerate(p[1:]):
-        for r in _rewrite_positions(th, child):
+        for r in _rewrite_positions(c, child):
             results.append(p[:i + 1] + (r,) + p[i + 2:])
     return results
 
 
-def _grow(th: Theory, frontier: List[Any], seen: set, stop) -> Optional[List[Any]]:
-    """One breadth-first rewrite level: the new terms one step from
-    ``frontier``, added to ``seen``; None at the first one in ``stop``."""
+def _grow(c: Carrier, frontier: List[Any], seen: set, stop) -> Optional[List[Any]]:
+    """One breadth-first rewrite level by ``c``'s rules: the new terms
+    from ``frontier``, added to ``seen``; None at the first in ``stop``."""
     nxt = []
     for t in frontier:
-        for r in _rewrite_positions(th, t):
+        for r in _rewrite_positions(c, t):
             if r not in seen:
                 if r in stop:
                     return None
@@ -902,21 +919,21 @@ def _grow(th: Theory, frontier: List[Any], seen: set, stop) -> Optional[List[Any
     return nxt
 
 
-def _reach(th: Theory, p, bound: int) -> set:
+def _reach(c: Carrier, p, bound: int) -> set:
     """The terms reachable from ``p`` in at most ``bound`` left-to-right
-    rewrite steps, ``p`` included."""
+    rewrite steps by ``c``'s rules, ``p`` included."""
     seen = {p}
     frontier = [p]
     for _ in range(bound):
-        frontier = _grow(th, frontier, seen, ())
+        frontier = _grow(c, frontier, seen, ())
         if not frontier:
             break
     return seen
 
 
-def _joinable(th: Theory, p1, p2, bound: int) -> bool:
-    """Whether the two terms rewrite to a common term, each in at most
-    ``bound`` steps.
+def _joinable(c: Carrier, p1, p2, bound: int) -> bool:
+    """Whether the two terms rewrite to a common term by ``c``'s rules,
+    each in at most ``bound`` steps.
 
     Both sides grow breadth-first in lockstep, one rewrite level of the
     first and then one of the second, and the answer is True at the
@@ -931,7 +948,7 @@ def _joinable(th: Theory, p1, p2, bound: int) -> bool:
     frontiers = [[p1], [p2]]
     for _ in range(bound):
         for side in (0, 1):
-            nxt = _grow(th, frontiers[side], seen[side], seen[1 - side])
+            nxt = _grow(c, frontiers[side], seen[side], seen[1 - side])
             if nxt is None:
                 return True
             frontiers[side] = nxt
@@ -978,27 +995,27 @@ def _model_refutes(model: FiniteModel, p1, p2) -> bool:
     return False
 
 
-def model_equal(th: Theory, a: ModelElement, b: ModelElement,
-                join_bound: int = JOINABILITY_BOUND) -> Verdict:
-    """Provable equality in the free model.
+def model_equal(a: ModelElement, b: ModelElement) -> Verdict:
+    """Provable equality in the free model of the theory the elements
+    hold; elements of two different theories raise ``ValueError``.
 
     Canonical carriers, the quotient carrier of a rewrite-complete theory
     among them, answer decisively by payload.  Other quotient carriers
-    try bounded joinability (Yes), then registered finite models (No),
-    and otherwise return Unknown.  Joinability grows both payloads' rewrite
-    closures in lockstep and stops at their first common term, so a pair
-    that joins in a few steps costs a few rewrite levels, however large
-    its ``join_bound``-step closures are (:func:`_joinable`).
+    try joinability within ``JOINABILITY_BOUND`` steps (Yes), then the
+    theory's registered finite models (No), and otherwise return Unknown.
+    Joinability grows both payloads' rewrite closures in lockstep and
+    stops at their first common term, so a pair that joins in a few steps
+    costs a few rewrite levels, however large its closures are
+    (:func:`_joinable`).
     """
-    if a.carrier.__class__ is not b.carrier.__class__:
-        raise ValueError(f"cannot compare carriers {a.kind!r} and {b.kind!r}")
+    c = _shared_carrier(a, b.carrier.theory)
     if a.payload == b.payload:
         return YES
-    if a.carrier.canonical:
+    if c.canonical:
         return NO
-    if _joinable(th, a.payload, b.payload, join_bound):
+    if _joinable(c, a.payload, b.payload, JOINABILITY_BOUND):
         return YES
-    for model in th.finite_models:
+    for model in c.theory.finite_models:
         if _model_refutes(model, a.payload, b.payload):
             return NO
     return unknown()
@@ -1040,7 +1057,7 @@ def iter_elements(th: Theory, generators: Iterable[Any], max_depth: int,
         if slow_dedup:
             if m.payload in seen:
                 return False
-            closure = _reach(th, m.payload, JOINABILITY_BOUND)
+            closure = _reach(carrier, m.payload, JOINABILITY_BOUND)
             if not closure.isdisjoint(seen):
                 return False
             seen.update(closure)

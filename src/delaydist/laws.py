@@ -241,10 +241,9 @@ def theory_pack(th: Theory) -> MonadPack:
     def equal(a, b, inner_rel):
         # canonical payloads embed their values, so provable equality of
         # elements over a decidably-equal value set needs no inner relation
-        return fm.model_equal(th, a, b)
+        return fm.model_equal(a, b)
 
-    return MonadPack(th.name, lambda x: fm.unit(th, x), lambda mm: fm.mu(th, mm),
-                     lambda f, m: fm.fmap(th, f, m), equal)
+    return MonadPack(th.name, lambda x: fm.unit(th, x), fm.mu, fm.fmap, equal)
 
 
 def _entry(axiom: str, verdicts: Iterable[Verdict], witness: Callable[[], Witness]) -> LawEntry:
@@ -422,10 +421,6 @@ def _bounded_elements(th: Theory, generators, depth: int, u: TestUniverse,
         raise UniverseBudgetError(what, err.estimate, u.case_budget) from err
 
 
-def _element_rel(th: Theory):
-    return lambda a, b: fm.model_equal(th, a, b)
-
-
 def _render_dt(d: Delay) -> str:
     return render_delay(d, fm.value_str)
 
@@ -574,7 +569,7 @@ def check_equation_preservation(th: Theory, lift_op, u: TestUniverse) -> LawEntr
     model_pool = _bounded_elements(th, vals, min(u.max_depth, 1), u,
                                    "equation preservation universe")
     env_pool = delay_values(model_pool, u.max_steps, u.include_diverge)
-    rel = _element_rel(th)
+    rel = fm.model_equal
     induced = lift_op if isinstance(lift_op, str) and lift_op in ("seq", "par") else None
     # each pool delay's step count (None for DIVERGE) and value key (None
     # for DIVERGE); equal values share a key
@@ -838,16 +833,14 @@ def composite_unit(cand: DistLawCandidate):
     return lambda x: Now(fm.unit(th, x))
 
 
-def composite_extension(cand: DistLawCandidate, z: Callable[[fm.ModelElement], Delay]):
+def composite_extension(z: Callable[[fm.ModelElement], Delay]):
     """The Kleisli extension of the composite delayed-model monad at one
     element: ``(k, t) ↦ dmap(z(T(k)(t)), μ)``, distribute the element of
     delayed elements with ``z``, then flatten the model layer.  Taking
     the pair as one argument lets the monad-law check memoise it."""
-    th = cand.theory
-
     def ext(kt: Tuple[Callable[[Any], Delay], fm.ModelElement]) -> Delay:
         k, t = kt
-        return dmap(z(fm.fmap(th, k, t)), lambda tt: fm.mu(th, tt))
+        return dmap(z(fm.fmap(k, t)), fm.mu)
 
     return ext
 
@@ -892,7 +885,7 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
     th = cand.theory
     fuel = u.derived_fuel(th)
     vals = base_values(u.carrier_size)
-    compare = partial(delay_pack(u.relation, fuel).equal, inner_rel=_element_rel(th))
+    compare = partial(delay_pack(u.relation, fuel).equal, inner_rel=fm.model_equal)
     base_pool = _bounded_elements(th, vals, min(u.max_depth, 1), u,
                                   "composite monad-law universe")
     elements = [delay_n(s, m) for s in range(min(u.max_steps, 2) + 1) for m in base_pool]
@@ -902,7 +895,7 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
               for combo in itertools.product(k_values, repeat=len(vals))]
     check_kleisli_space(u, "composite monad laws", len(elements), len(k_pool))
 
-    with _memoised(cand.apply) as z, _memoised(composite_extension(cand, z)) as ext:
+    with _memoised(cand.apply) as z, _memoised(composite_extension(z)) as ext:
         return check_monad_laws_kleisli(composite_unit(cand), composite_bind(ext),
                                         elements, vals, k_pool, compare, _render_dt)
 
@@ -991,7 +984,7 @@ def _validate_weak_relation(th: Theory, u: TestUniverse) -> None:
     definite answers can fail it: a comparison that runs out of fuel says
     nothing about the relation."""
     fuel = u.derived_fuel(th)
-    rel = _element_rel(th)
+    rel = fm.model_equal
     sample_vals = [fm.unit(th, v) for v in base_values(u.carrier_size)]
     sample = [delay_n(s, m) for s in (0, 1, 2) for m in sample_vals] + [DIVERGE]
     for d in sample:

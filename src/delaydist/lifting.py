@@ -153,15 +153,16 @@ class DistLawCandidate:
     divergent value makes the result DIVERGE, absorbing the steps, and the
     value is ``fmap`` of their end values.  It gives the result of the
     per-node path, and raises its ``TypeError`` for a value that is not a
-    Delay.  It refuses with ``ValueError`` an element of another carrier
-    kind than its theory's, as :func:`~delaydist.freemodel.model_equal`
-    does.  A custom candidate sends every node of the element's
-    representative through ``lift_op``.  An induced candidate's equation
-    preservation check counts each side's steps with the same rule,
-    ``_TOTAL[induced]``, and evaluates each side's value once per value
-    assignment, reading each case's verdict from two caches of the
-    relation's comparison: a table of the sides' bare delays by step
-    counts and a table of value comparisons
+    Delay.  A custom candidate sends every node of the element's
+    representative through ``lift_op``.  Either kind refuses with
+    ``ValueError`` an element of a theory other than ``theory``, by the
+    rule :func:`~delaydist.freemodel.model_equal` applies to two elements:
+    an element of an equal, separately built theory is accepted.  An
+    induced candidate's equation preservation check counts each side's
+    steps with the same rule, ``_TOTAL[induced]``, and evaluates each
+    side's value once per value assignment, reading each case's verdict
+    from two caches of the relation's comparison: a table of the sides'
+    bare delays by step counts and a table of value comparisons
     (:func:`delaydist.laws.check_equation_preservation`).
     """
 
@@ -171,13 +172,10 @@ class DistLawCandidate:
     induced: Optional[str] = None
 
     def apply(self, m: fm.ModelElement) -> Delay:
-        th = self.theory
+        carrier = fm._shared_carrier(m, self.theory)
         if self.induced is None:
-            return _lift_representative(fm.representative(m), self.lift_op, self.name, th)
-        carrier = fm._carrier_of(th)
-        if m.carrier.__class__ is not carrier.__class__:
-            raise ValueError(f"cannot distribute a {m.kind!r} element over the "
-                             f"{carrier.kind!r} carrier of theory '{th.name}'")
+            return _lift_representative(fm.representative(m), self.lift_op, self.name,
+                                        self.theory)
         return _distribute_values(m, carrier, _TOTAL[self.induced])
 
 

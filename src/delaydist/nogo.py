@@ -650,7 +650,7 @@ def _multiplication_paths(cand: DistLawCandidate
     th = cand.theory
     inner = fm.apply_op(th, "mul", [fm.unit(th, Now(Step(Now("x")))),
                                     fm.unit(th, Step(Now(Now("y"))))])
-    return (inner, lambda: cand.apply(fm.fmap(th, join, inner)),
+    return (inner, lambda: cand.apply(fm.fmap(join, inner)),
             lambda: join(dmap(cand.apply(inner), cand.apply)))
 
 
@@ -663,9 +663,8 @@ def mogelberg_vezzosi_witness() -> StepCountDemo:
     th = fm.magma()
     inner, lhs_path, rhs_path = _multiplication_paths(induced_candidate(th, "par"))
     lhs, rhs = lhs_path(), rhs_path()
-    rel = lambda a, b: fm.model_equal(th, a, b)
-    strict = strong_equal(lhs, rhs, 4096, value_eq=rel)
-    weak = weak_bisim(lhs, rhs, rel, 4096)
+    strict = strong_equal(lhs, rhs, 4096, value_eq=fm.model_equal)
+    weak = weak_bisim(lhs, rhs, fm.model_equal, 4096)
     counts = (step_count(lhs), step_count(rhs))
     witness = lambda: _witness(fm.value_str(inner), lhs_path, rhs_path,
                                lambda d: render_delay(d, fm.value_str), seen=(lhs, rhs),

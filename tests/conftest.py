@@ -90,7 +90,7 @@ def reference_equation_preservation(th, lift_op, u):
     model_pool = laws._bounded_elements(th, vals, min(u.max_depth, 1), u,
                                         "equation preservation universe")
     env_pool = laws.delay_values(model_pool, u.max_steps, u.include_diverge)
-    rel = laws._element_rel(th)
+    rel = fm.model_equal
     render = laws._render_dt
 
     details = []
@@ -457,7 +457,7 @@ def reference_mu(th, mm):
 def reference_fmap(th, f, m):
     """``fmap`` by its definition: bind each value to the unit element
     over its image."""
-    return fm.free_bind(th, m, lambda v: fm.unit(th, f(v)))
+    return fm.free_bind(m, lambda v: fm.unit(th, f(v)))
 
 
 def reference_values_of(m):
@@ -528,7 +528,7 @@ def reference_joinable(th, p1, p2, bound):
         seen = {p}
         frontier = {p}
         for _ in range(bound):
-            frontier = {r for t in frontier for r in fm._rewrite_positions(th, t)} - seen
+            frontier = {r for t in frontier for r in fm._rewrite_positions(fm._carrier_of(th), t)} - seen
             seen |= frontier
         return seen
 
@@ -544,7 +544,7 @@ def reference_model_equal(th, a, b, join_bound=fm.JOINABILITY_BOUND):
         return YES
     if th.rewrite_complete:
         return NO
-    if fm._joinable(th, a.payload, b.payload, join_bound):
+    if fm._joinable(fm._carrier_of(th), a.payload, b.payload, join_bound):
         return YES
     for model in th.finite_models:
         if fm._model_refutes(model, a.payload, b.payload):

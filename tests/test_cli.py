@@ -228,6 +228,14 @@ class TestCombo:
         # associativity out of fuel on the step table
         (["monoid", "--lift", "seq", "--upto", "weak", "--fuel", "1", *FAST_BOUNDS,
           "--include-diverge"], 2, "check_monoid_seq_weak_fuel1_c1s1d1div.json"),
+        # the quotient carrier: left-zero's equations refuted by seq, with a
+        # witness, and band's kept by par up to weak bisimilarity
+        ([str(THEORIES / "leftzero.th"), "--lift", "seq", "--upto", "strict",
+          "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
+         "check_leftzero_seq_strict_c1s1d2.json"),
+        ([str(THEORIES / "band.th"), "--lift", "par", "--upto", "weak",
+          "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
+         "check_band_par_weak_c1s1d2.json"),
     ])
     def test_law_suite_matches_golden(self, capsys, argv, want, golden):
         code, out, _ = run(capsys, "check", *argv, "--json")
@@ -420,6 +428,15 @@ class TestParserPlumbing:
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "op leaf : 1" in done.stdout
+
+    @pytest.mark.parametrize("sub", ["check", "classify"])
+    def test_a_theory_path_that_is_a_directory_exits_three(self, tmp_path, sub):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "delaydist", sub, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == f"error: cannot read theory file '{tmp_path}': Is a directory\n"
 
     def test_runs_as_module(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -120,35 +120,35 @@ class TestEvalTerm:
                     env = dict(zip(eq.context, assignment))
                     lhs = fm.eval_term(th, eq.lhs, env)
                     rhs = fm.eval_term(th, eq.rhs, env)
-                    assert fm.model_equal(th, lhs, rhs).is_yes, (th.name, eq.name)
+                    assert fm.model_equal(lhs, rhs).is_yes, (th.name, eq.name)
 
 
 class TestBind:
     def test_list_bind(self):
         th = fm.monoid()
         m = fm.apply_op(th, "mul", [fm.unit(th, "a"), fm.unit(th, "b")])
-        out = fm.free_bind(th, m, lambda v: fm.apply_op(th, "mul",
+        out = fm.free_bind(m, lambda v: fm.apply_op(th, "mul",
                                                         [fm.unit(th, v), fm.unit(th, v)]))
         assert list(out.payload) == ["a", "a", "b", "b"]
 
     def test_finset_bind_dedups(self):
         th = fm.semilattice()
         m = fm.apply_op(th, "union", [fm.unit(th, "a"), fm.unit(th, "b")])
-        out = fm.free_bind(th, m, lambda v: fm.unit(th, "c"))
+        out = fm.free_bind(m, lambda v: fm.unit(th, "c"))
         assert out.payload == ("c",)
 
     def test_dist_bind_total_probability(self):
         th = fm.convex()
         m = fm.apply_op(th, "mix[1/2]", [fm.unit(th, "a"), fm.unit(th, "b")])
-        out = fm.free_bind(th, m, lambda v: fm.unit(th, "c"))
+        out = fm.free_bind(m, lambda v: fm.unit(th, "c"))
         assert dict(out.payload) == {"c": Fraction(1)}
 
     def test_exceptions_bind_short_circuits(self):
         th = fm.exceptions()
         exc = fm.apply_op(th, "e0", [])
-        assert fm.free_bind(th, exc, lambda v: fm.unit(th, "z")).payload == ("exc", "e0")
+        assert fm.free_bind(exc, lambda v: fm.unit(th, "z")).payload == ("exc", "e0")
         ok = fm.unit(th, "a")
-        assert fm.free_bind(th, ok, lambda v: exc).payload == ("exc", "e0")
+        assert fm.free_bind(ok, lambda v: exc).payload == ("exc", "e0")
 
     def test_monad_laws_small_universes(self):
         for th in (fm.monoid(), fm.cmonoid(), fm.semilattice(), fm.convex(),
@@ -159,14 +159,14 @@ class TestBind:
             h_img = {vv: fm.unit(th, vv * 2) for vv in ("A", "B")}
             h = lambda v: h_img[v]
             for v in ("a", "b"):
-                assert fm.model_equal(th, fm.free_bind(th, fm.unit(th, v), k),
+                assert fm.model_equal(fm.free_bind(fm.unit(th, v), k),
                                       k(v)).is_yes
             for m in pool:
-                assert fm.model_equal(th, fm.free_bind(th, m, lambda v: fm.unit(th, v)),
+                assert fm.model_equal(fm.free_bind(m, lambda v: fm.unit(th, v)),
                                       m).is_yes
-                lhs = fm.free_bind(th, fm.free_bind(th, m, k), h)
-                rhs = fm.free_bind(th, m, lambda v: fm.free_bind(th, k(v), h))
-                assert fm.model_equal(th, lhs, rhs).is_yes
+                lhs = fm.free_bind(fm.free_bind(m, k), h)
+                rhs = fm.free_bind(m, lambda v: fm.free_bind(k(v), h))
+                assert fm.model_equal(lhs, rhs).is_yes
 
 
 class TestModelEqual:
@@ -174,27 +174,26 @@ class TestModelEqual:
         th = fm.cmonoid()
         ab = fm.apply_op(th, "mul", [fm.unit(th, "a"), fm.unit(th, "b")])
         ba = fm.apply_op(th, "mul", [fm.unit(th, "b"), fm.unit(th, "a")])
-        assert fm.model_equal(th, ab, ba).is_yes
-        assert fm.model_equal(th, ab, fm.unit(th, "a")).is_no
+        assert fm.model_equal(ab, ba).is_yes
+        assert fm.model_equal(ab, fm.unit(th, "a")).is_no
 
     def test_dist_exact(self):
         th = fm.convex()
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
         m1 = fm.apply_op(th, "mix[1/2]", [a, b])
         m2 = fm.apply_op(th, "mix[1/2]", [b, a])
-        assert fm.model_equal(th, m1, m2).is_yes
+        assert fm.model_equal(m1, m2).is_yes
 
     def test_mixed_carriers_rejected(self):
         with pytest.raises(ValueError):
-            fm.model_equal(fm.monoid(), fm.unit(fm.monoid(), "a"),
-                           fm.unit(fm.cmonoid(), "a"))
+            fm.model_equal(fm.unit(fm.monoid(), "a"), fm.unit(fm.cmonoid(), "a"))
 
     def test_equivalence_on_small_universe(self):
         th = fm.semilattice()
         pool = fm.enumerate_elements(th, ("a", "b"), 2)
         rel = {}
         for m1, m2 in itertools.product(pool, repeat=2):
-            rel[(id(m1), id(m2))] = fm.model_equal(th, m1, m2).is_yes
+            rel[(id(m1), id(m2))] = fm.model_equal(m1, m2).is_yes
         for m in pool:
             assert rel[(id(m), id(m))]
         for m1, m2 in itertools.product(pool, repeat=2):
@@ -206,17 +205,17 @@ class TestModelEqual:
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
         ab = fm.apply_op(th, "mul", [a, b])
         ba = fm.apply_op(th, "mul", [b, a])
-        assert fm.model_equal(th, ab, ba).is_yes
-        assert fm.model_equal(th, ab, fm.apply_op(th, "mul", [a, a])).is_unknown
+        assert fm.model_equal(ab, ba).is_yes
+        assert fm.model_equal(ab, fm.apply_op(th, "mul", [a, a])).is_unknown
 
     def test_registered_finite_model_refutes(self):
         th = _comm_only_xor()
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
         ab = fm.apply_op(th, "mul", [a, b])
         aa = fm.apply_op(th, "mul", [a, a])
-        assert fm.model_equal(th, ab, aa).is_no
+        assert fm.model_equal(ab, aa).is_no
 
-    def test_joinability_bound_counts_steps_per_side(self):
+    def test_joinability_bound_counts_steps_per_side(self, monkeypatch):
         # f and g erase themselves one layer per step, so f^n(a) and g^m(a)
         # meet at a iff both n and m are within the bound
         th = parse_theory("theory erase\nop f : 1\nop g : 1\n"
@@ -229,10 +228,12 @@ class TestModelEqual:
             return m
 
         bound = fm.JOINABILITY_BOUND
-        assert fm.model_equal(th, tower("f", bound), tower("g", bound)).is_yes
-        assert fm.model_equal(th, tower("f", bound + 1), tower("g", bound)).is_unknown
-        assert fm.model_equal(th, tower("f", bound + 1), tower("g", bound + 1),
-                              join_bound=bound + 1).is_yes
+        assert fm.model_equal(tower("f", bound), tower("g", bound)).is_yes
+        assert fm.model_equal(tower("f", bound + 1), tower("g", bound)).is_unknown
+        joinable = fm._joinable
+        monkeypatch.setattr(fm, "_joinable",
+                            lambda c, p1, p2, _: joinable(c, p1, p2, bound + 1))
+        assert fm.model_equal(tower("f", bound + 1), tower("g", bound + 1)).is_yes
 
 
 GROW = "theory grow\nop f : 2\nop g : 1\neq grow : g(y) = f(g(y), g(y))\n"
@@ -256,7 +257,7 @@ def _rewrite_walk(th, p, choices):
     """``p`` rewritten one step per choice, each choice picking among the
     term's one-step rewrites, until a term has none."""
     for c in choices:
-        rewrites = fm._rewrite_positions(th, p)
+        rewrites = fm._rewrite_positions(fm._carrier_of(th), p)
         if not rewrites:
             break
         p = rewrites[c % len(rewrites)]
@@ -282,7 +283,7 @@ class TestLockstepJoinability:
         @given(pair=pairs, bound=st.integers(0, 3))
         def agree(pair, bound):
             p1, p2 = pair
-            assert fm._joinable(th, p1, p2, bound) == ref.reference_joinable(th, p1, p2, bound)
+            assert fm._joinable(fm._carrier_of(th), p1, p2, bound) == ref.reference_joinable(th, p1, p2, bound)
 
         agree()
 
@@ -290,8 +291,8 @@ class TestLockstepJoinability:
         th = parse_theory(GROW)
         g = ("g", ("leaf", "a"))
         for bound in range(4):
-            assert fm._joinable(th, g, g, bound)
-            assert fm._joinable(th, ("f", g, g), g, bound) == (bound > 0)
+            assert fm._joinable(fm._carrier_of(th), g, g, bound)
+            assert fm._joinable(fm._carrier_of(th), ("f", g, g), g, bound) == (bound > 0)
 
     def test_a_one_step_join_stops_after_one_level(self, monkeypatch):
         # the full 8-step closures of both sides hold thousands of terms
@@ -302,13 +303,13 @@ class TestLockstepJoinability:
         calls = 0
         rewrite_positions = fm._rewrite_positions
 
-        def counting(th, p):
+        def counting(c, p):
             nonlocal calls
             calls += 1
-            return rewrite_positions(th, p)
+            return rewrite_positions(c, p)
 
         monkeypatch.setattr(fm, "_rewrite_positions", counting)
-        assert fm.model_equal(th, g, fgg).is_yes
+        assert fm.model_equal(g, fgg).is_yes
         assert 0 < calls <= 3
 
 
@@ -329,7 +330,7 @@ class TestRuleIndex:
         @settings(max_examples=150, deadline=None)
         @given(p=st.one_of(terms, twins))
         def agree(p):
-            assert fm._rewrite_positions(th, p) == ref.reference_rewrite_positions(th, p)
+            assert fm._rewrite_positions(fm._carrier_of(th), p) == ref.reference_rewrite_positions(th, p)
 
         agree()
 
@@ -337,7 +338,7 @@ class TestRuleIndex:
         th = parse_theory(JOIN_THEORIES["band.th"])
         ab = ("mul", ("leaf", "a"), ("leaf", "b"))
         # assoc, then idem, at the root
-        assert fm._rewrite_positions(th, ("mul", ab, ab))[:2] == [
+        assert fm._rewrite_positions(fm._carrier_of(th), ("mul", ab, ab))[:2] == [
             ("mul", ("leaf", "a"), ("mul", ("leaf", "b"), ab)), ab]
 
 
@@ -427,14 +428,14 @@ class TestQuotientNormalization:
             return (p[0],) + tuple(graft(a) for a in p[1:])
 
         for m in pool:
-            got = fm.free_bind(th, m, lambda v: table[v]).payload
+            got = fm.free_bind(m, lambda v: table[v]).payload
             assert got == _oracle_normalize(th, graft(m.payload))
 
     def test_decisive_no_from_distinct_normal_forms(self):
         th = _rewrite_complete_theory()
         a, b = fm.unit(th, "a"), fm.unit(th, "b")
-        assert fm.model_equal(th, fm.apply_op(th, "mul", [a, b]), a).is_no
-        assert fm.model_equal(th, fm.apply_op(th, "mul", [a, a]), a).is_yes
+        assert fm.model_equal(fm.apply_op(th, "mul", [a, b]), a).is_no
+        assert fm.model_equal(fm.apply_op(th, "mul", [a, a]), a).is_yes
 
 
 class TestEnumeration:
@@ -473,7 +474,7 @@ def _eager_elements(th, generators, max_depth):
     elems = []
 
     def add(m):
-        if not any(fm.model_equal(th, have, m).is_yes for have in elems):
+        if not any(fm.model_equal(have, m).is_yes for have in elems):
             elems.append(m)
 
     for g in generators:
@@ -542,10 +543,10 @@ class TestStreaming:
         rewrites = 0
         real_rewrite = fm._rewrite_positions
 
-        def counted(th_, p):
+        def counted(c, p):
             nonlocal rewrites
             rewrites += 1
-            return real_rewrite(th_, p)
+            return real_rewrite(c, p)
 
         candidates = []
         real_unit, real_apply = fm.unit, fm.apply_op
@@ -572,7 +573,7 @@ class TestStreaming:
             for _ in range(fm.JOINABILITY_BOUND):
                 nxt = []
                 for t in frontier:
-                    for r in fm._rewrite_positions(th, t):
+                    for r in fm._rewrite_positions(fm._carrier_of(th), t):
                         if r not in seen:
                             seen.add(r)
                             nxt.append(r)
@@ -751,18 +752,18 @@ class TestAgainstStringDispatch:
             return targets[slot[repr(v)]][1]
 
         for n, r in pairs:
-            _assert_same(fm.free_bind(th, n, k_new), ref.reference_free_bind(th, r, k_ref))
-            nested_new = fm.fmap(th, k_new, n)
+            _assert_same(fm.free_bind(n, k_new), ref.reference_free_bind(th, r, k_ref))
+            nested_new = fm.fmap(k_new, n)
             nested_ref = ref.reference_free_bind(th, r, lambda v: ref.reference_unit(th, k_ref(v)))
             _assert_same(nested_new, nested_ref)
-            _assert_same(fm.mu(th, nested_new), ref.reference_mu(th, nested_ref))
+            _assert_same(fm.mu(nested_new), ref.reference_mu(th, nested_ref))
 
     @pytest.mark.parametrize("make", REFERENCE_THEORIES, ids=REFERENCE_IDS)
     def test_model_equal_matches_the_reference(self, make):
         th = make()
         pairs = _twins(th, 1)[:24]
         for (n1, r1), (n2, r2) in itertools.product(pairs, repeat=2):
-            assert fm.model_equal(th, n1, n2) == ref.reference_model_equal(th, r1, r2)
+            assert fm.model_equal(n1, n2) == ref.reference_model_equal(th, r1, r2)
 
     @pytest.mark.parametrize("make,op,nargs", [
         (fm.convex, "plus", 2), (fm.convex, "mix[1/2]", 1), (fm.convex, "mix[1/2]", 3),
@@ -889,7 +890,7 @@ class TestModelElementContract:
         with pytest.raises(ValueError, match="is not in canonical form"):
             fm.ModelElement(kind, scrambled, th)
         twin = fm.ModelElement(kind, built.payload, th)
-        assert twin == built and fm.model_equal(th, twin, built).is_yes
+        assert twin == built and fm.model_equal(twin, built).is_yes
         assert pickle.loads(pickle.dumps(built)) == built
 
     def test_terms_kept_as_built_accept_any_payload(self):

@@ -720,8 +720,8 @@ class TestSharedKleisliScan:
         calls = collections.Counter()
         extension = laws.composite_extension
 
-        def counting(c, z):
-            ext = extension(c, z)
+        def counting(z):
+            ext = extension(z)
 
             def counted(kt):
                 calls[kt] += 1
@@ -740,17 +740,17 @@ class TestSharedKleisliScan:
         cand = induced_candidate(th, "seq")
         ts = fm.enumerate_elements(th, ("a", "b"), 1)
         ks = [{"a": delay_n(1, ts[0]), "b": now(ts[1])}, {"a": now(ts[1]), "b": now(ts[0])}]
-        poison = fm.fmap(th, ks[1].__getitem__, ts[4])  # a·b under ks[1]
+        poison = fm.fmap(ks[1].__getitem__, ts[4])  # a·b under ks[1]
 
         def z(mapped):
             if mapped == poison:
                 raise RuntimeError("no distribution here")
             return cand.apply(mapped)
 
-        plain = laws.composite_bind(laws.composite_extension(cand, cand.apply))
+        plain = laws.composite_bind(laws.composite_extension(cand.apply))
         calls = collections.Counter()
         with laws._memoised(z) as zm:
-            extension = laws.composite_extension(cand, zm)
+            extension = laws.composite_extension(zm)
 
             def counted(kt):
                 calls[ks.index(kt[0].__self__), kt[1]] += 1
@@ -1040,9 +1040,8 @@ class TestInducedEquationPreservation:
         # model_equal says unknown() of any two different terms, so under
         # par idem's sides are unknown() from the first case while comm's
         # sides have equal values and only run out of fuel
-        model_equal = fm.model_equal
-        monkeypatch.setattr(fm, "model_equal",
-                            lambda th, a, b: model_equal(th, a, b, join_bound=0))
+        joinable = fm._joinable
+        monkeypatch.setattr(fm, "_joinable", lambda c, p1, p2, bound: joinable(c, p1, p2, 0))
         comm = "eq comm : mul(x, y) = mul(y, x)\n"
         idem = "eq idem : mul(x, x) = x\n"
         u = Universe(carrier_size=1, max_steps=2, max_depth=0, include_diverge=True, fuel=1)
@@ -1073,9 +1072,8 @@ class TestInducedEquationPreservation:
         # by a finite model where mul is the left projection whenever their
         # values differ, so the first No is the first case whose values
         # differ, wherever the step counts put it
-        model_equal = fm.model_equal
-        monkeypatch.setattr(fm, "model_equal",
-                            lambda th, a, b: model_equal(th, a, b, join_bound=0))
+        joinable = fm._joinable
+        monkeypatch.setattr(fm, "_joinable", lambda c, p1, p2, bound: joinable(c, p1, p2, 0))
         left = fm.finite_model("left", (0, 1), {"mul": {(i, j): i for i in (0, 1)
                                                         for j in (0, 1)}})
         comm = parse_theory("theory comm\nop mul : 2\neq comm : mul(x, y) = mul(y, x)\n")
@@ -1097,9 +1095,9 @@ class TestInducedEquationPreservation:
         pairs = collections.Counter()
         model_equal = fm.model_equal
 
-        def counting(th, a, b, *rest):
+        def counting(a, b):
             pairs[a, b] += 1
-            return model_equal(th, a, b, *rest)
+            return model_equal(a, b)
 
         monkeypatch.setattr(fm, "model_equal", counting)
         entry = laws.check_equation_preservation(th, mode, u)

@@ -11,6 +11,7 @@ candidate is what the checked constructor admits: a tree carrier refuses
 undeclared operations and wrong argument counts there."""
 
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -25,10 +26,10 @@ from delaydist.delay import (DIVERGE, Now, Step, delay_n, dmap, now, prepend_ste
 from delaydist.lifting import (DistLawCandidate, custom_candidate, induced_candidate,
                                lift_term, par_lift_op, seq_lift_op)
 from delaydist.theory import (App, Operation, Signature, Theory, TheorySemanticError, Var,
-                              make_equation, validate_theory)
+                              make_equation, parse_theory, validate_theory)
 
-from conftest import (CARRIERS, reference_apply_op, reference_fmap, reference_free_bind,
-                      reference_root_fix, reference_unit)
+from conftest import (CARRIERS, THEORIES, reference_apply_op, reference_fmap,
+                      reference_free_bind, reference_root_fix, reference_unit)
 
 STEPS = range(4)
 
@@ -170,9 +171,9 @@ class TestIdempotenceBreaksSeq:
         rhs = lift_term(Var("x"), {"x": x}, "seq", th)
         assert step_count(lhs) == 2
         assert step_count(rhs) == 1
-        eq = lambda a, b: fm.model_equal(th, a, b)
-        assert strong_equal(lhs, rhs, 16, value_eq=lambda a, b: eq(a, b).is_yes).is_no
-        assert weak_bisim(lhs, rhs, eq, 16).is_yes
+        assert strong_equal(lhs, rhs, 16,
+                            value_eq=lambda a, b: fm.model_equal(a, b).is_yes).is_no
+        assert weak_bisim(lhs, rhs, fm.model_equal, 16).is_yes
 
     def test_par_keeps_idempotence(self):
         th = fm.semilattice()
@@ -192,7 +193,7 @@ class TestCandidates:
                 out = cand.apply(m)
                 want = dmap(d, lambda v: fm.unit(th, v))
                 ok = strong_equal(out, want, 16,
-                                  value_eq=lambda a, b: fm.model_equal(th, a, b).is_yes)
+                                  value_eq=lambda a, b: fm.model_equal(a, b).is_yes)
                 assert ok.is_yes
 
     def test_apply_seq_counts(self):
@@ -251,18 +252,94 @@ class TestCandidates:
         m = fm.apply_op(fm.monoid(), "mul", [fm.unit(fm.monoid(), now("a")),
                                              fm.unit(fm.monoid(), delay_n(1, "b"))])
         th = fm.semilattice()
+        message = r"^an element of theory 'monoid' is not an element of theory 'semilattice'$"
         for mode in ("seq", "par"):
-            with pytest.raises(ValueError, match=r"^cannot distribute a 'list' element over the "
-                                                 r"'finset' carrier of theory 'semilattice'$"):
+            with pytest.raises(ValueError, match=message):
                 induced_candidate(th, mode).apply(m)
-        with pytest.raises(ValueError, match="^cannot compare carriers 'list' and 'finset'$"):
-            fm.model_equal(th, m, fm.unit(th, now("a")))
+        with pytest.raises(ValueError, match=message):
+            fm.model_equal(m, fm.unit(th, now("a")))
 
     def test_diverging_leaf_diverges(self):
         th = fm.magma()
         m = fm.apply_op(th, "mul", [fm.unit(th, DIVERGE), fm.unit(th, now("b"))])
         for mode in ("seq", "par"):
             assert step_count(induced_candidate(th, mode).apply(m)) is None
+
+
+# ---------------------------------------------------------------------------
+# one theory per element
+
+
+def _neg_only():
+    th = Theory(Signature("negonly", (Operation("neg", 1),)), (), oracle="tree")
+    validate_theory(th)
+    return th
+
+
+def _theory_file(name):
+    return lambda: parse_theory((THEORIES / name).read_text(encoding="utf-8"))
+
+
+def _mul(th, x, y):
+    return fm.apply_op(th, "mul", [fm.unit(th, x), fm.unit(th, y)])
+
+
+# an element of one theory read under another of its carrier kind: a magma
+# term under a tree theory that declares only neg, and band's mul(a, a),
+# which band's rules join with a and leftzero's do not
+FOREIGN = {
+    "tree": (fm.magma, _neg_only, lambda th: _mul(th, now("a"), delay_n(1, "b"))),
+    "quotient": (_theory_file("band.th"), _theory_file("leftzero.th"),
+                 lambda th: _mul(th, now("a"), now("a"))),
+}
+
+
+class TestOneTheory:
+    """An element holds its theory; where it meets a theory or another
+    element, the same theory built again is accepted and any other is
+    refused with ``ValueError``."""
+
+    @pytest.mark.parametrize("kind", sorted(FOREIGN))
+    def test_an_element_of_another_theory_is_refused(self, kind):
+        make_own, make_other, build = FOREIGN[kind]
+        own, other = make_own(), make_other()
+        m = build(own)
+        message = (rf"^an element of theory '{own.name}' is not an element of "
+                   rf"theory '{other.name}'$")
+        with pytest.raises(ValueError, match=message):
+            fm.model_equal(m, fm.unit(other, now("a")))
+        for cand in (induced_candidate(other, "seq"), induced_candidate(other, "par"),
+                     custom_candidate(other, "custom:seq", seq_lift_op)):
+            with pytest.raises(ValueError, match=message):
+                cand.apply(m)
+
+    @pytest.mark.parametrize("kind", sorted(FOREIGN))
+    def test_an_equal_theory_built_again_is_accepted(self, kind):
+        make_own, _, build = FOREIGN[kind]
+        own, again = make_own(), make_own()
+        m, twin = build(own), build(again)
+        assert m.carrier is not twin.carrier and own == again
+        assert fm.model_equal(m, twin).is_yes
+        for cand, cand_again in ((induced_candidate(own, "seq"), induced_candidate(again, "seq")),
+                                 (induced_candidate(own, "par"), induced_candidate(again, "par")),
+                                 (custom_candidate(own, "c", seq_lift_op),
+                                  custom_candidate(again, "c", seq_lift_op))):
+            assert cand_again.apply(m) == cand.apply(m) == cand.apply(twin)
+        # band's rules, which the twin's theory holds too, join mul(a, a)
+        # with a
+        if kind == "quotient":
+            a = fm.unit(own, now("a"))
+            assert fm.model_equal(m, a).is_yes and fm.model_equal(a, twin).is_yes
+
+    @pytest.mark.parametrize("name", sorted(CARRIERS))
+    def test_a_pickled_element_is_accepted(self, name):
+        th = CARRIERS[name]
+        m = fm.unit(th, now("a"))
+        back = pickle.loads(pickle.dumps(m))
+        assert back.carrier is not m.carrier
+        assert fm.model_equal(m, back).is_yes and fm.model_equal(back, m).is_yes
+        for mode in ("seq", "par"):
+            assert induced_candidate(th, mode).apply(back) == now(fm.unit(th, "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +696,7 @@ class TestFmap:
     def test_matches_its_definition(self, carrier, f, data):
         th = CARRIERS[carrier]
         m = _element(th, data.draw(_terms(th)))
-        got, want = fm.fmap(th, _MAPS[f], m), reference_fmap(th, _MAPS[f], m)
+        got, want = fm.fmap(_MAPS[f], m), reference_fmap(th, _MAPS[f], m)
         assert (got.kind, repr(got.payload)) == (want.kind, repr(want.payload))
         assert got.payload == want.payload
         assert fm.canon_key(got) == fm.canon_key(want)
@@ -638,9 +715,9 @@ class TestFmap:
         m = _odd_element(th, data.draw(_terms(th, raw=True)))
         fn = _MAPS[f]
         pairs = [
-            (lambda: fm.fmap(th, fn, m),
+            (lambda: fm.fmap(fn, m),
              lambda: reference_free_bind(th, m, lambda v: reference_unit(th, fn(v)))),
-            (lambda: fm.free_bind(th, m, lambda v: fm.apply_op(
+            (lambda: fm.free_bind(m, lambda v: fm.apply_op(
                 th, "mul", [fm.unit(th, fn(v)), fm.unit(th, "b")])),
              lambda: reference_free_bind(th, m, lambda v: reference_apply_op(
                  th, "mul", [reference_unit(th, fn(v)), reference_unit(th, "b")]))),
@@ -655,12 +732,12 @@ class TestFmap:
         # mul(x, x) = x, which the rewrite-complete carrier contracts
         th = CARRIERS["quotient-complete"]
         m = fm.apply_op(th, "mul", [fm.unit(th, "a"), fm.unit(th, "b")])
-        assert fm.fmap(th, _MAPS["constant"], m).payload == ("leaf", "c")
+        assert fm.fmap(_MAPS["constant"], m).payload == ("leaf", "c")
         for carrier, merged in (("finset", ("c",)), ("multiset", ("c", "c"))):
             th = CARRIERS[carrier]
             op = [o.name for o in th.signature.ops if o.arity == 2][0]
             m = fm.apply_op(th, op, [fm.unit(th, "a"), fm.unit(th, "b")])
-            assert fm.fmap(th, _MAPS["constant"], m).payload == merged
+            assert fm.fmap(_MAPS["constant"], m).payload == merged
         th = CARRIERS["dist"]
         m = fm.apply_op(th, "mix[1/3]", [fm.unit(th, "a"), fm.unit(th, "b")])
-        assert fm.fmap(th, _MAPS["constant"], m).payload == (("c", Fraction(1)),)
+        assert fm.fmap(_MAPS["constant"], m).payload == (("c", Fraction(1)),)

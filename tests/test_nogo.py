@@ -211,9 +211,7 @@ class TestIdempotentUnary:
         lhs, rhs = nogo.idempotent_unary_witness()
         assert step_count(lhs) == 1
         assert step_count(rhs) == 1
-        th = nogo.idempotent_unary_theory()
-        rel = lambda a, b: fm.model_equal(th, a, b)
-        assert strong_equal(lhs, rhs, 64, value_eq=lambda a, b: rel(a, b).is_yes).is_yes
+        assert strong_equal(lhs, rhs, 64, value_eq=lambda a, b: fm.model_equal(a, b).is_yes).is_yes
 
     def test_lift_rejects_unknown_op(self):
         th = nogo.idempotent_unary_theory()
