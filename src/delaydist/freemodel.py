@@ -34,8 +34,9 @@ element.  :func:`unit`, :func:`apply_op`, :func:`eval_term` and
 :func:`model_equal`, :func:`fmap`, :func:`free_bind`, :func:`mu`,
 :func:`values_of`, :func:`representative` and :func:`render_element` read
 the theory from the element.  Where an element meets a theory or another
-element, one rule (:func:`_shared_carrier`) accepts the same theory, built
-once or again, and refuses any other with ``ValueError``.
+element, compared, distributed, grafted or passed to an operation, one
+rule (:func:`_shared_carrier`) accepts the same theory, built once or
+again, and refuses any other with ``ValueError``.
 
 Whether a payload is well formed for its theory is decided in one place:
 the :class:`ModelElement` constructor, which outside input and unpickling
@@ -350,10 +351,14 @@ class Carrier:
     weights or the rewrite rules.  It builds, combines, walks and prints
     the payloads of its elements.  ``canonical`` says that distinct
     payloads are provably distinct, so that equality is decided by payload
-    alone.  Only the quotient carrier has ``rules``.
+    alone.  Only the quotient carrier has ``rules``.  ``keeps_values`` says
+    that ``fmap`` keeps every value: ``values_of(fmap(m, f))`` is ``f`` of
+    each of ``values_of(m)``, repeats kept, in some order.  Finset and
+    dist merge equal values, and a rewrite-complete quotient may rewrite
+    them away.
 
     Each kind implements ``unit(x)``, ``apply_op(op, args)`` (or
-    ``_apply(op, arity, args)`` behind the arity check here),
+    ``_apply(op, arity, payloads)`` behind the checks here),
     ``free_bind(m, k)``, ``fmap(m, f)``, ``values_of(m)``,
     ``representative(m)`` and ``render(m)``.  ``fmap(m, f)`` gives the
     payload of ``free_bind(m, λv. unit(f(v)))`` without building an
@@ -362,6 +367,7 @@ class Carrier:
 
     kind = ""
     canonical = True
+    keeps_values = False
     rules: Dict[str, Tuple[Tuple[App, Term], ...]] = {}
 
     def __init__(self, th: Theory):
@@ -389,6 +395,13 @@ class Carrier:
             raise ValueError(f"{self.kind} payload {payload!r} is not in canonical form; "
                              f"the carrier builds {canonical!r}")
 
+    def own(self, e: ModelElement) -> Any:
+        """``e``'s payload, once ``e`` is known to be an element of this
+        carrier's theory (:func:`_shared_carrier`)."""
+        if e.carrier is not self:
+            _shared_carrier(e, self.theory)
+        return e.payload
+
     def apply_op(self, op: str, args: Sequence[ModelElement]) -> ModelElement:
         declared = self.arities.get(op)
         if declared is None:
@@ -397,7 +410,7 @@ class Carrier:
         if declared != len(args):
             raise TheorySemanticError(
                 f"operation '{op}' expects {declared} arguments, got {len(args)}", op)
-        return self._apply(op, declared, args)
+        return self._apply(op, declared, [self.own(a) for a in args])
 
 
 class TreeCarrier(Carrier):
@@ -405,6 +418,7 @@ class TreeCarrier(Carrier):
     so a theory declaring an operation ``leaf`` is refused."""
 
     kind = "tree"
+    keeps_values = True
     # brings a node whose children are normal into normal form; None keeps
     # terms as built
     normalise: Optional[Callable[[Any], Any]] = None
@@ -445,13 +459,13 @@ class TreeCarrier(Carrier):
         for child in p[1:]:
             self._check_term(child)
 
-    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
-        payload = (op, *[a.payload for a in args])
+    def _apply(self, op: str, arity: int, payloads: List[Any]) -> ModelElement:
+        payload = (op, *payloads)
         # argument payloads are normal by construction
         return self.element(self.normalise(payload) if self.normalise else payload)
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
-        return self.element(_graft(m.payload, k, self.normalise))
+        return self.element(_graft(m.payload, k, self))
 
     def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
         return self.element(_relabel(m.payload, f, self.normalise))
@@ -466,20 +480,22 @@ class TreeCarrier(Carrier):
         return _term_payload_str(m.payload)
 
 
-def _graft(p, k: Callable[[Any], ModelElement], fix: Optional[Callable[[Any], Any]]):
+def _graft(p, k: Callable[[Any], ModelElement], c: TreeCarrier):
     """The payload ``p`` with each leaf replaced by the payload of ``k``
-    at its value, each node built passed through ``fix`` (when given)."""
+    at its value, an element of ``c``'s theory, each node built passed
+    through ``c.normalise`` (when set)."""
     op = p[0]
     if op == "leaf":
-        return k(p[1]).payload
+        return c.own(k(p[1]))
     if len(p) == 3:
-        out = (op, _graft(p[1], k, fix), _graft(p[2], k, fix))
+        out = (op, _graft(p[1], k, c), _graft(p[2], k, c))
     elif len(p) == 2:
-        out = (op, _graft(p[1], k, fix))
+        out = (op, _graft(p[1], k, c))
     else:
-        out = (op, *[_graft(a, k, fix) for a in p[1:]])
+        out = (op, *[_graft(a, k, c) for a in p[1:]])
     # grafted subtrees are normal, so fixing each node on the way up keeps
     # the whole payload normal
+    fix = c.normalise
     return fix(out) if fix else out
 
 
@@ -523,6 +539,9 @@ class QuotientCarrier(TreeCarrier):
     (:func:`model_equal`)."""
 
     kind = "quotient"
+    # a rewrite-complete theory's rules may merge values; an incomplete
+    # one's elements are classes of terms, compared by search
+    keeps_values = False
 
     def __init__(self, th: Theory):
         super().__init__(th)
@@ -563,6 +582,7 @@ class ListCarrier(Carrier):
     """Monoid: tuples of values, ``mul`` concatenating them."""
 
     kind = "list"
+    keeps_values = True
     # the constant and the binary operation a representative folds with
     empty_op, join_op = "unit", "mul"
     brackets = ("[", "]")
@@ -573,15 +593,16 @@ class ListCarrier(Carrier):
     def check_payload(self, payload: Any) -> None:
         self._refuse_unless(payload, self._collect(payload))
 
-    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
+    def _apply(self, op: str, arity: int, payloads: List[Any]) -> ModelElement:
         if arity == 0:
             return self.element(())
-        return self.element(self._collect(args[0].payload + args[1].payload))
+        return self.element(self._collect(payloads[0] + payloads[1]))
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
+        own = self.own
         out: List[Any] = []
         for v in m.payload:
-            out.extend(k(v).payload)
+            out.extend(own(k(v)))
         return self.element(self._collect(out))
 
     def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
@@ -624,6 +645,7 @@ class FinsetCarrier(ListCarrier):
     :func:`canon_key`."""
 
     kind = "finset"
+    keeps_values = False
     empty_op, join_op = "empty", "union"
     brackets = ("{", "}")
 
@@ -678,10 +700,11 @@ class DistCarrier(Carrier):
         if len(args) != 2:
             raise TheorySemanticError(f"'{op}' expects 2 arguments, got {len(args)}", op)
         p, q = weights
-        return self.element(_dist_merge([(p, args[0].payload), (q, args[1].payload)]))
+        return self.element(_dist_merge([(p, self.own(args[0])), (q, self.own(args[1]))]))
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
-        return self.element(_dist_merge([(w, k(v).payload) for v, w in m.payload]))
+        own = self.own
+        return self.element(_dist_merge([(w, own(k(v))) for v, w in m.payload]))
 
     def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
         return self.element(_dist_merge([(w, ((f(v), _ONE),)) for v, w in m.payload]))
@@ -726,6 +749,7 @@ class EitherCarrier(Carrier):
     the exception constants."""
 
     kind = "either"
+    keeps_values = True
 
     def unit(self, x: Any) -> ModelElement:
         return self.element(("val", x))
@@ -738,12 +762,16 @@ class EitherCarrier(Carrier):
             raise ValueError(f"either payload {payload!r} raises an exception that theory "
                              f"'{self.theory.name}' does not declare")
 
-    def _apply(self, op: str, arity: int, args: Sequence[ModelElement]) -> ModelElement:
+    def _apply(self, op: str, arity: int, payloads: List[Any]) -> ModelElement:
         return self.element(("exc", op))
 
     def free_bind(self, m: ModelElement, k: Callable[[Any], ModelElement]) -> ModelElement:
         tag, x = m.payload
-        return k(x) if tag == "val" else m
+        if tag != "val":
+            return m
+        e = k(x)
+        self.own(e)
+        return e
 
     def fmap(self, m: ModelElement, f: Callable[[Any], Any]) -> ModelElement:
         tag, x = m.payload
@@ -789,12 +817,15 @@ def _carrier_of(th: Theory) -> Carrier:
 
 def _shared_carrier(m: ModelElement, th: Theory) -> Carrier:
     """``m``'s carrier, once ``th`` is known to be its theory: the same
-    object or an equal ``Theory`` value (a second build, a pickle round
-    trip).  Any other theory raises ``ValueError`` naming both."""
+    object, or an equal ``Theory`` value with the same finite models (a
+    second build, a pickle round trip), since ``Theory`` equality leaves
+    its finite models out.  Any other theory raises ``ValueError`` naming
+    both."""
     c = m.carrier
-    if c.theory is not th and c.theory != th:
+    if c.theory is not th and (c.theory != th or c.theory.finite_models != th.finite_models):
+        why = ": their finite models differ" if c.theory == th else ""
         raise ValueError(f"an element of theory '{c.theory.name}' is not an element of "
-                         f"theory '{th.name}'")
+                         f"theory '{th.name}'{why}")
     return c
 
 

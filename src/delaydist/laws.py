@@ -464,10 +464,18 @@ BECK_SHAPES = {"UnitS": "D", "UnitT": "T", "MultS": "TTD", "MultT": "TDD"}
 def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry:
     """One axiom for ``cand`` over the universe ``u``.
 
-    The Beck axioms compose the candidate ``z`` with itself, so a scan
-    hands it the same element many times.  UnitS, UnitT, MultS, MultT and
-    Naturality therefore call ``cand.apply`` through a memo created for
-    this call and emptied when it returns; MonadLaws does the same in
+    MultT for an induced candidate on a carrier that keeps every value
+    (``Carrier.keeps_values``: tree, list, multiset, either) is read from
+    two tables, the protocol of equation preservation (:func:`_multt_tables`).
+    The scan visits the same inputs in the same order, and its verdicts,
+    case counts and witnesses are those of the generic scan below.
+
+    The other Beck axioms, and MultT for a custom candidate or on a
+    carrier that may merge values (finset, dist, quotient), compose the
+    candidate ``z`` with itself, so a scan hands it the same element many
+    times.  UnitS, UnitT, MultS, MultT and Naturality therefore call
+    ``cand.apply`` through a memo created for this call and emptied when
+    it returns; MonadLaws does the same in
     :func:`check_composite_monad_laws`.  The key is exact: an element's
     equality and hash are its carrier kind and canonical payload, which is
     all that a distribution reads, and its theory is the candidate's own.
@@ -492,6 +500,8 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
         return check_composite_monad_laws(cand, u)
     S = theory_pack(th)
     T = delay_pack(u.relation, u.derived_fuel(th))
+    if axiom == "MultT" and cand.induced and fm._carrier_of(th).keeps_values:
+        return _multt_tables(cand, S, T, iter_universe(th, u, BECK_SHAPES[axiom]))
     with _memoised(cand.apply) as z:
         if axiom == "Naturality":
             return beck_scan(axiom, S, T, z, _naturality_inputs(th, u), None,
@@ -501,6 +511,83 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
         return beck_scan(axiom, S, T, z, iter_universe(th, u, BECK_SHAPES.get(axiom)), None,
                          fm.value_str, _render_dt, cand.apply)
 
+
+def _multt_tables(cand: DistLawCandidate, S: MonadPack, T: MonadPack,
+                  inputs: Iterable[fm.ModelElement]) -> LawEntry:
+    """MultT for the induced candidate ``cand`` over ``inputs``, on a
+    carrier that keeps every value, each case read from two tables
+    (:func:`_read_tables`).
+
+    The step key is the two sides' step counts (:func:`_multt_steps`),
+    and the step table holds ``T.equal`` of the sides' bare delays.  Where
+    it leaves the verdict to the values, the value key is the input with
+    each value replaced by its end, ``fmap(M, _end_of_both)``.  Both sides'
+    values are images of that element: the left side's is ``fmap`` of
+    ``D(μ)(M)`` to its ends, the right side's ``fmap`` of ``M`` to its
+    inner delays and then to their ends.  The value table holds the
+    comparison of the values of the sides that :func:`beck_sides`
+    computes at the first input of each key, so nothing assumes that the
+    values are equal.  A No's witness records those sides at its input
+    and replays through ``cand.apply``."""
+    carrier = fm._carrier_of(cand.theory)
+    total = _TOTAL[cand.induced]
+    lhs_fn, rhs_fn = beck_sides("MultT", S, T, cand.apply)
+    m = None
+
+    def cases():
+        nonlocal m
+        for m in inputs:
+            yield _multt_steps(m, carrier, total), m
+
+    verdicts = _read_tables(
+        cases(), _bare_sides, lambda x: carrier.fmap(x, _end_of_both),
+        lambda x: (lhs_fn(x).value, rhs_fn(x).value),
+        partial(T.equal, inner_rel=lambda a, b: True),
+        lambda a, b: as_verdict(S.equal(a, b, None)))
+    return _entry("MultT", verdicts, lambda: _witness(
+        fm.value_str(m), partial(lhs_fn, m), partial(rhs_fn, m), _render_dt))
+
+
+def _multt_steps(m: fm.ModelElement, carrier: fm.Carrier,
+                 total: Callable[[Sequence[int]], int]) -> Tuple[Optional[int], Optional[int]]:
+    """MultT's two step counts at ``m``, an element over delays of delays,
+    for an induced candidate whose lifting combines counts by ``total``:
+    None for a side that diverges.
+
+    One walk of ``m``'s values gives each one's outer count ``o`` and
+    inner count ``i``.  The left side ``z(D(μ)(m))`` distributes the
+    joined values, so it takes ``total(o + i)``.  The right side
+    ``μ(D(z)(z(m)))`` adds ``z(m)``'s ``total(o)`` to the distribution of
+    its inner delays, ``total(i)``.  The carrier keeps every value, so
+    each side counts over every value once.  The left side diverges when
+    a joined value does, that is when a value diverges in either layer;
+    the right side when ``z(m)`` does (an outer divergence) or its inner
+    distribution does (an inner one): the same condition."""
+    outer: List[int] = []
+    inner: List[int] = []
+    joined: List[int] = []
+    for d in carrier.values_of(m):
+        if d is DIVERGE:
+            return None, None
+        end = d.value
+        if end is DIVERGE:
+            return None, None
+        o, i = d.steps, end.steps
+        outer.append(o)
+        inner.append(i)
+        joined.append(o + i)
+    return total(joined), total(outer) + total(inner)
+
+
+def _bare_sides(steps: Tuple[Optional[int], Optional[int]]) -> Tuple[Delay, Delay]:
+    """The bare delays of two step counts: DIVERGE for None, else the
+    count's steps over no value."""
+    return tuple(DIVERGE if n is None else delay_n(n, None) for n in steps)
+
+
+def _end_of_both(dd: Delay) -> Any:
+    """The end value of a delay of a delay that finishes in both layers."""
+    return dd.value.value
 
 
 class _Renaming:
@@ -645,19 +732,51 @@ def _node_scan(eq, cases: Iterable[tuple], lift_op, th: Theory,
 _VALUES_DECIDE = object()
 
 
+def _read_tables(cases: Iterable[Tuple[Any, Any]],
+                 bare_sides: Callable[[Any], Tuple[Delay, Delay]],
+                 value_key: Callable[[Any], Any],
+                 value_sides: Callable[[Any], Tuple[Any, Any]],
+                 compare_steps: Callable[[Delay, Delay], Verdict],
+                 compare_values: Callable[[Any, Any], Verdict]) -> Iterator[Verdict]:
+    """The verdict of each case of ``cases``, a stream of (step key, case)
+    pairs, read from two tables that cache the relation's comparison as
+    the scan reaches them.
+
+    The step table holds, by step key, ``compare_steps`` (the relation's
+    comparison with the values taken as equal) of the two sides' bare
+    delays, ``bare_sides(step key)``.  A Yes on finite sides leaves the
+    verdict to the values: the value table holds, by ``value_key(case)``,
+    ``compare_values`` of the sides' values, ``value_sides(case)``.  A
+    comparison of bare delays gives the full comparison's No or Unknown
+    and fuel, and a Yes only where the values decide, so the verdicts are
+    the full comparison's wherever the step key fixes both sides' step
+    counts and divergence and the value key fixes both sides' values."""
+    step_table: Dict[Any, Any] = {}
+    value_table: Dict[Any, Verdict] = {}
+    for steps, case in cases:
+        v = step_table.get(steps)
+        if v is None:
+            lhs, rhs = bare_sides(steps)
+            v = compare_steps(lhs, rhs)
+            v = step_table[steps] = _VALUES_DECIDE if v.is_yes and lhs is not DIVERGE else v
+        if v is _VALUES_DECIDE:
+            key = value_key(case)
+            v = value_table.get(key)
+            if v is None:
+                v = value_table[key] = compare_values(*value_sides(case))
+        yield v
+
+
 def _table_scan(eq, cases: Iterable[tuple], step_cases: Iterable[tuple],
                 key_cases: Iterable[tuple], mode: str, th: Theory,
                 values: Sequence[fm.ModelElement],
                 compare_steps: Callable[[Delay, Delay], Verdict],
                 compare_values: Callable[[Any, Any], Verdict]) -> LawEntry:
     """The entry of ``eq`` under the induced lifting ``mode``, each case
-    read from two tables: one indexed by the variables' step counts, one
-    by their value keys (indices into ``values``).  ``cases``,
-    ``step_cases`` and ``key_cases`` run in step, one tuple per case each.
-    On a miss, the step table holds ``compare_steps``, the relation's
-    comparison with the values taken as equal, of the two sides' bare
-    delays; a Yes on finite sides leaves the verdict to
-    ``compare_values`` on the sides' values, which the value table holds.
+    read from two tables (:func:`_read_tables`): the step key is the
+    variables' step counts, the value key their value keys (indices into
+    ``values``).  ``cases``, ``step_cases`` and ``key_cases`` run in step,
+    one tuple per case each.
 
     The first case gives every variable the pool's first delay, which has
     no steps, so its values decide and both sides are evaluated there,
@@ -665,25 +784,17 @@ def _table_scan(eq, cases: Iterable[tuple], step_cases: Iterable[tuple],
     the first case, as on the node path.  The verdicts go through
     :func:`_fold`, and a No's two delays reuse the sides' values."""
     lhs, rhs = (_InducedSide(t, eq.context, mode, th, values) for t in (eq.lhs, eq.rhs))
-    step_table: Dict[tuple, Any] = {}
-    value_table: Dict[tuple, Verdict] = {}
     case = steps = keys = None
 
-    def verdicts():
+    def keyed():
         nonlocal case, steps, keys
         for case, steps, keys in zip(cases, step_cases, key_cases):
-            v = step_table.get(steps)
-            if v is None:
-                bare = lhs.delay(steps)
-                v = compare_steps(bare, rhs.delay(steps))
-                v = step_table[steps] = _VALUES_DECIDE if v.is_yes and bare is not DIVERGE else v
-            if v is _VALUES_DECIDE:
-                v = value_table.get(keys)
-                if v is None:
-                    v = value_table[keys] = compare_values(lhs.value(keys), rhs.value(keys))
-            yield v
+            yield steps, keys
 
-    return _entry(eq.name, verdicts(), lambda: _equation_witness(
+    verdicts = _read_tables(keyed(), lambda s: (lhs.delay(s), rhs.delay(s)), fm._identity,
+                            lambda k: (lhs.value(k), rhs.value(k)), compare_steps,
+                            compare_values)
+    return _entry(eq.name, verdicts, lambda: _equation_witness(
         eq, case, lhs.delay(steps, keys), rhs.delay(steps, keys), mode, th))
 
 

@@ -163,7 +163,9 @@ class DistLawCandidate:
     side's value once per value assignment, reading each case's verdict
     from two caches of the relation's comparison: a table of the sides'
     bare delays by step counts and a table of value comparisons
-    (:func:`delaydist.laws.check_equation_preservation`).
+    (:func:`delaydist.laws.check_equation_preservation`).  Its MultT
+    check reads the same two tables on a carrier that keeps every value
+    (:func:`delaydist.laws.check_axiom`).
     """
 
     theory: Theory

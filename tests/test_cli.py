@@ -236,6 +236,11 @@ class TestCombo:
         ([str(THEORIES / "band.th"), "--lift", "par", "--upto", "weak",
           "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
          "check_band_par_weak_c1s1d2.json"),
+        # MultT refuted through its step table, on trees and on multisets
+        (["magma", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
+          "--max-steps", "1", "--max-depth", "2"], 0, "check_magma_par_strict_c1s1d2.json"),
+        (["cmonoid", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
+          "--max-steps", "2", "--max-depth", "2"], 0, "check_cmonoid_par_strict_c1s2d2.json"),
     ])
     def test_law_suite_matches_golden(self, capsys, argv, want, golden):
         code, out, _ = run(capsys, "check", *argv, "--json")

@@ -8,6 +8,7 @@ import gc
 import itertools
 import json
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -486,6 +487,15 @@ def _distributions(axiom, m):
     return 2 if twice else 1
 
 
+def _memoising_candidate(th, axiom):
+    """A seq candidate of ``th`` whose scan of ``axiom`` goes through the
+    memo: MultT reads an induced candidate off two tables, so there the
+    same lifting comes as a custom candidate."""
+    if axiom == "MultT":
+        return lifting.custom_candidate(th, "custom:seq", seq_lift_op)
+    return induced_candidate(th, "seq")
+
+
 class TestMemoisedDistribution:
     """Within one check the candidate is memoised by input element; the
     memo never outlives the check."""
@@ -495,7 +505,7 @@ class TestMemoisedDistribution:
 
     @pytest.mark.parametrize("axiom", MEMOISED)
     def test_each_distinct_input_distributes_once(self, apply_calls, monkeypatch, axiom):
-        cand = induced_candidate(fm.magma(), "seq")
+        cand = _memoising_candidate(fm.magma(), axiom)
         memo_entry = laws.check_axiom(cand, axiom, self.U)
         # the magma has no constants, so no input is distributed twice
         assert apply_calls and set(apply_calls.values()) == {1}
@@ -510,7 +520,7 @@ class TestMemoisedDistribution:
 
     @pytest.mark.parametrize("axiom", MEMOISED)
     def test_no_cache_survives_a_check(self, apply_calls, axiom):
-        cand = induced_candidate(fm.monoid(), "seq")
+        cand = _memoising_candidate(fm.monoid(), axiom)
         first = laws.check_axiom(cand, axiom, self.U)
         once = sum(apply_calls.values())
         assert laws.check_axiom(cand, axiom, self.U) == first
@@ -520,7 +530,7 @@ class TestMemoisedDistribution:
     @pytest.mark.parametrize("diverge", [False, True])
     def test_multt_distributes_each_input_once_and_a_constant_twice(self, apply_calls,
                                                                     monkeypatch, diverge):
-        cand = induced_candidate(fm.monoid(), "seq")
+        cand = _memoising_candidate(fm.monoid(), "MultT")
         u = dataclasses.replace(self.U, include_diverge=diverge)
         memo_entry = laws.check_axiom(cand, "MultT", u)
         th = cand.theory
@@ -628,6 +638,132 @@ BROKEN_BINDS = {
     "right unit": _steps_bind(lambda n, p: 2 * n + p),
     "associativity": _steps_bind(lambda n, p: abs(n - p)),
 }
+
+
+def _generic_multt(cand, u):
+    """MultT for ``cand`` by the generic scan: both sides built for every
+    input and compared, the candidate memoised as ``check_axiom`` does."""
+    th = cand.theory
+    S, T = laws.theory_pack(th), laws.delay_pack(u.relation, u.derived_fuel(th))
+    with laws._memoised(cand.apply) as z:
+        return laws.beck_scan("MultT", S, T, z, laws.iter_universe(th, u, "TDD"), None,
+                              fm.value_str, laws._render_dt, cand.apply)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The verdict stream of every scan, as far as ``_fold`` pulls it."""
+    out = []
+
+    def recording(verdicts):
+        seen = []
+        out.append(seen)
+
+        def tee():
+            for v in verdicts:
+                seen.append(v)
+                yield v
+
+        return _fold(tee())
+
+    monkeypatch.setattr(laws, "_fold", recording)
+    return out
+
+
+def _scrambled(a, b):
+    """A value comparison that answers Yes or Unknown, with a fuel spent
+    that differs from pair to pair of values: a scan that reads one
+    pair's verdict for another's shows in its verdict stream."""
+    h = zlib.crc32(f"{a}|{b}".encode())
+    return YES if h % 3 == 0 else unknown(h % 1000)
+
+
+# a carrier that keeps every value, one theory each
+KEEPING = ("magma", "monoid", "cmonoid", "exceptions")
+# the universes of the table-against-scan test, and its value comparison
+# when not model_equal
+MULTT_SCANS = {
+    "c2s2d1": (dict(carrier_size=2, max_steps=2, max_depth=1), None),
+    "c2s2d1-diverge": (dict(carrier_size=2, max_steps=2, max_depth=1, include_diverge=True),
+                       None),
+    "c1s2d2": (dict(carrier_size=1, max_steps=2, max_depth=2), None),
+    "c1s2d2-diverge": (dict(carrier_size=1, max_steps=2, max_depth=2, include_diverge=True),
+                       None),
+    "c1s2d2-diverge-fuel1": (dict(carrier_size=1, max_steps=2, max_depth=2,
+                                  include_diverge=True, fuel=1), None),
+    "c2s1d2-diverge-scrambled": (dict(carrier_size=2, max_steps=1, max_depth=2,
+                                      include_diverge=True), _scrambled),
+}
+
+
+class TestMultTTables:
+    """MultT for an induced candidate on a carrier that keeps every value
+    is read off a step table and a value table, and agrees with the
+    generic scan case by case: verdict stream, entry, witness and
+    replay."""
+
+    @pytest.mark.parametrize("scan", MULTT_SCANS)
+    @pytest.mark.parametrize("relation", ["strict", "weak"])
+    @pytest.mark.parametrize("mode", ["seq", "par"])
+    @pytest.mark.parametrize("name", KEEPING)
+    def test_matches_the_generic_scan(self, monkeypatch, streams, name, mode, relation, scan):
+        bounds, compare = MULTT_SCANS[scan]
+        if compare is not None:
+            # a value table that shares a verdict between two values shows
+            monkeypatch.setattr(fm, "model_equal", compare)
+        th = fm.builtin_theory(name)
+        u = Universe(relation=relation, **bounds)
+        cand = induced_candidate(th, mode)
+        table = laws.check_axiom(cand, "MultT", u)
+        generic = _generic_multt(cand, u)
+        assert len(streams) == 2 and streams[0] == streams[1]
+        assert table == generic  # verdict, cases, and witness renders
+        if table.verdict.is_no:
+            assert (table.witness.replay() == generic.witness.replay()
+                    == (table.witness.lhs_render, table.witness.rhs_render))
+        if u.fuel is not None:
+            assert unknown(1) in streams[0]
+        elif compare is not None:
+            assert len({v for v in streams[0] if v.is_unknown}) > 1
+        else:
+            # par miscounts a binary operation's steps up to strict equality
+            wide = any(op.arity >= 2 for op in th.signature.ops)
+            assert table.verdict.is_no == (mode == "par" and relation == "strict" and wide)
+
+    def test_the_candidate_distributes_only_on_a_value_table_miss(self, apply_calls):
+        th = fm.magma()
+        u = Universe(carrier_size=2, max_steps=2, max_depth=2)
+        entry = laws.check_axiom(induced_candidate(th, "seq"), "MultT", u)
+        assert entry.verdict.is_yes and entry.cases == 24_348
+        ends = {fm.fmap(laws._end_of_both, m) for m in laws.iter_universe(th, u, "TDD")}
+        # each side at the first input of each value: z, then z twice
+        assert sum(apply_calls.values()) == 3 * len(ends) < entry.cases
+
+    @pytest.mark.parametrize("name", KEEPING)
+    def test_carriers_that_keep_every_value_read_the_tables(self, monkeypatch, name):
+        th = fm.builtin_theory(name)
+        read = []
+        tables = laws._multt_tables
+        monkeypatch.setattr(laws, "_multt_tables", lambda *a: read.append(a) or tables(*a))
+        for mode in ("seq", "par"):
+            laws.check_axiom(induced_candidate(th, mode), "MultT", Universe(1, 1, 1))
+        assert len(read) == 2
+
+    @pytest.mark.parametrize("name", sorted(conftest.CARRIERS))
+    def test_merging_carriers_and_custom_candidates_keep_the_generic_scan(self, monkeypatch,
+                                                                          name):
+        th = conftest.CARRIERS[name]
+
+        def refuse(*args):
+            raise AssertionError("read MultT off the tables")
+
+        monkeypatch.setattr(laws, "_multt_tables", refuse)
+        u = Universe(1, 1, 1)
+        cands = [lifting.custom_candidate(th, "custom:seq", seq_lift_op)]
+        if name in ("finset", "dist", "quotient", "quotient-complete"):
+            cands += [induced_candidate(th, "seq"), induced_candidate(th, "par")]
+        for cand in cands:
+            assert laws.check_axiom(cand, "MultT", u).cases > 0
 
 
 class TestScanFootprint:

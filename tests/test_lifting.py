@@ -10,6 +10,7 @@ lifted operations, which custom candidates take, is their reference, and
 candidate is what the checked constructor admits: a tree carrier refuses
 undeclared operations and wrong argument counts there."""
 
+import dataclasses
 import itertools
 import pickle
 import re
@@ -340,6 +341,61 @@ class TestOneTheory:
         assert fm.model_equal(m, back).is_yes and fm.model_equal(back, m).is_yes
         for mode in ("seq", "par"):
             assert induced_candidate(th, mode).apply(back) == now(fm.unit(th, "a"))
+
+    def test_a_foreign_graft_or_argument_is_refused(self):
+        magma, negonly = fm.magma(), _neg_only()
+        neg_a = fm.apply_op(negonly, "neg", [fm.unit(negonly, "a")])
+        message = r"^an element of theory 'negonly' is not an element of theory 'magma'$"
+        with pytest.raises(ValueError, match=message):
+            fm.mu(fm.unit(magma, neg_a))
+        with pytest.raises(ValueError, match=message):
+            fm.apply_op(magma, "mul", [neg_a, fm.unit(magma, "b")])
+
+    @pytest.mark.parametrize("name", sorted(CARRIERS))
+    def test_every_carrier_refuses_a_foreign_graft_or_argument(self, name):
+        th = CARRIERS[name]
+        other = dataclasses.replace(th, signature=Signature("other", th.signature.ops))
+        foreign = fm.unit(other, "a")
+        message = rf"^an element of theory 'other' is not an element of theory '{th.name}'$"
+        with pytest.raises(ValueError, match=message):
+            fm.mu(fm.unit(th, foreign))
+        with pytest.raises(ValueError, match=message):
+            fm.free_bind(fm.unit(th, "b"), lambda v: foreign)
+        wide = [op for op in th.signature.ops if op.arity]
+        for op in wide:
+            with pytest.raises(ValueError, match=message):
+                fm.apply_op(th, op.name, [foreign] * op.arity)
+        # an element of the same theory built again is grafted and combined
+        twin = fm.unit(dataclasses.replace(th), "a")
+        assert fm.mu(fm.unit(th, twin)) == fm.unit(th, "a")
+        for op in wide:
+            assert fm.apply_op(th, op.name, [twin] * op.arity) == fm.apply_op(
+                th, op.name, [fm.unit(th, "a")] * op.arity)
+
+    def test_theories_that_differ_only_in_finite_models_are_refused(self):
+        x, y = Var("x"), Var("y")
+        comm = Theory(Signature("comm", (Operation("mul", 2),)),
+                      (make_equation("comm", App("mul", (x, y)), App("mul", (y, x))),))
+        validate_theory(comm)
+
+        def left_projection():
+            return fm.finite_model("left", (0, 1), {"mul": {(p, q): p for p in (0, 1)
+                                                            for q in (0, 1)}})
+
+        modelled = dataclasses.replace(comm, finite_models=(left_projection(),))
+        assert modelled == comm  # Theory equality leaves the finite models out
+        ab = fm.apply_op(modelled, "mul", [fm.unit(modelled, "a"), fm.unit(modelled, "b")])
+        b = fm.unit(comm, "b")
+        message = (r"^an element of theory 'comm' is not an element of theory 'comm': "
+                   r"their finite models differ$")
+        for first, second in ((ab, b), (b, ab)):
+            with pytest.raises(ValueError, match=message):
+                fm.model_equal(first, second)
+        # the same finite models, built again, are the same theory
+        again = dataclasses.replace(comm, finite_models=(left_projection(),))
+        ba = fm.apply_op(again, "mul", [fm.unit(again, "b"), fm.unit(again, "a")])
+        assert fm.model_equal(ab, ba).is_yes and fm.model_equal(ba, ab).is_yes
+        assert fm.model_equal(ab, fm.unit(again, "b")).is_no
 
 
 # ---------------------------------------------------------------------------
