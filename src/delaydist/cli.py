@@ -25,7 +25,6 @@ from typing import Dict, List, NamedTuple, Optional
 from . import freemodel as fm
 from . import nogo
 from .combos import COMBO_NAMES, combo_report
-from .delay import render_delay
 from .laws import TestUniverse, UniverseBudgetError, render_report, run_suite
 from .lifting import OpLifter, custom_candidate
 from .theory import (TheoryError, classify_equation, parse_theory,
@@ -206,8 +205,7 @@ def _cmd_combo(ns: argparse.Namespace) -> int:
 
 def _cmd_demo(ns: argparse.Namespace) -> int:
     demo = nogo.mogelberg_vezzosi_witness()
-    render = lambda d: render_delay(d, fm.value_str)
-    lhs_r, rhs_r = render(demo.path_fmap_first), render(demo.path_dist_first)
+    lhs_r, rhs_r = fm.value_str(demo.path_fmap_first), fm.value_str(demo.path_dist_first)
     strict, weak = demo.entry.verdict, demo.weak_entry.verdict
     lines = [
         "demo mogelberg-vezzosi: parallel lifting of one binary operation",

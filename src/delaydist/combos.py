@@ -201,7 +201,7 @@ def selection_dist(d: Delay) -> "Sel":
     choice, for every predicate.
     """
     return Sel(lambda g: dmap(d, lambda f: f(lambda x: g(Now(x)))),
-               lambda: f"dist({render_delay(d, _short)})")
+               lambda: f"dist({_short(d)})")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def reader_pack(domain: Sequence[Any]) -> MonadPack:
         rel = rel or _eq
         return conjoin(as_verdict(rel(F(r), G(r))) for r in dom)
 
-    return MonadPack("reader", unit, mu, fmap, equal)
+    return MonadPack(unit, mu, fmap, equal)
 
 
 def check_reader(u: TestUniverse) -> LawReport:
@@ -289,7 +289,7 @@ def writer_pack(monoid: FiniteMonoid) -> MonadPack:
             return NO
         return as_verdict(rel(a[1], b[1]))
 
-    return MonadPack("writer", unit, mu, fmap, equal)
+    return MonadPack(unit, mu, fmap, equal)
 
 
 def check_writer(u: TestUniverse) -> LawReport:
@@ -313,8 +313,7 @@ def _writer_entries(u: TestUniverse) -> List[LawEntry]:
                   for dd in double_delay_values(xs, u.max_steps, u.include_diverge)],
         "Naturality": [(f, (m, d)) for f in fun_space(xs, xs) for m in ms for d in delays],
     }
-    return _beck_entries(S, T, lambda mx: writer_dist(mx[0], mx[1], monoid), inputs,
-                         lambda d: render_delay(d, _short))
+    return _beck_entries(S, T, lambda mx: writer_dist(mx[0], mx[1], monoid), inputs, _short)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +760,7 @@ def selection_pack(xs: Sequence[Any], rs: Sequence[Any]) -> MonadPack:
         rel = rel or _eq
         return conjoin(as_verdict(rel(a(g), b(g))) for g in preds)
 
-    return MonadPack("selection", unit, mu, fmap, equal)
+    return MonadPack(unit, mu, fmap, equal)
 
 
 def check_selection(u: TestUniverse) -> LawReport:

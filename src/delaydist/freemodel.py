@@ -372,10 +372,7 @@ class Carrier:
 
     def __init__(self, th: Theory):
         self.theory = th
-        arities: Dict[str, int] = {}
-        for o in th.signature.ops:
-            arities.setdefault(o.name, o.arity)  # the first declaration, as Signature.arity
-        self.arities = arities
+        self.arities = th.signature.arities
 
     def element(self, payload: Any) -> ModelElement:
         e = _new(ModelElement)

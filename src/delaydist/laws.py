@@ -149,9 +149,6 @@ class LawReport:
     bounds: dict
     entries: List[LawEntry]
     elapsed_ms: float
-    # presentation metadata, recomputable from (theory, mode, relation); kept
-    # out of equality so JSON round-trips compare clean
-    guaranteed: bool = field(default=False, compare=False)
 
     @property
     def case_counts(self) -> Dict[str, int]:
@@ -220,7 +217,6 @@ class MonadPack:
     relation on whatever sits inside, returning a Verdict.
     """
 
-    name: str
     unit: Callable[[Any], Any]
     mu: Callable[[Any], Any]
     fmap: Callable[[Callable[[Any], Any], Any], Any]
@@ -234,7 +230,7 @@ def delay_pack(relation: str, fuel: int) -> MonadPack:
         equal = lambda a, b, inner_rel: strong_equal(a, b, fuel, value_eq=inner_rel)
     else:
         equal = lambda a, b, inner_rel: weak_bisim(a, b, inner_rel, fuel)
-    return MonadPack("delay", now, join, lambda f, d: dmap(d, f), equal)
+    return MonadPack(now, join, lambda f, d: dmap(d, f), equal)
 
 
 def theory_pack(th: Theory) -> MonadPack:
@@ -243,7 +239,7 @@ def theory_pack(th: Theory) -> MonadPack:
         # elements over a decidably-equal value set needs no inner relation
         return fm.model_equal(a, b)
 
-    return MonadPack(th.name, lambda x: fm.unit(th, x), fm.mu, fm.fmap, equal)
+    return MonadPack(lambda x: fm.unit(th, x), fm.mu, fm.fmap, equal)
 
 
 def _entry(axiom: str, verdicts: Iterable[Verdict], witness: Callable[[], Witness]) -> LawEntry:
@@ -421,10 +417,6 @@ def _bounded_elements(th: Theory, generators, depth: int, u: TestUniverse,
         raise UniverseBudgetError(what, err.estimate, u.case_budget) from err
 
 
-def _render_dt(d: Delay) -> str:
-    return render_delay(d, fm.value_str)
-
-
 # ---------------------------------------------------------------------------
 # the seven checks for an algebraic-over-delay candidate
 
@@ -481,21 +473,22 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
     all that a distribution reads, and its theory is the candidate's own.
     MultT's right side ``μ(D(z)(z(M)))`` calls ``cand.apply`` on the
     input ``M`` itself, bypassing the memo: the universe holds each input
-    once, so storing them would only hold memory.  Only an input whose
-    values all diverge, or that has none, is also a left-side input, and
-    it is then distributed once more.  So verdicts, case counts and
-    witnesses are those of calling ``cand.apply`` every time, and a
-    witness's replay recomputes through ``cand.apply`` rather than reading
-    cached results.
+    once, so storing them would only hold memory (leftzero.th's seq check
+    at the CLI's default bounds peaks at 61 MB so, 188 MB through the
+    memo).  Only an input whose values all diverge, or that has none, is
+    also a left-side input, and it is then distributed once more.  So
+    verdicts, case counts and witnesses are those of calling
+    ``cand.apply`` every time, and a witness's replay recomputes through
+    ``cand.apply`` rather than reading cached results.
 
-    EquationPreservation gets the lifting the way :func:`lift_term` takes
-    it: an induced candidate's "seq" or "par", a custom candidate's
-    ``lift_op``.  The path is chosen by that name, never by comparing
-    ``lift_op`` with a lifting function, which a wrapper would defeat.
+    EquationPreservation gets the candidate's ``lift``, the value
+    :func:`lift_term` takes: "seq", "par" or a custom op-lifter.  The
+    path is chosen by that value, never by comparing an op-lifter with a
+    lifting function, which a wrapper would defeat.
     """
     th = cand.theory
     if axiom == "EquationPreservation":
-        return check_equation_preservation(th, cand.induced or cand.lift_op, u)
+        return check_equation_preservation(th, cand.lift, u)
     if axiom == "MonadLaws":
         return check_composite_monad_laws(cand, u)
     S = theory_pack(th)
@@ -505,11 +498,11 @@ def check_axiom(cand: DistLawCandidate, axiom: str, u: TestUniverse) -> LawEntry
     with _memoised(cand.apply) as z:
         if axiom == "Naturality":
             return beck_scan(axiom, S, T, z, _naturality_inputs(th, u), None,
-                             lambda p: f"f={p[0]} on {fm.value_str(p[1])}", _render_dt)
+                             lambda p: f"f={p[0]} on {fm.value_str(p[1])}", fm.value_str)
         # the universe is built lazily, so beck_scan rejects an unknown
         # axiom before any input is enumerated
         return beck_scan(axiom, S, T, z, iter_universe(th, u, BECK_SHAPES.get(axiom)), None,
-                         fm.value_str, _render_dt, cand.apply)
+                         fm.value_str, fm.value_str, cand.apply)
 
 
 def _multt_tables(cand: DistLawCandidate, S: MonadPack, T: MonadPack,
@@ -545,7 +538,7 @@ def _multt_tables(cand: DistLawCandidate, S: MonadPack, T: MonadPack,
         partial(T.equal, inner_rel=lambda a, b: True),
         lambda a, b: as_verdict(S.equal(a, b, None)))
     return _entry("MultT", verdicts, lambda: _witness(
-        fm.value_str(m), partial(lhs_fn, m), partial(rhs_fn, m), _render_dt))
+        fm.value_str(m), partial(lhs_fn, m), partial(rhs_fn, m), fm.value_str))
 
 
 def _multt_steps(m: fm.ModelElement, carrier: fm.Carrier,
@@ -703,9 +696,9 @@ def _equation_witness(eq, case: tuple, lhs: Delay, rhs: Delay, lift_op, th: Theo
     context order: it records the scan's sides ``lhs`` and ``rhs``, and
     its replay lifts both again with :func:`lift_term`."""
     env = dict(zip(eq.context, case))
-    env_r = ", ".join(f"{k}={_render_dt(d)}" for k, d in env.items())
+    env_r = ", ".join(f"{k}={fm.value_str(d)}" for k, d in env.items())
     return _witness(f"{eq.name} with {env_r}", partial(lift_term, eq.lhs, env, lift_op, th),
-                    partial(lift_term, eq.rhs, env, lift_op, th), _render_dt, seen=(lhs, rhs),
+                    partial(lift_term, eq.rhs, env, lift_op, th), fm.value_str, seen=(lhs, rhs),
                     note=f"equation '{eq.name}' not preserved")
 
 
@@ -1008,7 +1001,7 @@ def check_composite_monad_laws(cand: DistLawCandidate, u: TestUniverse) -> LawEn
 
     with _memoised(cand.apply) as z, _memoised(composite_extension(z)) as ext:
         return check_monad_laws_kleisli(composite_unit(cand), composite_bind(ext),
-                                        elements, vals, k_pool, compare, _render_dt)
+                                        elements, vals, k_pool, compare, fm.value_str)
 
 
 def check_delay_monad_laws(max_steps: int = 5, values: Sequence[Any] = ("a", "b", "c"),
@@ -1027,8 +1020,9 @@ def check_delay_monad_laws(max_steps: int = 5, values: Sequence[Any] = ("a", "b"
 # predictions and the full suite
 
 
-def guaranteed_configuration(th: Theory, mode: str, relation: str) -> bool:
-    """Configurations the theory's classification promises will pass."""
+def guaranteed_configuration(th: Theory, mode: Optional[str], relation: str) -> bool:
+    """Configurations the theory's classification promises will pass;
+    ``mode`` is "seq", "par", or None for a custom lifting."""
     p = predict_composability(th)
     if mode == "seq" and p.seq_dist_law == "guaranteed":
         return True
@@ -1037,8 +1031,9 @@ def guaranteed_configuration(th: Theory, mode: str, relation: str) -> bool:
     return False
 
 
-def prediction_for_failure(th: Theory, mode: str, relation: str, axiom: str) -> str:
-    """A short reason when a No verdict is the documented expectation."""
+def prediction_for_failure(th: Theory, mode: Optional[str], relation: str, axiom: str) -> str:
+    """A short reason when a No verdict is the documented expectation;
+    ``mode`` as in :func:`guaranteed_configuration`."""
     classes = {eq.name: classify_equation(eq) for eq in th.equations}
     has_wide_op = any(op.arity >= 2 for op in th.signature.ops)
     unbalanced = [n for n, c in classes.items() if not c.balanced]
@@ -1060,33 +1055,35 @@ def run_suite(th: Theory, mode, u: TestUniverse) -> LawReport:
     """Naturality, the four axioms, equation preservation and composite
     monad laws for one candidate, in a fixed order."""
     cand = mode if isinstance(mode, DistLawCandidate) else induced_candidate(th, mode)
-    return _run(th.name, cand.name, u, lambda: _suite(th, cand, u),
-                guaranteed_configuration(th, cand.name, u.relation))
+    return _run(th.name, cand.name, u, lambda: _suite(th, cand, u))
 
 
 def _suite(th: Theory, cand: DistLawCandidate, u: TestUniverse) -> List[LawEntry]:
     """The entries of :func:`run_suite`, each No marked predicted or not."""
     if u.relation == "weak":
         _validate_weak_relation(th, u)
-    entries: List[LawEntry] = []
-    for axiom in AXIOM_ORDER:
-        entry = check_axiom(cand, axiom, u)
-        if entry.verdict.is_no:
-            note = prediction_for_failure(th, cand.name, u.relation, axiom)
-            entry.predicted = bool(note) and not guaranteed_configuration(th, cand.name, u.relation)
-            entry.prediction_note = note
-        entries.append(entry)
-    return entries
+    return [mark_prediction(check_axiom(cand, axiom, u), th, cand.induced, u.relation)
+            for axiom in AXIOM_ORDER]
 
 
-def _run(theory: str, mode: str, u: TestUniverse, check: Callable[[], List[LawEntry]],
-         guaranteed: bool = False) -> LawReport:
+def mark_prediction(entry: LawEntry, th: Theory, mode: Optional[str], relation: str) -> LawEntry:
+    """``entry``, a No of a candidate whose structural lifting is ``mode``
+    ("seq", "par", or None for a custom lifting), marked predicted when a
+    reason documents it and no guarantee covers the configuration."""
+    if entry.verdict.is_no:
+        note = prediction_for_failure(th, mode, relation, entry.axiom)
+        entry.predicted = bool(note) and not guaranteed_configuration(th, mode, relation)
+        entry.prediction_note = note
+    return entry
+
+
+def _run(theory: str, mode: str, u: TestUniverse, check: Callable[[], List[LawEntry]]) -> LawReport:
     """The report of every suite and pairing: the entries ``check()``
     returns under ``theory`` and ``mode``, timed from before the call."""
     t0 = time.perf_counter()
     entries = check()
     return LawReport(theory, mode, u.relation, u.bounds_dict(), entries,
-                     (time.perf_counter() - t0) * 1000.0, guaranteed=guaranteed)
+                     (time.perf_counter() - t0) * 1000.0)
 
 
 def _validate_weak_relation(th: Theory, u: TestUniverse) -> None:

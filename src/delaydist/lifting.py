@@ -25,7 +25,7 @@ operation at every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import freemodel as fm
 from .delay import DIVERGE, Delay, delay_n, dmap
@@ -43,9 +43,9 @@ _TOTAL: Dict[str, Callable[[Sequence[int]], int]] = {"seq": sum, "par": _longest
 
 
 def _check_arity(op: str, args: Sequence[Delay], th: Theory) -> None:
-    """Refuse a wrong argument count: the arity the theory's carrier
-    resolved for ``op``, or 2 for an undeclared ``mix[p/q]``."""
-    declared = fm._carrier_of(th).arities.get(op)
+    """Refuse a wrong argument count: the arity the theory's signature
+    declares for ``op``, or 2 for an undeclared ``mix[p/q]``."""
+    declared = th.signature.arities.get(op)
     if declared is None and fm.mix_weight(op) is not None:
         declared = 2
     if declared is not None and declared != len(args):
@@ -137,24 +137,24 @@ class DistLawCandidate:
     """A candidate transformation from model-over-delays to delayed-model.
 
     ``apply`` sends an element whose values are Delays to a Delay of an
-    element over the inner values.  ``lift_op`` is the underlying
-    op-level lifting, with which a custom candidate's equation
-    preservation check interprets terms.  A custom ``lift_op`` must
-    return delays in normal form, built from ``Now``, ``step``,
-    ``prepend_steps``, ``delay_n`` and ``DIVERGE``; a result that is not
-    a ``Delay`` raises a ``TypeError`` naming the lifting and the
-    operation, in :meth:`apply` and in :func:`lift_term`.
+    element over the inner values.  ``lift`` is the value :func:`lift_term`
+    takes: "seq" or "par" for an induced candidate, else a custom
+    op-lifter, which must return delays in normal form, built from
+    ``Now``, ``step``, ``prepend_steps``, ``delay_n`` and ``DIVERGE``; a
+    result that is not a ``Delay`` raises a ``TypeError`` naming the
+    lifting and the operation, in :meth:`apply` and in :func:`lift_term`.
+    ``induced`` is read off ``lift``: the theorems' guarantees and
+    predictions (:func:`delaydist.laws.mark_prediction`) apply to the two
+    structural liftings, whatever a custom candidate is named.
 
-    ``induced`` names the structural lifting ("seq" or "par") that an
-    induced candidate comes from, and is None for a custom one.  An
-    induced candidate distributes an element without calling ``lift_op``
-    and makes one element per result, on every carrier the same way: seq
-    sums the step counts of the element's values, par takes their max, a
-    divergent value makes the result DIVERGE, absorbing the steps, and the
-    value is ``fmap`` of their end values.  It gives the result of the
-    per-node path, and raises its ``TypeError`` for a value that is not a
-    Delay.  A custom candidate sends every node of the element's
-    representative through ``lift_op``.  Either kind refuses with
+    An induced candidate distributes an element without calling an
+    op-lifter and makes one element per result, on every carrier the same
+    way: seq sums the step counts of the element's values, par takes
+    their max, a divergent value makes the result DIVERGE, absorbing the
+    steps, and the value is ``fmap`` of their end values.  It gives the
+    result of the per-node path, and raises its ``TypeError`` for a value
+    that is not a Delay.  A custom candidate sends every node of the
+    element's representative through ``lift``.  Either kind refuses with
     ``ValueError`` an element of a theory other than ``theory``, by the
     rule :func:`~delaydist.freemodel.model_equal` applies to two elements:
     an element of an equal, separately built theory is accepted.  An
@@ -170,15 +170,21 @@ class DistLawCandidate:
 
     theory: Theory
     name: str
-    lift_op: OpLifter
-    induced: Optional[str] = None
+    lift: Union[str, OpLifter]
+
+    def __post_init__(self) -> None:
+        _lifter(self.lift)  # refuses anything else
+
+    @property
+    def induced(self) -> Optional[str]:
+        """The structural lifting, "seq" or "par", or None for a custom one."""
+        return self.lift if isinstance(self.lift, str) else None
 
     def apply(self, m: fm.ModelElement) -> Delay:
         carrier = fm._shared_carrier(m, self.theory)
-        if self.induced is None:
-            return _lift_representative(fm.representative(m), self.lift_op, self.name,
-                                        self.theory)
-        return _distribute_values(m, carrier, _TOTAL[self.induced])
+        if isinstance(self.lift, str):
+            return _distribute_values(m, carrier, _TOTAL[self.lift])
+        return _lift_representative(fm.representative(m), self.lift, self.name, self.theory)
 
 
 def _lift_representative(node, lift_op: OpLifter, name: str, th: Theory) -> Delay:
@@ -213,8 +219,10 @@ def _distribute_values(m: fm.ModelElement, carrier: fm.Carrier,
 def induced_candidate(th: Theory, mode: str) -> DistLawCandidate:
     if mode not in _TOTAL:
         raise ValueError(f"induced candidates exist for 'seq' and 'par', not {mode!r}")
-    return DistLawCandidate(th, mode, _lifter(mode), induced=mode)
+    return DistLawCandidate(th, mode, mode)
 
 
 def custom_candidate(th: Theory, name: str, lift_op: OpLifter) -> DistLawCandidate:
+    if not callable(lift_op):
+        raise TypeError(f"a custom lifting is an op-lifting callable, not {lift_op!r}")
     return DistLawCandidate(th, name, lift_op)

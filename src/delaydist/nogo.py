@@ -41,16 +41,16 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import freemodel as fm
-from .delay import (DIVERGE, Delay, Now, Step, delay_n, dmap, join, render_delay,
-                    step_count, strong_equal, weak_bisim)
-from .laws import (LawEntry, LawReport, TestUniverse, _entry, _witness, prediction_for_failure,
-                   run_suite)
+from .delay import DIVERGE, Delay, Now, Step, delay_n, step_count
+from .laws import (LawEntry, LawReport, TestUniverse, _entry, _witness, beck_sides, delay_pack,
+                   mark_prediction, run_suite, theory_pack)
 from .lifting import DistLawCandidate, custom_candidate, induced_candidate
 from .theory import (App, Equation, Operation, Signature, Term, Theory, Var, free_vars,
                      make_equation, match, replace, substitute, subterm, term_str,
                      validate_theory)
 
 HALF = Fraction(1, 2)
+DEMO_FUEL = 4096  # the separation demo's comparison fuel, far above its two steps
 
 
 class TraceError(AssertionError):
@@ -645,13 +645,15 @@ class StepCountDemo:
 def _multiplication_paths(cand: DistLawCandidate
                           ) -> Tuple[fm.ModelElement, Callable[[], Delay], Callable[[], Delay]]:
     """The input ``mul(now(step(now x)), step(now(now y)))`` of MultT
-    and the axiom's two paths on it under ``cand``, each a function of
-    nothing: flatten then distribute, and distribute then flatten."""
+    and the axiom's two sides on it under ``cand`` (:func:`beck_sides`),
+    each a function of nothing: flatten then distribute, and distribute
+    then flatten.  Each call looks up ``cand.apply`` afresh."""
     th = cand.theory
     inner = fm.apply_op(th, "mul", [fm.unit(th, Now(Step(Now("x")))),
                                     fm.unit(th, Step(Now(Now("y"))))])
-    return (inner, lambda: cand.apply(fm.fmap(join, inner)),
-            lambda: join(dmap(cand.apply(inner), cand.apply)))
+    lhs, rhs = beck_sides("MultT", theory_pack(th), delay_pack("strict", DEMO_FUEL),
+                          lambda m: cand.apply(m))
+    return inner, functools.partial(lhs, inner), functools.partial(rhs, inner)
 
 
 def mogelberg_vezzosi_witness() -> StepCountDemo:
@@ -661,17 +663,16 @@ def mogelberg_vezzosi_witness() -> StepCountDemo:
     witness replays both paths."""
     t0 = time.perf_counter()
     th = fm.magma()
-    inner, lhs_path, rhs_path = _multiplication_paths(induced_candidate(th, "par"))
+    cand = induced_candidate(th, "par")
+    inner, lhs_path, rhs_path = _multiplication_paths(cand)
     lhs, rhs = lhs_path(), rhs_path()
-    strict = strong_equal(lhs, rhs, 4096, value_eq=fm.model_equal)
-    weak = weak_bisim(lhs, rhs, fm.model_equal, 4096)
+    strict, weak = (delay_pack(relation, DEMO_FUEL).equal(lhs, rhs, fm.model_equal)
+                    for relation in ("strict", "weak"))
     counts = (step_count(lhs), step_count(rhs))
-    witness = lambda: _witness(fm.value_str(inner), lhs_path, rhs_path,
-                               lambda d: render_delay(d, fm.value_str), seen=(lhs, rhs),
+    witness = lambda: _witness(fm.value_str(inner), lhs_path, rhs_path, fm.value_str,
+                               seen=(lhs, rhs),
                                note=f"same value after {counts[0]} step vs {counts[1]} steps")
-    entry = _entry("MultT", [strict], witness)
-    entry.predicted = True
-    entry.prediction_note = prediction_for_failure(th, "par", "strict", "MultT")
+    entry = mark_prediction(_entry("MultT", [strict], witness), th, cand.induced, "strict")
     weak_entry = _entry("MultT", [weak], witness)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return StepCountDemo(fm.value_str(inner), lhs, rhs, counts, entry, weak_entry, elapsed)

@@ -141,17 +141,17 @@ class Operation:
 class Signature:
     name: str
     ops: Tuple[Operation, ...]
-    # name -> arity of the first declaration, built once
-    _arities: Dict[str, int] = field(init=False, repr=False, compare=False)
+    # name -> arity of the first declaration, built once; read-only
+    arities: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: Dict[str, int] = {}
         for o in self.ops:
             arities.setdefault(o.name, o.arity)
-        object.__setattr__(self, "_arities", arities)
+        object.__setattr__(self, "arities", arities)
 
     def arity(self, op: str) -> Optional[int]:
-        return self._arities.get(op)
+        return self.arities.get(op)
 
 
 @dataclass(frozen=True, slots=True)

@@ -91,7 +91,7 @@ def reference_equation_preservation(th, lift_op, u):
                                         "equation preservation universe")
     env_pool = laws.delay_values(model_pool, u.max_steps, u.include_diverge)
     rel = fm.model_equal
-    render = laws._render_dt
+    render = fm.value_str
 
     details = []
     witness = None

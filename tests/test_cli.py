@@ -223,27 +223,34 @@ class TestCombo:
 
     @pytest.mark.parametrize("argv,want,golden", [
         # idempotence refuted through the step table, with a witness
-        (["semilattice", "--lift", "seq", "--upto", "strict", "--carrier-size", "2",
+        (["check", "semilattice", "--lift", "seq", "--upto", "strict", "--carrier-size", "2",
           "--max-steps", "2", "--max-depth", "1"], 0, "check_semilattice_seq_strict_c2s2d1.json"),
         # associativity out of fuel on the step table
-        (["monoid", "--lift", "seq", "--upto", "weak", "--fuel", "1", *FAST_BOUNDS,
+        (["check", "monoid", "--lift", "seq", "--upto", "weak", "--fuel", "1", *FAST_BOUNDS,
           "--include-diverge"], 2, "check_monoid_seq_weak_fuel1_c1s1d1div.json"),
         # the quotient carrier: left-zero's equations refuted by seq, with a
         # witness, and band's kept by par up to weak bisimilarity
-        ([str(THEORIES / "leftzero.th"), "--lift", "seq", "--upto", "strict",
+        (["check", str(THEORIES / "leftzero.th"), "--lift", "seq", "--upto", "strict",
           "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
          "check_leftzero_seq_strict_c1s1d2.json"),
-        ([str(THEORIES / "band.th"), "--lift", "par", "--upto", "weak",
+        (["check", str(THEORIES / "band.th"), "--lift", "par", "--upto", "weak",
           "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
          "check_band_par_weak_c1s1d2.json"),
         # MultT refuted through its step table, on trees and on multisets
-        (["magma", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
+        (["check", "magma", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
           "--max-steps", "1", "--max-depth", "2"], 0, "check_magma_par_strict_c1s1d2.json"),
-        (["cmonoid", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
+        (["check", "cmonoid", "--lift", "par", "--upto", "strict", "--carrier-size", "1",
           "--max-steps", "2", "--max-depth", "2"], 0, "check_cmonoid_par_strict_c1s2d2.json"),
+        # a custom op-lifter, through equation preservation's node path
+        (["check", "idempotent-unary", "--lift", "custom:step-absorbing", "--upto", "strict",
+          "--carrier-size", "1", "--max-steps", "1", "--max-depth", "2"], 0,
+         "check_idempotent-unary_custom-step-absorbing_strict_c1s1d2.json"),
+        # the full suite under a custom candidate
+        (["combo", "exceptions", "--carrier-size", "1", "--max-steps", "2", "--max-depth", "1"],
+         0, "combo_exceptions_c1s2d1.json"),
     ])
     def test_law_suite_matches_golden(self, capsys, argv, want, golden):
-        code, out, _ = run(capsys, "check", *argv, "--json")
+        code, out, _ = run(capsys, *argv, "--json")
         assert code == want
         d = json.loads(out)
         del d["elapsedMs"]

@@ -21,8 +21,8 @@ from delaydist import combos, laws, lifting
 from delaydist.delay import (DIVERGE, NO, YES, Verdict, _fold, bind, conjoin, delay_n, now,
                              prepend_steps, render_delay, step_count, strong_equal, unknown)
 from delaydist.laws import (AXIOM_ORDER, LawEntry, LawReport, UniverseBudgetError,
-                            check_delay_monad_laws, render_report, report_from_json_dict,
-                            run_suite)
+                            check_delay_monad_laws, guaranteed_configuration, render_report,
+                            report_from_json_dict, run_suite)
 from delaydist.laws import TestUniverse as Universe
 from delaydist.lifting import DistLawCandidate, induced_candidate, par_lift_op, seq_lift_op
 from delaydist.nogo import idempotent_unary_theory, step_absorbing_lift
@@ -154,7 +154,7 @@ def _beck_witness(monkeypatch, switch, patch):
     monkeypatch.setattr(laws, "strong_equal", switch.no)
     return laws.beck_scan("UnitS", laws.theory_pack(th), laws.delay_pack("strict", 64),
                           switch.diverge_once_on(apply) if patch else apply,
-                          laws.delay_values(("a",), 1), None, str, laws._render_dt)
+                          laws.delay_values(("a",), 1), None, str, fm.value_str)
 
 
 def _kleisli_witness(law):
@@ -210,14 +210,14 @@ class TestWitnessCrossCheck:
     CASES = {
         # name: (the witness's entry, as a function of (monkeypatch, switch,
         # patch)), the sides the patched route computes, the side render
-        "beck": (_beck_witness, (True, False), laws._render_dt),
+        "beck": (_beck_witness, (True, False), fm.value_str),
         "kleisli-left-unit": (_kleisli_witness(0), (True, False), render_delay),
         "kleisli-right-unit": (_kleisli_witness(1), (True, False), render_delay),
         "kleisli-associativity": (_kleisli_witness(2), (True, True), render_delay),
         "equation-node-path": (_equation_witness(seq_lift_op, "strong_equal"), (True, True),
-                               laws._render_dt),
+                               fm.value_str),
         "equation-table-path": (_equation_witness("seq", "strong_equal"),
-                                (True, True), laws._render_dt),
+                                (True, True), fm.value_str),
         "retract-identity": (_retract_witness("RetractIdentity", "psi"), (True, False),
                              combos._short),
         "mu-square": (_retract_witness("MuSquare", "mu_composite"), (False, True),
@@ -259,7 +259,8 @@ class TestReportShape:
     def test_seq_monoid_all_yes(self):
         r = _suite(fm.monoid(), "seq", carrier_size=2, max_steps=1, max_depth=1)
         assert r.all_yes
-        assert r.guaranteed
+        assert guaranteed_configuration(fm.monoid(), induced_candidate(fm.monoid(), "seq").induced,
+                                        r.relation)
 
     def test_witness_replays_bit_for_bit(self):
         r = _suite(fm.semilattice(), "seq", carrier_size=2, max_steps=2, max_depth=2)
@@ -300,7 +301,8 @@ class TestMonotonicity:
         for kw in self.SETTINGS:
             r = _suite(fm.semilattice(), "par", relation="weak", **kw)
             assert r.all_yes, kw
-            assert r.guaranteed
+            assert guaranteed_configuration(
+                fm.semilattice(), induced_candidate(fm.semilattice(), "par").induced, r.relation)
 
 
 class TestJsonRoundTrip:
@@ -647,7 +649,7 @@ def _generic_multt(cand, u):
     S, T = laws.theory_pack(th), laws.delay_pack(u.relation, u.derived_fuel(th))
     with laws._memoised(cand.apply) as z:
         return laws.beck_scan("MultT", S, T, z, laws.iter_universe(th, u, "TDD"), None,
-                              fm.value_str, laws._render_dt, cand.apply)
+                              fm.value_str, fm.value_str, cand.apply)
 
 
 @pytest.fixture
@@ -1369,7 +1371,31 @@ class TestCustomCandidateEntry:
                       Universe(carrier_size=1, max_steps=1, max_depth=1))
         assert r.mode == "mine"
         assert r.all_yes
-        assert not r.guaranteed  # only the literal seq/par modes are vouched for
+        # only the structural liftings are vouched for
+        assert not guaranteed_configuration(fm.monoid(), cand.induced, r.relation)
+
+    @pytest.mark.parametrize("th", [fm.monoid(), fm.semilattice()], ids=lambda th: th.name)
+    def test_the_name_does_not_change_the_predictions(self, th):
+        # a custom lifting named like a structural one is still custom: its
+        # Nos get a custom lifting's predictions, and none is guaranteed
+        def slow_seq(op, args, th):
+            return prepend_steps(1, seq_lift_op(op, args, th))  # one extra step per operation
+
+        u = Universe(carrier_size=1, max_steps=1, max_depth=1)
+
+        def entries(name):
+            r = run_suite(th, lifting.custom_candidate(th, name, slow_seq), u)
+            assert r.mode == name
+            return [(e.axiom, e.verdict, e.cases,
+                     e.witness and (e.witness.input_render, e.witness.lhs_render,
+                                    e.witness.rhs_render),
+                     e.predicted, e.prediction_note) for e in r.entries]
+
+        want = entries("custom:x")
+        nos = [e for e in want if e[1].is_no]
+        assert nos and all(predicted for *_, predicted, _ in nos)
+        assert entries("seq") == want
+        assert entries("par") == want
 
 
 class TestRendering:

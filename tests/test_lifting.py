@@ -234,6 +234,19 @@ class TestCandidates:
                                     fm.unit(th, delay_n(1, "b"))])
         assert step_count(cand.apply(m)) == 2
 
+    def test_a_candidate_holds_its_lifting_once(self):
+        th = fm.magma()
+        for mode in ("seq", "par"):
+            cand = induced_candidate(th, mode)
+            assert (cand.lift, cand.induced) == (mode, mode)
+        cand = custom_candidate(th, "seq", seq_lift_op)
+        assert (cand.lift, cand.induced) == (seq_lift_op, None)
+        # a string would make a custom candidate induced
+        with pytest.raises(TypeError, match="op-lifting callable, not 'seq'"):
+            custom_candidate(th, "mine", "seq")
+        with pytest.raises(ValueError, match="unknown lift mode 'diagonal'"):
+            DistLawCandidate(th, "mine", "diagonal")
+
     def test_a_custom_lifting_must_return_a_delay(self):
         th = fm.magma()
 
@@ -689,7 +702,7 @@ class TestOnePass:
         want = {"seq": [3, None, 0, None], "par": [2, None, 0, None]}
         for mode in ("seq", "par"):
             cand = lifting.induced_candidate(th, mode)
-            assert cand.lift_op is getattr(lifting, f"{mode}_lift_op")
+            assert cand.lift == mode
             assert [step_count(cand.apply(m)) for m in inputs] == want[mode]
         assert calls == []
         # every custom candidate, whatever its name, goes through the
